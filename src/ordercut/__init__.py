@@ -17,8 +17,9 @@ from .graph import (EVALUATORS, OBJECTIVES, Digraph, GraphError, Ordering,
                     gen_random, induced, ola_of)
 from .guards import SizeGuardError
 from .instance_io import ParseError, parse_graph, serialize_graph
-from .kcut import (AuxGraph, CutSolution, build_aux, dkmc_exact, dkmc_oracle,
-                   dkmc_weighted_approx, min_weight_triangle, tripartition)
+from .kcut import (AuxGraph, CutSolution, build_aux, cut_profile, dkmc_exact,
+                   dkmc_oracle, dkmc_weighted_approx, min_weight_triangle,
+                   tripartition)
 from .oracle import OracleResult, perm_opt
 from .report import ApproxReport, Counters, SolveReport
 from .subset_dp import (SubsetTable, cutwidth_exact, dpw_exact,
@@ -31,8 +32,9 @@ __all__ = [
     "Digraph", "EVALUATORS", "GraphError", "OBJECTIVES", "OracleResult",
     "Ordering", "ParseError", "SizeGuardError", "SolveReport", "SubsetTable",
     "backward_weight", "boost_ladder", "build_aux", "cut_at", "cut_into",
-    "cutwidth_balanced_approx", "cutwidth_exact", "cutwidth_of", "dkmc_exact",
-    "dkmc_oracle", "dkmc_weighted_approx", "dpw_2approx", "dpw_exact",
+    "cut_profile", "cutwidth_balanced_approx", "cutwidth_exact",
+    "cutwidth_of", "dkmc_exact", "dkmc_oracle", "dkmc_weighted_approx",
+    "dpw_2approx", "dpw_exact",
     "dpw_of", "dpw_prefix_table", "fas_balanced_approx", "fas_exact",
     "fas_scheme", "fas_table", "gamma_for_target", "gen_random", "induced",
     "min_weight_triangle", "ola_directed_approx", "ola_exact", "ola_of",

@@ -23,7 +23,7 @@ from itertools import combinations
 from . import guards
 from .graph import (Digraph, Ordering, backward_weight, cut_into, cutwidth_of,
                     dpw_of, induced, ola_of)
-from .kcut import CutSolution, dkmc_exact, dkmc_weighted_approx
+from .kcut import CutSolution, cut_profile, dkmc_exact, dkmc_weighted_approx
 from .report import ApproxReport, Counters, SolveReport, finish
 from .subset_dp import (cutwidth_exact, dpw_exact, dpw_prefix_table, fas_exact,
                         fas_table, ola_exact)
@@ -139,6 +139,15 @@ def _sub_order(g: Digraph, vertices, solver) -> tuple[SolveReport, list[int]]:
     return rep, [inv[v] for v in rep.ordering.seq]
 
 
+def _cut_range_lb(sols: list[CutSolution], eps_cut) -> int:
+    """Sum of the cuts' lower bounds (a rounded cut's value over 1+eps,
+    floored). Any ordering pays at least the minimum k-cut at position k,
+    for every k searched."""
+    if eps_cut is None:
+        return sum(s.value for s in sols)
+    return sum(_floor_frac(Fraction(s.value) / (1 + Fraction(eps_cut))) for s in sols)
+
+
 def fas_balanced_approx(g: Digraph, cut_eps=None) -> ApproxReport:
     """Feedback arc set within factor 2 (exact cut) or 2+eps (rounded cut;
     eps = 1 gives the weighted 3-approximation)."""
@@ -148,15 +157,10 @@ def fas_balanced_approx(g: Digraph, cut_eps=None) -> ApproxReport:
         return _as_approx(fas_exact(g), "exact-fallback")
     counters = Counters(calls=1)
     k = n // 2
-    if cut_eps is None:
-        cut = dkmc_exact(g, k, counters)
-        cut_lb = cut.value
-        factor = Fraction(2)
-    else:
-        eps_f = Fraction(cut_eps)
-        cut = dkmc_weighted_approx(g, k, cut_eps, counters)
-        cut_lb = _floor_frac(Fraction(cut.value) / (1 + eps_f))
-        factor = 2 + eps_f
+    cut = (dkmc_exact(g, k, counters) if cut_eps is None
+           else dkmc_weighted_approx(g, k, cut_eps, counters))
+    cut_lb = _cut_range_lb([cut], cut_eps)
+    factor = 2 + Fraction(cut_eps or 0)
     right = tuple(v for v in range(n) if v not in set(cut.vertices))
     rep_l, seq_l = _sub_order(g, cut.vertices, fas_exact)
     rep_r, seq_r = _sub_order(g, right, fas_exact)
@@ -181,15 +185,10 @@ def cutwidth_balanced_approx(g: Digraph, cut_eps=None) -> ApproxReport:
         return _as_approx(cutwidth_exact(g), "exact-fallback")
     counters = Counters(calls=1)
     k = n // 2
-    if cut_eps is None:
-        cut = dkmc_exact(g, k, counters)
-        cut_lb = cut.value
-        factor = Fraction(2)
-    else:
-        eps_f = Fraction(cut_eps)
-        cut = dkmc_weighted_approx(g, k, cut_eps, counters)
-        cut_lb = _floor_frac(Fraction(cut.value) / (1 + eps_f))
-        factor = 2 + eps_f
+    cut = (dkmc_exact(g, k, counters) if cut_eps is None
+           else dkmc_weighted_approx(g, k, cut_eps, counters))
+    cut_lb = _cut_range_lb([cut], cut_eps)
+    factor = 2 + Fraction(cut_eps or 0)
     right = tuple(v for v in range(n) if v not in set(cut.vertices))
     rep_l, seq_l = _sub_order(g, cut.vertices, cutwidth_exact)
     rep_r, seq_r = _sub_order(g, right, cutwidth_exact)
@@ -202,29 +201,6 @@ def cutwidth_balanced_approx(g: Digraph, cut_eps=None) -> ApproxReport:
     report = ApproxReport("cutwidth", value, ordering, lb, counters, millis,
                           factor, (cut,), (("balanced", n, k),))
     return finish(report, g)
-
-
-def _best_cut_in_range(g: Digraph, lo: int, hi: int, eps_cut,
-                       counters: Counters) -> tuple[CutSolution, list[CutSolution]]:
-    sols = []
-    best = None
-    for k in range(lo, hi + 1):
-        if eps_cut is None:
-            sol = dkmc_exact(g, k, counters)
-        else:
-            sol = dkmc_weighted_approx(g, k, eps_cut, counters)
-        sols.append(sol)
-        if best is None or sol.value < best.value:
-            best = sol
-    return best, sols
-
-
-def _cut_range_lb(sols: list[CutSolution], eps_cut) -> int:
-    """Sum of per-position cut lower bounds: any ordering pays at least the
-    minimum k-cut at position k, for every k in the searched range."""
-    if eps_cut is None:
-        return sum(s.value for s in sols)
-    return sum(_floor_frac(Fraction(s.value) / (1 + Fraction(eps_cut))) for s in sols)
 
 
 def ola_directed_approx(g: Digraph, alpha, weighted: bool = False) -> ApproxReport:
@@ -248,7 +224,8 @@ def ola_directed_approx(g: Digraph, alpha, weighted: bool = False) -> ApproxRepo
     if lo > hi:
         return _as_approx(ola_exact(g), "exact-fallback")
     counters = Counters(calls=1)
-    cut, sols = _best_cut_in_range(g, lo, hi, eps_cut, counters)
+    sols = list(cut_profile(g, range(lo, hi + 1), eps_cut, counters).values())
+    cut = min(sols, key=lambda s: s.value)       # smallest k wins ties
     right = tuple(v for v in range(n) if v not in set(cut.vertices))
     rep_l, seq_l = _sub_order(g, cut.vertices, ola_exact)
     rep_r, seq_r = _sub_order(g, right, ola_exact)
@@ -307,7 +284,8 @@ def ola_undirected_approx(g: Digraph, alpha, weighted: bool = False) -> ApproxRe
     if lo > hi:
         return _as_approx(ola_exact(g), "exact-fallback")
     counters = Counters(calls=1)
-    cut, sols = _best_cut_in_range(g, lo, hi, eps_cut, counters)
+    sols = list(cut_profile(g, range(lo, hi + 1), eps_cut, counters).values())
+    cut = min(sols, key=lambda s: s.value)       # smallest k wins ties
     left_set = set(cut.vertices)
     right = tuple(v for v in range(n) if v not in left_set)
     rep_l, seq_l = _sub_order(g, cut.vertices, ola_exact)

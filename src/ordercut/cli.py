@@ -23,7 +23,7 @@ from fractions import Fraction
 from .balanced import (cutwidth_balanced_approx, dpw_2approx, fas_balanced_approx,
                        fas_scheme, ola_directed_approx, ola_undirected_approx)
 from .graph import EVALUATORS, OBJECTIVES, Digraph, gen_random
-from .guards import SizeGuardError
+from .guards import SizeGuardError, check_universe
 from .instance_io import ParseError, parse_graph, serialize_graph
 from .oracle import perm_opt
 from .subset_dp import cutwidth_exact, dpw_exact, fas_exact, ola_exact
@@ -191,10 +191,13 @@ def _run_task(task: tuple) -> dict:
 
 
 def _run_suite(tasks: list[tuple], jobs: int) -> list[dict]:
-    if jobs <= 1 or len(tasks) <= 1:
+    if jobs < 1:
+        raise UsageError("--jobs must be at least 1")
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         records = [_run_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_task, tasks))
     return sorted(records, key=lambda r: (r["instance"], r["mode"]))
 
@@ -216,6 +219,7 @@ def cmd_gen(ns: argparse.Namespace) -> int:
         raise UsageError("--p must lie in [0, 1]")
     if ns.n <= 0:
         raise UsageError("--n must be positive")
+    check_universe(ns.n)
     if not 0 <= ns.wmin <= ns.wmax:
         raise UsageError("need 0 <= --wmin <= --wmax")
     g = gen_random(ns.n, ns.p, weight_range=(ns.wmin, ns.wmax),

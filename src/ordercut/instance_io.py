@@ -11,6 +11,7 @@ comments, arcs sorted by (u, v), so parse(serialize(g)) == g.
 
 from __future__ import annotations
 
+from . import guards
 from .graph import Digraph, GraphError
 
 
@@ -19,10 +20,15 @@ class ParseError(ValueError):
 
 
 def _int(token: str, what: str, lineno: int) -> int:
+    """ASCII digits with an optional leading '-' (int() alone would also
+    take '1_0', '+1' and non-ASCII digits such as full-width ones)."""
+    digits = token.removeprefix("-")
     try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"line {lineno}: {what} is not an integer: {token!r}") from None
+        if digits.isascii() and digits.isdigit():
+            return int(token)
+    except ValueError:      # more digits than int() converts
+        pass
+    raise ParseError(f"line {lineno}: {what} is not an integer: {token!r}")
 
 
 def parse_graph(text: str) -> Digraph:
@@ -50,6 +56,7 @@ def parse_graph(text: str) -> Digraph:
             m = _int(tokens[3], "arc count", lineno)
             if n < 0 or m < 0:
                 raise ParseError(f"line {lineno}: negative count in header")
+            guards.check_universe(n)   # before Digraph allocates n vertices
             header = (n, m)
         elif tokens[0] == "a":
             if header is None:

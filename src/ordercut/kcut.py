@@ -14,10 +14,17 @@ L = T1 u T2 u T3 (each delta appears in two edges at half weight; doubling
 keeps everything integral). The minimum-weight triangle therefore locates the
 optimal L for that split.
 
-dkmc_weighted_approx runs the same search after rounding each nonzero stored
-edge weight up to a power of (1+eps/3), which keeps the number of distinct
-weights logarithmic while inflating any triangle by less than a (1+eps)
-factor. The returned value is always the true, unrounded cut weight.
+A stored edge weight depends only on (T, U), never on k. cut_profile
+therefore builds, once per graph, one matrix per part pair over every subset
+of each part (two integer matrix products plus rank-1 terms), and each split's
+auxiliary graph is a block of those matrices. Entries are int64 while
+2 * total arc weight < 2**62, which bounds every entry and triangle sum, and
+exact Python ints (dtype=object) beyond that.
+
+The rounded search runs the same triangle search after rounding each nonzero
+stored edge weight up to a power of (1+eps/3), which keeps the number of
+distinct weights logarithmic while inflating any triangle by less than a
+(1+eps) factor. The returned value is always the true, unrounded cut weight.
 """
 
 from __future__ import annotations
@@ -25,11 +32,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, pairwise
+from typing import Iterator
+
+import numpy as np
 
 from . import guards
 from .graph import Digraph, cut_into
 from .report import Counters
+
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+_CHUNK_CELLS = 1 << 13     # triangle sums held at once by the search
 
 
 @dataclass(frozen=True)
@@ -41,16 +54,20 @@ class CutSolution:
 
 @dataclass
 class AuxGraph:
-    """Complete tripartite auxiliary graph for one (k1, k2, k3) split."""
+    """Complete tripartite auxiliary graph for one (k1, k2, k3) split.
+
+    blocks holds the doubled edge weights between groups 0-1, 0-2 and 1-2
+    as 2-D arrays; e01, e02 and e12 list their rows, indexable [j1][j2].
+    """
 
     parts: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     sizes: tuple[int, int, int]
     nodes: tuple[list[tuple[int, ...]], ...]   # subsets per group, lex order
-    deltas: tuple[list[int], ...]
-    # edge weight matrices between groups 0-1, 0-2, 1-2 (doubled weights)
-    e01: list[list[int]]
-    e02: list[list[int]]
-    e12: list[list[int]]
+    blocks: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    e01 = property(lambda self: list(self.blocks[0]))
+    e02 = property(lambda self: list(self.blocks[1]))
+    e12 = property(lambda self: list(self.blocks[2]))
 
 
 def tripartition(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -61,95 +78,101 @@ def tripartition(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, .
             tuple(range(s1 + s2, n)))
 
 
-def _in_from_part(g: Digraph, parts) -> list[list[int]]:
-    """ifp[i][x] = weight of arcs into x from part i."""
-    masks = [sum(1 << v for v in part) for part in parts]
-    ifp = [[0] * g.n for _ in range(3)]
-    for i, pmask in enumerate(masks):
-        row = ifp[i]
-        for x in range(g.n):
-            row[x] = sum(w for u, w in g.in_pairs[x] if pmask >> u & 1)
-    return ifp
+def _dtype(bound: int):
+    """int64 when every value and every partial sum stays below bound."""
+    return np.int64 if bound < 2 ** 62 else object
 
 
-def _cross(g: Digraph, src: tuple[int, ...], dst_mask: int) -> int:
-    """Weight of arcs from the vertices in src into the dst mask."""
-    return sum(w for y in src for x, w in g.out_pairs[y] if dst_mask >> x & 1)
+class _PairMatrices:
+    """Stored edge weights between all subsets of two parts, for every pair.
+
+    Each part's subsets are listed in (size, lex) order, so the size-k ones
+    of part i form the row range rows[i][k] of its matrices.
+    """
+
+    def __init__(self, g: Digraph, parts):
+        dtype = _dtype(2 * g.total_arc_weight)
+        w = np.zeros((g.n, g.n), dtype=dtype)
+        for u, v, wt in g.arc_items:
+            w[u, v] = wt
+        idx = [np.array(p, dtype=np.intp) for p in parts]
+        into = [w[i].sum(axis=0) for i in idx]   # into[j][x]: from part j to x
+        self.subsets = []
+        self.rows = []
+        chi = []
+        for part in parts:
+            subs = [t for k in range(len(part) + 1) for t in combinations(part, k)]
+            self.subsets.append(subs)
+            starts = accumulate((math.comb(len(part), k)
+                                 for k in range(len(part) + 1)), initial=0)
+            self.rows.append([slice(lo, hi) for lo, hi in pairwise(starts)])
+            chi.append(np.array([[v in t for v in part] for t in subs],
+                                dtype=np.int64).astype(dtype))
+
+        def from_part(i: int, j: int) -> np.ndarray:
+            """Weight of arcs from part j into each subset of part i."""
+            return chi[i] @ into[j][idx[i]]
+
+        deltas = [from_part(i, i)
+                  - ((chi[i] @ w[np.ix_(idx[i], idx[i])]) * chi[i]).sum(axis=1)
+                  for i in range(3)]
+        self.mats = {}
+        for a, b in _PAIRS:
+            both = w[np.ix_(idx[a], idx[b])] + w[np.ix_(idx[b], idx[a])].T
+            cross = chi[a] @ both @ chi[b].T     # arcs T -> U plus U -> T
+            self.mats[a, b] = (2 * (from_part(a, b)[:, None]
+                                    + from_part(b, a)[None, :] - cross)
+                               + deltas[a][:, None] + deltas[b][None, :])
 
 
 def build_aux(g: Digraph, parts, sizes: tuple[int, int, int],
-              ifp: list[list[int]] | None = None) -> AuxGraph:
-    """Auxiliary graph for one split; sizes[i] may be 0 or |parts[i]|."""
-    if ifp is None:
-        ifp = _in_from_part(g, parts)
-    nodes = []
-    masks = []
-    deltas = []
-    part_sums = []   # per node, its ifp sums from each of the three parts
-    for i in range(3):
-        subs = list(combinations(parts[i], sizes[i]))
-        nodes.append(subs)
-        masks.append([sum(1 << v for v in t) for t in subs])
-        drow = []
-        srow = []
-        for t, tmask in zip(subs, masks[i]):
-            inside = sum(w for x in t for u, w in g.in_pairs[x] if tmask >> u & 1)
-            drow.append(sum(ifp[i][x] for x in t) - inside)
-            srow.append(tuple(sum(ifp[j][x] for x in t) for j in range(3)))
-        deltas.append(drow)
-        part_sums.append(srow)
+              matrices: _PairMatrices | None = None) -> AuxGraph:
+    """Auxiliary graph for one split; sizes[i] may be 0 or |parts[i]|.
 
-    def matrix(a: int, b: int) -> list[list[int]]:
-        rows = []
-        for j, t in enumerate(nodes[a]):
-            tmask = masks[a][j]
-            da = deltas[a][j]
-            row = []
-            for j2, u in enumerate(nodes[b]):
-                umask = masks[b][j2]
-                cross_ab = part_sums[b][j2][a] - _cross(g, t, umask)
-                cross_ba = part_sums[a][j][b] - _cross(g, u, tmask)
-                row.append(2 * (cross_ab + cross_ba) + da + deltas[b][j2])
-            rows.append(row)
-        return rows
-
-    return AuxGraph(tuple(parts), sizes, tuple(nodes), tuple(deltas),
-                    matrix(0, 1), matrix(0, 2), matrix(1, 2))
+    The blocks are views into matrices, built here when not given.
+    """
+    if matrices is None:
+        matrices = _PairMatrices(g, parts)
+    rows = [matrices.rows[i][k] for i, k in enumerate(sizes)]
+    nodes = tuple(matrices.subsets[i][r] for i, r in enumerate(rows))
+    blocks = tuple(matrices.mats[a, b][rows[a], rows[b]] for a, b in _PAIRS)
+    return AuxGraph(tuple(parts), tuple(sizes), nodes, blocks)
 
 
 def min_weight_triangle(aux: AuxGraph, counters: Counters | None = None,
                         e01=None, e02=None, e12=None):
-    """Minimum-weight triangle (one node per group) by direct enumeration.
+    """Minimum-weight triangle (one node per group), searched a block of
+    j1 rows at a time.
 
     Returns ((j1, j2, j3), weight); the lexicographically least triple wins
     ties. Optional matrices override the stored ones (used by the rounded
-    search); weights only need +, < and non-negativity.
+    search); weights must be non-negative.
+
+    counters.triangles grows by the number of triangles a lex-order scan
+    examines when it skips every (j1, j2) whose e01 weight already reaches
+    the best sum found so far: |N3| for each pair whose e01 weight is below
+    the minimum of the earlier pairs' best completions.
     """
-    e01 = aux.e01 if e01 is None else e01
-    e02 = aux.e02 if e02 is None else e02
-    e12 = aux.e12 if e12 is None else e12
-    best = None
-    best_triple = None
-    examined = 0
-    for j1 in range(len(aux.nodes[0])):
-        row01 = e01[j1]
-        row02 = e02[j1]
-        for j2 in range(len(aux.nodes[1])):
-            w12 = row01[j2]
-            if best is not None and w12 >= best:
-                continue   # every completion weighs at least w12
-            row12 = e12[j2]
-            for j3 in range(len(aux.nodes[2])):
-                examined += 1
-                total = w12 + row02[j3] + row12[j3]
-                if best is None or total < best:
-                    best = total
-                    best_triple = (j1, j2, j3)
-    if counters is not None:
-        counters.triangles += examined
-    if best_triple is None:
+    e01, e02, e12 = (np.asarray(stored if m is None else m)
+                     for stored, m in zip(aux.blocks, (e01, e02, e12)))
+    r1, r2 = e01.shape
+    r3 = e12.shape[1]
+    if not r1 * r2 * r3:
         raise ValueError("auxiliary graph has an empty group")
-    return best_triple, best
+    best_j3 = np.empty((r1, r2), dtype=e01.dtype)   # min over j3 per (j1, j2)
+    step = max(1, _CHUNK_CELLS // (r2 * r3))
+    for lo in range(0, r1, step):
+        sums = e01[lo:lo + step, :, None] + e12
+        sums += e02[lo:lo + step, None, :]
+        sums.min(axis=2, out=best_j3[lo:lo + step])
+    flat = best_j3.ravel()
+    j1, j2 = divmod(int(flat.argmin()), r2)
+    j3 = int((e02[j1] + e12[j2]).argmin())
+    if counters is not None:
+        running = np.minimum.accumulate(flat[:-1])
+        counters.triangles += r3 * (1 + int(np.count_nonzero(
+            e01.ravel()[1:] < running)))
+    return (j1, j2, j3), int(flat[j1 * r2 + j2])
 
 
 def _splits(parts, k: int):
@@ -160,53 +183,21 @@ def _splits(parts, k: int):
                 yield (k1, k2, k3)
 
 
-def dkmc_exact(g: Digraph, k: int, counters: Counters | None = None) -> CutSolution:
-    """Exact directed minimum (k, n-k)-cut via the triangle construction."""
-    n = g.n
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} outside 0..{n}")
-    guards.check(n, guards.EXACT_DP_GUARD, "dkmc_exact vertex count")
-    parts = tripartition(n)
-    ifp = _in_from_part(g, parts)
-    best_value = None
-    best_l = None
-    for sizes in _splits(parts, k):
-        aux = build_aux(g, parts, sizes, ifp)
-        (j1, j2, j3), stored = min_weight_triangle(aux, counters)
-        if stored % 2:
-            raise AssertionError("stored triangle weight must be even")
-        value = stored // 2
-        l = aux.nodes[0][j1] + aux.nodes[1][j2] + aux.nodes[2][j3]
-        if best_value is None or value < best_value or \
-                (value == best_value and l < best_l):
-            best_value, best_l = value, l
-    actual = cut_into(g, best_l)
-    if actual != best_value:
-        raise AssertionError(
-            f"dkmc value {best_value} but cut re-evaluates to {actual}")
-    return CutSolution(best_l, k, best_value)
+def _rounded_keys(weights: list[int], eps: Fraction) -> list[int]:
+    """Each stored weight's rounded-up power of (1+eps/3), as an exact int.
 
-
-def _rounded_keys(weights: set[int], eps) -> dict[int, object]:
-    """Map each stored weight to its rounded-up power of (1+eps/3).
-
-    Keys only need consistent ordering and addition. Three regimes:
-    tiny eps where rounding provably cannot reorder distinct triangle sums
-    (identity), an exact big-integer grid for moderate exponent ranges, and
-    high-precision floats beyond that.
+    weights are sorted, distinct and non-negative. Keys only need
+    consistent ordering and addition. Three regimes: tiny eps where rounding
+    provably cannot reorder distinct triangle sums (identity), an exact
+    big-integer grid for moderate exponent ranges, and high-precision floats
+    beyond that.
     """
-    eps_f = Fraction(eps)
-    if eps_f <= 0:
-        raise ValueError("eps must be positive")
-    positive = sorted(w for w in weights if w > 0)
-    if not positive:
-        return {w: w for w in weights}
-    smax = positive[-1]
+    smax = weights[-1]
     # Distinct triangle sums differ by >= 1; rounding inflates a sum by less
     # than eps/3 * sum <= eps * smax, so below 1 no comparison can flip.
-    if eps_f * smax < 1:
-        return {w: w for w in weights}
-    base = 1 + eps_f / 3
+    if eps * smax < 1:
+        return weights
+    base = 1 + eps / 3
     a, b = base.numerator, base.denominator
     pa, pb = [1], [1]
     while pa[-1] < smax * pb[-1] and len(pa) <= 2048:
@@ -214,19 +205,12 @@ def _rounded_keys(weights: set[int], eps) -> dict[int, object]:
         pb.append(pb[-1] * b)
     if pa[-1] >= smax * pb[-1]:
         emax = len(pa) - 1
-        keys: dict[int, object] = {}
+        keys = []
+        e = 0
         for w in weights:
-            if w <= 0:
-                keys[w] = 0
-                continue
-            lo, hi = 0, emax
-            while lo < hi:               # least e with base^e >= w
-                mid = (lo + hi) // 2
-                if pa[mid] >= w * pb[mid]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            keys[w] = pa[lo] * pb[emax - lo]   # base^e scaled by b^emax
+            while pa[e] < w * pb[e]:     # least e with base^e >= w
+                e += 1
+            keys.append(pa[e] * pb[emax - e] if w else 0)   # scaled by b^emax
         return keys
     import mpmath
     with mpmath.workdps(60):
@@ -235,44 +219,80 @@ def _rounded_keys(weights: set[int], eps) -> dict[int, object]:
         # keeps the factor, since (1+eps/3)^2 <= 1+eps here (eps < 3).
         logbase = mpmath.log(mpmath.mpf(a) / b)
         scale = mpmath.mpf(2) ** 80
-        keys = {}
+        keys = []
         for w in weights:
             if w <= 0:
-                keys[w] = 0
+                keys.append(0)
             else:
                 e = int(mpmath.ceil(mpmath.log(w) / logbase))
-                keys[w] = int(mpmath.floor(mpmath.exp(max(e, 0) * logbase) * scale))
+                keys.append(int(mpmath.floor(mpmath.exp(max(e, 0) * logbase) * scale)))
         return keys
+
+
+def _rounded_blocks(cells: list[AuxGraph], eps: Fraction) -> Iterator[list[np.ndarray]]:
+    """Every split's blocks with weights replaced by their rounding keys; the
+    key set is the union of the stored weights over all the splits."""
+    stored = np.sort(np.concatenate(
+        [blk.ravel() for aux in cells for blk in aux.blocks]))
+    # np.unique would do, but it imports numpy.ma (about 1 MB) on first use
+    weights = stored[np.append(True, stored[1:] != stored[:-1])]
+    keys = _rounded_keys(weights.tolist(), eps)
+    keyed = np.array(keys, dtype=_dtype(3 * keys[-1]))
+    return ([keyed[np.searchsorted(weights, blk)] for blk in aux.blocks]
+            for aux in cells)
+
+
+def cut_profile(g: Digraph, ks, eps=None,
+                counters: Counters | None = None) -> dict[int, CutSolution]:
+    """Minimum (k, n-k)-cut for every k in ks, from pair matrices built once.
+
+    eps=None gives the exact cut; a positive eps the (1+eps)-approximate
+    rounded search. Within one k, the lower weight wins, then the
+    lexicographically smaller vertex set. The matrices are dropped on return.
+    """
+    n = g.n
+    ks = list(ks)
+    for k in ks:
+        if not 0 <= k <= n:
+            raise ValueError(f"k={k} outside 0..{n}")
+    guards.check(n, guards.EXACT_DP_GUARD, "dkmc vertex count")
+    if eps is not None:
+        eps = Fraction(eps)
+        if eps <= 0:
+            raise ValueError("eps must be positive")
+    parts = tripartition(n)
+    matrices = _PairMatrices(g, parts)
+    out = {}
+    for k in ks:
+        cells = [build_aux(g, parts, sizes, matrices) for sizes in _splits(parts, k)]
+        keyed = ([aux.blocks for aux in cells] if eps is None
+                 else _rounded_blocks(cells, eps))
+        best = None
+        for aux, blocks in zip(cells, keyed):
+            (j1, j2, j3), weight = min_weight_triangle(aux, counters, *blocks)
+            if eps is None and weight % 2:
+                raise AssertionError("stored triangle weight must be even")
+            cand = (weight, aux.nodes[0][j1] + aux.nodes[1][j2] + aux.nodes[2][j3])
+            if best is None or cand < best:
+                best = cand
+        weight, l = best
+        value = cut_into(g, l)
+        if eps is None and 2 * value != weight:
+            raise AssertionError(
+                f"dkmc value {weight // 2} but cut re-evaluates to {value}")
+        out[k] = CutSolution(l, k, value)
+    return out
+
+
+def dkmc_exact(g: Digraph, k: int, counters: Counters | None = None) -> CutSolution:
+    """Exact directed minimum (k, n-k)-cut via the triangle construction."""
+    return cut_profile(g, [k], None, counters)[k]
 
 
 def dkmc_weighted_approx(g: Digraph, k: int, eps,
                          counters: Counters | None = None) -> CutSolution:
     """(1+eps)-approximate DKMC via weight rounding; value is unrounded."""
-    n = g.n
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} outside 0..{n}")
-    guards.check(n, guards.EXACT_DP_GUARD, "dkmc_weighted_approx vertex count")
-    parts = tripartition(n)
-    ifp = _in_from_part(g, parts)
-    cells = [build_aux(g, parts, sizes, ifp) for sizes in _splits(parts, k)]
-    weights: set[int] = set()
-    for aux in cells:
-        for mat in (aux.e01, aux.e02, aux.e12):
-            for row in mat:
-                weights.update(row)
-    keys = _rounded_keys(weights, eps)
-    best_key = None
-    best_l = None
-    for aux in cells:
-        rounded = [[[keys[w] for w in row] for row in mat]
-                   for mat in (aux.e01, aux.e02, aux.e12)]
-        (j1, j2, j3), rweight = min_weight_triangle(
-            aux, counters, e01=rounded[0], e02=rounded[1], e12=rounded[2])
-        l = aux.nodes[0][j1] + aux.nodes[1][j2] + aux.nodes[2][j3]
-        if best_key is None or rweight < best_key or \
-                (rweight == best_key and l < best_l):
-            best_key, best_l = rweight, l
-    return CutSolution(best_l, k, cut_into(g, best_l))
+    return cut_profile(g, [k], eps, counters)[k]
 
 
 def dkmc_oracle(g: Digraph, k: int) -> CutSolution:

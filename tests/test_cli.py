@@ -135,6 +135,17 @@ def test_gen_rejects_bad_p(capsys):
     assert code == 2 and "must lie in [0, 1]" in err
 
 
+def no_alloc(*args, **kwargs):
+    raise AssertionError("graph built for an oversized vertex count")
+
+
+def test_gen_n_above_hard_cap_exits_4(capsys, monkeypatch):
+    from ordercut import cli
+    monkeypatch.setattr(cli, "gen_random", no_alloc)
+    code, out, err = run(capsys, "gen", "--n", "50000000", "--p", "0")
+    assert code == 4 and out == "" and "hard cap" in err
+
+
 # -------------------------------------------------------------------- verify
 
 def make_corpus(tmp_path, graphs):
@@ -178,6 +189,39 @@ def test_verify_parallel_rows_match_serial(capsys, tmp_path):
     code2, out2, _ = run(capsys, *base, "--jobs", "3")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_jobs_below_one_exits_2(capsys, tmp_path):
+    corp = make_corpus(tmp_path, [Digraph(3, [(0, 1)])])
+    for cmd, extra in (("verify", ("--factor", "1")), ("bench", ())):
+        for jobs in ("0", "-3"):
+            code, out, err = run(capsys, cmd, corp, "--obj", "fas", *extra,
+                                 "--jobs", jobs, "--no-timing")
+            assert code == 2 and out == "" and "--jobs" in err
+
+
+def test_jobs_clamped_to_tasks_and_cpus(capsys, tmp_path, monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    from ordercut import cli, gen_random
+    seen = []
+
+    def fake_pool(max_workers):
+        # records the request; runs the tasks on threads, never processes
+        seen.append(max_workers)
+        return ThreadPoolExecutor(max_workers=1)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", fake_pool)
+    corp = make_corpus(tmp_path, [gen_random(5, 0.5, seed=s) for s in range(3)])
+    base = ("bench", corp, "--obj", "fas", "--no-timing")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    _, serial, _ = run(capsys, *base)
+    assert run(capsys, *base, "--jobs", "1000")[1] == serial   # 3 tasks
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert run(capsys, *base, "--jobs", "1000")[1] == serial   # 2 CPUs
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert run(capsys, *base, "--jobs", "1000")[1] == serial   # serial path
+    assert seen == [3, 2]
 
 
 def test_verify_exact_zero_column(capsys, tmp_path):
@@ -239,6 +283,15 @@ def test_usage_errors_exit_2(capsys, cycle_file):
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:")
+
+
+def test_huge_header_exits_4(capsys, tmp_path, monkeypatch):
+    from ordercut import instance_io
+    monkeypatch.setattr(instance_io, "Digraph", no_alloc)
+    p = tmp_path / "huge.g"
+    p.write_text("p dg 50000000 0\n")
+    code, _, err = run(capsys, "solve", str(p), "--obj", "fas")
+    assert code == 4 and "hard cap" in err
 
 
 def test_parse_error_exits_3(capsys, tmp_path):

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordercut import (Digraph, GraphError, Ordering, ParseError,
-                      backward_weight, cut_at, cut_into, cutwidth_of, dpw_of,
-                      gen_random, induced, ola_of, parse_graph,
-                      serialize_graph)
+                      SizeGuardError, backward_weight, cut_at, cut_into,
+                      cutwidth_of, dpw_of, gen_random, induced, ola_of,
+                      parse_graph, serialize_graph)
 
 
 # ---------------------------------------------------------------- strategies
@@ -217,6 +217,11 @@ def test_roundtrip_undirected(g):
     ("p xx 2 1\na 1 2\n", "unknown graph mode"),
     ("p dg -2 0\n", "negative count"),
     ("p dg x 1\na 1 2\n", "not an integer"),
+    ("p dg 1_0 0\n", "not an integer"),
+    ("p dg \uff13 0\n", "not an integer"),          # full-width digit three
+    ("p dg +3 0\n", "not an integer"),
+    ("p dg 2 1 w\na 1 2 1_000\n", "not an integer"),
+    ("p dg 2 1 w\na 1 2 " + "9" * 5000 + "\n", "not an integer"),
     ("p dg 2 1\na 1 3\n", "out of range"),
     ("p dg 2 1\na 1 1\n", "self-loop"),
     ("p dg 2 2\na 1 2\na 1 2\n", "duplicate arc"),
@@ -230,6 +235,18 @@ def test_roundtrip_undirected(g):
 def test_parse_diagnostics(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_graph(text)
+
+
+def test_parse_rejects_vertex_count_above_hard_cap(monkeypatch):
+    from ordercut import instance_io
+    assert parse_graph("p dg 32 0\n").n == 32
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("Digraph built for an oversized header")
+
+    monkeypatch.setattr(instance_io, "Digraph", no_alloc)
+    with pytest.raises(SizeGuardError, match="hard cap"):
+        parse_graph("p dg 50000000 0\n")
 
 
 # ----------------------------------------------------------------- generator

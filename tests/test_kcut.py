@@ -1,13 +1,16 @@
 """The (k, n-k)-cut solver and its triangle construction."""
 
 from fractions import Fraction
-from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ordercut import (Counters, Digraph, SizeGuardError, build_aux, cut_into,
-                      dkmc_exact, dkmc_oracle, dkmc_weighted_approx,
-                      gen_random, tripartition)
+from ordercut import (AuxGraph, Counters, Digraph, SizeGuardError, build_aux,
+                      cut_into, cut_profile, dkmc_exact, dkmc_oracle,
+                      dkmc_weighted_approx, gen_random, kcut,
+                      min_weight_triangle, tripartition)
 
 CYCLE3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -154,3 +157,107 @@ def test_oracle_lex_least_witness():
     sol = dkmc_oracle(g, 2)
     assert sol.vertices == (0, 1)
     assert dkmc_exact(g, 2).vertices == (0, 1)
+
+
+# ------------------------------------------------- cut engine property tests
+
+@st.composite
+def digraphs(draw, max_n=10, max_w=1000):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=len(pairs))) if pairs else []
+    weights = {p: draw(st.integers(min_value=0, max_value=max_w))
+               for p in chosen}
+    return Digraph(n, chosen, weights)
+
+
+@settings(max_examples=40, deadline=None)
+@given(digraphs(), st.sampled_from([Fraction(1, 10), Fraction(1, 2), Fraction(1)]))
+def test_cut_profile_matches_oracle_for_every_k(g, eps):
+    ks = range(g.n + 1)
+    exact = cut_profile(g, ks)
+    rounded = cut_profile(g, ks, eps)
+    assert list(exact) == list(rounded) == list(ks)
+    for k in ks:
+        opt = dkmc_oracle(g, k)
+        assert exact[k] == opt                    # value and tie-break
+        sol = rounded[k]
+        assert len(sol.vertices) == k and cut_into(g, sol.vertices) == sol.value
+        assert opt.value <= sol.value
+        assert Fraction(sol.value) <= (1 + eps) * opt.value
+
+
+def seed_triangle_scan(e01, e02, e12):
+    """The original pruned lex-order scan over nested lists: the reference
+    for min_weight_triangle's triple, weight and examined-triangle count."""
+    best = best_triple = None
+    examined = 0
+    for j1, (row01, row02) in enumerate(zip(e01, e02)):
+        for j2, w12 in enumerate(row01):
+            if best is not None and w12 >= best:
+                continue
+            for j3, w3 in enumerate(row02):
+                examined += 1
+                total = w12 + w3 + e12[j2][j3]
+                if best is None or total < best:
+                    best, best_triple = total, (j1, j2, j3)
+    return best_triple, best, examined
+
+
+def test_triangle_search_matches_seed_scan_on_aux_graphs():
+    for seed in range(6):
+        n = 4 + seed
+        g = gen_random(n, 0.5, weight_range=(1, 3 + 40 * (seed % 2)),
+                       seed=700 + seed)
+        parts = tripartition(n)
+        for k in range(n + 1):
+            for sizes in kcut._splits(parts, k):
+                aux = build_aux(g, parts, sizes)
+                counters = Counters()
+                triple, weight = min_weight_triangle(aux, counters)
+                lists = [[[int(w) for w in row] for row in m]
+                         for m in (aux.e01, aux.e02, aux.e12)]
+                assert ((triple, weight, counters.triangles)
+                        == seed_triangle_scan(*lists))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_triangle_search_matches_seed_scan_with_ties(data):
+    r1, r2, r3 = (data.draw(st.integers(1, 6)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return data.draw(st.lists(st.lists(st.integers(0, 3), min_size=cols,
+                                           max_size=cols),
+                                  min_size=rows, max_size=rows))
+
+    e01, e02, e12 = matrix(r1, r2), matrix(r1, r3), matrix(r2, r3)
+    aux = AuxGraph(((), (), ()), (0, 0, 0), ([], [], []),
+                   tuple(np.array(m, dtype=np.int64) for m in (e01, e02, e12)))
+    counters = Counters()
+    triple, weight = min_weight_triangle(aux, counters)
+    assert (triple, weight, counters.triangles) == seed_triangle_scan(e01, e02, e12)
+
+
+def _graph_with_total(total: int) -> Digraph:
+    arcs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (2, 0), (4, 1)]
+    base = total // len(arcs)
+    weights = {a: base + (i * 7919) % 1000 for i, a in enumerate(arcs)}
+    weights[arcs[0]] += total - sum(weights.values())
+    return Digraph(6, arcs, weights)
+
+
+@pytest.mark.parametrize("total,dtype", [(2 ** 61 - 1, np.int64),
+                                         (2 ** 61, object)])
+def test_int64_dispatch_bound(monkeypatch, total, dtype):
+    # 2 * total arc weight < 2**62 runs in int64, beyond it in Python ints;
+    # either way the result equals the all-Python-int run.
+    g = _graph_with_total(total)
+    assert g.total_arc_weight == total
+    assert build_aux(g, tripartition(6), (1, 1, 1)).blocks[0].dtype == dtype
+    ks = range(7)
+    runs = [cut_profile(g, ks), cut_profile(g, ks, Fraction(1, 2))]
+    monkeypatch.setattr(kcut, "_dtype", lambda bound: object)
+    assert build_aux(g, tripartition(6), (1, 1, 1)).blocks[0].dtype == object
+    assert runs == [cut_profile(g, ks), cut_profile(g, ks, Fraction(1, 2))]
