@@ -319,13 +319,13 @@ def dpw_2approx(g: Digraph) -> ApproxReport:
     counters = Counters(calls=1)
     table = dpw_prefix_table(g, p)
     counters.table_entries += table.entries
-    best_mask = -1
-    best_val = -1
-    for combo in combinations(range(n), p):
-        mask = sum(1 << v for v in combo)
-        val = table.values[mask]
-        if best_val < 0 or val < best_val:
-            best_val, best_mask = val, mask
+    masks, vals = table.layer(p)
+    # first minimum in combinations order: of two tied p-sets that order lists
+    # first the one holding the lowest vertex where they differ, which is the
+    # one with the larger bit-reversed mask
+    reversed_masks = sum((masks >> v & 1) << (n - 1 - v) for v in range(n))
+    i = int(((vals << n) - reversed_masks).argmin())
+    best_mask, best_val = int(masks[i]), int(vals[i])
     prefix_seq = list(table.order_of(best_mask))
     rest = tuple(v for v in range(n) if not best_mask >> v & 1)
     rep_c, seq_c = _sub_order(g, rest, dpw_exact)
@@ -381,7 +381,8 @@ def _fas_level(g: Digraph, level: int, weighted: bool,
     best_trace = ()
     lb = 0
     for idx, sub in enumerate(subsets):
-        comp = tuple(v for v in range(n) if v not in set(sub))
+        members = set(sub)
+        comp = tuple(v for v in range(n) if v not in members)
         if idx == star:
             crep, cseq = _sub_order(g, comp, fas_exact)
             comp_lb = crep.value
@@ -392,8 +393,9 @@ def _fas_level(g: Digraph, level: int, weighted: bool,
             comp_lb = crep.lower_bound
             ctrace = crep.trace if isinstance(crep, ApproxReport) else ()
         counters.merge(crep.stats)
-        cand = table.value_of(sub) + a_vals[idx] + crep.value
-        lb = max(lb, table.value_of(sub) + comp_lb)
+        sub_val = table.value_of(sub)
+        cand = sub_val + a_vals[idx] + crep.value
+        lb = max(lb, sub_val + comp_lb)
         if best_value is None or cand < best_value:
             best_value = cand
             best_seq = list(table.order_of(sub)) + cseq

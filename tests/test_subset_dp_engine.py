@@ -1,0 +1,170 @@
+"""The array-backed subset DP engine against references.
+
+seed_table is the dict-based DP the engine replaced, kept here only as the
+reference for every entry's value and last vertex (including the
+smallest-vertex tie-break).
+"""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ordercut import (Digraph, SizeGuardError, dpw_2approx, dpw_prefix_table,
+                      fas_table, perm_opt)
+from ordercut import subset_dp
+from ordercut.subset_dp import _prefix_table
+
+OBJECTIVES = ("fas", "ola", "cutwidth", "dpw")
+
+
+def seed_table(g, cap, objective):
+    """mask -> (value, last vertex) by the original dict DP."""
+    n = g.n
+    full = (1 << n) - 1
+    masks = [sum(1 << v for v in c)
+             for s in range(1, cap + 1) for c in combinations(range(n), s)]
+
+    def weight(pairs, inside):
+        return sum(w for x, w in pairs if inside >> x & 1)
+
+    table = {0: (0, -1)}
+    for mask in masks:
+        best = bestv = -1
+        for v in range(n):
+            if not mask >> v & 1:
+                continue
+            prev = mask ^ 1 << v
+            cand = table[prev][0]
+            if objective == "fas":
+                cand += weight(g.out_pairs[v], prev)
+            if best < 0 or cand < best:
+                best, bestv = cand, v
+        members = [v for v in range(n) if mask >> v & 1]
+        if objective == "dpw":
+            term = sum(1 for v in members if g.in_mask[v] & (full & ~mask))
+        elif objective != "fas":
+            term = sum(weight(g.in_pairs[v], full & ~mask) for v in members)
+        if objective == "ola":
+            best += term
+        elif objective != "fas":
+            best = max(best, term)
+        table[mask] = (best, bestv)
+    return table
+
+
+@st.composite
+def graphs(draw, max_n=8, weights=st.integers(0, 1000)):
+    n = draw(st.integers(0, max_n))
+    undirected = draw(st.booleans())
+    pairs = [(u, v) for u in range(n) for v in range(n)
+             if u != v and (u < v or not undirected)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if draw(st.booleans()):
+        return Digraph(n, chosen, undirected=undirected)
+    return Digraph(n, chosen, {p: draw(weights) for p in chosen},
+                   undirected=undirected)
+
+
+def assert_matches_seed(g, cap, objective):
+    table = (fas_table(g, cap) if objective == "fas" else
+             dpw_prefix_table(g, cap) if objective == "dpw" else
+             _prefix_table(g, cap, objective))
+    ref = seed_table(g, cap, objective)
+    assert set(table.values) == set(table.last_vertex) == set(ref)
+    assert len(table.values) == table.entries == len(ref)
+    for mask, (value, last) in ref.items():
+        got = table.values[mask]
+        assert type(got) is int and got == value
+        assert table.last_vertex[mask] == last
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(), st.sampled_from(OBJECTIVES), st.data())
+def test_every_entry_matches_seed_dp(g, objective, data):
+    for cap in (g.n, data.draw(st.integers(0, g.n))):
+        assert_matches_seed(g, cap, objective)
+
+
+# 2**62 and more in total, so fas/cutwidth run on Python ints, and mixed
+# magnitudes around 2**53 and 2**61
+@settings(max_examples=25, deadline=None)
+@given(graphs(max_n=6, weights=st.sampled_from(
+           [0, 1, 2 ** 53 + 1, 2 ** 61 - 1, 2 ** 62, 10 ** 40])),
+       st.sampled_from(OBJECTIVES))
+def test_huge_weights_match_seed_dp(g, objective):
+    assert_matches_seed(g, g.n, objective)
+    assert_matches_seed(g, g.n // 2, objective)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs(max_n=7, weights=st.integers(0, 50)))
+def test_full_table_values_match_oracle(g):
+    full = (1 << g.n) - 1
+    for objective in OBJECTIVES:
+        table = (fas_table(g) if objective == "fas"
+                 else _prefix_table(g, g.n, objective))
+        assert table.values[full] == perm_opt(g, objective).opt
+
+
+@pytest.mark.parametrize("total", [2 ** 61 - 1, 2 ** 61])
+def test_int64_dispatch_bound(total):
+    arcs = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 1)]
+    weights = {a: total // 5 for a in arcs}
+    weights[arcs[0]] += total - sum(weights.values())
+    g = Digraph(4, arcs, weights)
+    table = fas_table(g)
+    assert table.vals.dtype == (np.int64 if total < 2 ** 61 else object)
+    assert_matches_seed(g, 4, "fas")
+
+
+def test_values_view_is_a_read_only_mapping():
+    g = Digraph(5, [(0, 1), (1, 2), (2, 0)])
+    full, capped = fas_table(g), fas_table(g, 2)
+    assert list(full.values) == list(range(32))
+    assert list(capped.values) == [0, 1, 2, 4, 8, 16, 3, 5, 6, 9, 10, 12,
+                                   17, 18, 20, 24]
+    assert 7 in full.values and 7 not in capped.values
+    for table, missing in ((full, 32), (full, -1), (capped, 7), (capped, 64)):
+        with pytest.raises(KeyError):
+            table.values[missing]
+    with pytest.raises(ValueError):
+        capped.value_of((0, 1, 2))
+    with pytest.raises(TypeError):
+        full.values[3] = 1
+    assert capped.order_of((0, 2)) == (2, 0) and capped.last_of(0) is None
+
+
+def test_byte_guard(monkeypatch):
+    monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
+    # a full int64 table at the exact-DP vertex guard fits, a larger one or
+    # one of Python ints does not; nothing is allocated to find out
+    assert subset_dp._check_size(26, 26, 10 ** 6) == 1 << 26
+    with pytest.raises(SizeGuardError):
+        subset_dp._check_size(27, 27, 10 ** 6)
+    with pytest.raises(SizeGuardError):
+        subset_dp._check_size(26, 26, 2 ** 70)
+    with pytest.raises(SizeGuardError):
+        fas_table(Digraph(28, [(0, 1)]))
+    assert fas_table(Digraph(32, [(0, 1)]), 2).entries == 1 + 32 + 496
+
+
+# dpw_2approx keeps the first optimal prefix in combinations order (tuple
+# lex order), not the smallest mask. At n = 10 the prefix has 2 vertices.
+TWO_CYCLES = Digraph(10, [(0, 3), (3, 0), (1, 2), (2, 1)]
+                     + [(i, i + 1) for i in range(4, 9)] + [(9, 4)])
+
+
+@pytest.mark.parametrize("g,seq", [
+    (Digraph(10, []), (1, 0, 9, 8, 7, 6, 5, 4, 3, 2)),
+    (Digraph(10, [(i, (i + 1) % 10) for i in range(10)], undirected=True),
+     (1, 0, 9, 8, 7, 6, 5, 4, 3, 2)),
+    # {0, 3}, {1, 2}, {4, 5}, ... tie at 1; the smallest mask is {1, 2}
+    (TWO_CYCLES, (3, 0, 9, 8, 7, 6, 5, 4, 2, 1)),
+])
+def test_dpw_2approx_tie_break_pins_prefix(g, seq):
+    rep = dpw_2approx(g)
+    assert rep.trace == (("prefix", 10, 2),)
+    assert rep.ordering.seq == seq
