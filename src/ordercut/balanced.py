@@ -21,8 +21,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import guards
-from .graph import (Digraph, Ordering, backward_weight, cut_into, cutwidth_of,
-                    dpw_of, induced, ola_of)
+from .graph import (EVALUATORS, Digraph, Ordering, backward_weight, cut_into,
+                    dpw_of, induced)
 from .kcut import CutSolution, cut_profile, dkmc_exact, dkmc_weighted_approx
 from .report import ApproxReport, Counters, SolveReport, finish
 from .subset_dp import (cutwidth_exact, dpw_exact, dpw_prefix_table, fas_exact,
@@ -148,6 +148,43 @@ def _cut_range_lb(sols: list[CutSolution], eps_cut) -> int:
     return sum(_floor_frac(Fraction(s.value) / (1 + Fraction(eps_cut))) for s in sols)
 
 
+def _split(g: Digraph, objective: str, sols: list[CutSolution], eps_cut,
+           side_solver, counters: Counters, t0: float, factor: Fraction,
+           trace: tuple, orient: bool = False) -> ApproxReport:
+    """The balanced-cut step: take the lightest cut in sols (the smallest k
+    wins ties), solve both sides with side_solver, optionally orient them
+    (undirected ola), and concatenate.
+
+    The lower bound is the cut bound of every k searched, or the side
+    optima: their sum for fas, whose value is exactly sides plus cut, and
+    their maximum for cutwidth and ola.
+    """
+    cut = min(sols, key=lambda s: s.value)
+    left = set(cut.vertices)
+    right = tuple(v for v in range(g.n) if v not in left)
+    rep_l, seq_l = _sub_order(g, cut.vertices, side_solver)
+    rep_r, seq_r = _sub_order(g, right, side_solver)
+    counters.merge(rep_l.stats)
+    counters.merge(rep_r.stats)
+    if orient:
+        crossing = [(u, v, w) if u in left else (v, u, w)
+                    for u, v, w in g.edge_items() if (u in left) != (v in left)]
+        seq_l, seq_r, _ = _orient_sides(seq_l, seq_r, crossing)
+    ordering = Ordering.from_sequence(seq_l + seq_r)
+    value = EVALUATORS[objective](g, ordering)
+    cut_lb = _cut_range_lb(sols, eps_cut)
+    if objective == "fas":
+        if value != rep_l.value + rep_r.value + cut.value:
+            raise AssertionError("balanced split accounting is off")
+        lb = max(cut_lb, rep_l.value + rep_r.value)
+    else:
+        lb = max(cut_lb, rep_l.value, rep_r.value)
+    millis = (time.perf_counter() - t0) * 1000.0
+    report = ApproxReport(objective, value, ordering, lb, counters, millis,
+                          factor, (cut,), trace)
+    return finish(report, g)
+
+
 def fas_balanced_approx(g: Digraph, cut_eps=None) -> ApproxReport:
     """Feedback arc set within factor 2 (exact cut) or 2+eps (rounded cut;
     eps = 1 gives the weighted 3-approximation)."""
@@ -159,22 +196,8 @@ def fas_balanced_approx(g: Digraph, cut_eps=None) -> ApproxReport:
     k = n // 2
     cut = (dkmc_exact(g, k, counters) if cut_eps is None
            else dkmc_weighted_approx(g, k, cut_eps, counters))
-    cut_lb = _cut_range_lb([cut], cut_eps)
-    factor = 2 + Fraction(cut_eps or 0)
-    right = tuple(v for v in range(n) if v not in set(cut.vertices))
-    rep_l, seq_l = _sub_order(g, cut.vertices, fas_exact)
-    rep_r, seq_r = _sub_order(g, right, fas_exact)
-    counters.merge(rep_l.stats)
-    counters.merge(rep_r.stats)
-    ordering = Ordering.from_sequence(seq_l + seq_r)
-    value = backward_weight(g, ordering)
-    if value != rep_l.value + rep_r.value + cut.value:
-        raise AssertionError("balanced split accounting is off")
-    lb = max(cut_lb, rep_l.value + rep_r.value)
-    millis = (time.perf_counter() - t0) * 1000.0
-    report = ApproxReport("fas", value, ordering, lb, counters, millis,
-                          factor, (cut,), (("balanced", n, k),))
-    return finish(report, g)
+    return _split(g, "fas", [cut], cut_eps, fas_exact, counters, t0,
+                  2 + Fraction(cut_eps or 0), (("balanced", n, k),))
 
 
 def cutwidth_balanced_approx(g: Digraph, cut_eps=None) -> ApproxReport:
@@ -187,58 +210,27 @@ def cutwidth_balanced_approx(g: Digraph, cut_eps=None) -> ApproxReport:
     k = n // 2
     cut = (dkmc_exact(g, k, counters) if cut_eps is None
            else dkmc_weighted_approx(g, k, cut_eps, counters))
-    cut_lb = _cut_range_lb([cut], cut_eps)
-    factor = 2 + Fraction(cut_eps or 0)
-    right = tuple(v for v in range(n) if v not in set(cut.vertices))
-    rep_l, seq_l = _sub_order(g, cut.vertices, cutwidth_exact)
-    rep_r, seq_r = _sub_order(g, right, cutwidth_exact)
-    counters.merge(rep_l.stats)
-    counters.merge(rep_r.stats)
-    ordering = Ordering.from_sequence(seq_l + seq_r)
-    value = cutwidth_of(g, ordering)
-    lb = max(cut_lb, rep_l.value, rep_r.value)
-    millis = (time.perf_counter() - t0) * 1000.0
-    report = ApproxReport("cutwidth", value, ordering, lb, counters, millis,
-                          factor, (cut,), (("balanced", n, k),))
-    return finish(report, g)
+    return _split(g, "cutwidth", [cut], cut_eps, cutwidth_exact, counters, t0,
+                  2 + Fraction(cut_eps or 0), (("balanced", n, k),))
 
 
 def ola_directed_approx(g: Digraph, alpha, weighted: bool = False) -> ApproxReport:
-    """OLA within factor 1 + 1/(1-alpha) by trying every near-central cut."""
+    """OLA within factor 1 + 1/(1-alpha) by trying every near-central cut:
+    k in [alpha*n/2, n - alpha*n/2] (weighted: alpha/4 and a rounded cut)."""
     t0 = time.perf_counter()
     af = Fraction(alpha)
     if not 0 < af < 1:
         raise ValueError("alpha must lie in (0, 1)")
     n = g.n
-    if n <= 2:
-        return _as_approx(ola_exact(g), "exact-fallback")
-    if weighted:
-        lo = _ceil_frac(af * n / 4)
-        hi = _floor_frac((1 - af / 4) * n)
-        eps_cut = af / 2
-    else:
-        lo = _ceil_frac(af * n / 2)
-        hi = _floor_frac(n - af * n / 2)
-        eps_cut = None
-    lo, hi = max(lo, 1), min(hi, n - 1)
-    if lo > hi:
+    lo = max(_ceil_frac(af * n / (4 if weighted else 2)), 1)
+    hi = n - lo                    # floor(n - alpha*n/2), resp. alpha*n/4
+    eps_cut = af / 2 if weighted else None
+    if n <= 2 or lo > hi:
         return _as_approx(ola_exact(g), "exact-fallback")
     counters = Counters(calls=1)
     sols = list(cut_profile(g, range(lo, hi + 1), eps_cut, counters).values())
-    cut = min(sols, key=lambda s: s.value)       # smallest k wins ties
-    right = tuple(v for v in range(n) if v not in set(cut.vertices))
-    rep_l, seq_l = _sub_order(g, cut.vertices, ola_exact)
-    rep_r, seq_r = _sub_order(g, right, ola_exact)
-    counters.merge(rep_l.stats)
-    counters.merge(rep_r.stats)
-    ordering = Ordering.from_sequence(seq_l + seq_r)
-    value = ola_of(g, ordering)
-    lb = max(rep_l.value, rep_r.value, _cut_range_lb(sols, eps_cut))
-    factor = 1 + 1 / (1 - af)
-    millis = (time.perf_counter() - t0) * 1000.0
-    report = ApproxReport("ola", value, ordering, lb, counters, millis,
-                          factor, (cut,), (("cut-range", lo, hi),))
-    return finish(report, g)
+    return _split(g, "ola", sols, eps_cut, ola_exact, counters, t0,
+                  1 + 1 / (1 - af), (("cut-range", lo, hi),))
 
 
 def _orient_sides(seq_l: list[int], seq_r: list[int],
@@ -267,7 +259,8 @@ def _orient_sides(seq_l: list[int], seq_r: list[int],
 def ola_undirected_approx(g: Digraph, alpha, weighted: bool = False) -> ApproxReport:
     """Undirected OLA within factor 1 + 1/(2(1-alpha)); an undirected
     ordering can be reversed per side without changing its internal cost,
-    which halves the crossing-edge overhead."""
+    which halves the crossing-edge overhead. By that symmetry only
+    k <= n/2 is searched."""
     if not g.undirected:
         raise ValueError("ola_undirected_approx needs an undirected instance")
     t0 = time.perf_counter()
@@ -275,37 +268,15 @@ def ola_undirected_approx(g: Digraph, alpha, weighted: bool = False) -> ApproxRe
     if not 0 < af < 1:
         raise ValueError("alpha must lie in (0, 1)")
     n = g.n
-    if n <= 2:
-        return _as_approx(ola_exact(g), "exact-fallback")
-    lo = _ceil_frac(af * n / (4 if weighted else 2))
+    lo = max(_ceil_frac(af * n / (4 if weighted else 2)), 1)
     hi = n // 2
     eps_cut = af / 2 if weighted else None
-    lo = max(lo, 1)
-    if lo > hi:
+    if n <= 2 or lo > hi:
         return _as_approx(ola_exact(g), "exact-fallback")
     counters = Counters(calls=1)
     sols = list(cut_profile(g, range(lo, hi + 1), eps_cut, counters).values())
-    cut = min(sols, key=lambda s: s.value)       # smallest k wins ties
-    left_set = set(cut.vertices)
-    right = tuple(v for v in range(n) if v not in left_set)
-    rep_l, seq_l = _sub_order(g, cut.vertices, ola_exact)
-    rep_r, seq_r = _sub_order(g, right, ola_exact)
-    counters.merge(rep_l.stats)
-    counters.merge(rep_r.stats)
-    crossing = []
-    for u, v, w in g.edge_items():
-        if (u in left_set) != (v in left_set):
-            x, y = (u, v) if u in left_set else (v, u)
-            crossing.append((x, y, w))
-    seq_l, seq_r, _ = _orient_sides(seq_l, seq_r, crossing)
-    ordering = Ordering.from_sequence(seq_l + seq_r)
-    value = ola_of(g, ordering)
-    lb = max(rep_l.value, rep_r.value, _cut_range_lb(sols, eps_cut))
-    factor = 1 + 1 / (2 * (1 - af))
-    millis = (time.perf_counter() - t0) * 1000.0
-    report = ApproxReport("ola", value, ordering, lb, counters, millis,
-                          factor, (cut,), (("cut-range", lo, hi),))
-    return finish(report, g)
+    return _split(g, "ola", sols, eps_cut, ola_exact, counters, t0,
+                  1 + 1 / (2 * (1 - af)), (("cut-range", lo, hi),), orient=True)
 
 
 def dpw_2approx(g: Digraph) -> ApproxReport:

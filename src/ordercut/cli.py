@@ -46,73 +46,63 @@ def _frac(text: str, what: str) -> Fraction:
         raise UsageError(f"{what} must be a rational number, got {text!r}")
 
 
-def _check_flags(obj: str, mode: str, eps, alpha, weighted: bool) -> None:
-    """Reject flag combinations the selected solver cannot honor."""
-    if mode == "exact":
-        if eps is not None or alpha is not None or weighted:
-            raise UsageError("--eps/--alpha/--weighted do not apply to --mode exact")
-        return
-    if alpha is not None and obj != "ola":
-        raise UsageError("--alpha only applies to --obj ola")
-    if mode == "scheme":
-        if obj != "fas":
-            raise UsageError("--mode scheme only applies to --obj fas")
-        if eps is None:
-            raise UsageError("--mode scheme requires --eps")
-        return
-    if mode == "3approx":
-        if obj not in ("fas", "cutwidth"):
-            raise UsageError("--mode 3approx only applies to fas and cutwidth")
-        if eps is not None:
-            raise UsageError("--mode 3approx fixes eps=1; drop --eps")
-        if weighted:
-            raise UsageError("--mode 3approx is already the weighted variant")
-        return
-    # 2approx
-    if obj == "ola":
-        if eps is not None:
-            raise UsageError("ola derives its rounding from --alpha; drop --eps")
-    elif obj == "dpw":
-        if eps is not None or weighted:
-            raise UsageError("--eps/--weighted do not apply to --obj dpw")
-    elif weighted:
-        raise UsageError(f"{obj} handles weights exactly; use --eps for the "
-                         "rounded-cut variant")
+def _params(ns: argparse.Namespace) -> tuple:
+    """(eps, alpha, weighted) as the solvers take them; eps must be positive
+    and alpha must lie in (0, 1)."""
+    eps = alpha = None
+    if ns.eps is not None:
+        eps = _frac(ns.eps, "--eps")
+        if eps <= 0:
+            raise UsageError(f"--eps must be positive, got {ns.eps!r}")
+    if ns.alpha is not None:
+        alpha = _frac(ns.alpha, "--alpha")
+        if not 0 < alpha < 1:
+            raise UsageError(f"--alpha must lie in (0, 1), got {ns.alpha!r}")
+    return eps, alpha, ns.weighted
 
 
-def _mode_label(obj: str, mode: str, eps, alpha, weighted: bool) -> str:
-    params = []
-    if mode != "exact":
-        if eps is not None:
-            params.append(f"eps={eps}")
-        if obj == "ola" and mode == "2approx":
-            params.append(f"alpha={alpha if alpha is not None else Fraction(1, 2)}")
-        if weighted:
-            params.append("weighted")
-    return mode + (f"({','.join(params)})" if params else "")
+def _ola(g: Digraph, alpha, weighted: bool):
+    if g.undirected:
+        return ola_undirected_approx(g, alpha, weighted=weighted)
+    return ola_directed_approx(g, alpha, weighted=weighted)
 
 
-def _dispatch(g: Digraph, obj: str, mode: str, eps, alpha, weighted: bool):
-    if mode == "exact":
-        return _EXACT[obj](g)
-    if obj == "fas":
-        if mode == "2approx":
-            return fas_balanced_approx(g, cut_eps=eps)
-        if mode == "3approx":
-            return fas_balanced_approx(g, cut_eps=1)
-        return fas_scheme(g, eps, weighted=weighted)
-    if obj == "cutwidth":
-        if mode == "3approx":
-            return cutwidth_balanced_approx(g, cut_eps=1)
-        return cutwidth_balanced_approx(g, cut_eps=eps)
-    if obj == "ola":
-        a = alpha if alpha is not None else Fraction(1, 2)
-        if g.undirected:
-            return ola_undirected_approx(g, a, weighted=weighted)
-        return ola_directed_approx(g, a, weighted=weighted)
-    if obj == "dpw":
-        return dpw_2approx(g)
-    raise UsageError(f"no {mode} solver for --obj {obj}")
+# (obj, mode) -> (the flags the solver takes, call(g, eps, alpha, weighted)).
+# The calls look solvers up when they run, so patched or traced ones are used.
+_SOLVERS = {
+    **{(obj, "exact"): ((), lambda g, e, a, w, obj=obj: _EXACT[obj](g))
+       for obj in _EXACT},
+    ("fas", "2approx"): (("eps",), lambda g, e, a, w: fas_balanced_approx(g, e)),
+    ("fas", "3approx"): ((), lambda g, e, a, w: fas_balanced_approx(g, 1)),
+    ("fas", "scheme"): (("eps", "weighted"),
+                        lambda g, e, a, w: fas_scheme(g, e, weighted=w)),
+    ("cutwidth", "2approx"): (("eps",),
+                              lambda g, e, a, w: cutwidth_balanced_approx(g, e)),
+    ("cutwidth", "3approx"): ((), lambda g, e, a, w: cutwidth_balanced_approx(g, 1)),
+    ("ola", "2approx"): (("alpha", "weighted"), lambda g, e, a, w: _ola(g, a, w)),
+    ("dpw", "2approx"): ((), lambda g, e, a, w: dpw_2approx(g)),
+}
+
+
+def _solver(obj: str, mode: str, eps, alpha, weighted: bool):
+    """The mode label and the call of the (obj, mode) solver; UsageError
+    when there is none or it does not take a flag given. ola's alpha
+    defaults to 1/2; --mode scheme needs --eps."""
+    if (obj, mode) not in _SOLVERS:
+        raise UsageError(f"--mode {mode} does not apply to --obj {obj}")
+    takes, call = _SOLVERS[obj, mode]
+    if "alpha" in takes and alpha is None:
+        alpha = Fraction(1, 2)
+    given = {"eps": eps, "alpha": alpha, "weighted": weighted or None}
+    for flag, value in given.items():
+        if value is not None and flag not in takes:
+            raise UsageError(f"--obj {obj} --mode {mode} does not take --{flag}")
+    if mode == "scheme" and eps is None:
+        raise UsageError("--mode scheme requires --eps")
+    params = [flag if value is True else f"{flag}={value}"
+              for flag, value in given.items() if value is not None]
+    label = mode + (f"({','.join(params)})" if params else "")
+    return label, lambda g: call(g, eps, alpha, weighted)
 
 
 def _record(instance: str, g: Digraph, obj: str, label: str, rep,
@@ -180,14 +170,12 @@ def _corpus(path: str) -> list[tuple[str, str]]:
 
 
 def _run_task(task: tuple) -> dict:
-    """Worker for suite commands; re-parses the instance in-process."""
+    """Solve one instance into its record; suite workers re-parse it
+    in-process."""
     instance, path, obj, mode, eps, alpha, weighted, want_opt, no_timing = task
+    label, solve = _solver(obj, mode, eps, alpha, weighted)
     g = _load(path)
-    eps_f = Fraction(eps) if eps is not None else None
-    alpha_f = Fraction(alpha) if alpha is not None else None
-    rep = _dispatch(g, obj, mode, eps_f, alpha_f, weighted)
-    label = _mode_label(obj, mode, eps_f, alpha_f, weighted)
-    return _record(instance, g, obj, label, rep, want_opt, no_timing)
+    return _record(instance, g, obj, label, solve(g), want_opt, no_timing)
 
 
 def _run_suite(tasks: list[tuple], jobs: int) -> list[dict]:
@@ -203,13 +191,8 @@ def _run_suite(tasks: list[tuple], jobs: int) -> list[dict]:
 
 
 def cmd_solve(ns: argparse.Namespace) -> int:
-    eps = _frac(ns.eps, "--eps") if ns.eps is not None else None
-    alpha = _frac(ns.alpha, "--alpha") if ns.alpha is not None else None
-    _check_flags(ns.obj, ns.mode, eps, alpha, ns.weighted)
-    g = _load(ns.instance)
-    rep = _dispatch(g, ns.obj, ns.mode, eps, alpha, ns.weighted)
-    label = _mode_label(ns.obj, ns.mode, eps, alpha, ns.weighted)
-    rec = _record(ns.instance, g, ns.obj, label, rep, ns.oracle, ns.no_timing)
+    rec = _run_task((ns.instance, ns.instance, ns.obj, ns.mode, *_params(ns),
+                     ns.oracle, ns.no_timing))
     _emit(json.dumps(rec, indent=2) + "\n", ns.out)
     return 0
 
@@ -229,14 +212,10 @@ def cmd_gen(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    eps = _frac(ns.eps, "--eps") if ns.eps is not None else None
-    alpha = _frac(ns.alpha, "--alpha") if ns.alpha is not None else None
-    _check_flags(ns.obj, ns.mode, eps, alpha, ns.weighted)
+    params = _params(ns)
+    _solver(ns.obj, ns.mode, *params)
     factor = _frac(ns.factor, "--factor")
-    tasks = [(inst, path, ns.obj, ns.mode,
-              str(eps) if eps is not None else None,
-              str(alpha) if alpha is not None else None,
-              ns.weighted, True, ns.no_timing)
+    tasks = [(inst, path, ns.obj, ns.mode, *params, True, ns.no_timing)
              for inst, path in _corpus(ns.corpus)]
     records = _run_suite(tasks, ns.jobs)
     lines = [CSV_HEADER] + [_csv_row(r) for r in records]
@@ -259,14 +238,10 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 def cmd_bench(ns: argparse.Namespace) -> int:
     modes = ns.mode or ["exact"]
-    eps = _frac(ns.eps, "--eps") if ns.eps is not None else None
-    alpha = _frac(ns.alpha, "--alpha") if ns.alpha is not None else None
+    params = _params(ns)
     for mode in modes:
-        _check_flags(ns.obj, mode, eps, alpha, ns.weighted)
-    tasks = [(inst, path, ns.obj, mode,
-              str(eps) if eps is not None else None,
-              str(alpha) if alpha is not None else None,
-              ns.weighted, False, ns.no_timing)
+        _solver(ns.obj, mode, *params)
+    tasks = [(inst, path, ns.obj, mode, *params, False, ns.no_timing)
              for inst, path in _corpus(ns.corpus)
              for mode in modes]
     records = _run_suite(tasks, ns.jobs)

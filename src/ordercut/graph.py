@@ -32,8 +32,7 @@ class Digraph:
     """
 
     __slots__ = (
-        "n", "undirected", "weighted", "_out", "_in", "out_pairs", "in_pairs",
-        "out_mask", "in_mask", "arc_items", "m",
+        "n", "undirected", "weighted", "_out", "in_pairs", "arc_items", "m",
     )
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]],
@@ -63,11 +62,7 @@ class Digraph:
                 out[v][u] = w
                 inn[u][v] = w
         self._out = out
-        self._in = inn
-        self.out_pairs = tuple(tuple(sorted(d.items())) for d in out)
         self.in_pairs = tuple(tuple(sorted(d.items())) for d in inn)
-        self.out_mask = tuple(sum(1 << v for v in d) for d in out)
-        self.in_mask = tuple(sum(1 << u for u in d) for d in inn)
         self.arc_items = tuple(sorted(
             (u, v, w) for u in range(n) for v, w in out[u].items()))
         # m follows the file header: arcs for dg, edges for ug.
@@ -88,10 +83,6 @@ class Digraph:
     @property
     def total_arc_weight(self) -> int:
         return sum(w for _, _, w in self.arc_items)
-
-    @property
-    def w_max(self) -> int:
-        return max((w for _, _, w in self.arc_items), default=0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Digraph):

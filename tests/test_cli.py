@@ -1,6 +1,7 @@
 """CLI behavior: schemas, determinism, exit codes."""
 
 import json
+from itertools import combinations
 
 import pytest
 
@@ -278,11 +279,66 @@ def test_usage_errors_exit_2(capsys, cycle_file):
          "--alpha", "0.5"),
         ("solve", cycle_file, "--obj", "ola", "--mode", "2approx",
          "--eps", "0.5"),
+        ("solve", cycle_file, "--obj", "fas", "--mode", "2approx", "--eps", "0"),
+        ("solve", cycle_file, "--obj", "fas", "--mode", "2approx",
+         "--eps", "-1"),
+        ("solve", cycle_file, "--obj", "fas", "--mode", "scheme", "--eps", "-1"),
+        ("solve", cycle_file, "--obj", "ola", "--mode", "2approx",
+         "--alpha", "2"),
+        ("solve", cycle_file, "--obj", "ola", "--mode", "2approx",
+         "--alpha", "0"),
+        # rejected before the (missing) instance is read, so not exit 3
+        ("solve", cycle_file + ".missing", "--obj", "ola", "--mode", "2approx",
+         "--alpha", "1"),
+        ("verify", cycle_file, "--obj", "fas", "--mode", "2approx",
+         "--eps", "0", "--factor", "2"),
+        ("bench", cycle_file, "--obj", "ola", "--mode", "2approx",
+         "--alpha", "3/2"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith("error:")
+
+
+# Every --obj x --mode x subset of {--eps 1/2, --alpha 1/3, --weighted}:
+# the accepted combinations and their mode labels; all others exit 2.
+ACCEPTED = {
+    ("fas", "exact", ()): "exact",
+    ("cutwidth", "exact", ()): "exact",
+    ("ola", "exact", ()): "exact",
+    ("dpw", "exact", ()): "exact",
+    ("fas", "2approx", ()): "2approx",
+    ("fas", "2approx", ("--eps",)): "2approx(eps=1/2)",
+    ("fas", "3approx", ()): "3approx",
+    ("fas", "scheme", ("--eps",)): "scheme(eps=1/2)",
+    ("fas", "scheme", ("--eps", "--weighted")): "scheme(eps=1/2,weighted)",
+    ("cutwidth", "2approx", ()): "2approx",
+    ("cutwidth", "2approx", ("--eps",)): "2approx(eps=1/2)",
+    ("cutwidth", "3approx", ()): "3approx",
+    ("ola", "2approx", ()): "2approx(alpha=1/2)",
+    ("ola", "2approx", ("--alpha",)): "2approx(alpha=1/3)",
+    ("ola", "2approx", ("--weighted",)): "2approx(alpha=1/2,weighted)",
+    ("ola", "2approx", ("--alpha", "--weighted")): "2approx(alpha=1/3,weighted)",
+    ("dpw", "2approx", ()): "2approx",
+}
+FLAG_ARGS = {"--eps": ("--eps", "1/2"), "--alpha": ("--alpha", "1/3"),
+             "--weighted": ("--weighted",)}
+
+
+@pytest.mark.parametrize("flags", [
+    flags for r in range(4) for flags in combinations(FLAG_ARGS, r)])
+@pytest.mark.parametrize("mode", ["exact", "2approx", "3approx", "scheme"])
+@pytest.mark.parametrize("obj", ["fas", "cutwidth", "ola", "dpw"])
+def test_flag_matrix(capsys, cycle_file, obj, mode, flags):
+    extra = [arg for flag in flags for arg in FLAG_ARGS[flag]]
+    code, out, err = run(capsys, "solve", cycle_file, "--obj", obj,
+                         "--mode", mode, *extra, "--no-timing")
+    label = ACCEPTED.get((obj, mode, flags))
+    if label is None:
+        assert code == 2 and out == "" and err.startswith("error:")
+    else:
+        assert code == 0 and json.loads(out)["mode"] == label
 
 
 def test_huge_header_exits_4(capsys, tmp_path, monkeypatch):

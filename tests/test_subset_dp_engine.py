@@ -24,6 +24,11 @@ def seed_table(g, cap, objective):
     """mask -> (value, last vertex) by the original dict DP."""
     n = g.n
     full = (1 << n) - 1
+    out_pairs = [[] for _ in range(n)]
+    in_mask = [0] * n
+    for u, v, w in g.arc_items:
+        out_pairs[u].append((v, w))
+        in_mask[v] |= 1 << u
     masks = [sum(1 << v for v in c)
              for s in range(1, cap + 1) for c in combinations(range(n), s)]
 
@@ -39,12 +44,12 @@ def seed_table(g, cap, objective):
             prev = mask ^ 1 << v
             cand = table[prev][0]
             if objective == "fas":
-                cand += weight(g.out_pairs[v], prev)
+                cand += weight(out_pairs[v], prev)
             if best < 0 or cand < best:
                 best, bestv = cand, v
         members = [v for v in range(n) if mask >> v & 1]
         if objective == "dpw":
-            term = sum(1 for v in members if g.in_mask[v] & (full & ~mask))
+            term = sum(1 for v in members if in_mask[v] & (full & ~mask))
         elif objective != "fas":
             term = sum(weight(g.in_pairs[v], full & ~mask) for v in members)
         if objective == "ola":
