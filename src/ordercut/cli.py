@@ -8,7 +8,9 @@ changes the emitted bytes; --no-timing zeroes the wall-clock field for
 byte-reproducible output.
 
 Exit codes: 0 ok, 1 verify violation, 2 usage, 3 instance parse error,
-4 size guard exceeded.
+4 size guard exceeded. In `verify` and `bench` an instance that fails to
+parse or hits a guard is reported on stderr and the other rows are still
+written; the exit code is then 4 if any instance hit a guard, else 3.
 """
 
 from __future__ import annotations
@@ -178,16 +180,35 @@ def _run_task(task: tuple) -> dict:
     return _record(instance, g, obj, label, solve(g), want_opt, no_timing)
 
 
-def _run_suite(tasks: list[tuple], jobs: int) -> list[dict]:
+def _suite_task(task: tuple) -> tuple[int, dict | str]:
+    """(0, record), or (exit code, error line) when the instance fails to
+    parse or hits a size guard, so one bad instance does not end the suite."""
+    try:
+        return 0, _run_task(task)
+    except ParseError as exc:
+        return 3, f"error: {task[0]}: parse error: {exc}"
+    except SizeGuardError as exc:
+        return 4, f"error: {task[0]}: size guard: {exc}"
+
+
+def _run_suite(tasks: list[tuple], jobs: int) -> tuple[list[dict], int]:
+    """Records sorted by (instance, mode), and 4 if any instance hit a size
+    guard, else 3 if any failed to parse, else 0. Failures go to stderr in
+    task order, so neither output depends on --jobs."""
     if jobs < 1:
         raise UsageError("--jobs must be at least 1")
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
-        records = [_run_task(t) for t in tasks]
+        results = [_suite_task(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_task, tasks))
-    return sorted(records, key=lambda r: (r["instance"], r["mode"]))
+            results = list(pool.map(_suite_task, tasks))
+    # one line per message: every mode of an unparsable instance fails alike
+    for line in dict.fromkeys(out for code, out in results if code):
+        print(line, file=sys.stderr)
+    records = [out for code, out in results if not code]
+    failed = max((code for code, _ in results), default=0)
+    return sorted(records, key=lambda r: (r["instance"], r["mode"])), failed
 
 
 def cmd_solve(ns: argparse.Namespace) -> int:
@@ -217,7 +238,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     factor = _frac(ns.factor, "--factor")
     tasks = [(inst, path, ns.obj, ns.mode, *params, True, ns.no_timing)
              for inst, path in _corpus(ns.corpus)]
-    records = _run_suite(tasks, ns.jobs)
+    records, failed = _run_suite(tasks, ns.jobs)
     lines = [CSV_HEADER] + [_csv_row(r) for r in records]
     _emit("\n".join(lines) + "\n", ns.out)
     slack = Fraction(1, 10 ** 12)
@@ -231,9 +252,9 @@ def cmd_verify(ns: argparse.Namespace) -> int:
             violations += 1
             print(f"violation: {rec['instance']} value={value} opt={opt} "
                   f"factor={factor}", file=sys.stderr)
-    print(f"verify: {len(records)} instance(s), {violations} violation(s)",
-          file=sys.stderr)
-    return 1 if violations else 0
+    print(f"verify: {len(tasks)} instance(s), {len(tasks) - len(records)} "
+          f"error(s), {violations} violation(s)", file=sys.stderr)
+    return failed or (1 if violations else 0)
 
 
 def cmd_bench(ns: argparse.Namespace) -> int:
@@ -244,10 +265,10 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     tasks = [(inst, path, ns.obj, mode, *params, False, ns.no_timing)
              for inst, path in _corpus(ns.corpus)
              for mode in modes]
-    records = _run_suite(tasks, ns.jobs)
+    records, failed = _run_suite(tasks, ns.jobs)
     lines = [CSV_HEADER] + [_csv_row(r) for r in records]
     _emit("\n".join(lines) + "\n", ns.out)
-    return 0
+    return failed
 
 
 def _add_mode_flags(p: argparse.ArgumentParser, multi_mode: bool = False) -> None:

@@ -1,14 +1,30 @@
 """Brute-force optimum by trying every ordering.
 
-Deliberately dumb: all n! orderings are enumerated and scored straight from
-the objective definitions (vectorized with numpy for throughput, then the
-winner is re-checked against the scalar evaluators). Used to certify the
-exact solvers and every approximation ratio at desk scale.
+Deliberately dumb: all n! orderings are scored straight from the objective
+definitions, then the winner is re-checked against the scalar evaluators.
+Used to certify the exact solvers and every approximation ratio at desk scale.
+
+Every objective adds up (fas, ola) or takes the maximum of (cutwidth, dpw) one
+cost per placed vertex, and that cost depends only on the vertex v and the set
+S placed before it:
+
+    fas:             weight of arcs into v from outside S + v
+    ola, cutwidth:   weight of arcs into S + v from outside it (the cut there)
+    dpw:             members of S + v with an in-neighbour outside it
+
+so a per-graph table cost[S*n + v] scores every ordering. The orderings are
+the leaves of the lexicographic permutation tree; level k holds the prefixes
+of length k + 1 in lexicographic order, and each prefix's score is its
+parent's combined with cost[S*n + v] of its last vertex. The last vertex costs
+nothing, so n - 1 levels reach all n! leaves, still in lexicographic order:
+the first minimum is the lexicographically least optimal sequence, recovered
+by unranking its index in the factorial number system. Scores are int64 while
+2 * n * total arc weight is below 2**62, else Python ints (object).
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -16,6 +32,9 @@ import numpy as np
 
 from . import guards
 from .graph import EVALUATORS, Digraph, Ordering
+from .kcut import _dtype
+
+_COMBINE = {"fas": np.add, "ola": np.add, "cutwidth": np.maximum, "dpw": np.maximum}
 
 
 @dataclass(frozen=True)
@@ -27,48 +46,51 @@ class OracleResult:
 
 
 @lru_cache(maxsize=16)
-def _position_matrix(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sequences, positions): row r of sequences is the r-th permutation in
-    lexicographic order; positions[r, v] is the 1-indexed spot of vertex v."""
-    seqs = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
-    pos = np.argsort(seqs, axis=1).astype(np.int16) + 1
-    return seqs, pos
+def _position_matrix(n: int) -> tuple[np.ndarray, ...]:
+    """Per level k = 0..n-2 of the permutation tree, S*n + v for every prefix
+    of length k + 1 in lexicographic order: v is its last vertex and S the
+    mask of the ones before it."""
+    levels = []
+    masks = np.zeros(1, dtype=np.int64)
+    bit = 1 << np.arange(n, dtype=np.int64)
+    for _ in range(n - 1):
+        # children of every prefix: the vertices it lacks, ascending
+        parent, v = np.nonzero((masks[:, None] & bit) == 0)
+        levels.append((masks[parent] * n + v).astype(np.int32))
+        masks = masks[parent] | bit[v]
+    return tuple(levels)
 
 
-def _all_values(g: Digraph, objective: str, pos: np.ndarray) -> np.ndarray:
+def _cost_table(g: Digraph, objective: str, dtype) -> np.ndarray:
+    """cost[S*n + v] of placing v right after the set S."""
     n = g.n
-    arcs = g.arc_items
-    rows = pos.shape[0]
+    masks = np.arange(1 << n, dtype=np.int64)
+    # out_of[mask, u]: u is not in mask (S for fas, S + v for the rest)
+    out_of = ((masks[:, None] >> np.arange(n)) & 1) == 0
     if objective == "fas":
-        total = np.zeros(rows, dtype=np.int64)
-        for u, v, w in arcs:
-            total += w * (pos[:, u] > pos[:, v])
-        return total
-    if objective == "ola":
-        total = np.zeros(rows, dtype=np.int64)
-        for u, v, w in arcs:
-            d = pos[:, u].astype(np.int64) - pos[:, v]
-            total += w * np.maximum(d, 0)
-        return total
-    if objective == "cutwidth":
-        best = np.zeros(rows, dtype=np.int64)
-        for i in range(1, n):
-            cut = np.zeros(rows, dtype=np.int64)
-            for u, v, w in arcs:
-                cut += w * ((pos[:, u] > i) & (pos[:, v] <= i))
-            np.maximum(best, cut, out=best)
-        return best
-    if objective == "dpw":
-        latest = np.zeros((rows, n), dtype=np.int16)
-        for v in range(n):
-            for u, _ in g.in_pairs[v]:
-                np.maximum(latest[:, v], pos[:, u], out=latest[:, v])
-        best = np.zeros(rows, dtype=np.int64)
-        for i in range(1, n):
-            cnt = ((pos <= i) & (latest > i)).sum(axis=1, dtype=np.int64)
-            np.maximum(best, cnt, out=best)
-        return best
-    raise ValueError(f"unknown objective {objective!r}")
+        cost = np.zeros((1 << n, n), dtype=dtype)
+        for u, v, w in g.arc_items:
+            cost[:, v] += out_of[:, u].astype(dtype) * w
+        return cost.ravel()
+    inner = np.zeros((1 << n, n), dtype=bool)     # [T, x]: x in T, u -> x from outside
+    cut = np.zeros(1 << n, dtype=dtype)
+    for u, x, w in g.arc_items:
+        crossing = out_of[:, u] & ~out_of[:, x]
+        inner[:, x] |= crossing
+        cut += crossing.astype(dtype) * w
+    per_t = inner.sum(axis=1) if objective == "dpw" else cut
+    # cost[S, v] = per_t[S + v]; v in S never occurs in a prefix
+    return per_t[masks[:, None] | (1 << np.arange(n))].ravel()
+
+
+def _unrank(index: int, n: int) -> list[int]:
+    """The index-th permutation of range(n) in lexicographic order."""
+    rest = list(range(n))
+    seq = []
+    for k in range(n - 1, -1, -1):
+        digit, index = divmod(index, math.factorial(k))
+        seq.append(rest.pop(digit))
+    return seq
 
 
 def perm_opt(g: Digraph, objective: str) -> OracleResult:
@@ -79,12 +101,16 @@ def perm_opt(g: Digraph, objective: str) -> OracleResult:
     guards.check(n, guards.ORACLE_GUARD, "oracle vertex count")
     if n == 0:
         return OracleResult(objective, 0, Ordering(()), 1)
-    seqs, pos = _position_matrix(n)
-    values = _all_values(g, objective, pos)
+    dtype = _dtype(2 * n * g.total_arc_weight)
+    cost = _cost_table(g, objective, dtype)
+    combine = _COMBINE[objective]
+    values = np.zeros(1, dtype=dtype)
+    for k, level in enumerate(_position_matrix(n)):
+        values = combine(np.repeat(values, n - k), cost[level])
     idx = int(np.argmin(values))            # first minimum = lex-least sequence
     opt = int(values[idx])
-    count = int((values == opt).sum())
-    ordering = Ordering.from_sequence(int(v) for v in seqs[idx])
+    count = int(np.count_nonzero(values == opt))
+    ordering = Ordering.from_sequence(_unrank(idx, n))
     actual = EVALUATORS[objective](g, ordering)
     if actual != opt:
         raise AssertionError(

@@ -89,6 +89,22 @@ def test_solve_dpw_2approx_path(capsys, tmp_path):
     assert json.loads(out)["value"] == 0
 
 
+def test_solve_oracle_huge_weights(capsys, tmp_path):
+    # scores beyond int64 used to raise OverflowError or wrap into a false
+    # "oracle mismatch", so --oracle exited 1 with a traceback
+    for obj, weights, opt in (("fas", (10 ** 40,) * 3, 10 ** 40),
+                              ("ola", (2 ** 62, 2 ** 62, 2 ** 61), 2 ** 62)):
+        p = tmp_path / f"{obj}.g"
+        p.write_text("p dg 3 3 w\n" + "".join(
+            f"a {u} {v} {w}\n" for (u, v), w in zip(((1, 2), (2, 3), (3, 1)),
+                                                   weights)))
+        code, out, _ = run(capsys, "solve", str(p), "--obj", obj,
+                           "--mode", "exact", "--oracle", "--no-timing")
+        assert code == 0, obj
+        rec = json.loads(out)
+        assert rec["opt"] == rec["value"] == opt
+
+
 def test_solve_is_byte_deterministic(capsys, detour_file):
     args = ("solve", detour_file, "--obj", "cutwidth", "--mode", "2approx",
             "--oracle", "--no-timing")
@@ -179,6 +195,11 @@ def test_verify_flags_violation(capsys, tmp_path, triangle_with_detour):
     assert code == 1
     assert "violation" in err
     assert out.splitlines()[1].split(",")[3] == "2"   # value column
+    # an instance that fails to parse outranks the violation
+    (tmp_path / "corp" / "inst1.g").write_text("p dg 2 1\na 1 5\n")
+    code, out, err = run(capsys, "verify", corp, "--obj", "fas",
+                         "--mode", "2approx", "--factor", "1", "--no-timing")
+    assert code == 3 and "violation:" in err and len(out.splitlines()) == 2
 
 
 def test_verify_parallel_rows_match_serial(capsys, tmp_path):
@@ -223,6 +244,43 @@ def test_jobs_clamped_to_tasks_and_cpus(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert run(capsys, *base, "--jobs", "1000")[1] == serial   # serial path
     assert seen == [3, 2]
+
+
+def test_suite_reports_bad_instances_and_keeps_going(capsys, tmp_path,
+                                                    monkeypatch):
+    # n = 10 is over the oracle's guard: verify reports it and still writes
+    # the other rows; bench (no oracle) solves it
+    monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
+    from ordercut import gen_random
+    corp = make_corpus(tmp_path, [gen_random(8, 0.3, seed=1),
+                                  gen_random(10, 0.3, seed=2)])
+    base = ("verify", corp, "--obj", "cutwidth", "--mode", "2approx",
+            "--factor", "2", "--no-timing")
+    code1, out1, err1 = run(capsys, *base, "--jobs", "1")
+    code2, out2, err2 = run(capsys, *base, "--jobs", "2")
+    assert code1 == code2 == 4
+    assert out1 == out2 and err1 == err2
+    rows = out1.splitlines()[1:]
+    assert len(rows) == 1 and rows[0].startswith("inst0.g,cutwidth,2approx,")
+    assert "error: inst1.g: size guard: oracle vertex count" in err1
+    assert "verify: 2 instance(s), 1 error(s), 0 violation(s)" in err1
+    code, out, _ = run(capsys, "bench", corp, "--obj", "cutwidth",
+                       "--mode", "2approx", "--no-timing")
+    assert code == 0 and len(out.splitlines()) == 3
+
+    # a parse error exits 3; a guard hit outranks it; bench reports the
+    # unparsable instance once for all its modes
+    (tmp_path / "corp" / "inst2.g").write_text("p dg 2 1\na 1 5\n")
+    code, out, err = run(capsys, *base)
+    assert code == 4 and len(out.splitlines()) == 2
+    assert "error: inst2.g: parse error: line 2" in err
+    (tmp_path / "corp" / "inst1.g").unlink()
+    code, out, _ = run(capsys, *base)
+    assert code == 3 and len(out.splitlines()) == 2
+    code, out, err = run(capsys, "bench", corp, "--obj", "fas", "--mode",
+                         "exact", "--mode", "2approx", "--no-timing")
+    assert code == 3 and len(out.splitlines()) == 3
+    assert err.count("error: inst2.g:") == 1
 
 
 def test_verify_exact_zero_column(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from ordercut import (EVALUATORS, Digraph, Ordering, SizeGuardError,
@@ -9,29 +10,74 @@ from ordercut import (EVALUATORS, Digraph, Ordering, SizeGuardError,
 
 
 def naive_opt(g, objective):
-    """Plain-loop reference, independent of the vectorized path."""
+    """Plain-loop reference, independent of the vectorized path: the
+    optimum, how many orderings reach it, and the first one in
+    lexicographic order."""
     fn = EVALUATORS[objective]
-    best = None
+    best = first = None
     count = 0
     for seq in permutations(range(g.n)):
         val = fn(g, Ordering.from_sequence(seq))
         if best is None or val < best:
-            best, count = val, 1
+            best, count, first = val, 1, seq
         elif val == best:
             count += 1
-    return best if best is not None else 0, count
+    return (best if best is not None else 0), count, first
+
+
+def _complete(n, undirected=False):
+    pairs = [(u, v) for u in range(n) for v in range(n)
+             if u < v or (u != v and not undirected)]
+    return Digraph(n, pairs, undirected=undirected)
+
+
+# weighted and unweighted, directed and undirected, n = 1..7; the unweighted
+# ones, the empty and the complete graphs have many tied optima; weights up
+# to 10**40 overflow int64, so those are scored in Python ints
+NAIVE_GRAPHS = (
+    [gen_random(2 + seed % 6, 0.5, weight_range=(1, 5), seed=200 + seed)
+     for seed in range(10)]
+    + [gen_random(5, 0.5, weight_range=(10 ** 35, 10 ** 40), seed=500 + seed,
+                  undirected=seed % 2 == 1) for seed in range(4)]
+    + [gen_random(n, 0.4, weight_range=(1, 3), seed=300 + n, undirected=True)
+       for n in (3, 5, 7)]
+    + [gen_random(n, 0.3, seed=400 + n, undirected=undirected)
+       for n in (4, 6, 7) for undirected in (False, True)]
+    + [Digraph(1, []), Digraph(5, []), _complete(5), _complete(6, True)]
+)
 
 
 @pytest.mark.parametrize("objective", sorted(EVALUATORS))
 def test_matches_naive_loop(objective):
-    for seed in range(10):
-        n = 2 + seed % 5
-        g = gen_random(n, 0.5, weight_range=(1, 5), seed=200 + seed)
+    for g in NAIVE_GRAPHS:
         res = perm_opt(g, objective)
-        opt, count = naive_opt(g, objective)
-        assert res.opt == opt
-        assert res.count == count
-        assert EVALUATORS[objective](g, res.ordering) == opt
+        opt, count, first = naive_opt(g, objective)
+        assert res.opt == opt, g
+        assert res.count == count, g
+        assert res.ordering.seq == first, g
+
+
+def test_int64_object_boundary(monkeypatch):
+    # a 3-cycle of total weight t scores in int64 while 2 * 3 * t < 2**62
+    from ordercut import oracle
+    seen = []
+
+    def cost_table(g, objective, dtype):
+        seen.append(dtype)
+        return build(g, objective, dtype)
+
+    build = oracle._cost_table
+    monkeypatch.setattr(oracle, "_cost_table", cost_table)
+    first_object = -(-(1 << 62) // 6)
+    for total, dtype in ((first_object - 1, np.int64), (first_object, object)):
+        w = total // 3
+        weights = {(0, 1): w, (1, 2): w, (2, 0): total - 2 * w}
+        g = Digraph(3, list(weights), weights)
+        for objective in sorted(EVALUATORS):
+            seen.clear()
+            res = perm_opt(g, objective)
+            assert seen == [dtype]
+            assert (res.opt, res.count, res.ordering.seq) == naive_opt(g, objective)
 
 
 def test_known_counts():
