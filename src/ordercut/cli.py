@@ -16,6 +16,7 @@ written; the exit code is then 4 if any instance hit a guard, else 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -289,7 +290,10 @@ def _add_mode_flags(p: argparse.ArgumentParser, multi_mode: bool = False) -> Non
     p.add_argument("--out", help="write to this path instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process. Each subcommand's func looks its
+    command up when it runs, so patched or traced ones are used."""
     parser = argparse.ArgumentParser(
         prog="ordercut",
         description="Exact and approximate vertex-ordering solvers "
@@ -301,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_mode_flags(p)
     p.add_argument("--oracle", action="store_true",
                    help="also run the brute-force oracle (n <= 9)")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=lambda ns: cmd_solve(ns))
 
     p = sub.add_parser("gen", help="generate a seeded random instance")
     p.add_argument("--n", type=int, required=True)
@@ -311,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ug", action="store_true", help="undirected instance")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write to this path instead of stdout")
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=lambda ns: cmd_gen(ns))
 
     p = sub.add_parser("verify",
                        help="run a corpus against the oracle; exit 1 on violation")
@@ -320,13 +324,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor", required=True,
                    help="declared approximation factor (rational)")
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=lambda ns: cmd_verify(ns))
 
     p = sub.add_parser("bench", help="run a corpus, emit CSV (no oracle)")
     p.add_argument("corpus", help="directory of .g files (or one file)")
     _add_mode_flags(p, multi_mode=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=lambda ns: cmd_bench(ns))
     return parser
 
 

@@ -25,15 +25,20 @@ The rounded search runs the same triangle search after rounding each nonzero
 stored edge weight up to a power of (1+eps/3), which keeps the number of
 distinct weights logarithmic while inflating any triangle by less than a
 (1+eps) factor. The returned value is always the true, unrounded cut weight.
+The powers are exact integers far wider than int64, so cut_profile keys every
+entry of the pair matrices once per call (one np.searchsorted against the
+integer thresholds floor((1+eps/3)^e)) and ranks every sum of two keys
+exactly, once. The search then runs on int64 key indices and pair-sum ranks,
+and only the r1 * r2 cells of the best completions add the keys themselves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 from itertools import accumulate, combinations, pairwise
-from typing import Iterator
 
 import numpy as np
 
@@ -42,7 +47,9 @@ from .graph import Digraph, cut_into
 from .report import Counters
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
-_CHUNK_CELLS = 1 << 13     # triangle sums held at once by the search
+_CHUNK_CELLS = 1 << 13     # pair terms held at once by the search
+_MAX_POWERS = 2048         # past this many powers of 1+eps/3, _big_keys
+_RANK_KEYS = 1 << 10       # most keys whose pair sums are ranked
 
 
 @dataclass(frozen=True)
@@ -124,6 +131,10 @@ class _PairMatrices:
                                     + from_part(b, a)[None, :] - cross)
                                + deltas[a][:, None] + deltas[b][None, :])
 
+    def split_rows(self, sizes) -> list[slice]:
+        """Row ranges of the size-sizes[i] subsets of each part i."""
+        return [self.rows[i][k] for i, k in enumerate(sizes)]
+
 
 def build_aux(g: Digraph, parts, sizes: tuple[int, int, int],
               matrices: _PairMatrices | None = None) -> AuxGraph:
@@ -133,46 +144,58 @@ def build_aux(g: Digraph, parts, sizes: tuple[int, int, int],
     """
     if matrices is None:
         matrices = _PairMatrices(g, parts)
-    rows = [matrices.rows[i][k] for i, k in enumerate(sizes)]
+    rows = matrices.split_rows(sizes)
     nodes = tuple(matrices.subsets[i][r] for i, r in enumerate(rows))
     blocks = tuple(matrices.mats[a, b][rows[a], rows[b]] for a, b in _PAIRS)
     return AuxGraph(tuple(parts), tuple(sizes), nodes, blocks)
 
 
 def min_weight_triangle(aux: AuxGraph, counters: Counters | None = None,
-                        e01=None, e02=None, e12=None):
-    """Minimum-weight triangle (one node per group), searched a block of
-    j1 rows at a time.
+                        blocks=None, keys=None):
+    """Minimum-weight triangle (one node per group).
 
     Returns ((j1, j2, j3), weight); the lexicographically least triple wins
-    ties. Optional matrices override the stored ones (used by the rounded
-    search); weights must be non-negative.
+    ties. blocks, if given, replace aux.blocks; weights must be
+    non-negative. With keys = (values, ranks) the blocks hold indices into
+    values, a triangle weighs the sum of its three values, and ranks[i, j]
+    is the dense rank of values[i] + values[j] (see _pair_ranks).
+
+    For each (j1, j2) the search takes the first j3 minimizing the pair term
+    e02 + e12 (as int64 sums, or as ranks gathered a block of j1 rows at a
+    time), then adds e01 over the r1 * r2 cells only.
 
     counters.triangles grows by the number of triangles a lex-order scan
     examines when it skips every (j1, j2) whose e01 weight already reaches
     the best sum found so far: |N3| for each pair whose e01 weight is below
     the minimum of the earlier pairs' best completions.
     """
-    e01, e02, e12 = (np.asarray(stored if m is None else m)
-                     for stored, m in zip(aux.blocks, (e01, e02, e12)))
+    e01, e02, e12 = aux.blocks if blocks is None else blocks
     r1, r2 = e01.shape
     r3 = e12.shape[1]
     if not r1 * r2 * r3:
         raise ValueError("auxiliary graph has an empty group")
-    best_j3 = np.empty((r1, r2), dtype=e01.dtype)   # min over j3 per (j1, j2)
     step = max(1, _CHUNK_CELLS // (r2 * r3))
-    for lo in range(0, r1, step):
-        sums = e01[lo:lo + step, :, None] + e12
-        sums += e02[lo:lo + step, None, :]
-        sums.min(axis=2, out=best_j3[lo:lo + step])
-    flat = best_j3.ravel()
-    j1, j2 = divmod(int(flat.argmin()), r2)
-    j3 = int((e02[j1] + e12[j2]).argmin())
+    chunks = [slice(lo, lo + step) for lo in range(0, r1, step)]
+    if keys is None:
+        pair = np.concatenate([(e02[c, None, :] + e12).min(axis=2) for c in chunks])
+        weights = e01 + pair
+    else:
+        values, ranks = keys
+        flat, row02 = ranks.ravel(), e02 * len(ranks)
+        best_j3 = np.concatenate([flat[row02[c, None, :] + e12].argmin(axis=2)
+                                  for c in chunks])
+        e01 = values[e01]
+        weights = (e01 + values[e02[np.arange(r1)[:, None], best_j3]]
+                   + values[e12[np.arange(r2), best_j3]])
+    flat_w = weights.ravel()
+    j1, j2 = divmod(int(flat_w.argmin()), r2)
+    j3 = (int((e02[j1] + e12[j2]).argmin()) if keys is None
+          else int(best_j3[j1, j2]))
     if counters is not None:
-        running = np.minimum.accumulate(flat[:-1])
+        running = np.minimum.accumulate(flat_w[:-1])
         counters.triangles += r3 * (1 + int(np.count_nonzero(
             e01.ravel()[1:] < running)))
-    return (j1, j2, j3), int(flat[j1 * r2 + j2])
+    return (j1, j2, j3), int(flat_w[j1 * r2 + j2])
 
 
 def _splits(parts, k: int):
@@ -183,63 +206,162 @@ def _splits(parts, k: int):
                 yield (k1, k2, k3)
 
 
-def _rounded_keys(weights: list[int], eps: Fraction) -> list[int]:
-    """Each stored weight's rounded-up power of (1+eps/3), as an exact int.
+def _big_keys(weights, eps: Fraction) -> list[int]:
+    """Rounded keys when more than _MAX_POWERS powers would be needed.
 
-    weights are sorted, distinct and non-negative. Keys only need
-    consistent ordering and addition. Three regimes: tiny eps where rounding
-    provably cannot reorder distinct triangle sums (identity), an exact
-    big-integer grid for moderate exponent ranges, and high-precision floats
-    beyond that.
+    Each w > 0 gets floor((1+eps/3)^e * 2**80) for e = ceil(log w / log
+    (1+eps/3)), both in 60-digit decimal arithmetic; 0 keeps key 0. The
+    integer keys keep every later sum exact. An exponent off by one in a
+    degenerate near-tie still keeps the factor, since (1+eps/3)^2 <= 1+eps
+    here (eps < 3).
     """
-    smax = weights[-1]
-    # Distinct triangle sums differ by >= 1; rounding inflates a sum by less
-    # than eps/3 * sum <= eps * smax, so below 1 no comparison can flip.
-    if eps * smax < 1:
-        return weights
     base = 1 + eps / 3
-    a, b = base.numerator, base.denominator
-    pa, pb = [1], [1]
-    while pa[-1] < smax * pb[-1] and len(pa) <= 2048:
-        pa.append(pa[-1] * a)
-        pb.append(pb[-1] * b)
-    if pa[-1] >= smax * pb[-1]:
-        emax = len(pa) - 1
+    with localcontext() as ctx:
+        ctx.prec = 60
+        logbase = (Decimal(base.numerator) / base.denominator).ln()
+        scale = Decimal(2) ** 80
         keys = []
-        e = 0
-        for w in weights:
-            while pa[e] < w * pb[e]:     # least e with base^e >= w
-                e += 1
-            keys.append(pa[e] * pb[emax - e] if w else 0)   # scaled by b^emax
-        return keys
-    import mpmath
-    with mpmath.workdps(60):
-        # Scaled-integer keys so later sums stay exact regardless of mpmath
-        # context. An exponent off by one in a degenerate near-tie still
-        # keeps the factor, since (1+eps/3)^2 <= 1+eps here (eps < 3).
-        logbase = mpmath.log(mpmath.mpf(a) / b)
-        scale = mpmath.mpf(2) ** 80
-        keys = []
+        last = None
         for w in weights:
             if w <= 0:
                 keys.append(0)
-            else:
-                e = int(mpmath.ceil(mpmath.log(w) / logbase))
-                keys.append(int(mpmath.floor(mpmath.exp(max(e, 0) * logbase) * scale)))
+                continue
+            # decimal's ln costs about 60 us; the float quotient is off by
+            # far less than the slack, so it decides e unless near an integer
+            q = math.log(w) / float(logbase)
+            slack = (q + 1) * 2.0 ** -40
+            e = math.ceil(q - slack)
+            if e != math.ceil(q + slack):
+                e = int((Decimal(w).ln() / logbase).to_integral_value(ROUND_CEILING))
+            if last is None or last[0] != e:
+                last = e, int((max(e, 0) * logbase).exp() * scale)
+            keys.append(last[1])
         return keys
 
 
-def _rounded_blocks(cells: list[AuxGraph], eps: Fraction) -> Iterator[list[np.ndarray]]:
-    """Every split's blocks with weights replaced by their rounding keys; the
-    key set is the union of the stored weights over all the splits."""
-    stored = np.sort(np.concatenate(
-        [blk.ravel() for aux in cells for blk in aux.blocks]))
-    # np.unique would do, but it imports numpy.ma (about 1 MB) on first use
-    weights = stored[np.append(True, stored[1:] != stored[:-1])]
-    keys = _rounded_keys(weights.tolist(), eps)
-    keyed = np.array(keys, dtype=_dtype(3 * keys[-1]))
-    return ([keyed[np.searchsorted(weights, blk)] for blk in aux.blocks]
-            for aux in cells)
+def _pair_ranks(keys: list[int]) -> np.ndarray:
+    """ranks[i, j]: the dense rank of keys[i] + keys[j] among all such sums.
+
+    keys are ascending, distinct, non-negative ints of any size. The sums
+    are sorted by float64 value (scaled so none overflows), then again in
+    exact ints inside each run of near-equal floats, a run being a stretch
+    whose neighbours differ by less than the float error bound. Two sums the
+    floats put in the wrong order differ by at most a few ulps plus the
+    underflow, so they always fall into the same run.
+    """
+    scale = 1 << max(0, keys[-1].bit_length() - 1000)
+    approx = np.array([key / scale for key in keys])   # correctly rounded
+    i, j = np.triu_indices(len(keys))
+    sums = approx[i] + approx[j]
+    order = np.argsort(sums, kind="stable")
+    sums = sums[order]
+    fresh = np.empty(len(sums), dtype=bool)   # the dense rank grows here
+    fresh[0] = True
+    fresh[1:] = sums[1:] - sums[:-1] > sums[1:] * 2.0 ** -48 + 2.0 ** -1060
+    starts = np.flatnonzero(fresh)
+    ends = np.append(starts[1:], len(sums))
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        if hi - lo < 2:
+            continue
+        run = order[lo:hi]
+        exact = [keys[a] + keys[b] for a, b in zip(i[run].tolist(), j[run].tolist())]
+        by_sum = sorted(range(hi - lo), key=exact.__getitem__)
+        order[lo:hi] = run[by_sum]
+        fresh[lo + 1:hi] = [exact[p] != exact[q] for q, p in pairwise(by_sum)]
+    ranks = np.empty((len(keys), len(keys)), dtype=np.int64)
+    ranks[i[order], j[order]] = ranks[j[order], i[order]] = np.cumsum(fresh) - 1
+    return ranks
+
+
+class _KeyTable:
+    """The rounded keys of one regime, for every stored weight of a graph.
+
+    index[a, b] maps each entry of the pair matrix (a, b) to its key in
+    values. ranks is None past _RANK_KEYS keys; the search then sums the
+    keys themselves.
+    """
+
+    def __init__(self, index: dict, keys: list[int]):
+        self.index = index
+        self.values = np.array(keys, dtype=_dtype(3 * keys[-1]))
+        self.ranks = _pair_ranks(keys) if len(keys) <= _RANK_KEYS else None
+
+    def search_args(self, rows) -> tuple:
+        """(blocks, keys) of min_weight_triangle for one split."""
+        blocks = tuple(self.index[a, b][rows[a], rows[b]] for a, b in _PAIRS)
+        if self.ranks is None:
+            return tuple(self.values[blk] for blk in blocks), None
+        return blocks, (self.values, self.ranks)
+
+
+class _Rounding:
+    """Every stored weight of one graph's pair matrices rounded up to a
+    power of (1+eps/3), once per cut_profile call.
+
+    A weight w > 0 rounds to the least e with floor(a^e / b^e) >= w, where
+    1+eps/3 = a/b, and gets the key a^e * b^(emax - e): the power scaled by
+    b^emax. Within one k only key sums are compared, and a common scale
+    does not change them, so one table serves every k. Each k picks its
+    regime from its own largest stored weight smax, as the rounding of
+    each k alone would: below 1/(eps * smax) no comparison can flip and
+    the weights are used as they are; past _MAX_POWERS powers the keys
+    come from _big_keys.
+    """
+
+    def __init__(self, matrices: _PairMatrices, eps: Fraction):
+        self.mats = matrices.mats
+        self.eps = eps
+        base = 1 + eps / 3
+        self.a, self.b = base.numerator, base.denominator
+        smax = max(int(m.max()) for m in self.mats.values())
+        # limits[e + 1] = floor(base^e), limits[0] = 0 for weight 0
+        self.limits = [0, 1]
+        pa = pb = 1
+        while self.limits[-1] < smax and len(self.limits) - 1 <= _MAX_POWERS:
+            pa, pb = pa * self.a, pb * self.b
+            self.limits.append(pa // pb)
+        self.tables: dict[bool, _KeyTable] = {}
+
+    def table(self, smax: int) -> _KeyTable | None:
+        """The keys for a k whose largest stored weight is smax; None when
+        the weights are used unrounded."""
+        # Distinct triangle sums differ by >= 1; rounding inflates a sum by
+        # less than eps/3 * sum <= eps * smax, so below 1 no comparison flips.
+        if self.eps * smax < 1:
+            return None
+        grid = smax <= self.limits[-1]
+        if grid not in self.tables:
+            self.tables[grid] = self._grid() if grid else self._big()
+        return self.tables[grid]
+
+    def _grid(self) -> _KeyTable:
+        limits = self.limits
+        if self.mats[0, 1].dtype == object:
+            limits = np.array(limits, dtype=object)
+        else:   # every stored weight is below 2**62
+            limits = np.array([min(t, 2 ** 62) for t in limits], dtype=np.int64)
+        # weights past the last limit belong only to big-key k's
+        index = {pair: np.minimum(np.searchsorted(limits, m), len(limits) - 1)
+                 for pair, m in self.mats.items()}
+        used = np.zeros(len(limits), dtype=bool)
+        for idx in index.values():
+            used[idx] = True
+        exps = (np.flatnonzero(used) - 1).tolist()   # -1 for weight 0
+        emax = exps[-1]
+        keys = [self.a ** e * self.b ** (emax - e) if e >= 0 else 0 for e in exps]
+        compact = np.cumsum(used) - 1
+        return _KeyTable({pair: compact[idx] for pair, idx in index.items()}, keys)
+
+    def _big(self) -> _KeyTable:
+        stored = np.sort(np.concatenate([m.ravel() for m in self.mats.values()]))
+        # np.unique would do, but it imports numpy.ma (about 1 MB) on first use
+        weights = stored[np.append(True, stored[1:] != stored[:-1])]
+        keys = _big_keys(weights.tolist(), self.eps)   # non-decreasing in w
+        fresh = np.append(True, np.array(keys[1:]) != np.array(keys[:-1]))
+        compact = np.cumsum(fresh) - 1
+        index = {pair: compact[np.searchsorted(weights, m)]
+                 for pair, m in self.mats.items()}
+        return _KeyTable(index, [key for key, f in zip(keys, fresh) if f])
 
 
 def cut_profile(g: Digraph, ks, eps=None,
@@ -262,14 +384,19 @@ def cut_profile(g: Digraph, ks, eps=None,
             raise ValueError("eps must be positive")
     parts = tripartition(n)
     matrices = _PairMatrices(g, parts)
+    rounding = None if eps is None else _Rounding(matrices, eps)
     out = {}
     for k in ks:
         cells = [build_aux(g, parts, sizes, matrices) for sizes in _splits(parts, k)]
-        keyed = ([aux.blocks for aux in cells] if eps is None
-                 else _rounded_blocks(cells, eps))
+        table = None
+        if rounding is not None:
+            table = rounding.table(max(int(blk.max()) for aux in cells
+                                       for blk in aux.blocks))
         best = None
-        for aux, blocks in zip(cells, keyed):
-            (j1, j2, j3), weight = min_weight_triangle(aux, counters, *blocks)
+        for aux in cells:
+            args = (() if table is None
+                    else table.search_args(matrices.split_rows(aux.sizes)))
+            (j1, j2, j3), weight = min_weight_triangle(aux, counters, *args)
             if eps is None and weight % 2:
                 raise AssertionError("stored triangle weight must be even")
             cand = (weight, aux.nodes[0][j1] + aux.nodes[1][j2] + aux.nodes[2][j3])

@@ -1,7 +1,11 @@
 """CLI behavior: schemas, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -434,3 +438,43 @@ def test_unknown_mode_token_exits_2(capsys, cycle_file):
     with pytest.raises(SystemExit) as exc:
         main(["solve", cycle_file, "--obj", "fas", "--mode", "approx"])
     assert exc.value.code == 2
+
+
+def test_one_parser_per_process(tmp_path):
+    # A usage error, a rejected flag, a help page and a solve in one process
+    # print the same bytes and exit codes as each in a fresh process, and
+    # the parser is built once.
+    cycle = tmp_path / "cycle3.g"
+    cycle.write_text(CYCLE3)
+    sequence = [
+        ["solve", str(cycle), "--obj", "fas", "--mode", "approx"],
+        ["solve", str(cycle), "--obj", "fas", "--mode", "exact", "--eps", "1"],
+        ["verify", "--help"],
+        ["solve", str(cycle), "--obj", "fas", "--mode", "2approx", "--oracle",
+         "--no-timing"],
+    ]
+    script = """if True:
+        import contextlib, io, json, sys
+        from ordercut import cli
+        runs = []
+        for argv in json.loads(sys.argv[1]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            runs.append([code, out.getvalue(), err.getvalue()])
+        print(json.dumps([runs, cli._build_parser.cache_info().misses]))
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    one = subprocess.run([sys.executable, "-c", script, json.dumps(sequence)],
+                         capture_output=True, text=True, env=env, check=True)
+    runs, built = json.loads(one.stdout)
+    fresh = [subprocess.run([sys.executable, "-m", "ordercut", *argv],
+                            capture_output=True, text=True, env=env)
+             for argv in sequence]
+    assert runs == [[p.returncode, p.stdout, p.stderr] for p in fresh]
+    assert [code for code, _, _ in runs] == [2, 2, 0, 0]
+    assert built == 1

@@ -1,5 +1,7 @@
 """The (k, n-k)-cut solver and its triangle construction."""
 
+import math
+from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordercut import (AuxGraph, Counters, Digraph, SizeGuardError, build_aux,
-                      cut_into, cut_profile, dkmc_exact, dkmc_oracle,
+from ordercut import (AuxGraph, Counters, CutSolution, Digraph, SizeGuardError,
+                      build_aux, cut_into, cut_profile, dkmc_exact, dkmc_oracle,
                       dkmc_weighted_approx, gen_random, kcut,
                       min_weight_triangle, tripartition)
 
@@ -162,12 +164,12 @@ def test_oracle_lex_least_witness():
 # ------------------------------------------------- cut engine property tests
 
 @st.composite
-def digraphs(draw, max_n=10, max_w=1000):
+def digraphs(draw, max_n=10, max_w=1000, min_w=0):
     n = draw(st.integers(min_value=1, max_value=max_n))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
                            max_size=len(pairs))) if pairs else []
-    weights = {p: draw(st.integers(min_value=0, max_value=max_w))
+    weights = {p: draw(st.integers(min_value=min_w, max_value=max_w))
                for p in chosen}
     return Digraph(n, chosen, weights)
 
@@ -261,3 +263,293 @@ def test_int64_dispatch_bound(monkeypatch, total, dtype):
     monkeypatch.setattr(kcut, "_dtype", lambda bound: object)
     assert build_aux(g, tripartition(6), (1, 1, 1)).blocks[0].dtype == object
     assert runs == [cut_profile(g, ks), cut_profile(g, ks, Fraction(1, 2))]
+
+
+# ------------------------------------------- rounded search, reference copy
+
+def reference_rounded_keys(weights, eps):
+    """The rounding of one k's sorted distinct stored weights as it was
+    computed per k: a Python loop over the powers of (1+eps/3). The
+    past-2048-powers branch is kcut._big_keys (pinned below)."""
+    smax = weights[-1]
+    if eps * smax < 1:
+        return weights
+    base = 1 + eps / 3
+    a, b = base.numerator, base.denominator
+    pa, pb = [1], [1]
+    while pa[-1] < smax * pb[-1] and len(pa) <= 2048:
+        pa.append(pa[-1] * a)
+        pb.append(pb[-1] * b)
+    if pa[-1] < smax * pb[-1]:
+        return kcut._big_keys(weights, eps)
+    emax = len(pa) - 1
+    keys = []
+    e = 0
+    for w in weights:
+        while pa[e] < w * pb[e]:
+            e += 1
+        keys.append(pa[e] * pb[emax - e] if w else 0)
+    return keys
+
+
+def reference_triangle(e01, e02, e12, counters):
+    """The triangle search on summed weights, a block of j1 rows at a time."""
+    r1, r2 = e01.shape
+    r3 = e12.shape[1]
+    best_j3 = np.empty((r1, r2), dtype=e01.dtype)
+    step = max(1, 8192 // (r2 * r3))
+    for lo in range(0, r1, step):
+        sums = e01[lo:lo + step, :, None] + e12
+        sums += e02[lo:lo + step, None, :]
+        sums.min(axis=2, out=best_j3[lo:lo + step])
+    flat = best_j3.ravel()
+    j1, j2 = divmod(int(flat.argmin()), r2)
+    j3 = int((e02[j1] + e12[j2]).argmin())
+    running = np.minimum.accumulate(flat[:-1])
+    counters.triangles += r3 * (1 + int(np.count_nonzero(
+        e01.ravel()[1:] < running)))
+    return (j1, j2, j3), int(flat[j1 * r2 + j2])
+
+
+def reference_rounded_profile(g, ks, eps, counters):
+    """The rounded cut_profile as it was: keys recomputed per k from the
+    stored weights of that k's splits, keyed blocks of Python ints."""
+    parts = tripartition(g.n)
+    matrices = kcut._PairMatrices(g, parts)
+    out = {}
+    for k in ks:
+        cells = [build_aux(g, parts, sizes, matrices)
+                 for sizes in kcut._splits(parts, k)]
+        weights = sorted({int(w) for aux in cells for blk in aux.blocks
+                          for w in blk.ravel().tolist()})
+        keys = dict(zip(weights, reference_rounded_keys(weights, eps)))
+        best = None
+        for aux in cells:
+            blocks = [np.array([[keys[int(w)] for w in row] for row in blk.tolist()],
+                               dtype=object) for blk in aux.blocks]
+            (j1, j2, j3), weight = reference_triangle(*blocks, counters)
+            cand = (weight, aux.nodes[0][j1] + aux.nodes[1][j2] + aux.nodes[2][j3])
+            if best is None or cand < best:
+                best = cand
+        out[k] = CutSolution(best[1], k, cut_into(g, best[1]))
+    return out
+
+
+ROUNDING_EPS = [Fraction(1, 10 ** 9), Fraction(1, 10), Fraction(1, 2),
+                Fraction(1), Fraction(3)]
+
+
+def assert_matches_reference(g, eps):
+    ks = range(g.n + 1)
+    got, want = Counters(), Counters()
+    assert (cut_profile(g, ks, eps, got)
+            == reference_rounded_profile(g, ks, eps, want))
+    assert got.triangles == want.triangles
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(0, 3), (0, 1000), (0, 10 ** 9), (10 ** 8, 10 ** 9)])
+       .flatmap(lambda w: digraphs(max_n=9, min_w=w[0], max_w=w[1])),
+       st.sampled_from(ROUNDING_EPS))
+def test_rounded_profile_matches_reference(g, eps):
+    # small weights take the unrounded and grid regimes; weights near 10**9
+    # with eps = 1e-9 the big-key one
+    assert_matches_reference(g, eps)
+
+
+@pytest.mark.parametrize("eps", ROUNDING_EPS)
+def test_rounded_profile_matches_reference_on_seeded_graphs(eps):
+    # with eps = 1e-9, weights up to 20 stay unrounded and weights up to
+    # 10**9 take big keys; the other eps round both on the grid
+    for seed in range(6):
+        for weights in ((0, 20), (0, 10 ** 9)):
+            g = gen_random(4 + seed, 0.5, weight_range=weights, seed=900 + seed)
+            assert_matches_reference(g, eps)
+
+
+@pytest.mark.parametrize("total", [2 ** 61 - 1, 2 ** 61])
+@pytest.mark.parametrize("eps", ROUNDING_EPS)
+def test_rounded_profile_matches_reference_at_dtype_boundary(total, eps):
+    assert_matches_reference(_graph_with_total(total), eps)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rounded_profile_without_rank_table(monkeypatch, seed):
+    # past _RANK_KEYS keys the search sums the keys themselves
+    monkeypatch.setattr(kcut, "_RANK_KEYS", 1)
+    g = gen_random(7, 0.5, weight_range=(0, 10 ** 9), seed=800 + seed)
+    for eps in ROUNDING_EPS:
+        assert_matches_reference(g, eps)
+
+
+def test_regimes_are_all_reached():
+    g = gen_random(9, 0.5, weight_range=(0, 10 ** 9), seed=905)
+    parts = tripartition(9)
+    k_max = int(max(m.max() for m in kcut._PairMatrices(g, parts).mats.values()))
+    rounding = kcut._Rounding(kcut._PairMatrices(g, parts), Fraction(1, 10 ** 9))
+    assert rounding.table(10 ** 8) is None                   # unrounded
+    assert rounding.table(k_max) is rounding.tables[False]   # big keys
+    rounding = kcut._Rounding(kcut._PairMatrices(g, parts), Fraction(1, 2))
+    assert rounding.table(k_max) is rounding.tables[True]    # grid
+
+
+class _Matrices:
+    """Stand-in for _PairMatrices: the weights as one row of pair (0, 1)."""
+
+    def __init__(self, weights, dtype):
+        zero = np.zeros((1, 1), dtype=dtype)
+        self.mats = {(0, 1): np.array([weights], dtype=dtype),
+                     (0, 2): zero, (1, 2): zero}
+
+
+def rounded_by_table(weights, eps, dtype):
+    """Whether the grid regime ran, and the key of each weight."""
+    rounding = kcut._Rounding(_Matrices(weights, dtype), eps)
+    table = rounding.table(max(weights))
+    return (table is rounding.tables.get(True),
+            table.values[table.index[0, 1][0]].tolist())
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 2), Fraction(1),
+                                 Fraction(3)])
+def test_exponent_lookup_at_every_threshold(eps):
+    # every floor(base^e) and its neighbours, int64 while below 2**62
+    base = 1 + eps / 3
+    limits = [base.numerator ** e // base.denominator ** e for e in range(2049)]
+    weights = sorted({w + d for w in limits for d in (-1, 0, 1)
+                      if 0 <= w + d <= limits[-1]})
+    small = [w for w in weights if w < 2 ** 62]
+    for ws, dtype in ((small, np.int64), (weights, object)):
+        grid, keys = rounded_by_table(ws, eps, dtype)
+        assert grid and keys == reference_rounded_keys(ws, eps)
+    # one past the last threshold needs a 2049th power: big keys
+    past = [0, 1, limits[-1] + 1]
+    grid, keys = rounded_by_table(past, eps, object)
+    assert not grid and keys == kcut._big_keys(past, eps)
+
+
+# Keys of the past-2048-powers branch, as the mpmath implementation (60
+# digits) computed them; the weights are BIG_KEY_WEIGHTS.
+BIG_KEY_WEIGHTS = [0, 1, 2, 3, 7, 999, 10 ** 6, 10 ** 9 + 7, 10 ** 12, 2 ** 61 - 1,
+                   2 ** 61, 2 ** 62, 10 ** 20]
+BIG_KEYS = {
+    Fraction(1, 1000000000): [
+        0,
+        1208925819614629174706176,
+        2417851640013924129943151,
+        3626777459383509433403695,
+        8462480739731432410120194,
+        1207716894036945221049432933,
+        1208925819694991474476746689018,
+        1208925828399141028734664441493727,
+        1208925819775353774252659392508472412,
+        2787593150177803803664548617033067454413572,
+        2787593150177803803664548617033067454413572,
+        5575186300306528278734358639920356969443175,
+        120892581974817841622731353910123890805114228,
+    ],
+    Fraction(1, 1000000): [
+        0,
+        1208925819614629174706176,
+        2417851729291472741141496,
+        3626778165690140645176152,
+        8462482373040690576864228,
+        1207716978607784554371921069,
+        1208925988200238155895458490780,
+        1208925871005423085574613398107210,
+        1208926156785870646473898223880657099,
+        2787593908545429956647065850782751339514549,
+        2787593908545429956647065850782751339514549,
+        5575188024760243886354150782439795817274815,
+        120892597859142434027028208411624249604071441,
+    ],
+    Fraction(1, 20): [
+        0,
+        1208925819614629174706176,
+        2420472804605082469670476,
+        3659020335434068698997677,
+        8501051342336889336951107,
+        1210732017180052002225166000,
+        1212540913297852823699693003582,
+        1214352511999808160250294684458432,
+        1216166817323718215194236209582349158,
+        2833986087715741097263544535154439333435542,
+        2833986087715741097263544535154439333435542,
+        5581098451867515241535430250396641719988904,
+        122776432196437362696628983588693386556610510,
+    ],
+    Fraction(1, 2): [
+        0,
+        1208925819614629174706176,
+        2612965052760168793632548,
+        4149291727299712482481316,
+        8968254380237431544889850,
+        1244529474287439055522838403,
+        1281181679835326430984722035632,
+        1318913316766141677038485225511463,
+        1357756175038852671824352514690884243,
+        3110045920579372373041696197338036910212949,
+        3110045920579372373041696197338036910212949,
+        5761744024159778601599623896457273627639884,
+        125744718411741683047311107380109500753781030,
+    ],
+}
+
+
+@pytest.mark.parametrize("eps", list(BIG_KEYS))
+def test_big_keys_pinned(eps):
+    assert kcut._big_keys(BIG_KEY_WEIGHTS, eps) == BIG_KEYS[eps]
+
+
+def decimal_keys(weights, eps):
+    """_big_keys' rule with every exponent taken from decimal's ln."""
+    base = 1 + eps / 3
+    with localcontext() as ctx:
+        ctx.prec = 60
+        logbase = (Decimal(base.numerator) / base.denominator).ln()
+        return [int((max(0, int((Decimal(w).ln() / logbase)
+                                .to_integral_value(ROUND_CEILING)))
+                     * logbase).exp() * Decimal(2) ** 80) if w else 0
+                for w in weights]
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10 ** 9), Fraction(1, 10 ** 6),
+                                 Fraction(1, 20), Fraction(1, 2), Fraction(3)])
+def test_big_keys_float_exponent_is_exact(eps):
+    # the float quotient decides the exponent only away from an integer;
+    # powers of the base (exact for eps = 3) sit on one
+    base = 1 + eps / 3
+    powers = [math.ceil(base ** e) for e in range(0, 200, 7)]
+    weights = sorted({w + d for w in powers + [10 ** j for j in range(25)]
+                      + [2 ** 61, 2 ** 62, 3 ** 90] for d in (-1, 0, 1)})
+    assert kcut._big_keys(weights, eps) == decimal_keys(weights, eps)
+
+
+def brute_ranks(keys):
+    sums = sorted({a + b for a in keys for b in keys})
+    rank = {s: r for r, s in enumerate(sums)}
+    return [[rank[a + b] for b in keys] for a in keys]
+
+
+def test_pair_ranks_on_float_ties():
+    # float sums coincide while the exact sums differ by 1; float sums in
+    # the wrong order (x + 2**47 + 1 rounds up, x + 2**47 + 2 as the sum of
+    # two keys rounds down); keys past 2**1024 and keys that underflow
+    # after scaling
+    x = 2 ** 100
+    for keys in ([0, 1, 2, x, x + 1, x + 3, 2 * x + 1],
+                 [2 ** 20 + 2, 2 ** 47 + 1, x, x + 2 ** 47 - 2 ** 20],
+                 [0, 1, 2, 3, 2 ** 2000, 2 ** 2000 + 1, 2 ** 2001 - 1],
+                 [5]):
+        assert kcut._pair_ranks(keys).tolist() == brute_ranks(keys)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 6),
+                          st.integers(2 ** 70, 2 ** 70 + 6),
+                          st.integers(2 ** 71 - 6, 2 ** 71 + 6),
+                          st.integers(2 ** 1100, 2 ** 1100 + 6)),
+                min_size=1, max_size=24, unique=True))
+def test_pair_ranks_match_exact_sums(keys):
+    keys = sorted(keys)
+    assert kcut._pair_ranks(keys).tolist() == brute_ranks(keys)
