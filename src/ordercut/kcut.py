@@ -49,7 +49,7 @@ from .report import Counters
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 _CHUNK_CELLS = 1 << 13     # pair terms held at once by the search
 _MAX_POWERS = 2048         # past this many powers of 1+eps/3, _big_keys
-_RANK_KEYS = 1 << 10       # most keys whose pair sums are ranked
+_RANK_KEYS = 1 << 10       # most keys given a K x K pair-sum rank table
 
 
 @dataclass(frozen=True)
@@ -226,8 +226,8 @@ def _big_keys(weights, eps: Fraction) -> list[int]:
             if w <= 0:
                 keys.append(0)
                 continue
-            # decimal's ln costs about 60 us; the float quotient is off by
-            # far less than the slack, so it decides e unless near an integer
+            # decimal's ln is the slow step; the float quotient is off by far
+            # less than the slack, so it decides e unless near an integer
             q = math.log(w) / float(logbase)
             slack = (q + 1) * 2.0 ** -40
             e = math.ceil(q - slack)
