@@ -21,14 +21,14 @@ from .kcut import (AuxGraph, CutSolution, build_aux, cut_profile, dkmc_exact,
                    dkmc_oracle, dkmc_weighted_approx, min_weight_triangle,
                    tripartition)
 from .oracle import OracleResult, perm_opt
-from .report import ApproxReport, Counters, SolveReport
+from .report import Counters, SolveReport
 from .subset_dp import (SubsetTable, cutwidth_exact, dpw_exact,
                         dpw_prefix_table, fas_exact, fas_table, ola_exact)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApproxReport", "AuxGraph", "BoostParams", "Counters", "CutSolution",
+    "AuxGraph", "BoostParams", "Counters", "CutSolution",
     "Digraph", "EVALUATORS", "GraphError", "OBJECTIVES", "OracleResult",
     "Ordering", "ParseError", "SizeGuardError", "SolveReport", "SubsetTable",
     "backward_weight", "boost_ladder", "build_aux", "cut_at", "cut_into",

@@ -7,24 +7,28 @@ bounds, which yields the stated factors. fas_scheme boosts the factor from
 2 (or 3 weighted) to 1 + 1/k (1 + 2/k weighted) by enumerating all small
 prefixes, exactly one of which is solved together with an exact complement.
 
+Every report is built by report.finish, which evaluates the concatenated
+ordering once and checks it against the solver's own account where there
+is one: sides plus cut for a fas split, the best candidate in the scheme.
+dpw_2approx checks its value against the prefix bound instead.
+
 Degenerate inputs (n <= 2, or a prefix/range that rounds to nothing) fall
-back to the exact solver and report factor 1.
+back to the exact solver and report factor 1, with the fallback traced.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from . import guards
-from .graph import (EVALUATORS, Digraph, Ordering, backward_weight, cut_into,
-                    dpw_of, induced)
+from .graph import Digraph, cut_into, induced
 from .kcut import CutSolution, cut_profile, dkmc_exact, dkmc_weighted_approx
-from .report import ApproxReport, Counters, SolveReport, finish
+from .report import Counters, SolveReport, finish
 from .subset_dp import (cutwidth_exact, dpw_exact, dpw_prefix_table, fas_exact,
                         fas_table, ola_exact)
 
@@ -124,10 +128,10 @@ def _floor_frac(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
-def _as_approx(rep: SolveReport, note: str) -> ApproxReport:
-    return ApproxReport(rep.objective, rep.value, rep.ordering, rep.value,
-                        rep.stats, rep.millis, Fraction(1), (),
-                        ((note, len(rep.ordering)),))
+def _traced(rep: SolveReport, note: str) -> SolveReport:
+    """An exact report, traced as what it stands in for (a fallback or the
+    scheme's exact complement)."""
+    return replace(rep, trace=((note, len(rep.ordering)),))
 
 
 def _sub_order(g: Digraph, vertices, solver) -> tuple[SolveReport, list[int]]:
@@ -150,14 +154,14 @@ def _cut_range_lb(sols: list[CutSolution], eps_cut) -> int:
 
 def _split(g: Digraph, objective: str, sols: list[CutSolution], eps_cut,
            side_solver, counters: Counters, t0: float, factor: Fraction,
-           trace: tuple, orient: bool = False) -> ApproxReport:
+           trace: tuple, orient: bool = False) -> SolveReport:
     """The balanced-cut step: take the lightest cut in sols (the smallest k
     wins ties), solve both sides with side_solver, optionally orient them
     (undirected ola), and concatenate.
 
     The lower bound is the cut bound of every k searched, or the side
-    optima: their sum for fas, whose value is exactly sides plus cut, and
-    their maximum for cutwidth and ola.
+    optima: their sum for fas, whose value finish() checks to be exactly
+    sides plus cut, and their maximum for cutwidth and ola.
     """
     cut = min(sols, key=lambda s: s.value)
     left = set(cut.vertices)
@@ -170,67 +174,64 @@ def _split(g: Digraph, objective: str, sols: list[CutSolution], eps_cut,
         crossing = [(u, v, w) if u in left else (v, u, w)
                     for u, v, w in g.edge_items() if (u in left) != (v in left)]
         seq_l, seq_r, _ = _orient_sides(seq_l, seq_r, crossing)
-    ordering = Ordering.from_sequence(seq_l + seq_r)
-    value = EVALUATORS[objective](g, ordering)
-    cut_lb = _cut_range_lb(sols, eps_cut)
-    if objective == "fas":
-        if value != rep_l.value + rep_r.value + cut.value:
-            raise AssertionError("balanced split accounting is off")
-        lb = max(cut_lb, rep_l.value + rep_r.value)
-    else:
-        lb = max(cut_lb, rep_l.value, rep_r.value)
-    millis = (time.perf_counter() - t0) * 1000.0
-    report = ApproxReport(objective, value, ordering, lb, counters, millis,
-                          factor, (cut,), trace)
-    return finish(report, g)
+    fas = objective == "fas"
+    sides = rep_l.value + rep_r.value if fas else max(rep_l.value, rep_r.value)
+    return finish(g, objective, seq_l + seq_r,
+                  max(_cut_range_lb(sols, eps_cut), sides), counters, t0,
+                  claim=sides + cut.value if fas else None, factor=factor,
+                  cuts=(cut,), trace=trace)
 
 
-def fas_balanced_approx(g: Digraph, cut_eps=None) -> ApproxReport:
+def _balanced(g: Digraph, objective: str, cut_eps, exact) -> SolveReport:
+    """fas and cutwidth: split at the balanced k = n/2 cut, exact or rounded."""
+    t0 = time.perf_counter()
+    n = g.n
+    if n <= 2:
+        return _traced(exact(g), "exact-fallback")
+    counters = Counters(calls=1)
+    k = n // 2
+    cut = (dkmc_exact(g, k, counters) if cut_eps is None
+           else dkmc_weighted_approx(g, k, cut_eps, counters))
+    return _split(g, objective, [cut], cut_eps, exact, counters, t0,
+                  2 + Fraction(cut_eps or 0), (("balanced", n, k),))
+
+
+def fas_balanced_approx(g: Digraph, cut_eps=None) -> SolveReport:
     """Feedback arc set within factor 2 (exact cut) or 2+eps (rounded cut;
     eps = 1 gives the weighted 3-approximation)."""
-    t0 = time.perf_counter()
-    n = g.n
-    if n <= 2:
-        return _as_approx(fas_exact(g), "exact-fallback")
-    counters = Counters(calls=1)
-    k = n // 2
-    cut = (dkmc_exact(g, k, counters) if cut_eps is None
-           else dkmc_weighted_approx(g, k, cut_eps, counters))
-    return _split(g, "fas", [cut], cut_eps, fas_exact, counters, t0,
-                  2 + Fraction(cut_eps or 0), (("balanced", n, k),))
+    return _balanced(g, "fas", cut_eps, fas_exact)
 
 
-def cutwidth_balanced_approx(g: Digraph, cut_eps=None) -> ApproxReport:
+def cutwidth_balanced_approx(g: Digraph, cut_eps=None) -> SolveReport:
     """Directed cutwidth within factor 2 (exact cut) or 2+eps (rounded)."""
-    t0 = time.perf_counter()
-    n = g.n
-    if n <= 2:
-        return _as_approx(cutwidth_exact(g), "exact-fallback")
-    counters = Counters(calls=1)
-    k = n // 2
-    cut = (dkmc_exact(g, k, counters) if cut_eps is None
-           else dkmc_weighted_approx(g, k, cut_eps, counters))
-    return _split(g, "cutwidth", [cut], cut_eps, cutwidth_exact, counters, t0,
-                  2 + Fraction(cut_eps or 0), (("balanced", n, k),))
+    return _balanced(g, "cutwidth", cut_eps, cutwidth_exact)
 
 
-def ola_directed_approx(g: Digraph, alpha, weighted: bool = False) -> ApproxReport:
-    """OLA within factor 1 + 1/(1-alpha) by trying every near-central cut:
-    k in [alpha*n/2, n - alpha*n/2] (weighted: alpha/4 and a rounded cut)."""
+def _ola(g: Digraph, alpha, weighted: bool, undirected: bool) -> SolveReport:
+    """ola: split at the lightest cut with k in [lo, hi], lo = alpha*n/2
+    (weighted: alpha*n/4, and a rounded cut) and hi = n - lo (undirected:
+    n/2, the other half being its mirror image)."""
     t0 = time.perf_counter()
     af = Fraction(alpha)
     if not 0 < af < 1:
         raise ValueError("alpha must lie in (0, 1)")
     n = g.n
     lo = max(_ceil_frac(af * n / (4 if weighted else 2)), 1)
-    hi = n - lo                    # floor(n - alpha*n/2), resp. alpha*n/4
+    hi = n // 2 if undirected else n - lo
     eps_cut = af / 2 if weighted else None
     if n <= 2 or lo > hi:
-        return _as_approx(ola_exact(g), "exact-fallback")
+        return _traced(ola_exact(g), "exact-fallback")
     counters = Counters(calls=1)
     sols = list(cut_profile(g, range(lo, hi + 1), eps_cut, counters).values())
     return _split(g, "ola", sols, eps_cut, ola_exact, counters, t0,
-                  1 + 1 / (1 - af), (("cut-range", lo, hi),))
+                  1 + 1 / ((2 if undirected else 1) * (1 - af)),
+                  (("cut-range", lo, hi),), orient=undirected)
+
+
+def ola_directed_approx(g: Digraph, alpha, weighted: bool = False) -> SolveReport:
+    """OLA within factor 1 + 1/(1-alpha) by trying every near-central cut:
+    k in [alpha*n/2, n - alpha*n/2] (weighted: alpha/4 and a rounded cut)."""
+    return _ola(g, alpha, weighted, undirected=False)
 
 
 def _orient_sides(seq_l: list[int], seq_r: list[int],
@@ -256,37 +257,24 @@ def _orient_sides(seq_l: list[int], seq_r: list[int],
     return left, right, (lf, lr, rf, rr)
 
 
-def ola_undirected_approx(g: Digraph, alpha, weighted: bool = False) -> ApproxReport:
+def ola_undirected_approx(g: Digraph, alpha, weighted: bool = False) -> SolveReport:
     """Undirected OLA within factor 1 + 1/(2(1-alpha)); an undirected
     ordering can be reversed per side without changing its internal cost,
     which halves the crossing-edge overhead. By that symmetry only
     k <= n/2 is searched."""
     if not g.undirected:
         raise ValueError("ola_undirected_approx needs an undirected instance")
-    t0 = time.perf_counter()
-    af = Fraction(alpha)
-    if not 0 < af < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    n = g.n
-    lo = max(_ceil_frac(af * n / (4 if weighted else 2)), 1)
-    hi = n // 2
-    eps_cut = af / 2 if weighted else None
-    if n <= 2 or lo > hi:
-        return _as_approx(ola_exact(g), "exact-fallback")
-    counters = Counters(calls=1)
-    sols = list(cut_profile(g, range(lo, hi + 1), eps_cut, counters).values())
-    return _split(g, "ola", sols, eps_cut, ola_exact, counters, t0,
-                  1 + 1 / (2 * (1 - af)), (("cut-range", lo, hi),), orient=True)
+    return _ola(g, alpha, weighted, undirected=True)
 
 
-def dpw_2approx(g: Digraph) -> ApproxReport:
+def dpw_2approx(g: Digraph) -> SolveReport:
     """Directed pathwidth within factor 2: pick the best size-round(alpha*n)
     prefix from the boundary table, solve the rest exactly."""
     t0 = time.perf_counter()
     n = g.n
     p = _round_half_up(solve_pw_alpha() * n)
     if n <= 2 or p < 1 or p >= n:
-        return _as_approx(dpw_exact(g), "exact-fallback")
+        return _traced(dpw_exact(g), "exact-fallback")
     counters = Counters(calls=1)
     table = dpw_prefix_table(g, p)
     counters.table_entries += table.entries
@@ -301,19 +289,15 @@ def dpw_2approx(g: Digraph) -> ApproxReport:
     rest = tuple(v for v in range(n) if not best_mask >> v & 1)
     rep_c, seq_c = _sub_order(g, rest, dpw_exact)
     counters.merge(rep_c.stats)
-    ordering = Ordering.from_sequence(prefix_seq + seq_c)
-    value = dpw_of(g, ordering)
-    if value > best_val + rep_c.value:
+    report = finish(g, "dpw", prefix_seq + seq_c, max(best_val, rep_c.value),
+                    counters, t0, factor=Fraction(2), trace=(("prefix", n, p),))
+    if report.value > best_val + rep_c.value:
         raise AssertionError("dpw prefix bound violated")
-    lb = max(best_val, rep_c.value)
-    millis = (time.perf_counter() - t0) * 1000.0
-    report = ApproxReport("dpw", value, ordering, lb, counters, millis,
-                          Fraction(2), (), (("prefix", n, p),))
-    return finish(report, g)
+    return report
 
 
 def fas_scheme(g: Digraph, eps, weighted: bool = False,
-               delta1: float = DEFAULT_DELTA1) -> ApproxReport:
+               delta1: float = DEFAULT_DELTA1) -> SolveReport:
     """Self-boosting FAS scheme: factor 1 + 1/k with k = ceil(1/eps)
     (weighted: 1 + 2/k with k = ceil(2/eps); the base cut is rounded).
 
@@ -332,7 +316,7 @@ def fas_scheme(g: Digraph, eps, weighted: bool = False,
 
 
 def _fas_level(g: Digraph, level: int, weighted: bool,
-               ladder: tuple[BoostParams, ...]) -> ApproxReport:
+               ladder: tuple[BoostParams, ...]) -> SolveReport:
     if level <= 1:
         return fas_balanced_approx(g, cut_eps=1 if weighted else None)
     t0 = time.perf_counter()
@@ -340,43 +324,31 @@ def _fas_level(g: Digraph, level: int, weighted: bool,
     params = ladder[level - 2]
     prefix = _round_half_up(params.alpha * n)
     if n <= 2 or prefix < 1 or prefix >= n:
-        return _as_approx(fas_exact(g), f"exact-fallback-level-{level}")
+        return _traced(fas_exact(g), f"exact-fallback-level-{level}")
     counters = Counters(calls=1)
     table = fas_table(g, prefix)
     counters.table_entries += table.entries
     subsets = list(combinations(range(n), prefix))
     a_vals = [cut_into(g, s) for s in subsets]
     star = min(range(len(subsets)), key=lambda i: a_vals[i])
-    best_value = None
-    best_seq = None
-    best_trace = ()
+    best = None
     lb = 0
     for idx, sub in enumerate(subsets):
         members = set(sub)
         comp = tuple(v for v in range(n) if v not in members)
         if idx == star:
             crep, cseq = _sub_order(g, comp, fas_exact)
-            comp_lb = crep.value
-            ctrace = (("exact-complement", len(comp)),)
+            crep = _traced(crep, "exact-complement")
         else:
             crep, cseq = _sub_order(
                 g, comp, lambda h: _fas_level(h, level - 1, weighted, ladder))
-            comp_lb = crep.lower_bound
-            ctrace = crep.trace if isinstance(crep, ApproxReport) else ()
         counters.merge(crep.stats)
         sub_val = table.value_of(sub)
+        lb = max(lb, sub_val + crep.lower_bound)
         cand = sub_val + a_vals[idx] + crep.value
-        lb = max(lb, sub_val + comp_lb)
-        if best_value is None or cand < best_value:
-            best_value = cand
-            best_seq = list(table.order_of(sub)) + cseq
-            best_trace = ctrace
-    ordering = Ordering.from_sequence(best_seq)
-    value = backward_weight(g, ordering)
-    if value != best_value:
-        raise AssertionError("scheme candidate accounting is off")
-    factor = 1 + Fraction(2 if weighted else 1, level)
-    millis = (time.perf_counter() - t0) * 1000.0
-    report = ApproxReport("fas", value, ordering, lb, counters, millis, factor,
-                          (), (("boost", level, n, prefix),) + best_trace)
-    return finish(report, g)
+        if best is None or cand < best[0]:
+            best = cand, list(table.order_of(sub)) + cseq, crep.trace
+    value, seq, ctrace = best
+    return finish(g, "fas", seq, lb, counters, t0, claim=value,
+                  factor=1 + Fraction(2 if weighted else 1, level),
+                  trace=(("boost", level, n, prefix),) + ctrace)

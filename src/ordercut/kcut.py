@@ -35,6 +35,7 @@ and only the r1 * r2 cells of the best completions add the keys themselves.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
@@ -50,6 +51,7 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 _CHUNK_CELLS = 1 << 13     # pair terms held at once by the search
 _MAX_POWERS = 2048         # past this many powers of 1+eps/3, _big_keys
 _RANK_KEYS = 1 << 10       # most keys given a K x K pair-sum rank table
+_PAIR_TEMPS = 1.05         # largest pair matrices live in temporaries (RSS fit)
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,13 @@ class _PairMatrices:
 
     def __init__(self, g: Digraph, parts):
         dtype = _dtype(2 * g.total_arc_weight)
+        # guard the bytes first: an object entry adds a Python int about as
+        # large as 2 * total, and one more largest matrix lives in temporaries
+        entry = (8 if dtype is np.int64
+                 else 8 + sys.getsizeof(2 * g.total_arc_weight))
+        cells = [1 << len(parts[a]) + len(parts[b]) for a, b in _PAIRS]
+        guards.check(int((sum(cells) + _PAIR_TEMPS * max(cells)) * entry),
+                     guards.TABLE_BYTE_GUARD, "cut pair matrix bytes")
         w = np.zeros((g.n, g.n), dtype=dtype)
         for u, v, wt in g.arc_items:
             w[u, v] = wt

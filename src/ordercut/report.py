@@ -1,8 +1,9 @@
-"""Solver result containers."""
+"""Solver results: one report type, built and checked by finish()."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import EVALUATORS, Digraph, Ordering
@@ -31,8 +32,9 @@ class Counters:
 class SolveReport:
     """An ordering, the objective value it achieves, and bookkeeping.
 
-    value always equals re-evaluating the ordering with the matching
-    evaluator; finish() enforces that.
+    value is the matching evaluator applied to the ordering, once, by
+    finish(). Approximations also carry their factor (an exact Fraction,
+    1 for exact solves), the chosen cuts and a trace of what ran.
     """
 
     objective: str
@@ -41,22 +43,23 @@ class SolveReport:
     lower_bound: int | None
     stats: Counters
     millis: float
-
-
-@dataclass
-class ApproxReport(SolveReport):
-    """SolveReport plus the approximation certificate."""
-
     factor: Fraction = Fraction(1)
     cuts: tuple = ()
     trace: tuple = ()
 
 
-def finish(report: SolveReport, g: Digraph) -> SolveReport:
-    """Re-evaluate the ordering and verify the claimed value."""
-    actual = EVALUATORS[report.objective](g, report.ordering)
-    if actual != report.value:
-        raise AssertionError(
-            f"{report.objective} solver reported {report.value} but its "
-            f"ordering achieves {actual}")
-    return report
+def finish(g: Digraph, objective: str, seq, lower_bound: int | None,
+           stats: Counters, t0: float, claim: int | None = None,
+           factor: Fraction = Fraction(1), cuts: tuple = (),
+           trace: tuple = ()) -> SolveReport:
+    """The report of the ordering seq (vertices by position): evaluate it
+    once, check the solver's own account of the value (claim) when it has
+    one, and stamp the milliseconds since t0."""
+    ordering = Ordering.from_sequence(seq)
+    value = EVALUATORS[objective](g, ordering)
+    if claim is not None and claim != value:
+        raise AssertionError(f"{objective} solver claimed {claim} but its "
+                             f"ordering achieves {value}")
+    millis = (time.perf_counter() - t0) * 1000.0
+    return SolveReport(objective, value, ordering, lower_bound, stats, millis,
+                       factor, cuts, trace)

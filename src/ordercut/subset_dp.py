@@ -35,7 +35,7 @@ from itertools import chain
 import numpy as np
 
 from . import guards
-from .graph import Digraph, Ordering
+from .graph import Digraph
 from .kcut import _dtype
 from .report import Counters, SolveReport, finish
 
@@ -241,11 +241,8 @@ def _exact(g: Digraph, objective: str) -> SolveReport:
         table = _prefix_table(g, n, objective)
     full = (1 << n) - 1
     value = table.values[full]
-    ordering = Ordering.from_sequence(table.order_of(full))
-    millis = (time.perf_counter() - t0) * 1000.0
-    report = SolveReport(objective, value, ordering, value,
-                         Counters(table_entries=table.entries, calls=1), millis)
-    return finish(report, g)
+    return finish(g, objective, table.order_of(full), value,
+                  Counters(table_entries=table.entries, calls=1), t0, claim=value)
 
 
 def fas_exact(g: Digraph) -> SolveReport:

@@ -1,4 +1,4 @@
-"""Golden ApproxReports of the balanced-cut solvers: every field but the
+"""Golden reports of the balanced-cut solvers: every field but the
 wall-clock `millis` (value, lower bound, ordering, factor, cuts, trace and
 counters) must reproduce the committed text exactly, on seeded directed and
 undirected graphs with both cut modes, both ola rounding modes, and the

@@ -424,6 +424,48 @@ def test_missing_file_exits_3(capsys, tmp_path):
     assert code == 3
 
 
+UNDECODABLE = b"p dg 3 1\xff\na 1 2\n"
+
+
+def test_undecodable_file_exits_3(capsys, tmp_path):
+    p = tmp_path / "latin1.g"
+    p.write_bytes(UNDECODABLE)
+    code, out, err = run(capsys, "solve", str(p), "--obj", "fas")
+    assert code == 3 and out == ""
+    assert err == (f"parse error: {p}: not UTF-8 text "
+                   "(invalid start byte at byte 8)\n")
+
+
+def test_suite_reports_undecodable_file(capsys, tmp_path):
+    from ordercut import gen_random
+    corp = make_corpus(tmp_path, [gen_random(8, 0.3, seed=1)])
+    (tmp_path / "corp" / "inst1.g").write_bytes(UNDECODABLE)
+    for argv in (("verify", corp, "--obj", "fas", "--mode", "2approx",
+                  "--factor", "2", "--no-timing"),
+                 ("bench", corp, "--obj", "fas", "--mode", "2approx",
+                  "--no-timing")):
+        code1, out1, err1 = run(capsys, *argv, "--jobs", "1")
+        code2, out2, err2 = run(capsys, *argv, "--jobs", "2")
+        assert code1 == code2 == 3
+        assert out1 == out2 and err1 == err2
+        rows = out1.splitlines()[1:]
+        assert len(rows) == 1 and rows[0].startswith("inst0.g,fas,2approx,")
+        errors = [line for line in err1.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: inst1.g: parse error: {corp}/inst1.g: not "
+                          "UTF-8 text (invalid start byte at byte 8)"]
+
+
+def test_pair_matrix_guard_exits_4(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
+    from ordercut import gen_random
+    p = tmp_path / "wide.g"
+    p.write_text(serialize_graph(gen_random(
+        26, 0.3, weight_range=(10 ** 3999, 10 ** 4000 - 1), seed=1)))
+    code, out, err = run(capsys, "solve", str(p), "--obj", "fas",
+                         "--mode", "2approx")
+    assert code == 4 and out == "" and "cut pair matrix bytes" in err
+
+
 def test_guard_exits_4(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
     from ordercut import gen_random

@@ -1,6 +1,7 @@
 """The (k, n-k)-cut solver and its triangle construction."""
 
 import math
+import tracemalloc
 from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 
@@ -150,6 +151,24 @@ def test_exact_guard(monkeypatch):
     g = Digraph(27, [(0, 1)])
     with pytest.raises(SizeGuardError):
         dkmc_exact(g, 13)
+
+
+def test_pair_matrix_byte_guard(monkeypatch):
+    # 4,000-digit weights make each pair-matrix entry a 1.8 kB Python int:
+    # about 1.4 GB at n = 26, refused before anything is allocated
+    monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
+    g = gen_random(26, 0.3, weight_range=(10 ** 3999, 10 ** 4000 - 1), seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match="cut pair matrix bytes"):
+            cut_profile(g, [13])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the guard counts bytes, not vertices: int64 weights fit at n = 26
+    small = gen_random(26, 0.3, weight_range=(1, 1000), seed=1)
+    kcut._PairMatrices(small, tripartition(26))
 
 
 def test_oracle_lex_least_witness():
