@@ -25,6 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
+
 from . import guards
 from .graph import Digraph, cut_into, induced
 from .kcut import CutSolution, cut_profile, dkmc_exact, dkmc_weighted_approx
@@ -281,9 +283,11 @@ def dpw_2approx(g: Digraph) -> SolveReport:
     masks, vals = table.layer(p)
     # first minimum in combinations order: of two tied p-sets that order lists
     # first the one holding the lowest vertex where they differ, which is the
-    # one with the larger bit-reversed mask
-    reversed_masks = sum((masks >> v & 1) << (n - 1 - v) for v in range(n))
-    i = int(((vals << n) - reversed_masks).argmin())
+    # one with the larger bit-reversed mask. Value and mask are compared
+    # apart: no key packing both fits a narrow value dtype.
+    tied = np.flatnonzero(vals == vals.min())
+    reversed_masks = sum((masks[tied] >> v & 1) << (n - 1 - v) for v in range(n))
+    i = tied[reversed_masks.argmax()]
     best_mask, best_val = int(masks[i]), int(vals[i])
     prefix_seq = list(table.order_of(best_mask))
     rest = tuple(v for v in range(n) if not best_mask >> v & 1)

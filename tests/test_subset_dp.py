@@ -115,7 +115,7 @@ def test_fas_table_order_reconstruction():
 def test_prefix_table_values_single_arc():
     g = Digraph(2, [(0, 1)])
     from ordercut.subset_dp import _prefix_table
-    cw = _prefix_table(g, 1, "cutwidth")
+    cw = _prefix_table(g, 2, "cutwidth")
     assert cw.value_of((0,)) == 0    # arc leaves the prefix, nothing enters
     assert cw.value_of((1,)) == 1
     ola = _prefix_table(g, 2, "ola")
@@ -124,7 +124,7 @@ def test_prefix_table_values_single_arc():
 
 def test_prefix_table_values_cycle():
     from ordercut.subset_dp import _prefix_table
-    cw = _prefix_table(CYCLE3, 2, "cutwidth")
+    cw = _prefix_table(CYCLE3, 3, "cutwidth")
     for subset in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
         assert cw.value_of(subset) == 1
 
@@ -132,7 +132,7 @@ def test_prefix_table_values_cycle():
 def test_prefix_table_path_pair_is_free():
     from ordercut.subset_dp import _prefix_table
     path = Digraph(3, [(0, 1), (1, 2)])
-    cw = _prefix_table(path, 2, "cutwidth")
+    cw = _prefix_table(path, 3, "cutwidth")
     assert cw.value_of((0, 1)) == 0
     assert cw.value_of((1, 2)) == 1
 

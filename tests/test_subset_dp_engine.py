@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordercut import (Digraph, SizeGuardError, dpw_2approx, dpw_prefix_table,
-                      fas_table, perm_opt)
+                      fas_table, gen_random, perm_opt)
 from ordercut import subset_dp
 from ordercut.subset_dp import _prefix_table
 
 OBJECTIVES = ("fas", "ola", "cutwidth", "dpw")
+CAPPED = ("fas", "dpw")      # the objectives with capped tables
 
 
 def seed_table(g, cap, objective):
@@ -89,8 +90,13 @@ def assert_matches_seed(g, cap, objective):
 @settings(max_examples=60, deadline=None)
 @given(graphs(), st.sampled_from(OBJECTIVES), st.data())
 def test_every_entry_matches_seed_dp(g, objective, data):
-    for cap in (g.n, data.draw(st.integers(0, g.n))):
+    assert_matches_seed(g, g.n, objective)
+    cap = data.draw(st.integers(0, g.n))
+    if objective in CAPPED:
         assert_matches_seed(g, cap, objective)
+    elif cap < g.n:
+        with pytest.raises(ValueError):
+            _prefix_table(g, cap, objective)
 
 
 # 2**62 and more in total, so fas/cutwidth run on Python ints, and mixed
@@ -101,7 +107,8 @@ def test_every_entry_matches_seed_dp(g, objective, data):
        st.sampled_from(OBJECTIVES))
 def test_huge_weights_match_seed_dp(g, objective):
     assert_matches_seed(g, g.n, objective)
-    assert_matches_seed(g, g.n // 2, objective)
+    if objective in CAPPED:
+        assert_matches_seed(g, g.n // 2, objective)
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,6 +132,84 @@ def test_int64_dispatch_bound(total):
     assert_matches_seed(g, 4, "fas")
 
 
+# at each switch of the value dtype, the largest bound on the narrower side
+DTYPE_SWITCHES = [(10922, np.int16, np.int32),          # 3 * bound + 1 < 2**15
+                  (715827882, np.int32, np.int64),      # 3 * bound + 1 < 2**31
+                  (2 ** 61 - 1, np.int64, object)]      # 2 * bound < 2**62
+
+
+def complete_digraph(n, total):
+    """Every ordered pair an arc, weights halving from arc to arc and summing
+    to total: the table's values, sentinel and fas sums all come near it."""
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    weights = {a: total >> i + 1 for i, a in enumerate(arcs)}
+    weights[arcs[0]] += total - sum(weights.values())
+    return Digraph(n, arcs, weights)
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("top,narrow,wide", DTYPE_SWITCHES)
+def test_dtype_switches_match_seed_dp(objective, top, narrow, wide):
+    n = 5
+    per = n if objective == "ola" else 1      # bound / total (dpw: n always)
+    for total, dtype in ((top // per, narrow), (top // per + 1, wide)):
+        g = complete_digraph(n, total)
+        assert g.total_arc_weight == total
+        table = _prefix_table(g, n, objective)
+        assert table.vals.dtype == (np.int16 if objective == "dpw" else dtype)
+        assert_matches_seed(g, n, objective)
+        if objective in CAPPED:
+            assert_matches_seed(g, 3, objective)
+
+
+def crossing_of(g, mask):
+    return sum(w for u, v, w in g.arc_items
+               if mask >> v & 1 and not mask >> u & 1)
+
+
+def boundary_of(g, mask):
+    return sum(1 for v in range(g.n) if mask >> v & 1
+               and any(not mask >> u & 1 for u, _ in g.in_pairs[v]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(max_n=10, weights=st.sampled_from([0, 1, 7, 1000, 2 ** 40, 10 ** 30])))
+def test_term_tables_match_plain_python(g):
+    n = g.n
+    dtype = subset_dp._value_dtype(n * g.total_arc_weight)
+    w = np.zeros((n, n), dtype=dtype)
+    for u, v, wt in g.arc_items:
+        w[u, v] = wt
+    crossing = subset_dp._crossing_terms(w)
+    boundary = subset_dp._boundary_terms(g, np.int16)
+    assert len(crossing) == len(boundary) == 1 << n
+    for mask in range(1 << n):
+        assert crossing[mask] == crossing_of(g, mask)
+        assert boundary[mask] == boundary_of(g, mask)
+
+
+def first_min_prefix(g, p):
+    """dpw_2approx's prefix in plain Python: the first p-set in combinations
+    order whose best max-boundary ordering (boundaries in the whole graph) is
+    least."""
+    best = {0: 0}
+    for size in range(1, p + 1):
+        for combo in combinations(range(g.n), size):
+            mask = sum(1 << v for v in combo)
+            best[mask] = max(boundary_of(g, mask),
+                             min(best[mask ^ 1 << v] for v in combo))
+    return min(combinations(range(g.n), p),
+               key=lambda c: best[sum(1 << v for v in c)])
+
+
+@pytest.mark.parametrize("n,seed", [(16, 1), (18, 2), (20, 1), (20, 3), (22, 1)])
+def test_dpw_2approx_prefix_is_first_minimum(n, seed):
+    g = gen_random(n, 0.3, seed=seed)
+    rep = dpw_2approx(g)
+    (_, _, p), = rep.trace
+    assert set(rep.ordering.seq[:p]) == set(first_min_prefix(g, p))
+
+
 def test_values_view_is_a_read_only_mapping():
     g = Digraph(5, [(0, 1), (1, 2), (2, 0)])
     full, capped = fas_table(g), fas_table(g, 2)
@@ -145,10 +230,12 @@ def test_values_view_is_a_read_only_mapping():
 def test_byte_guard(monkeypatch):
     monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
     # a full int64 table at the exact-DP vertex guard fits, a larger one or
-    # one of Python ints does not; nothing is allocated to find out
-    assert subset_dp._check_size(26, 26, 10 ** 6) == 1 << 26
+    # one of Python ints does not, while narrower values fit one vertex
+    # more; nothing is allocated to find out
+    assert subset_dp._check_size(26, 26, 10 ** 9) == 1 << 26
+    assert subset_dp._check_size(27, 27, 10 ** 6) == 1 << 27
     with pytest.raises(SizeGuardError):
-        subset_dp._check_size(27, 27, 10 ** 6)
+        subset_dp._check_size(27, 27, 10 ** 9)
     with pytest.raises(SizeGuardError):
         subset_dp._check_size(26, 26, 2 ** 70)
     with pytest.raises(SizeGuardError):
