@@ -122,14 +122,6 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def _floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
 def _traced(rep: SolveReport, note: str) -> SolveReport:
     """An exact report, traced as what it stands in for (a fallback or the
     scheme's exact complement)."""
@@ -151,7 +143,7 @@ def _cut_range_lb(sols: list[CutSolution], eps_cut) -> int:
     for every k searched."""
     if eps_cut is None:
         return sum(s.value for s in sols)
-    return sum(_floor_frac(Fraction(s.value) / (1 + Fraction(eps_cut))) for s in sols)
+    return sum(math.floor(Fraction(s.value) / (1 + Fraction(eps_cut))) for s in sols)
 
 
 def _split(g: Digraph, objective: str, sols: list[CutSolution], eps_cut,
@@ -218,7 +210,7 @@ def _ola(g: Digraph, alpha, weighted: bool, undirected: bool) -> SolveReport:
     if not 0 < af < 1:
         raise ValueError("alpha must lie in (0, 1)")
     n = g.n
-    lo = max(_ceil_frac(af * n / (4 if weighted else 2)), 1)
+    lo = max(math.ceil(af * n / (4 if weighted else 2)), 1)
     hi = n // 2 if undirected else n - lo
     eps_cut = af / 2 if weighted else None
     if n <= 2 or lo > hi:
@@ -313,7 +305,7 @@ def fas_scheme(g: Digraph, eps, weighted: bool = False,
     eps_f = Fraction(eps)
     if eps_f <= 0:
         raise ValueError("eps must be positive")
-    k = _ceil_frac(Fraction(2 if weighted else 1) / eps_f)
+    k = math.ceil(Fraction(2 if weighted else 1) / eps_f)
     guards.check(k * g.n, guards.SCHEME_BUDGET, "fas_scheme level*n")
     ladder = boost_ladder(k - 1, delta1) if k >= 2 else ()
     return _fas_level(g, k, weighted, ladder)

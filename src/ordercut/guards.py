@@ -4,12 +4,18 @@ Every exponential entry point checks its input size and raises SizeGuardError
 instead of silently degrading. ORDERCUT_GUARD_OVERRIDE=1 lifts the soft guards
 (a warning goes to stderr once); the mask-encoding hard cap of 32 vertices
 stays in force regardless.
+
+The exact engines store integers as int64 while every value and partial sum
+stays below 2**62, and as Python ints (dtype=object) beyond that; their byte
+models count an object entry as its 8-byte pointer plus the int it points to.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+
+import numpy as np
 
 SUBSET_HARD_CAP = 32          # bitmask universe; never lifted
 EXACT_DP_GUARD = 26           # full exact DPs and kcut enumerations
@@ -53,3 +59,14 @@ def check_universe(n: int) -> None:
     if n > SUBSET_HARD_CAP:
         raise SizeGuardError(
             f"vertex count {n} exceeds the subset-mask hard cap {SUBSET_HARD_CAP}")
+
+
+def int_dtype(bound: int):
+    """int64 when every value and every partial sum stays below bound."""
+    return np.int64 if bound < 2 ** 62 else object
+
+
+def entry_bytes(dtype, bound: int) -> int:
+    """Bytes per array entry of dtype; an object entry adds a Python int
+    about as large as bound."""
+    return 8 + sys.getsizeof(bound) if dtype is object else np.dtype(dtype).itemsize

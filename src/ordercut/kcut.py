@@ -25,7 +25,10 @@ The rounded search runs the same triangle search after rounding each nonzero
 stored edge weight up to a power of (1+eps/3), which keeps the number of
 distinct weights logarithmic while inflating any triangle by less than a
 (1+eps) factor. The returned value is always the true, unrounded cut weight.
-The powers are exact integers far wider than int64, so cut_profile keys every
+The grid of powers ends at (1+eps/3)^2048. A k whose largest stored weight
+lies past it, or below 1/eps where rounding would flip no comparison, is
+searched on its unrounded weights instead, which gives the exact cut. The
+powers are exact integers far wider than int64, so cut_profile keys every
 entry of the pair matrices once per call (one np.searchsorted against the
 integer thresholds floor((1+eps/3)^e)) and ranks every sum of two keys
 exactly, once. The search then runs on int64 key indices and pair-sum ranks,
@@ -35,10 +38,9 @@ and only the r1 * r2 cells of the best completions add the keys themselves.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, combinations, pairwise
 
 import numpy as np
@@ -49,7 +51,7 @@ from .report import Counters
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 _CHUNK_CELLS = 1 << 13     # pair terms held at once by the search
-_MAX_POWERS = 2048         # past this many powers of 1+eps/3, _big_keys
+_MAX_POWERS = 2048         # past this many powers of 1+eps/3, no rounding
 _RANK_KEYS = 1 << 10       # most keys given a K x K pair-sum rank table
 _PAIR_TEMPS = 1.05         # largest pair matrices live in temporaries (RSS fit)
 
@@ -87,11 +89,6 @@ def tripartition(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, .
             tuple(range(s1 + s2, n)))
 
 
-def _dtype(bound: int):
-    """int64 when every value and every partial sum stays below bound."""
-    return np.int64 if bound < 2 ** 62 else object
-
-
 class _PairMatrices:
     """Stored edge weights between all subsets of two parts, for every pair.
 
@@ -100,11 +97,10 @@ class _PairMatrices:
     """
 
     def __init__(self, g: Digraph, parts):
-        dtype = _dtype(2 * g.total_arc_weight)
-        # guard the bytes first: an object entry adds a Python int about as
-        # large as 2 * total, and one more largest matrix lives in temporaries
-        entry = (8 if dtype is np.int64
-                 else 8 + sys.getsizeof(2 * g.total_arc_weight))
+        bound = 2 * g.total_arc_weight
+        dtype = guards.int_dtype(bound)
+        # guard the bytes first: one more largest matrix lives in temporaries
+        entry = guards.entry_bytes(dtype, bound)
         cells = [1 << len(parts[a]) + len(parts[b]) for a, b in _PAIRS]
         guards.check(int((sum(cells) + _PAIR_TEMPS * max(cells)) * entry),
                      guards.TABLE_BYTE_GUARD, "cut pair matrix bytes")
@@ -215,39 +211,6 @@ def _splits(parts, k: int):
                 yield (k1, k2, k3)
 
 
-def _big_keys(weights, eps: Fraction) -> list[int]:
-    """Rounded keys when more than _MAX_POWERS powers would be needed.
-
-    Each w > 0 gets floor((1+eps/3)^e * 2**80) for e = ceil(log w / log
-    (1+eps/3)), both in 60-digit decimal arithmetic; 0 keeps key 0. The
-    integer keys keep every later sum exact. An exponent off by one in a
-    degenerate near-tie still keeps the factor, since (1+eps/3)^2 <= 1+eps
-    here (eps < 3).
-    """
-    base = 1 + eps / 3
-    with localcontext() as ctx:
-        ctx.prec = 60
-        logbase = (Decimal(base.numerator) / base.denominator).ln()
-        scale = Decimal(2) ** 80
-        keys = []
-        last = None
-        for w in weights:
-            if w <= 0:
-                keys.append(0)
-                continue
-            # decimal's ln is the slow step; the float quotient is off by far
-            # less than the slack, so it decides e unless near an integer
-            q = math.log(w) / float(logbase)
-            slack = (q + 1) * 2.0 ** -40
-            e = math.ceil(q - slack)
-            if e != math.ceil(q + slack):
-                e = int((Decimal(w).ln() / logbase).to_integral_value(ROUND_CEILING))
-            if last is None or last[0] != e:
-                last = e, int((max(e, 0) * logbase).exp() * scale)
-            keys.append(last[1])
-        return keys
-
-
 def _pair_ranks(keys: list[int]) -> np.ndarray:
     """ranks[i, j]: the dense rank of keys[i] + keys[j] among all such sums.
 
@@ -283,7 +246,7 @@ def _pair_ranks(keys: list[int]) -> np.ndarray:
 
 
 class _KeyTable:
-    """The rounded keys of one regime, for every stored weight of a graph.
+    """The grid keys of every stored weight of a graph.
 
     index[a, b] maps each entry of the pair matrix (a, b) to its key in
     values. ranks is None past _RANK_KEYS keys; the search then sums the
@@ -292,7 +255,7 @@ class _KeyTable:
 
     def __init__(self, index: dict, keys: list[int]):
         self.index = index
-        self.values = np.array(keys, dtype=_dtype(3 * keys[-1]))
+        self.values = np.array(keys, dtype=guards.int_dtype(3 * keys[-1]))
         self.ranks = _pair_ranks(keys) if len(keys) <= _RANK_KEYS else None
 
     def search_args(self, rows) -> tuple:
@@ -311,45 +274,54 @@ class _Rounding:
     1+eps/3 = a/b, and gets the key a^e * b^(emax - e): the power scaled by
     b^emax. Within one k only key sums are compared, and a common scale
     does not change them, so one table serves every k. Each k picks its
-    regime from its own largest stored weight smax, as the rounding of
-    each k alone would: below 1/(eps * smax) no comparison can flip and
-    the weights are used as they are; past _MAX_POWERS powers the keys
-    come from _big_keys.
+    case from its own largest stored weight smax, as the rounding of that k
+    alone would: it is rounded on this grid when 1/eps <= smax <=
+    floor((1+eps/3)^_MAX_POWERS), and searched on its unrounded weights
+    otherwise. Below 1/eps rounding would flip no comparison; past the grid
+    the unrounded search gives the exact cut, which meets every 1+eps factor.
     """
 
     def __init__(self, matrices: _PairMatrices, eps: Fraction):
         self.mats = matrices.mats
-        self.eps = eps
         base = 1 + eps / 3
         self.a, self.b = base.numerator, base.denominator
+        self.low = math.ceil(1 / eps)     # the least smax with eps * smax >= 1
         smax = max(int(m.max()) for m in self.mats.values())
-        # limits[e + 1] = floor(base^e), limits[0] = 0 for weight 0
-        self.limits = [0, 1]
-        pa = pb = 1
-        while self.limits[-1] < smax and len(self.limits) - 1 <= _MAX_POWERS:
-            pa, pb = pa * self.a, pb * self.b
-            self.limits.append(pa // pb)
-        self.tables: dict[bool, _KeyTable] = {}
+        # limits[e + 1] = floor(base^e), limits[0] = 0 for weight 0. No power
+        # is built when no k can reach the grid: when no stored weight
+        # reaches low, or when base^_MAX_POWERS < low (eps below about
+        # 0.0072). top / 2**64 bounds base^(2^i) from above: base is squared
+        # up to i = 11 (_MAX_POWERS = 2^11) times, rounded up to 64 fraction
+        # bits each time.
+        goal = self.low << 64
+        top = -(-self.a << 64) // self.b
+        for _ in range(_MAX_POWERS.bit_length() - 1):
+            if top >= goal:
+                break
+            top = -(-top * top >> 64)
+        self.limits = [0]
+        if self.low <= smax and top >= goal:
+            self.limits.append(1)
+            pa = pb = 1
+            while self.limits[-1] < smax and len(self.limits) - 1 <= _MAX_POWERS:
+                pa, pb = pa * self.a, pb * self.b
+                self.limits.append(pa // pb)
 
     def table(self, smax: int) -> _KeyTable | None:
-        """The keys for a k whose largest stored weight is smax; None when
-        the weights are used unrounded."""
+        """The grid keys for a k whose largest stored weight is smax; None
+        when its weights are searched unrounded."""
         # Distinct triangle sums differ by >= 1; rounding inflates a sum by
         # less than eps/3 * sum <= eps * smax, so below 1 no comparison flips.
-        if self.eps * smax < 1:
-            return None
-        grid = smax <= self.limits[-1]
-        if grid not in self.tables:
-            self.tables[grid] = self._grid() if grid else self._big()
-        return self.tables[grid]
+        return self.grid if self.low <= smax <= self.limits[-1] else None
 
-    def _grid(self) -> _KeyTable:
+    @cached_property
+    def grid(self) -> _KeyTable:
         limits = self.limits
         if self.mats[0, 1].dtype == object:
             limits = np.array(limits, dtype=object)
         else:   # every stored weight is below 2**62
             limits = np.array([min(t, 2 ** 62) for t in limits], dtype=np.int64)
-        # weights past the last limit belong only to big-key k's
+        # weights past the last limit belong only to k's searched unrounded
         index = {pair: np.minimum(np.searchsorted(limits, m), len(limits) - 1)
                  for pair, m in self.mats.items()}
         used = np.zeros(len(limits), dtype=bool)
@@ -360,17 +332,6 @@ class _Rounding:
         keys = [self.a ** e * self.b ** (emax - e) if e >= 0 else 0 for e in exps]
         compact = np.cumsum(used) - 1
         return _KeyTable({pair: compact[idx] for pair, idx in index.items()}, keys)
-
-    def _big(self) -> _KeyTable:
-        stored = np.sort(np.concatenate([m.ravel() for m in self.mats.values()]))
-        # np.unique would do, but it imports numpy.ma (about 1 MB) on first use
-        weights = stored[np.append(True, stored[1:] != stored[:-1])]
-        keys = _big_keys(weights.tolist(), self.eps)   # non-decreasing in w
-        fresh = np.append(True, np.array(keys[1:]) != np.array(keys[:-1]))
-        compact = np.cumsum(fresh) - 1
-        index = {pair: compact[np.searchsorted(weights, m)]
-                 for pair, m in self.mats.items()}
-        return _KeyTable(index, [key for key, f in zip(keys, fresh) if f])
 
 
 def cut_profile(g: Digraph, ks, eps=None,

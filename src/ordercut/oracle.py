@@ -32,7 +32,6 @@ import numpy as np
 
 from . import guards
 from .graph import EVALUATORS, Digraph, Ordering
-from .kcut import _dtype
 
 _COMBINE = {"fas": np.add, "ola": np.add, "cutwidth": np.maximum, "dpw": np.maximum}
 
@@ -101,7 +100,7 @@ def perm_opt(g: Digraph, objective: str) -> OracleResult:
     guards.check(n, guards.ORACLE_GUARD, "oracle vertex count")
     if n == 0:
         return OracleResult(objective, 0, Ordering(()), 1)
-    dtype = _dtype(2 * n * g.total_arc_weight)
+    dtype = guards.int_dtype(2 * n * g.total_arc_weight)
     cost = _cost_table(g, objective, dtype)
     combine = _COMBINE[objective]
     values = np.zeros(1, dtype=dtype)

@@ -35,49 +35,25 @@ cost. Once twice the bound reaches 2**62 they are Python ints (object).
 from __future__ import annotations
 
 import math
-import operator
-import sys
 import time
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import guards
 from .graph import Digraph
-from .kcut import _dtype
 from .report import Counters, SolveReport, finish
 
 _CHUNK_ROWS = 1 << 12     # masks per vectorized step
 _CHUNK_ARRAYS = 8         # at most this many mask-by-vertex arrays live per step
 
 
-class _Column(Mapping):
-    """Read-only mask -> int view of one table array."""
-
-    def __init__(self, table: "SubsetTable", array: np.ndarray):
-        self._table, self._array = table, array
-
-    def __getitem__(self, mask) -> int:
-        return int(self._array[self._table._position(mask)])
-
-    def __iter__(self) -> Iterator[int]:
-        layers = self._table.layers
-        if layers is None:
-            return iter(range(1 << self._table.n))
-        return chain.from_iterable(layer.tolist() for layer in layers)
-
-    def __len__(self) -> int:
-        return self._table.entries
-
-
 @dataclass(frozen=True, eq=False)
 class SubsetTable:
-    """Filled DP table. values/last_vertex are read-only views mapping
-    bitmask -> int over the arrays vals/last (layout in the module doc)."""
+    """Filled DP table: the arrays vals (values) and last (last vertices),
+    laid out as in the module doc; value_of and order_of read them by
+    bitmask or vertex subset."""
 
-    objective: str
     n: int
     size_cap: int
     vals: np.ndarray
@@ -85,11 +61,8 @@ class SubsetTable:
     layers: tuple[np.ndarray, ...] | None   # capped tables only
     entries: int
 
-    values = property(lambda self: _Column(self, self.vals))
-    last_vertex = property(lambda self: _Column(self, self.last))
-
-    def _position(self, mask) -> int:
-        mask = operator.index(mask)
+    def _position(self, mask: int) -> int:
+        """Array position of a mask; ValueError for a mask outside the table."""
         if self.layers is None:
             if 0 <= mask < 1 << self.n:
                 return mask
@@ -98,29 +71,18 @@ class SubsetTable:
             i = int(np.searchsorted(layer, mask))
             if i < len(layer) and layer[i] == mask:
                 return _layer_start(self.n, size) + i
-        raise KeyError(mask)
-
-    def _mask(self, subset) -> int:
-        if isinstance(subset, int):
-            return subset
-        return sum(1 << v for v in subset)
+        raise ValueError(f"mask {mask} not in table (beyond size cap?)")
 
     def value_of(self, subset) -> int:
-        try:
-            return self.values[self._mask(subset)]
-        except KeyError:
-            raise ValueError("subset not in table (beyond size cap?)") from None
-
-    def last_of(self, subset) -> int | None:
-        v = self.last_vertex[self._mask(subset)]
-        return None if v < 0 else v
+        """The value of a bitmask or vertex subset."""
+        return int(self.vals[self._position(_mask(subset))])
 
     def order_of(self, subset) -> tuple[int, ...]:
         """Vertices of the subset in table-optimal placement order."""
-        mask = self._mask(subset)
+        mask = _mask(subset)
         rev = []
         while mask:
-            v = self.last_vertex[mask]
+            v = int(self.last[self._position(mask)])
             rev.append(v)
             mask ^= 1 << v
         return tuple(reversed(rev))
@@ -130,6 +92,11 @@ class SubsetTable:
         masks = self.layers[size]
         start = _layer_start(self.n, size)
         return masks, self.vals[start:start + len(masks)]
+
+
+def _mask(subset) -> int:
+    """A bitmask as it is, or the mask of a vertex subset."""
+    return subset if isinstance(subset, int) else sum(1 << v for v in subset)
 
 
 def _layer_start(n: int, size: int) -> int:
@@ -150,8 +117,8 @@ def _next_layer(layer: np.ndarray, size: int, n: int) -> np.ndarray:
 
 def _value_dtype(bound: int):
     """The narrowest of int16/int32/int64 holding 3 * bound + 1 (the sentinel
-    2 * bound + 1 plus a fas cost); Python ints where kcut._dtype needs them."""
-    if _dtype(2 * bound) is object:
+    2 * bound + 1 plus a fas cost); Python ints where guards.int_dtype needs them."""
+    if guards.int_dtype(2 * bound) is object:
         return object
     top = 3 * bound + 1
     return np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64
@@ -165,9 +132,7 @@ def _check_size(n: int, cap: int, bound: int) -> int:
         raise ValueError(f"size cap {cap} outside 0..{n}")
     entries = _layer_start(n, cap + 1)
     widest = math.comb(n, min(cap, n // 2))
-    dtype = _value_dtype(bound)
-    # an object value adds a Python int about as large as bound
-    value = 8 + sys.getsizeof(bound) if dtype is object else np.dtype(dtype).itemsize
+    value = guards.entry_bytes(_value_dtype(bound), bound)
     masks = 8 * (entries if cap < n else 2 * widest)   # kept or live layers
     block = 8 * _CHUNK_ARRAYS * min(widest, _CHUNK_ROWS) * n
     guards.check(entries * (value + 1) + masks + block, guards.TABLE_BYTE_GUARD,
@@ -303,7 +268,7 @@ def _prefix_table(g: Digraph, cap: int, objective: str) -> SubsetTable:
             vals[at] = best
             last[at] = pick
         layers = [layer] if full else layers + [layer]
-    return SubsetTable(objective, n, cap, vals, last,
+    return SubsetTable(n, cap, vals, last,
                        None if full else tuple(layers), entries)
 
 
@@ -327,7 +292,7 @@ def _exact(g: Digraph, objective: str) -> SolveReport:
     else:
         table = _prefix_table(g, n, objective)
     full = (1 << n) - 1
-    value = table.values[full]
+    value = table.value_of(full)
     return finish(g, objective, table.order_of(full), value,
                   Counters(table_entries=table.entries, calls=1), t0, claim=value)
 

@@ -232,7 +232,7 @@ def test_structural_invariants_and_cli_determinism(tmp_path):
         g = gen_random(8, 0.5, weight_range=(1, 5), seed=seed)
         tbl = fas_table(g)
         for mask in range(1, 1 << 8):
-            assert tbl.values[mask] >= tbl.values[mask ^ (mask & -mask)]
+            assert tbl.value_of(mask) >= tbl.value_of(mask ^ (mask & -mask))
 
     # CLI byte-determinism, serial vs parallel included
     env = {k: v for k, v in os.environ.items() if k != "ORDERCUT_GUARD_OVERRIDE"}

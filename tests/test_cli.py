@@ -109,6 +109,21 @@ def test_solve_oracle_huge_weights(capsys, tmp_path):
         assert rec["opt"] == rec["value"] == opt
 
 
+def test_solve_rounded_cut_past_the_grid(capsys, tmp_path):
+    # 64-digit weights with eps = 1e-60 used to die in the cut's rounding
+    # with ZeroDivisionError (exit 1); past the grid the cut is exact
+    p = tmp_path / "big.g"
+    p.write_text("p dg 4 5 w\n" + "".join(
+        f"a {u} {v} {i}{'0' * 63}\n"
+        for i, (u, v) in enumerate(((1, 2), (2, 3), (3, 1), (3, 4), (4, 2)), 1)))
+    runs = [run(capsys, "solve", str(p), "--obj", "fas", "--mode", "2approx",
+                *eps, "--no-timing") for eps in (("--eps", "1e-60"), ())]
+    assert [code for code, _, _ in runs] == [0, 0]
+    rounded, exact = (json.loads(out) for _, out, _ in runs)
+    assert rounded["value"] == exact["value"]
+    assert rounded["ordering"] == exact["ordering"]
+
+
 def test_solve_is_byte_deterministic(capsys, detour_file):
     args = ("solve", detour_file, "--obj", "cutwidth", "--mode", "2approx",
             "--oracle", "--no-timing")

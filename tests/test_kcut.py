@@ -1,8 +1,6 @@
 """The (k, n-k)-cut solver and its triangle construction."""
 
-import math
 import tracemalloc
-from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +10,7 @@ from hypothesis import strategies as st
 
 from ordercut import (AuxGraph, Counters, CutSolution, Digraph, SizeGuardError,
                       build_aux, cut_into, cut_profile, dkmc_exact, dkmc_oracle,
-                      dkmc_weighted_approx, gen_random, kcut,
+                      dkmc_weighted_approx, gen_random, guards, kcut,
                       min_weight_triangle, tripartition)
 
 CYCLE3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -121,7 +119,7 @@ def test_weighted_approx_factor_exact_rational(eps):
 
 
 def test_weighted_approx_huge_weights():
-    # forces the wide-exponent rounding path; comparison stays exact
+    # past the 2048-power grid: the exact cut, compared in Python ints
     eps = Fraction(1, 20)
     for seed in range(4):
         g = gen_random(6, 0.6, weight_range=(10 ** 35, 10 ** 40), seed=90 + seed)
@@ -129,6 +127,27 @@ def test_weighted_approx_huge_weights():
         opt = dkmc_oracle(g, k).value
         sol = dkmc_weighted_approx(g, k, eps)
         assert opt <= sol.value <= (1 + eps) * opt
+
+
+def test_weighted_approx_past_the_grid_is_exact():
+    # 1+eps/3 is 1 to 60 digits: the weights, about 10**63, lie past the
+    # grid and are searched unrounded, so every k gets the exact cut
+    arcs = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 1)]
+    g = Digraph(4, arcs, {a: 10 ** 63 + 7919 * i for i, a in enumerate(arcs)})
+    eps = Fraction(1, 10 ** 60)
+    for k in range(5):
+        assert dkmc_weighted_approx(g, k, eps) == dkmc_oracle(g, k)
+    assert kcut._Rounding(kcut._PairMatrices(g, tripartition(4)), eps).limits == [0]
+
+
+@pytest.mark.parametrize("g,eps", [
+    (gen_random(8, 0.4, seed=1), Fraction(1, 10 ** 800)),
+    (gen_random(12, 0.3, weight_range=(1, 10 ** 6), seed=1), Fraction(1, 10 ** 6))])
+def test_no_power_is_built_when_no_k_reaches_the_grid(g, eps):
+    rounding = kcut._Rounding(kcut._PairMatrices(g, tripartition(g.n)), eps)
+    assert rounding.limits == [0]
+    ks = range(g.n + 1)
+    assert cut_profile(g, ks, eps) == cut_profile(g, ks)
 
 
 def test_weighted_approx_rejects_bad_eps():
@@ -279,7 +298,7 @@ def test_int64_dispatch_bound(monkeypatch, total, dtype):
     assert build_aux(g, tripartition(6), (1, 1, 1)).blocks[0].dtype == dtype
     ks = range(7)
     runs = [cut_profile(g, ks), cut_profile(g, ks, Fraction(1, 2))]
-    monkeypatch.setattr(kcut, "_dtype", lambda bound: object)
+    monkeypatch.setattr(guards, "int_dtype", lambda bound: object)
     assert build_aux(g, tripartition(6), (1, 1, 1)).blocks[0].dtype == object
     assert runs == [cut_profile(g, ks), cut_profile(g, ks, Fraction(1, 2))]
 
@@ -288,8 +307,8 @@ def test_int64_dispatch_bound(monkeypatch, total, dtype):
 
 def reference_rounded_keys(weights, eps):
     """The rounding of one k's sorted distinct stored weights as it was
-    computed per k: a Python loop over the powers of (1+eps/3). The
-    past-2048-powers branch is kcut._big_keys (pinned below)."""
+    computed per k: a Python loop over the powers of (1+eps/3). Past 2048
+    powers the weights stay unrounded."""
     smax = weights[-1]
     if eps * smax < 1:
         return weights
@@ -300,7 +319,7 @@ def reference_rounded_keys(weights, eps):
         pa.append(pa[-1] * a)
         pb.append(pb[-1] * b)
     if pa[-1] < smax * pb[-1]:
-        return kcut._big_keys(weights, eps)
+        return weights
     emax = len(pa) - 1
     keys = []
     e = 0
@@ -371,15 +390,15 @@ def assert_matches_reference(g, eps):
        .flatmap(lambda w: digraphs(max_n=9, min_w=w[0], max_w=w[1])),
        st.sampled_from(ROUNDING_EPS))
 def test_rounded_profile_matches_reference(g, eps):
-    # small weights take the unrounded and grid regimes; weights near 10**9
-    # with eps = 1e-9 the big-key one
+    # small weights are rounded on the grid or not at all; weights near
+    # 10**9 with eps = 1e-9 lie past the grid and are searched unrounded
     assert_matches_reference(g, eps)
 
 
 @pytest.mark.parametrize("eps", ROUNDING_EPS)
 def test_rounded_profile_matches_reference_on_seeded_graphs(eps):
-    # with eps = 1e-9, weights up to 20 stay unrounded and weights up to
-    # 10**9 take big keys; the other eps round both on the grid
+    # with eps = 1e-9, weights up to 20 lie below 1/eps and weights up to
+    # 10**9 past the grid, both unrounded; the other eps round both on the grid
     for seed in range(6):
         for weights in ((0, 20), (0, 10 ** 9)):
             g = gen_random(4 + seed, 0.5, weight_range=weights, seed=900 + seed)
@@ -406,10 +425,10 @@ def test_regimes_are_all_reached():
     parts = tripartition(9)
     k_max = int(max(m.max() for m in kcut._PairMatrices(g, parts).mats.values()))
     rounding = kcut._Rounding(kcut._PairMatrices(g, parts), Fraction(1, 10 ** 9))
-    assert rounding.table(10 ** 8) is None                   # unrounded
-    assert rounding.table(k_max) is rounding.tables[False]   # big keys
+    assert rounding.table(10 ** 8) is None                   # below 1/eps
+    assert rounding.table(k_max) is None                     # past the grid
     rounding = kcut._Rounding(kcut._PairMatrices(g, parts), Fraction(1, 2))
-    assert rounding.table(k_max) is rounding.tables[True]    # grid
+    assert rounding.table(k_max) is rounding.grid            # grid
 
 
 class _Matrices:
@@ -419,14 +438,6 @@ class _Matrices:
         zero = np.zeros((1, 1), dtype=dtype)
         self.mats = {(0, 1): np.array([weights], dtype=dtype),
                      (0, 2): zero, (1, 2): zero}
-
-
-def rounded_by_table(weights, eps, dtype):
-    """Whether the grid regime ran, and the key of each weight."""
-    rounding = kcut._Rounding(_Matrices(weights, dtype), eps)
-    table = rounding.table(max(weights))
-    return (table is rounding.tables.get(True),
-            table.values[table.index[0, 1][0]].tolist())
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 2), Fraction(1),
@@ -439,109 +450,26 @@ def test_exponent_lookup_at_every_threshold(eps):
                       if 0 <= w + d <= limits[-1]})
     small = [w for w in weights if w < 2 ** 62]
     for ws, dtype in ((small, np.int64), (weights, object)):
-        grid, keys = rounded_by_table(ws, eps, dtype)
-        assert grid and keys == reference_rounded_keys(ws, eps)
-    # one past the last threshold needs a 2049th power: big keys
+        rounding = kcut._Rounding(_Matrices(ws, dtype), eps)
+        table = rounding.table(max(ws))
+        assert table is rounding.grid
+        keys = table.values[table.index[0, 1][0]].tolist()
+        assert keys == reference_rounded_keys(ws, eps)
+    # one past the last threshold needs a 2049th power: unrounded
     past = [0, 1, limits[-1] + 1]
-    grid, keys = rounded_by_table(past, eps, object)
-    assert not grid and keys == kcut._big_keys(past, eps)
+    assert kcut._Rounding(_Matrices(past, object), eps).table(max(past)) is None
+    assert reference_rounded_keys(past, eps) == past
 
 
-# Keys of the past-2048-powers branch, as the mpmath implementation (60
-# digits) computed them; the weights are BIG_KEY_WEIGHTS.
-BIG_KEY_WEIGHTS = [0, 1, 2, 3, 7, 999, 10 ** 6, 10 ** 9 + 7, 10 ** 12, 2 ** 61 - 1,
-                   2 ** 61, 2 ** 62, 10 ** 20]
-BIG_KEYS = {
-    Fraction(1, 1000000000): [
-        0,
-        1208925819614629174706176,
-        2417851640013924129943151,
-        3626777459383509433403695,
-        8462480739731432410120194,
-        1207716894036945221049432933,
-        1208925819694991474476746689018,
-        1208925828399141028734664441493727,
-        1208925819775353774252659392508472412,
-        2787593150177803803664548617033067454413572,
-        2787593150177803803664548617033067454413572,
-        5575186300306528278734358639920356969443175,
-        120892581974817841622731353910123890805114228,
-    ],
-    Fraction(1, 1000000): [
-        0,
-        1208925819614629174706176,
-        2417851729291472741141496,
-        3626778165690140645176152,
-        8462482373040690576864228,
-        1207716978607784554371921069,
-        1208925988200238155895458490780,
-        1208925871005423085574613398107210,
-        1208926156785870646473898223880657099,
-        2787593908545429956647065850782751339514549,
-        2787593908545429956647065850782751339514549,
-        5575188024760243886354150782439795817274815,
-        120892597859142434027028208411624249604071441,
-    ],
-    Fraction(1, 20): [
-        0,
-        1208925819614629174706176,
-        2420472804605082469670476,
-        3659020335434068698997677,
-        8501051342336889336951107,
-        1210732017180052002225166000,
-        1212540913297852823699693003582,
-        1214352511999808160250294684458432,
-        1216166817323718215194236209582349158,
-        2833986087715741097263544535154439333435542,
-        2833986087715741097263544535154439333435542,
-        5581098451867515241535430250396641719988904,
-        122776432196437362696628983588693386556610510,
-    ],
-    Fraction(1, 2): [
-        0,
-        1208925819614629174706176,
-        2612965052760168793632548,
-        4149291727299712482481316,
-        8968254380237431544889850,
-        1244529474287439055522838403,
-        1281181679835326430984722035632,
-        1318913316766141677038485225511463,
-        1357756175038852671824352514690884243,
-        3110045920579372373041696197338036910212949,
-        3110045920579372373041696197338036910212949,
-        5761744024159778601599623896457273627639884,
-        125744718411741683047311107380109500753781030,
-    ],
-}
-
-
-@pytest.mark.parametrize("eps", list(BIG_KEYS))
-def test_big_keys_pinned(eps):
-    assert kcut._big_keys(BIG_KEY_WEIGHTS, eps) == BIG_KEYS[eps]
-
-
-def decimal_keys(weights, eps):
-    """_big_keys' rule with every exponent taken from decimal's ln."""
+@pytest.mark.parametrize("den", [100, 138, 139, 200])
+def test_powers_are_built_only_when_the_grid_is_reachable(den):
+    # a k reaches the grid when 1/eps <= smax <= floor((1+eps/3)^2048),
+    # which some smax does up to eps = 1/138
+    eps = Fraction(1, den)
     base = 1 + eps / 3
-    with localcontext() as ctx:
-        ctx.prec = 60
-        logbase = (Decimal(base.numerator) / base.denominator).ln()
-        return [int((max(0, int((Decimal(w).ln() / logbase)
-                                .to_integral_value(ROUND_CEILING)))
-                     * logbase).exp() * Decimal(2) ** 80) if w else 0
-                for w in weights]
-
-
-@pytest.mark.parametrize("eps", [Fraction(1, 10 ** 9), Fraction(1, 10 ** 6),
-                                 Fraction(1, 20), Fraction(1, 2), Fraction(3)])
-def test_big_keys_float_exponent_is_exact(eps):
-    # the float quotient decides the exponent only away from an integer;
-    # powers of the base (exact for eps = 3) sit on one
-    base = 1 + eps / 3
-    powers = [math.ceil(base ** e) for e in range(0, 200, 7)]
-    weights = sorted({w + d for w in powers + [10 ** j for j in range(25)]
-                      + [2 ** 61, 2 ** 62, 3 ** 90] for d in (-1, 0, 1)})
-    assert kcut._big_keys(weights, eps) == decimal_keys(weights, eps)
+    reachable = base.numerator ** 2048 // base.denominator ** 2048 >= den
+    rounding = kcut._Rounding(_Matrices([0, 10 ** 6], np.int64), eps)
+    assert (len(rounding.limits) > 1) == reachable == (den <= 138)
 
 
 def brute_ranks(keys):

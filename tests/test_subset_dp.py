@@ -86,7 +86,7 @@ def test_fas_table_monotone_under_inclusion():
     tbl = fas_table(g)
     for mask in range(1, 1 << 8):
         v = mask & -mask
-        assert tbl.values[mask] >= tbl.values[mask ^ v]
+        assert tbl.value_of(mask) >= tbl.value_of(mask ^ v)
 
 
 def test_fas_table_capped_entry_count():
@@ -95,9 +95,9 @@ def test_fas_table_capped_entry_count():
     tbl = fas_table(g, cap)
     expected = sum(math.comb(10, s) for s in range(cap + 1))
     assert tbl.entries == expected
-    assert set(tbl.values) == {sum(1 << v for v in c)
-                               for s in range(cap + 1)
-                               for c in combinations(range(10), s)}
+    masks = [sum(1 << v for v in c)
+             for s in range(cap + 1) for c in combinations(range(10), s)]
+    assert sorted(tbl._position(m) for m in masks) == list(range(expected))
 
 
 def test_fas_table_order_reconstruction():
