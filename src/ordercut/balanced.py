@@ -44,6 +44,19 @@ def _gamma_lhs(gamma: float) -> float:
             - (gamma - 1) * math.log2(gamma - 1)) / (gamma - 1)
 
 
+def _bisect(holds, lo: float, hi: float) -> tuple[float, float]:
+    """200 halvings of [lo, hi], keeping holds(lo) true and holds(hi) false."""
+    assert holds(lo) and not holds(hi)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    assert holds(lo) and not holds(hi)
+    return lo, hi
+
+
 def gamma_for_target(target: float) -> float:
     """Solve (g*log2(g) - (g-1)*log2(g-1)) / (g-1) = target for g >= 2.
 
@@ -52,17 +65,13 @@ def gamma_for_target(target: float) -> float:
     """
     if target >= 2:
         return 2.0
-    lo, hi = 2.0, 2.0 ** 64
-    if _gamma_lhs(hi) > target:
+
+    def reaches(gamma: float) -> bool:
+        return _gamma_lhs(gamma) >= target
+
+    if reaches(2.0 ** 64):
         raise ValueError(f"target {target} too small to bracket")
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if _gamma_lhs(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-        assert _gamma_lhs(lo) >= target >= _gamma_lhs(hi)
-    return lo
+    return _bisect(reaches, 2.0, 2.0 ** 64)[0]
 
 
 def solve_gamma(delta: float) -> float:
@@ -107,14 +116,7 @@ def _pw_equation(alpha: float) -> float:
 def solve_pw_alpha() -> float:
     """Prefix share for dpw_2approx: the alpha in (0, 1/2) balancing the
     prefix-table work against 1.89^((1-alpha) n). Roughly 0.204."""
-    lo, hi = 1e-9, 0.5
-    assert _pw_equation(lo) > 0 > _pw_equation(hi)
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if _pw_equation(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda alpha: _pw_equation(alpha) > 0, 1e-9, 0.5)
     return (lo + hi) / 2
 
 

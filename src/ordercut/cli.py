@@ -243,13 +243,12 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     records, failed = _run_suite(tasks, ns.jobs)
     lines = [CSV_HEADER] + [_csv_row(r) for r in records]
     _emit("\n".join(lines) + "\n", ns.out)
-    slack = Fraction(1, 10 ** 12)
     violations = 0
     for rec in records:
         value, opt = rec["value"], rec["opt"]
         bad = (value < opt
                or (opt == 0 and value > 0)
-               or (opt > 0 and Fraction(value, opt) > factor + slack))
+               or (opt > 0 and Fraction(value, opt) > factor))
         if bad:
             violations += 1
             print(f"violation: {rec['instance']} value={value} opt={opt} "

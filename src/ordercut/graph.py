@@ -10,6 +10,7 @@ each undirected edge exactly once, so the evaluators below serve both modes.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 
@@ -172,23 +173,20 @@ def cut_at(g: Digraph, ordering: Ordering, i: int) -> tuple[tuple[tuple[int, int
     return arcs, weight
 
 
+def _peak(diff: list[int]) -> int:
+    """Largest running sum of diff[1:-1], or 0 when none is positive."""
+    return max(accumulate(diff[1:-1], initial=0))
+
+
 def cutwidth_of(g: Digraph, ordering: Ordering) -> int:
     """max over i in 1..n-1 of the weight of the cut at i (0 when n <= 1)."""
-    n = g.n
-    if n <= 1:
-        return 0
     pos = ordering.pos
-    diff = [0] * (n + 1)
+    diff = [0] * (g.n + 1)
     for u, v, w in g.arc_items:
         if pos[u] > pos[v]:
             diff[pos[v]] += w
             diff[pos[u]] -= w
-    best = cur = 0
-    for i in range(1, n):
-        cur += diff[i]
-        if cur > best:
-            best = cur
-    return best
+    return _peak(diff)
 
 
 def ola_of(g: Digraph, ordering: Ordering) -> int:
@@ -202,8 +200,6 @@ def dpw_of(g: Digraph, ordering: Ordering) -> int:
     """max over i in 1..n-1 of |{v placed at or before i with an in-neighbor
     placed after i}|. Weights are ignored."""
     n = g.n
-    if n <= 1:
-        return 0
     pos = ordering.pos
     diff = [0] * (n + 1)
     for v in range(n):
@@ -211,12 +207,7 @@ def dpw_of(g: Digraph, ordering: Ordering) -> int:
         if latest > pos[v]:
             diff[pos[v]] += 1
             diff[latest] -= 1
-    best = cur = 0
-    for i in range(1, n):
-        cur += diff[i]
-        if cur > best:
-            best = cur
-    return best
+    return _peak(diff)
 
 
 EVALUATORS = {

@@ -27,7 +27,8 @@ distinct weights logarithmic while inflating any triangle by less than a
 (1+eps) factor. The returned value is always the true, unrounded cut weight.
 The grid of powers ends at (1+eps/3)^2048. A k whose largest stored weight
 lies past it, or below 1/eps where rounding would flip no comparison, is
-searched on its unrounded weights instead, which gives the exact cut. The
+searched on its unrounded weights instead, which gives the exact cut. A
+long eps is first rounded down to a multiple of 2^-64 (see _Rounding). The
 powers are exact integers far wider than int64, so cut_profile keys every
 entry of the pair matrices once per call (one np.searchsorted against the
 integer thresholds floor((1+eps/3)^e)) and ranks every sum of two keys
@@ -52,7 +53,6 @@ from .report import Counters
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 _CHUNK_CELLS = 1 << 13     # pair terms held at once by the search
 _MAX_POWERS = 2048         # past this many powers of 1+eps/3, no rounding
-_RANK_KEYS = 1 << 10       # most keys given a K x K pair-sum rank table
 _PAIR_TEMPS = 1.05         # largest pair matrices live in temporaries (RSS fit)
 
 
@@ -156,14 +156,14 @@ def build_aux(g: Digraph, parts, sizes: tuple[int, int, int],
 
 
 def min_weight_triangle(aux: AuxGraph, counters: Counters | None = None,
-                        blocks=None, keys=None):
+                        keys=None):
     """Minimum-weight triangle (one node per group).
 
     Returns ((j1, j2, j3), weight); the lexicographically least triple wins
-    ties. blocks, if given, replace aux.blocks; weights must be
-    non-negative. With keys = (values, ranks) the blocks hold indices into
-    values, a triangle weighs the sum of its three values, and ranks[i, j]
-    is the dense rank of values[i] + values[j] (see _pair_ranks).
+    ties, and weights must be non-negative. With keys = (blocks, values,
+    ranks), blocks replace aux.blocks and hold indices into values, a
+    triangle weighs the sum of its three values, and ranks[i, j] is the
+    dense rank of values[i] + values[j] (see _pair_ranks).
 
     For each (j1, j2) the search takes the first j3 minimizing the pair term
     e02 + e12 (as int64 sums, or as ranks gathered a block of j1 rows at a
@@ -174,7 +174,7 @@ def min_weight_triangle(aux: AuxGraph, counters: Counters | None = None,
     the best sum found so far: |N3| for each pair whose e01 weight is below
     the minimum of the earlier pairs' best completions.
     """
-    e01, e02, e12 = aux.blocks if blocks is None else blocks
+    (e01, e02, e12), values, ranks = keys or (aux.blocks, None, None)
     r1, r2 = e01.shape
     r3 = e12.shape[1]
     if not r1 * r2 * r3:
@@ -185,7 +185,6 @@ def min_weight_triangle(aux: AuxGraph, counters: Counters | None = None,
         pair = np.concatenate([(e02[c, None, :] + e12).min(axis=2) for c in chunks])
         weights = e01 + pair
     else:
-        values, ranks = keys
         flat, row02 = ranks.ravel(), e02 * len(ranks)
         best_j3 = np.concatenate([flat[row02[c, None, :] + e12].argmin(axis=2)
                                   for c in chunks])
@@ -245,27 +244,6 @@ def _pair_ranks(keys: list[int]) -> np.ndarray:
     return ranks
 
 
-class _KeyTable:
-    """The grid keys of every stored weight of a graph.
-
-    index[a, b] maps each entry of the pair matrix (a, b) to its key in
-    values. ranks is None past _RANK_KEYS keys; the search then sums the
-    keys themselves.
-    """
-
-    def __init__(self, index: dict, keys: list[int]):
-        self.index = index
-        self.values = np.array(keys, dtype=guards.int_dtype(3 * keys[-1]))
-        self.ranks = _pair_ranks(keys) if len(keys) <= _RANK_KEYS else None
-
-    def search_args(self, rows) -> tuple:
-        """(blocks, keys) of min_weight_triangle for one split."""
-        blocks = tuple(self.index[a, b][rows[a], rows[b]] for a, b in _PAIRS)
-        if self.ranks is None:
-            return tuple(self.values[blk] for blk in blocks), None
-        return blocks, (self.values, self.ranks)
-
-
 class _Rounding:
     """Every stored weight of one graph's pair matrices rounded up to a
     power of (1+eps/3), once per cut_profile call.
@@ -279,10 +257,18 @@ class _Rounding:
     floor((1+eps/3)^_MAX_POWERS), and searched on its unrounded weights
     otherwise. Below 1/eps rounding would flip no comparison; past the grid
     the unrounded search gives the exact cut, which meets every 1+eps factor.
+
+    An eps whose denominator exceeds 2^64 is first replaced by the largest
+    nonzero multiple of 2^-64 not above it, so the powers have short
+    factors; a smaller eps keeps every cut within 1+eps. The pair-sum ranks
+    of the at most _MAX_POWERS + 2 keys are built for the first k searched
+    on the grid.
     """
 
     def __init__(self, matrices: _PairMatrices, eps: Fraction):
         self.mats = matrices.mats
+        if eps.denominator > 1 << 64:   # kept when the multiple is 0
+            eps = Fraction((eps.numerator << 64) // eps.denominator, 1 << 64) or eps
         base = 1 + eps / 3
         self.a, self.b = base.numerator, base.denominator
         self.low = math.ceil(1 / eps)     # the least smax with eps * smax >= 1
@@ -307,15 +293,17 @@ class _Rounding:
                 pa, pb = pa * self.a, pb * self.b
                 self.limits.append(pa // pb)
 
-    def table(self, smax: int) -> _KeyTable | None:
-        """The grid keys for a k whose largest stored weight is smax; None
-        when its weights are searched unrounded."""
+    def on_grid(self, smax: int) -> bool:
+        """Whether a k whose largest stored weight is smax is rounded on the
+        grid; otherwise its weights are searched unrounded."""
         # Distinct triangle sums differ by >= 1; rounding inflates a sum by
         # less than eps/3 * sum <= eps * smax, so below 1 no comparison flips.
-        return self.grid if self.low <= smax <= self.limits[-1] else None
+        return self.low <= smax <= self.limits[-1]
 
     @cached_property
-    def grid(self) -> _KeyTable:
+    def grid(self) -> tuple[dict, np.ndarray]:
+        """(index, values): index[a, b] maps each entry of the pair matrix
+        (a, b) to its key in the ascending values."""
         limits = self.limits
         if self.mats[0, 1].dtype == object:
             limits = np.array(limits, dtype=object)
@@ -331,7 +319,18 @@ class _Rounding:
         emax = exps[-1]
         keys = [self.a ** e * self.b ** (emax - e) if e >= 0 else 0 for e in exps]
         compact = np.cumsum(used) - 1
-        return _KeyTable({pair: compact[idx] for pair, idx in index.items()}, keys)
+        return ({pair: compact[idx] for pair, idx in index.items()},
+                np.array(keys, dtype=guards.int_dtype(3 * keys[-1])))
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        return _pair_ranks(self.grid[1].tolist())
+
+    def search_keys(self, rows) -> tuple:
+        """min_weight_triangle's keys for one split on the grid."""
+        index, values = self.grid
+        blocks = tuple(index[a, b][rows[a], rows[b]] for a, b in _PAIRS)
+        return blocks, values, self.ranks
 
 
 def cut_profile(g: Digraph, ks, eps=None,
@@ -358,15 +357,13 @@ def cut_profile(g: Digraph, ks, eps=None,
     out = {}
     for k in ks:
         cells = [build_aux(g, parts, sizes, matrices) for sizes in _splits(parts, k)]
-        table = None
-        if rounding is not None:
-            table = rounding.table(max(int(blk.max()) for aux in cells
-                                       for blk in aux.blocks))
+        grid = rounding is not None and rounding.on_grid(
+            max(int(blk.max()) for aux in cells for blk in aux.blocks))
         best = None
         for aux in cells:
-            args = (() if table is None
-                    else table.search_args(matrices.split_rows(aux.sizes)))
-            (j1, j2, j3), weight = min_weight_triangle(aux, counters, *args)
+            keys = (rounding.search_keys(matrices.split_rows(aux.sizes))
+                    if grid else None)
+            (j1, j2, j3), weight = min_weight_triangle(aux, counters, keys)
             if eps is None and weight % 2:
                 raise AssertionError("stored triangle weight must be even")
             cand = (weight, aux.nodes[0][j1] + aux.nodes[1][j2] + aux.nodes[2][j3])

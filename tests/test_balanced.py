@@ -65,8 +65,35 @@ def test_boost_ladder_rejects_bad_delta():
         boost_ladder(2, 1.0)
 
 
+# (delta, gamma, alpha) of levels 1-5, recorded from the per-step bisection
+LADDERS = {
+    0.25: [(0.25, 35.00819692093475, 0.028564738774135616),
+           (0.01960484396457307, 778.2365440083859, 0.0012849563641015868),
+           (0.0008902673575769127, 24990.713374789426, 4.001486412183806e-05),
+           (2.7735805602002728e-05, 1073434.4034373304, 9.315892958133444e-07),
+           (6.45728285397773e-07, 58490130.31212822, 1.7096901556956266e-08)],
+    0.5: [(0.5, 13.35103783657949, 0.0749005442303651),
+          (0.050592431534143834, 256.4466430342436, 0.003899446637975561),
+          (0.0026992409233079773, 7331.328881207899, 0.00013640091942447976),
+          (9.454144340093062e-05, 287006.0572545794, 3.484247021006189e-06),
+          (2.4150930826305483e-06, 14482631.251107888, 6.904822629682726e-08)],
+    0.9: [(0.9, 5.289968331834156, 0.1890370484795089),
+          (0.12280897786495093, 87.19802459967403, 0.0114681497039755),
+          (0.007917604963139091, 2192.3962585574172, 0.00045612192417167943),
+          (0.00031610965254336154, 77554.88561427583, 1.2894094189933614e-05),
+          (8.937465094227548e-06, 3602141.6160857687, 2.77612627869595e-07)],
+}
+
+
+@pytest.mark.parametrize("delta1", sorted(LADDERS))
+def test_boost_ladder_values_are_pinned(delta1):
+    ladder = boost_ladder(5, delta1)
+    assert [(p.delta, p.gamma, p.alpha) for p in ladder] == LADDERS[delta1]
+
+
 def test_solve_pw_alpha_anchor():
     alpha = solve_pw_alpha()
+    assert alpha == 0.2044093094630149   # recorded from the per-step bisection
     assert abs(alpha - 0.204) <= 1e-3
     # the balance point keeps the overall exponent under 1.66^n
     assert (1 - alpha) * math.log2(1.89) <= math.log2(1.66) + 0.005

@@ -221,6 +221,15 @@ def test_verify_flags_violation(capsys, tmp_path, triangle_with_detour):
     assert code == 3 and "violation:" in err and len(out.splitlines()) == 2
 
 
+def test_verify_compares_ratio_with_factor_exactly(capsys, tmp_path,
+                                                   triangle_with_detour):
+    # the exact ratio 1 lies 1e-13 above the factor: a violation
+    corp = make_corpus(tmp_path, [triangle_with_detour])
+    code, _, err = run(capsys, "verify", corp, "--obj", "fas", "--mode", "exact",
+                       "--factor", "9999999999999/10000000000000", "--no-timing")
+    assert code == 1 and "1 violation(s)" in err
+
+
 def test_verify_parallel_rows_match_serial(capsys, tmp_path):
     from ordercut import gen_random
     corp = make_corpus(tmp_path, [gen_random(6, 0.5, seed=s) for s in range(5)])

@@ -411,24 +411,15 @@ def test_rounded_profile_matches_reference_at_dtype_boundary(total, eps):
     assert_matches_reference(_graph_with_total(total), eps)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_rounded_profile_without_rank_table(monkeypatch, seed):
-    # past _RANK_KEYS keys the search sums the keys themselves
-    monkeypatch.setattr(kcut, "_RANK_KEYS", 1)
-    g = gen_random(7, 0.5, weight_range=(0, 10 ** 9), seed=800 + seed)
-    for eps in ROUNDING_EPS:
-        assert_matches_reference(g, eps)
-
-
 def test_regimes_are_all_reached():
     g = gen_random(9, 0.5, weight_range=(0, 10 ** 9), seed=905)
     parts = tripartition(9)
     k_max = int(max(m.max() for m in kcut._PairMatrices(g, parts).mats.values()))
     rounding = kcut._Rounding(kcut._PairMatrices(g, parts), Fraction(1, 10 ** 9))
-    assert rounding.table(10 ** 8) is None                   # below 1/eps
-    assert rounding.table(k_max) is None                     # past the grid
+    assert not rounding.on_grid(10 ** 8)                     # below 1/eps
+    assert not rounding.on_grid(k_max)                       # past the grid
     rounding = kcut._Rounding(kcut._PairMatrices(g, parts), Fraction(1, 2))
-    assert rounding.table(k_max) is rounding.grid            # grid
+    assert rounding.on_grid(k_max)                           # grid
 
 
 class _Matrices:
@@ -451,13 +442,13 @@ def test_exponent_lookup_at_every_threshold(eps):
     small = [w for w in weights if w < 2 ** 62]
     for ws, dtype in ((small, np.int64), (weights, object)):
         rounding = kcut._Rounding(_Matrices(ws, dtype), eps)
-        table = rounding.table(max(ws))
-        assert table is rounding.grid
-        keys = table.values[table.index[0, 1][0]].tolist()
-        assert keys == reference_rounded_keys(ws, eps)
+        assert rounding.on_grid(max(ws))
+        index, values = rounding.grid
+        assert values[index[0, 1][0]].tolist() == reference_rounded_keys(ws, eps)
+        assert "ranks" not in vars(rounding)   # built only for a search
     # one past the last threshold needs a 2049th power: unrounded
     past = [0, 1, limits[-1] + 1]
-    assert kcut._Rounding(_Matrices(past, object), eps).table(max(past)) is None
+    assert not kcut._Rounding(_Matrices(past, object), eps).on_grid(max(past))
     assert reference_rounded_keys(past, eps) == past
 
 
@@ -470,6 +461,30 @@ def test_powers_are_built_only_when_the_grid_is_reachable(den):
     reachable = base.numerator ** 2048 // base.denominator ** 2048 >= den
     rounding = kcut._Rounding(_Matrices([0, 10 ** 6], np.int64), eps)
     assert (len(rounding.limits) > 1) == reachable == (den <= 138)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(1, 100),
+                                 Fraction(3, 2 ** 64), Fraction(1, 10 ** 60)])
+def test_short_eps_is_used_as_is(eps):
+    rounding = kcut._Rounding(_Matrices([0, 10 ** 6], np.int64), eps)
+    assert Fraction(rounding.a, rounding.b) == 1 + eps / 3
+
+
+def test_long_eps_is_shortened():
+    # eps' is the largest multiple of 2**-64 not above eps: the powers have
+    # short factors, and every cut is within 1 + eps' <= 1 + eps of exact
+    eps = Fraction(1, 100) + Fraction(1, 10 ** 300)
+    short = Fraction(eps.numerator * 2 ** 64 // eps.denominator, 2 ** 64)
+    g = gen_random(8, 0.4, weight_range=(1, 1000), seed=1)
+    rounding = kcut._Rounding(kcut._PairMatrices(g, tripartition(8)), eps)
+    assert max(rounding.a.bit_length(), rounding.b.bit_length()) <= 66
+    assert Fraction(rounding.a, rounding.b) == 1 + short / 3
+    assert len(rounding.limits) > 1                          # the grid is used
+    ks = range(9)
+    got, exact = cut_profile(g, ks, eps), cut_profile(g, ks)
+    assert got == cut_profile(g, ks, short)
+    for k in ks:
+        assert exact[k].value <= got[k].value <= (1 + eps) * exact[k].value
 
 
 def brute_ranks(keys):
