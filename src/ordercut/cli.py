@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Four subcommands: `solve` one instance to a JSON record, `gen` seeded
-random instances, `verify` a corpus against the brute-force oracle with a
-declared factor bound (exit 1 on any violation), and `bench` a corpus
-without oracles. Suite rows are sorted by instance id so --jobs never
-changes the emitted bytes; --no-timing zeroes the wall-clock field for
-byte-reproducible output.
+random instances, `verify` a corpus against the brute-force oracle, each
+row holding lower_bound <= opt <= value <= factor * opt for the declared
+factor (exit 1 on any violation), and `bench` a corpus without oracles.
+Both suites share one runner; their rows are sorted by instance id so
+--jobs never changes the emitted bytes. --no-timing zeroes the wall-clock
+field for byte-reproducible output.
 
 Exit codes: 0 ok, 1 verify violation, 2 usage, 3 instance parse error,
 4 size guard exceeded. In `verify` and `bench` an instance that fails to
@@ -64,12 +65,6 @@ def _params(ns: argparse.Namespace) -> tuple:
     return eps, alpha, ns.weighted
 
 
-def _ola(g: Digraph, alpha, weighted: bool):
-    if g.undirected:
-        return ola_undirected_approx(g, alpha, weighted=weighted)
-    return ola_directed_approx(g, alpha, weighted=weighted)
-
-
 # (obj, mode) -> (the flags the solver takes, call(g, eps, alpha, weighted)).
 # The calls look solvers up when they run, so patched or traced ones are used.
 _SOLVERS = {
@@ -82,7 +77,9 @@ _SOLVERS = {
     ("cutwidth", "2approx"): (("eps",),
                               lambda g, e, a, w: cutwidth_balanced_approx(g, e)),
     ("cutwidth", "3approx"): ((), lambda g, e, a, w: cutwidth_balanced_approx(g, 1)),
-    ("ola", "2approx"): (("alpha", "weighted"), lambda g, e, a, w: _ola(g, a, w)),
+    ("ola", "2approx"): (("alpha", "weighted"), lambda g, e, a, w: (
+        ola_undirected_approx if g.undirected else ola_directed_approx)(
+            g, a, weighted=w)),
     ("dpw", "2approx"): ((), lambda g, e, a, w: dpw_2approx(g)),
 }
 
@@ -234,53 +231,44 @@ def cmd_gen(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(ns: argparse.Namespace) -> int:
-    params = _params(ns)
-    _solver(ns.obj, ns.mode, *params)
-    factor = _frac(ns.factor, "--factor")
-    tasks = [(inst, path, ns.obj, ns.mode, *params, True, ns.no_timing)
-             for inst, path in _corpus(ns.corpus)]
-    records, failed = _run_suite(tasks, ns.jobs)
-    lines = [CSV_HEADER] + [_csv_row(r) for r in records]
-    _emit("\n".join(lines) + "\n", ns.out)
-    violations = 0
-    for rec in records:
-        value, opt = rec["value"], rec["opt"]
-        bad = (value < opt
-               or (opt == 0 and value > 0)
-               or (opt > 0 and Fraction(value, opt) > factor))
-        if bad:
-            violations += 1
-            print(f"violation: {rec['instance']} value={value} opt={opt} "
-                  f"factor={factor}", file=sys.stderr)
-    print(f"verify: {len(tasks)} instance(s), {len(tasks) - len(records)} "
-          f"error(s), {violations} violation(s)", file=sys.stderr)
-    return failed or (1 if violations else 0)
-
-
-def cmd_bench(ns: argparse.Namespace) -> int:
-    modes = ns.mode or ["exact"]
+def _suite(ns: argparse.Namespace, modes: list[str], factor: str | None = None) -> int:
+    """Run every mode on every corpus instance and write the CSV rows. With
+    a factor (verify), each row also gets the oracle optimum and must hold
+    lower_bound <= opt <= value <= factor * opt; exit 1 on a violation."""
     params = _params(ns)
     for mode in modes:
         _solver(ns.obj, mode, *params)
-    tasks = [(inst, path, ns.obj, mode, *params, False, ns.no_timing)
-             for inst, path in _corpus(ns.corpus)
-             for mode in modes]
+    if factor is not None:
+        factor = _frac(factor, "--factor")
+    tasks = [(inst, path, ns.obj, mode, *params, factor is not None, ns.no_timing)
+             for inst, path in _corpus(ns.corpus) for mode in modes]
     records, failed = _run_suite(tasks, ns.jobs)
     lines = [CSV_HEADER] + [_csv_row(r) for r in records]
     _emit("\n".join(lines) + "\n", ns.out)
-    return failed
+    if factor is None:
+        return failed
+    violations = []
+    for rec in records:
+        inst, value, opt = rec["instance"], rec["value"], rec["opt"]
+        if not opt <= value <= factor * opt:
+            violations.append(f"{inst} value={value} opt={opt} factor={factor}")
+        if rec["lower_bound"] > opt:
+            violations.append(f"{inst} lower_bound={rec['lower_bound']} opt={opt}")
+    for line in violations:
+        print(f"violation: {line}", file=sys.stderr)
+    print(f"verify: {len(tasks)} instance(s), {len(tasks) - len(records)} "
+          f"error(s), {len(violations)} violation(s)", file=sys.stderr)
+    return failed or (1 if violations else 0)
 
 
 def _add_mode_flags(p: argparse.ArgumentParser, multi_mode: bool = False) -> None:
     p.add_argument("--obj", required=True, choices=sorted(OBJECTIVES))
+    modes = list(dict.fromkeys(mode for _, mode in _SOLVERS))
     if multi_mode:
-        p.add_argument("--mode", action="append",
-                       choices=["exact", "2approx", "3approx", "scheme"],
+        p.add_argument("--mode", action="append", choices=modes,
                        help="may be repeated; default exact")
     else:
-        p.add_argument("--mode", default="exact",
-                       choices=["exact", "2approx", "3approx", "scheme"])
+        p.add_argument("--mode", default="exact", choices=modes)
     p.add_argument("--eps", help="rational, e.g. 0.5 or 1/3")
     p.add_argument("--alpha", help="rational in (0,1); ola approximations only")
     p.add_argument("--weighted", action="store_true",
@@ -324,13 +312,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor", required=True,
                    help="declared approximation factor (rational)")
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=lambda ns: cmd_verify(ns))
+    p.set_defaults(func=lambda ns: _suite(ns, [ns.mode], ns.factor))
 
     p = sub.add_parser("bench", help="run a corpus, emit CSV (no oracle)")
     p.add_argument("corpus", help="directory of .g files (or one file)")
     _add_mode_flags(p, multi_mode=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=lambda ns: cmd_bench(ns))
+    p.set_defaults(func=lambda ns: _suite(ns, ns.mode or ["exact"]))
     return parser
 
 

@@ -54,6 +54,7 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 _CHUNK_CELLS = 1 << 13     # pair terms held at once by the search
 _MAX_POWERS = 2048         # past this many powers of 1+eps/3, no rounding
 _PAIR_TEMPS = 1.05         # largest pair matrices live in temporaries (RSS fit)
+_RANK_BYTES = 66           # peak bytes of _pair_ranks per key squared (RSS fit)
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,8 @@ class _PairMatrices:
         # guard the bytes first: one more largest matrix lives in temporaries
         entry = guards.entry_bytes(dtype, bound)
         cells = [1 << len(parts[a]) + len(parts[b]) for a, b in _PAIRS]
-        guards.check(int((sum(cells) + _PAIR_TEMPS * max(cells)) * entry),
-                     guards.TABLE_BYTE_GUARD, "cut pair matrix bytes")
+        self.nbytes = int((sum(cells) + _PAIR_TEMPS * max(cells)) * entry)
+        guards.check(self.nbytes, guards.TABLE_BYTE_GUARD, "cut pair matrix bytes")
         w = np.zeros((g.n, g.n), dtype=dtype)
         for u, v, wt in g.arc_items:
             w[u, v] = wt
@@ -262,17 +263,17 @@ class _Rounding:
     nonzero multiple of 2^-64 not above it, so the powers have short
     factors; a smaller eps keeps every cut within 1+eps. The pair-sum ranks
     of the at most _MAX_POWERS + 2 keys are built for the first k searched
-    on the grid.
+    on the grid, once the byte guard admits them beside the pair matrices.
     """
 
     def __init__(self, matrices: _PairMatrices, eps: Fraction):
-        self.mats = matrices.mats
+        self.matrices = matrices
         if eps.denominator > 1 << 64:   # kept when the multiple is 0
             eps = Fraction((eps.numerator << 64) // eps.denominator, 1 << 64) or eps
         base = 1 + eps / 3
         self.a, self.b = base.numerator, base.denominator
         self.low = math.ceil(1 / eps)     # the least smax with eps * smax >= 1
-        smax = max(int(m.max()) for m in self.mats.values())
+        smax = max(int(m.max()) for m in matrices.mats.values())
         # limits[e + 1] = floor(base^e), limits[0] = 0 for weight 0. No power
         # is built when no k can reach the grid: when no stored weight
         # reaches low, or when base^_MAX_POWERS < low (eps below about
@@ -304,14 +305,14 @@ class _Rounding:
     def grid(self) -> tuple[dict, np.ndarray]:
         """(index, values): index[a, b] maps each entry of the pair matrix
         (a, b) to its key in the ascending values."""
-        limits = self.limits
-        if self.mats[0, 1].dtype == object:
+        limits, mats = self.limits, self.matrices.mats
+        if mats[0, 1].dtype == object:
             limits = np.array(limits, dtype=object)
         else:   # every stored weight is below 2**62
             limits = np.array([min(t, 2 ** 62) for t in limits], dtype=np.int64)
         # weights past the last limit belong only to k's searched unrounded
         index = {pair: np.minimum(np.searchsorted(limits, m), len(limits) - 1)
-                 for pair, m in self.mats.items()}
+                 for pair, m in mats.items()}
         used = np.zeros(len(limits), dtype=bool)
         for idx in index.values():
             used[idx] = True
@@ -324,7 +325,10 @@ class _Rounding:
 
     @cached_property
     def ranks(self) -> np.ndarray:
-        return _pair_ranks(self.grid[1].tolist())
+        keys = self.grid[1].tolist()
+        guards.check(self.matrices.nbytes + _RANK_BYTES * len(keys) ** 2,
+                     guards.TABLE_BYTE_GUARD, "cut pair matrix and rank table bytes")
+        return _pair_ranks(keys)
 
     def search_keys(self, rows) -> tuple:
         """min_weight_triangle's keys for one split on the grid."""

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from ordercut import (Digraph, Ordering, SizeGuardError, backward_weight,
-                      boost_ladder, cutwidth_balanced_approx, cutwidth_of,
-                      dpw_2approx, fas_balanced_approx, fas_exact, fas_scheme,
-                      gamma_for_target, gen_random, ola_directed_approx,
-                      ola_of, ola_undirected_approx, perm_opt, solve_gamma,
+                      boost_ladder, cutwidth_balanced_approx, cutwidth_exact,
+                      cutwidth_of, dpw_2approx, dpw_exact, fas_balanced_approx,
+                      fas_exact, fas_scheme, gamma_for_target, gen_random,
+                      ola_directed_approx, ola_exact, ola_of,
+                      ola_undirected_approx, perm_opt, solve_gamma,
                       solve_pw_alpha)
 from ordercut.balanced import _gamma_lhs, _orient_sides
 
@@ -106,9 +107,11 @@ def corpus(count, n, p=0.5, wr=(1, 1), ug=False, seed0=0):
             for i in range(count)]
 
 
-def check_ratio(rep, g, objective, factor):
-    """value within factor of the oracle optimum, sandwich fully verified."""
-    opt = perm_opt(g, objective).opt
+def check_ratio(rep, g, objective, factor, opt=None):
+    """value within factor of the optimum (the oracle's unless opt is
+    given), sandwich fully verified."""
+    if opt is None:
+        opt = perm_opt(g, objective).opt
     assert rep.lower_bound <= opt <= rep.value
     if opt:
         assert Fraction(rep.value, opt) <= Fraction(factor)
@@ -243,6 +246,38 @@ def test_ola_alpha_domain():
     for bad in (0, 1, -1, 2):
         with pytest.raises(ValueError):
             ola_directed_approx(g, bad)
+
+
+@pytest.mark.parametrize("n", [12, 15, 18])
+def test_factors_against_exact_dp(n):
+    # past the oracle's n <= 9 the optimum comes from the exact subset DPs
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    exact = {"fas": fas_exact, "cutwidth": cutwidth_exact, "ola": ola_exact,
+             "dpw": dpw_exact}
+    for wr in ((1, 1), (1, 20)):
+        for ug in (False, True):
+            g = gen_random(n, 0.3, weight_range=wr, undirected=ug, seed=0)
+            opt = {obj: solve(g).value for obj, solve in exact.items()}
+            ola = ola_undirected_approx if ug else ola_directed_approx
+            side = 2 if ug else 1
+            runs = [("ola", ola(g, a, weighted=w), 1 + 1 / (side * (1 - a)))
+                    for a, w in ((half, False), (third, False), (half, True))]
+            for obj, approx in (("fas", fas_balanced_approx),
+                                ("cutwidth", cutwidth_balanced_approx)):
+                runs += [(obj, approx(g), 2), (obj, approx(g, half), half + 2),
+                         (obj, approx(g, 1), 3)]
+            runs.append(("dpw", dpw_2approx(g), 2))
+            for rep, factor in ((fas_scheme(g, half), half + 1),
+                                (fas_scheme(g, 1, weighted=True), 2)):
+                if n < 18:   # the level-2 prefix rounds to no vertex
+                    assert rep.trace[0][0] == "exact-fallback-level-2"
+                    factor = 1
+                else:
+                    assert rep.trace[0] == ("boost", 2, 18, 1)
+                runs.append(("fas", rep, factor))
+            assert len(runs) == 12
+            for obj, rep, factor in runs:
+                check_ratio(rep, g, obj, factor, opt[obj])
 
 
 def test_orient_sides_frozen_example():

@@ -230,6 +230,38 @@ def test_verify_compares_ratio_with_factor_exactly(capsys, tmp_path,
     assert code == 1 and "1 violation(s)" in err
 
 
+def test_verify_flags_lower_bound_above_opt(capsys, tmp_path, monkeypatch,
+                                            triangle_with_detour):
+    from dataclasses import replace
+
+    from ordercut import cli, perm_opt
+    real = cli.fas_balanced_approx
+
+    def overclaiming(g, cut_eps=None):
+        rep = real(g, cut_eps)
+        return replace(rep, lower_bound=perm_opt(g, "fas").opt + 1)
+
+    monkeypatch.setattr(cli, "fas_balanced_approx", overclaiming)
+    corp = make_corpus(tmp_path, [triangle_with_detour])
+    code, out, err = run(capsys, "verify", corp, "--obj", "fas",
+                         "--mode", "2approx", "--factor", "2", "--no-timing")
+    assert code == 1
+    assert out.splitlines()[1].split(",")[4:6] == ["2", "1"]   # lower_bound, opt
+    assert err.splitlines() == ["violation: inst0.g lower_bound=2 opt=1",
+                                "verify: 1 instance(s), 0 error(s), 1 violation(s)"]
+
+
+def test_bench_parallel_rows_match_serial(capsys, tmp_path):
+    from ordercut import gen_random
+    corp = make_corpus(tmp_path, [gen_random(7, 0.5, seed=s) for s in range(4)])
+    base = ("bench", corp, "--obj", "dpw", "--mode", "exact", "--mode",
+            "2approx", "--no-timing")
+    code1, out1, _ = run(capsys, *base, "--jobs", "1")
+    code2, out2, _ = run(capsys, *base, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert len(out1.splitlines()) == 1 + 8 and out1 == out2
+
+
 def test_verify_parallel_rows_match_serial(capsys, tmp_path):
     from ordercut import gen_random
     corp = make_corpus(tmp_path, [gen_random(6, 0.5, seed=s) for s in range(5)])

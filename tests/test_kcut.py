@@ -190,6 +190,25 @@ def test_pair_matrix_byte_guard(monkeypatch):
     kcut._PairMatrices(small, tripartition(26))
 
 
+def test_rank_table_byte_guard(monkeypatch, tmp_path, capsys):
+    # a guard just above the pair matrices leaves no room for the pair-sum
+    # ranks of a k searched on the grid; the exact search needs none
+    from ordercut import serialize_graph
+    from ordercut.cli import main
+    monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
+    g = gen_random(12, 0.4, weight_range=(1, 20), seed=1)
+    nbytes = kcut._PairMatrices(g, tripartition(12)).nbytes
+    monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", nbytes + 1)
+    with pytest.raises(SizeGuardError, match="rank table bytes"):
+        dkmc_weighted_approx(g, 6, Fraction(1, 2))
+    assert dkmc_exact(g, 6).value == dkmc_oracle(g, 6).value
+    path = tmp_path / "g.g"
+    path.write_text(serialize_graph(g))
+    assert main(["solve", str(path), "--obj", "fas", "--mode", "2approx",
+                 "--eps", "1/2"]) == 4
+    assert "size guard: cut pair matrix and rank table bytes" in capsys.readouterr().err
+
+
 def test_oracle_lex_least_witness():
     # single arc 0->1 and k=1: both {0} and {1} cost 0... not quite: cut
     # into {1} is 1, into {0} is 0, so {0} is forced; add symmetry to tie
