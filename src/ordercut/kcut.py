@@ -14,26 +14,21 @@ L = T1 u T2 u T3 (each delta appears in two edges at half weight; doubling
 keeps everything integral). The minimum-weight triangle therefore locates the
 optimal L for that split.
 
-A stored edge weight depends only on (T, U), never on k. cut_profile
-therefore builds, once per graph, one matrix per part pair over every subset
-of each part (two integer matrix products plus rank-1 terms), and each split's
-auxiliary graph is a block of those matrices. Entries are int64 while
-2 * total arc weight < 2**62, which bounds every entry and triangle sum, and
-exact Python ints (dtype=object) beyond that.
+A stored edge weight depends only on (T, U), never on k. cut_profile builds,
+once per graph, one matrix per part pair over all subsets of both parts from
+sums over mask bits (_PairMatrices), and hands each split's three blocks to
+min_weight_triangle. Entries are int64 while 2 * total arc weight < 2**62,
+which bounds every entry and triangle sum, and Python ints (object) beyond.
 
 The rounded search runs the same triangle search after rounding each nonzero
 stored edge weight up to a power of (1+eps/3), which keeps the number of
 distinct weights logarithmic while inflating any triangle by less than a
-(1+eps) factor. The returned value is always the true, unrounded cut weight.
-The grid of powers ends at (1+eps/3)^2048. A k whose largest stored weight
-lies past it, or below 1/eps where rounding would flip no comparison, is
-searched on its unrounded weights instead, which gives the exact cut. A
-long eps is first rounded down to a multiple of 2^-64 (see _Rounding). The
-powers are exact integers far wider than int64, so cut_profile keys every
-entry of the pair matrices once per call (one np.searchsorted against the
-integer thresholds floor((1+eps/3)^e)) and ranks every sum of two keys
-exactly, once. The search then runs on int64 key indices and pair-sum ranks,
-and only the r1 * r2 cells of the best completions add the keys themselves.
+(1+eps) factor; the returned value is always the true, unrounded cut weight
+(see _Rounding). The powers are far wider than int64, so cut_profile keys
+every pair-matrix entry once per call (np.searchsorted against the integer
+thresholds floor((1+eps/3)^e)) and ranks every sum of two keys exactly, once.
+The search then runs on int64 key indices and pair-sum ranks, and only the
+r1 * r2 cells of the best completions add the keys themselves.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, combinations, pairwise
 
 import numpy as np
@@ -90,11 +85,29 @@ def tripartition(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, .
             tuple(range(s1 + s2, n)))
 
 
+@cache
+def _mask_order(size: int):
+    """(order, bits, rows): the subset masks of a part of size vertices in
+    (size, lex) order, that is by popcount, then by bit-reversed mask
+    descending; bits[r, i] = bit i of order[r]; the rows of each size."""
+    bits = np.arange(1 << size)[:, None] >> np.arange(size) & 1
+    order = np.lexsort((-(bits << np.arange(size)[::-1]).sum(1), bits.sum(1)))
+    starts = accumulate((math.comb(size, k) for k in range(size + 1)), initial=0)
+    return order, bits[order], [slice(lo, hi) for lo, hi in pairwise(starts)]
+
+
+@cache
+def _subsets(part: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The subsets of part as vertex tuples, in (size, lex) order."""
+    return [t for k in range(len(part) + 1) for t in combinations(part, k)]
+
+
 class _PairMatrices:
     """Stored edge weights between all subsets of two parts, for every pair.
 
     Each part's subsets are listed in (size, lex) order, so the size-k ones
-    of part i form the row range rows[i][k] of its matrices.
+    of part i form the row range rows[i][k] of its matrices. Each term sums
+    over the bits of subset masks, by doubling, and is put in row order once.
     """
 
     def __init__(self, g: Digraph, parts):
@@ -105,41 +118,44 @@ class _PairMatrices:
         cells = [1 << len(parts[a]) + len(parts[b]) for a, b in _PAIRS]
         self.nbytes = int((sum(cells) + _PAIR_TEMPS * max(cells)) * entry)
         guards.check(self.nbytes, guards.TABLE_BYTE_GUARD, "cut pair matrix bytes")
-        w = np.zeros((g.n, g.n), dtype=dtype)
+        self.subsets = [_subsets(tuple(p)) for p in parts]
+        w = np.zeros((g.n, 2, g.n), dtype=dtype)   # [u, 0, v]: u -> v, [v, 1, u]
         for u, v, wt in g.arc_items:
-            w[u, v] = wt
-        idx = [np.array(p, dtype=np.intp) for p in parts]
-        into = [w[i].sum(axis=0) for i in idx]   # into[j][x]: from part j to x
-        self.subsets = []
-        self.rows = []
-        chi = []
-        for part in parts:
-            subs = [t for k in range(len(part) + 1) for t in combinations(part, k)]
-            self.subsets.append(subs)
-            starts = accumulate((math.comb(len(part), k)
-                                 for k in range(len(part) + 1)), initial=0)
-            self.rows.append([slice(lo, hi) for lo, hi in pairwise(starts)])
-            chi.append(np.array([[v in t for v in part] for t in subs],
-                                dtype=np.int64).astype(dtype))
-
-        def from_part(i: int, j: int) -> np.ndarray:
-            """Weight of arcs from part j into each subset of part i."""
-            return chi[i] @ into[j][idx[i]]
-
-        deltas = [from_part(i, i)
-                  - ((chi[i] @ w[np.ix_(idx[i], idx[i])]) * chi[i]).sum(axis=1)
-                  for i in range(3)]
+            w[u, 0, v] = w[v, 1, u] = wt
+        at = [np.array(p, dtype=np.intp) for p in parts]
+        self.order, bits, self.rows = zip(*(_mask_order(len(p)) for p in parts))
+        arcs = []   # [T, 0, y]: arcs T -> y, [T, 1, y]: y -> T, T in row order
+        for p, o in zip(parts, self.order):
+            sums = np.zeros((1 << len(p), 2, g.n), dtype=dtype)
+            for i, v in enumerate(p):   # doubling: the masks whose top bit is i
+                np.add(sums[:1 << i], w[v], out=sums[1 << i:2 << i])
+            arcs.append(sums[o])
+        terms = []   # [a][b][T] = 2 * arcs(V_b -> T) + delta(T) for T of part a
+        for a, t in enumerate(arcs):
+            into = [t[:, 1, s].sum(axis=1) for s in at]
+            delta = into[a] - (t[:, 0, at[a]] * bits[a]).sum(axis=1)   # - T -> T
+            terms.append([2 * x + delta for x in into])
+        both = {(a, b): 2 * arcs[a][:, :, at[b]].sum(axis=1) for a, b in _PAIRS}
+        del arcs, sums, t   # both[a, b][T, y] = 2 * arcs T <-> y; sums freed
         self.mats = {}
-        for a, b in _PAIRS:
-            both = w[np.ix_(idx[a], idx[b])] + w[np.ix_(idx[b], idx[a])].T
-            cross = chi[a] @ both @ chi[b].T     # arcs T -> U plus U -> T
-            self.mats[a, b] = (2 * (from_part(a, b)[:, None]
-                                    + from_part(b, a)[None, :] - cross)
-                               + deltas[a][:, None] + deltas[b][None, :])
+        for (a, b), cols in both.items():   # T's term - 2 * arcs T <-> U + U's
+            m = np.empty((1 << len(parts[b]), len(cols)), dtype=dtype)   # [U, T]
+            m[0] = terms[a][b]
+            for j, y in enumerate(cols.T):   # doubling over the bits of U
+                np.subtract(m[:1 << j], y, out=m[1 << j:2 << j])
+            m = m[self.order[b]].T   # [T, U], column-major: faster min over j3
+            m += terms[b][a]
+            self.mats[a, b] = m
 
-    def split_rows(self, sizes) -> list[slice]:
-        """Row ranges of the size-sizes[i] subsets of each part i."""
-        return [self.rows[i][k] for i, k in enumerate(sizes)]
+    def blocks(self, rows, mats=None) -> tuple[np.ndarray, ...]:
+        """The blocks 0-1, 0-2, 1-2 of mats (default: self.mats) at rows."""
+        (r0, r1, r2), m = rows, mats or self.mats
+        return m[0, 1][r0, r1], m[0, 2][r0, r2], m[1, 2][r1, r2]
+
+    def members(self, rows, js) -> tuple[int, ...]:
+        """L for the triangle js of the split with row ranges rows."""
+        (s0, s1, s2), (r0, r1, r2) = self.subsets, rows
+        return s0[r0.start + js[0]] + s1[r1.start + js[1]] + s2[r2.start + js[2]]
 
 
 def build_aux(g: Digraph, parts, sizes: tuple[int, int, int],
@@ -150,45 +166,45 @@ def build_aux(g: Digraph, parts, sizes: tuple[int, int, int],
     """
     if matrices is None:
         matrices = _PairMatrices(g, parts)
-    rows = matrices.split_rows(sizes)
+    rows = [r[k] for r, k in zip(matrices.rows, sizes)]
     nodes = tuple(matrices.subsets[i][r] for i, r in enumerate(rows))
-    blocks = tuple(matrices.mats[a, b][rows[a], rows[b]] for a, b in _PAIRS)
-    return AuxGraph(tuple(parts), tuple(sizes), nodes, blocks)
+    return AuxGraph(tuple(parts), tuple(sizes), nodes, matrices.blocks(rows))
 
 
-def min_weight_triangle(aux: AuxGraph, counters: Counters | None = None,
-                        keys=None):
-    """Minimum-weight triangle (one node per group).
+def min_weight_triangle(blocks, counters: Counters | None = None, keys=None):
+    """Minimum-weight triangle; blocks = (e01, e02, e12) are the 2-D edge
+    weights between groups 0-1, 0-2 and 1-2.
 
     Returns ((j1, j2, j3), weight); the lexicographically least triple wins
-    ties, and weights must be non-negative. With keys = (blocks, values,
-    ranks), blocks replace aux.blocks and hold indices into values, a
-    triangle weighs the sum of its three values, and ranks[i, j] is the
-    dense rank of values[i] + values[j] (see _pair_ranks).
+    ties, and weights must be non-negative. With keys = (values, ranks),
+    blocks hold indices into values, a triangle weighs the sum of its three
+    values, and ranks[i, j] is the dense rank of values[i] + values[j].
 
-    For each (j1, j2) the search takes the first j3 minimizing the pair term
-    e02 + e12 (as int64 sums, or as ranks gathered a block of j1 rows at a
-    time), then adds e01 over the r1 * r2 cells only.
+    For each (j1, j2) the search takes the first j3 minimizing e02 + e12 (or
+    its rank), over all j1 at once unless r1 * r2 * r3 > _CHUNK_CELLS, then
+    adds e01 over the r1 * r2 cells only.
 
     counters.triangles grows by the number of triangles a lex-order scan
     examines when it skips every (j1, j2) whose e01 weight already reaches
     the best sum found so far: |N3| for each pair whose e01 weight is below
     the minimum of the earlier pairs' best completions.
     """
-    (e01, e02, e12), values, ranks = keys or (aux.blocks, None, None)
+    e01, e02, e12 = blocks
     r1, r2 = e01.shape
     r3 = e12.shape[1]
     if not r1 * r2 * r3:
         raise ValueError("auxiliary graph has an empty group")
-    step = max(1, _CHUNK_CELLS // (r2 * r3))
-    chunks = [slice(lo, lo + step) for lo in range(0, r1, step)]
+
+    def by_rows(pair_term):   # one piece unless r1 * r2 * r3 > _CHUNK_CELLS
+        rows = range(0, r1, max(1, _CHUNK_CELLS // (r2 * r3)))
+        parts = [pair_term(e02[lo:lo + rows.step, None]) for lo in rows]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
     if keys is None:
-        pair = np.concatenate([(e02[c, None, :] + e12).min(axis=2) for c in chunks])
-        weights = e01 + pair
+        weights = e01 + by_rows(lambda e: (e + e12).min(axis=2))
     else:
-        flat, row02 = ranks.ravel(), e02 * len(ranks)
-        best_j3 = np.concatenate([flat[row02[c, None, :] + e12].argmin(axis=2)
-                                  for c in chunks])
+        values, ranks = keys[0], keys[1].ravel()
+        best_j3 = by_rows(lambda e: ranks[e * len(values) + e12].argmin(axis=2))
         e01 = values[e01]
         weights = (e01 + values[e02[np.arange(r1)[:, None], best_j3]]
                    + values[e12[np.arange(r2), best_j3]])
@@ -206,9 +222,8 @@ def min_weight_triangle(aux: AuxGraph, counters: Counters | None = None,
 def _splits(parts, k: int):
     for k1 in range(min(k, len(parts[0])) + 1):
         for k2 in range(min(k - k1, len(parts[1])) + 1):
-            k3 = k - k1 - k2
-            if 0 <= k3 <= len(parts[2]):
-                yield (k1, k2, k3)
+            if k - k1 - k2 <= len(parts[2]):
+                yield (k1, k2, k - k1 - k2)
 
 
 def _pair_ranks(keys: list[int]) -> np.ndarray:
@@ -251,19 +266,17 @@ class _Rounding:
 
     A weight w > 0 rounds to the least e with floor(a^e / b^e) >= w, where
     1+eps/3 = a/b, and gets the key a^e * b^(emax - e): the power scaled by
-    b^emax. Within one k only key sums are compared, and a common scale
-    does not change them, so one table serves every k. Each k picks its
-    case from its own largest stored weight smax, as the rounding of that k
-    alone would: it is rounded on this grid when 1/eps <= smax <=
-    floor((1+eps/3)^_MAX_POWERS), and searched on its unrounded weights
-    otherwise. Below 1/eps rounding would flip no comparison; past the grid
-    the unrounded search gives the exact cut, which meets every 1+eps factor.
+    b^emax, which changes no comparison of key sums, so one table serves
+    every k. A k is rounded on this grid when its largest stored weight
+    smax has 1/eps <= smax <= floor((1+eps/3)^_MAX_POWERS), and searched on
+    its unrounded weights otherwise: below 1/eps rounding would flip no
+    comparison, and past the grid the exact cut meets every 1+eps factor.
 
     An eps whose denominator exceeds 2^64 is first replaced by the largest
     nonzero multiple of 2^-64 not above it, so the powers have short
     factors; a smaller eps keeps every cut within 1+eps. The pair-sum ranks
-    of the at most _MAX_POWERS + 2 keys are built for the first k searched
-    on the grid, once the byte guard admits them beside the pair matrices.
+    of the at most _MAX_POWERS + 2 keys are built for the first k on the
+    grid, once the byte guard admits them beside the pair matrices.
     """
 
     def __init__(self, matrices: _PairMatrices, eps: Fraction):
@@ -275,11 +288,9 @@ class _Rounding:
         self.low = math.ceil(1 / eps)     # the least smax with eps * smax >= 1
         smax = max(int(m.max()) for m in matrices.mats.values())
         # limits[e + 1] = floor(base^e), limits[0] = 0 for weight 0. No power
-        # is built when no k can reach the grid: when no stored weight
-        # reaches low, or when base^_MAX_POWERS < low (eps below about
-        # 0.0072). top / 2**64 bounds base^(2^i) from above: base is squared
-        # up to i = 11 (_MAX_POWERS = 2^11) times, rounded up to 64 fraction
-        # bits each time.
+        # is built when no stored weight reaches low, or when base^_MAX_POWERS
+        # < low (eps below about 0.0072): top / 2**64 bounds base^(2^i) from
+        # above, base squared up to 11 times with 64 fraction bits rounded up.
         goal = self.low << 64
         top = -(-self.a << 64) // self.b
         for _ in range(_MAX_POWERS.bit_length() - 1):
@@ -330,11 +341,21 @@ class _Rounding:
                      guards.TABLE_BYTE_GUARD, "cut pair matrix and rank table bytes")
         return _pair_ranks(keys)
 
+    @cached_property
+    def block_max(self) -> dict:
+        """[a, b][ka, kb]: the largest weight between the size-ka subsets of
+        part a and the size-kb subsets of part b."""
+        at = [[r.start for r in rows] for rows in self.matrices.rows]
+        return {(a, b): np.maximum.reduceat(np.maximum.reduceat(m, at[a]), at[b], 1)
+                for (a, b), m in self.matrices.mats.items()}
+
+    def split_max(self, s) -> int:   # the largest stored weight of split s
+        return max(int(self.block_max[a, b][s[a], s[b]]) for a, b in _PAIRS)
+
     def search_keys(self, rows) -> tuple:
-        """min_weight_triangle's keys for one split on the grid."""
+        """min_weight_triangle's blocks and keys for one split on the grid."""
         index, values = self.grid
-        blocks = tuple(index[a, b][rows[a], rows[b]] for a, b in _PAIRS)
-        return blocks, values, self.ranks
+        return self.matrices.blocks(rows, index), (values, self.ranks)
 
 
 def cut_profile(g: Digraph, ks, eps=None,
@@ -360,24 +381,23 @@ def cut_profile(g: Digraph, ks, eps=None,
     rounding = None if eps is None else _Rounding(matrices, eps)
     out = {}
     for k in ks:
-        cells = [build_aux(g, parts, sizes, matrices) for sizes in _splits(parts, k)]
-        grid = rounding is not None and rounding.on_grid(
-            max(int(blk.max()) for aux in cells for blk in aux.blocks))
-        best = None
-        for aux in cells:
-            keys = (rounding.search_keys(matrices.split_rows(aux.sizes))
-                    if grid else None)
-            (j1, j2, j3), weight = min_weight_triangle(aux, counters, keys)
+        splits = list(_splits(parts, k))
+        grid = rounding is not None and rounding.on_grid(max(
+            rounding.split_max(s) for s in splits))
+        best = (math.inf,)
+        for sizes in splits:
+            rows = [r[k] for r, k in zip(matrices.rows, sizes)]
+            blocks, keys = (rounding.search_keys(rows) if grid
+                            else (matrices.blocks(rows), None))
+            js, weight = min_weight_triangle(blocks, counters, keys)
             if eps is None and weight % 2:
                 raise AssertionError("stored triangle weight must be even")
-            cand = (weight, aux.nodes[0][j1] + aux.nodes[1][j2] + aux.nodes[2][j3])
-            if best is None or cand < best:
-                best = cand
+            if weight <= best[0]:   # L is built for candidates only
+                best = min(best, (weight, matrices.members(rows, js)))
         weight, l = best
         value = cut_into(g, l)
         if eps is None and 2 * value != weight:
-            raise AssertionError(
-                f"dkmc value {weight // 2} but cut re-evaluates to {value}")
+            raise AssertionError(f"dkmc value {weight // 2}, cut_into {value}")
         out[k] = CutSolution(l, k, value)
     return out
 

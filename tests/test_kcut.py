@@ -274,7 +274,7 @@ def test_triangle_search_matches_seed_scan_on_aux_graphs():
             for sizes in kcut._splits(parts, k):
                 aux = build_aux(g, parts, sizes)
                 counters = Counters()
-                triple, weight = min_weight_triangle(aux, counters)
+                triple, weight = min_weight_triangle(aux.blocks, counters)
                 lists = [[[int(w) for w in row] for row in m]
                          for m in (aux.e01, aux.e02, aux.e12)]
                 assert ((triple, weight, counters.triangles)
@@ -295,7 +295,7 @@ def test_triangle_search_matches_seed_scan_with_ties(data):
     aux = AuxGraph(((), (), ()), (0, 0, 0), ([], [], []),
                    tuple(np.array(m, dtype=np.int64) for m in (e01, e02, e12)))
     counters = Counters()
-    triple, weight = min_weight_triangle(aux, counters)
+    triple, weight = min_weight_triangle(aux.blocks, counters)
     assert (triple, weight, counters.triangles) == seed_triangle_scan(e01, e02, e12)
 
 
@@ -320,6 +320,92 @@ def test_int64_dispatch_bound(monkeypatch, total, dtype):
     monkeypatch.setattr(guards, "int_dtype", lambda bound: object)
     assert build_aux(g, tripartition(6), (1, 1, 1)).blocks[0].dtype == object
     assert runs == [cut_profile(g, ks), cut_profile(g, ks, Fraction(1, 2))]
+
+
+def test_exact_profile_totals_match_oracle_and_seed_scan():
+    # a whole exact call: every k equals the oracle, and the call's triangle
+    # count is the seed scan's summed over every split of every k
+    graphs = [gen_random(n, 0.5, seed=n) for n in range(1, 13)]
+    graphs += [_graph_with_total(2 ** 61 - 1), _graph_with_total(2 ** 61)]
+    for g in graphs:
+        parts = tripartition(g.n)
+        counters = Counters()
+        got = cut_profile(g, range(g.n + 1), None, counters)
+        examined = 0
+        for k in range(g.n + 1):
+            assert got[k] == dkmc_oracle(g, k)
+            for sizes in kcut._splits(parts, k):
+                aux = build_aux(g, parts, sizes)
+                examined += seed_triangle_scan(aux.e01, aux.e02, aux.e12)[2]
+        assert counters.triangles == examined
+
+
+# ------------------------------------------------ pair matrices, reference copy
+
+def reference_pair_matrices(g, parts):
+    """The pair matrices as they were built: 0/1 subset matrices chi, one row
+    per subset in (size, lex) order, and integer matrix products."""
+    from itertools import accumulate, combinations, pairwise
+    from math import comb
+    bound = 2 * g.total_arc_weight
+    dtype = guards.int_dtype(bound)
+    entry = guards.entry_bytes(dtype, bound)
+    cells = [1 << len(parts[a]) + len(parts[b]) for a, b in kcut._PAIRS]
+    nbytes = int((sum(cells) + kcut._PAIR_TEMPS * max(cells)) * entry)
+    w = np.zeros((g.n, g.n), dtype=dtype)
+    for u, v, wt in g.arc_items:
+        w[u, v] = wt
+    idx = [np.array(p, dtype=np.intp) for p in parts]
+    into = [w[i].sum(axis=0) for i in idx]   # into[j][x]: from part j to x
+    subsets, rows, chi = [], [], []
+    for part in parts:
+        subs = [t for k in range(len(part) + 1) for t in combinations(part, k)]
+        subsets.append(subs)
+        starts = accumulate((comb(len(part), k) for k in range(len(part) + 1)),
+                            initial=0)
+        rows.append([slice(lo, hi) for lo, hi in pairwise(starts)])
+        chi.append(np.array([[v in t for v in part] for t in subs],
+                            dtype=np.int64).astype(dtype))
+
+    def from_part(i, j):
+        return chi[i] @ into[j][idx[i]]
+
+    deltas = [from_part(i, i)
+              - ((chi[i] @ w[np.ix_(idx[i], idx[i])]) * chi[i]).sum(axis=1)
+              for i in range(3)]
+    mats = {}
+    for a, b in kcut._PAIRS:
+        both = w[np.ix_(idx[a], idx[b])] + w[np.ix_(idx[b], idx[a])].T
+        cross = chi[a] @ both @ chi[b].T
+        mats[a, b] = (2 * (from_part(a, b)[:, None] + from_part(b, a)[None, :]
+                           - cross) + deltas[a][:, None] + deltas[b][None, :])
+    return dtype, subsets, rows, nbytes, mats
+
+
+def assert_pair_matrices_match_reference(g):
+    parts = tripartition(g.n)
+    got = kcut._PairMatrices(g, parts)
+    dtype, subsets, rows, nbytes, mats = reference_pair_matrices(g, parts)
+    assert (got.subsets, list(got.rows), got.nbytes) == (subsets, rows, nbytes)
+    assert list(got.mats) == list(mats)
+    for pair, m in mats.items():
+        assert got.mats[pair].dtype == m.dtype == dtype
+        assert got.mats[pair].tolist() == m.tolist()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([(0, 3), (0, 1000), (0, 10 ** 20)])
+       .flatmap(lambda w: digraphs(max_n=12, min_w=w[0], max_w=w[1])))
+def test_pair_matrices_match_reference(g):
+    # weights up to 10**20 make most totals pass 2**61: dtype=object
+    assert_pair_matrices_match_reference(g)
+
+
+@pytest.mark.parametrize("g", [Digraph(0, []), _graph_with_total(2 ** 61 - 1),
+                               _graph_with_total(2 ** 61),
+                               _graph_with_total(2 ** 61 + 1)])
+def test_pair_matrices_match_reference_at_the_edges(g):
+    assert_pair_matrices_match_reference(g)
 
 
 # ------------------------------------------- rounded search, reference copy
