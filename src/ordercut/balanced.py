@@ -14,6 +14,12 @@ dpw_2approx checks its value against the prefix bound instead.
 
 Degenerate inputs (n <= 2, or a prefix/range that rounds to nothing) fall
 back to the exact solver and report factor 1, with the fallback traced.
+
+Subproblems of one size are solved as one batch: the sides of one size in
+one table call (both sides of an even split), and each scheme level's
+complements in one cut search and two table calls at the level below. A
+lone graph goes through the public single-graph function instead, which a
+traced run records as a span; a batch call is private and is not one.
 """
 
 from __future__ import annotations
@@ -29,10 +35,11 @@ import numpy as np
 
 from . import guards
 from .graph import Digraph, cut_into, induced
-from .kcut import CutSolution, cut_profile, dkmc_exact, dkmc_weighted_approx
+from .kcut import (CutSolution, _cut_profiles, cut_profile, dkmc_exact,
+                   dkmc_weighted_approx)
 from .report import Counters, SolveReport, finish
-from .subset_dp import (cutwidth_exact, dpw_exact, dpw_prefix_table, fas_exact,
-                        fas_table, ola_exact)
+from .subset_dp import (_exacts, _prefix_tables, cutwidth_exact, dpw_exact,
+                        dpw_prefix_table, fas_exact, fas_table, ola_exact)
 
 DEFAULT_DELTA1 = 0.25
 
@@ -130,13 +137,35 @@ def _traced(rep: SolveReport, note: str) -> SolveReport:
     return replace(rep, trace=((note, len(rep.ordering)),))
 
 
-def _sub_order(g: Digraph, vertices, solver) -> tuple[SolveReport, list[int]]:
-    """Solve an induced subproblem; return the report and the ordering's
-    vertex sequence mapped back to the parent labels."""
-    sub, relabel = induced(g, vertices)
-    rep = solver(sub)
-    inv = {new: old for old, new in relabel.items()}
-    return rep, [inv[v] for v in rep.ordering.seq]
+def _solve(graphs, lone, batch) -> list:
+    """Results for graphs of one vertex count: [lone(g)] for a lone graph,
+    else batch(graphs), one call for all."""
+    return [lone(graphs[0])] if len(graphs) == 1 else batch(graphs)
+
+
+def _exact_all(graphs, exact, objective: str) -> list[SolveReport]:
+    """Exact reports of graphs of one vertex count (exact is the public
+    solver of objective)."""
+    return _solve(graphs, exact, lambda gs: _exacts(gs, objective))
+
+
+def _sub_orders(jobs, solve) -> list[tuple[SolveReport, list[int]]]:
+    """Solve the induced subproblems G[vertices] of jobs, (g, vertices)
+    pairs, those of one size in one call solve(subgraphs); return each
+    report with its ordering's vertex sequence mapped back to g's labels."""
+    subs = [induced(g, vertices) for g, vertices in jobs]
+    by_size: dict[int, list[int]] = {}
+    for i, (sub, _) in enumerate(subs):
+        by_size.setdefault(sub.n, []).append(i)
+    reps = [None] * len(subs)
+    for group in by_size.values():
+        for i, rep in zip(group, solve([subs[i][0] for i in group])):
+            reps[i] = rep
+    out = []
+    for (_, relabel), rep in zip(subs, reps):
+        inv = {new: old for old, new in relabel.items()}
+        out.append((rep, [inv[v] for v in rep.ordering.seq]))
+    return out
 
 
 def _cut_range_lb(sols: list[CutSolution], eps_cut) -> int:
@@ -148,59 +177,68 @@ def _cut_range_lb(sols: list[CutSolution], eps_cut) -> int:
     return sum(math.floor(Fraction(s.value) / (1 + Fraction(eps_cut))) for s in sols)
 
 
-def _split(g: Digraph, objective: str, sols: list[CutSolution], eps_cut,
-           side_solver, counters: Counters, t0: float, factor: Fraction,
-           trace: tuple, orient: bool = False) -> SolveReport:
-    """The balanced-cut step: take the lightest cut in sols (the smallest k
-    wins ties), solve both sides with side_solver, optionally orient them
-    (undirected ola), and concatenate.
+def _split(graphs, objective: str, sols, eps_cut, exact, counters, t0: float,
+           factor: Fraction, trace: tuple, orient: bool = False) -> list[SolveReport]:
+    """The balanced-cut step for each graph: take the lightest cut in its
+    list of sols (the smallest k wins ties), solve both sides with the exact
+    solver, optionally orient them (undirected ola), and concatenate.
 
     The lower bound is the cut bound of every k searched, or the side
     optima: their sum for fas, whose value finish() checks to be exactly
     sides plus cut, and their maximum for cutwidth and ola.
     """
-    cut = min(sols, key=lambda s: s.value)
-    left = set(cut.vertices)
-    right = tuple(v for v in range(g.n) if v not in left)
-    rep_l, seq_l = _sub_order(g, cut.vertices, side_solver)
-    rep_r, seq_r = _sub_order(g, right, side_solver)
-    counters.merge(rep_l.stats)
-    counters.merge(rep_r.stats)
-    if orient:
-        crossing = [(u, v, w) if u in left else (v, u, w)
-                    for u, v, w in g.edge_items() if (u in left) != (v in left)]
-        seq_l, seq_r, _ = _orient_sides(seq_l, seq_r, crossing)
-    fas = objective == "fas"
-    sides = rep_l.value + rep_r.value if fas else max(rep_l.value, rep_r.value)
-    return finish(g, objective, seq_l + seq_r,
-                  max(_cut_range_lb(sols, eps_cut), sides), counters, t0,
-                  claim=sides + cut.value if fas else None, factor=factor,
-                  cuts=(cut,), trace=trace)
+    cuts = [min(s, key=lambda c: c.value) for s in sols]
+    jobs = []
+    for g, cut in zip(graphs, cuts):
+        left = set(cut.vertices)
+        jobs += [(g, cut.vertices), (g, tuple(v for v in range(g.n) if v not in left))]
+    solved = _sub_orders(jobs, lambda gs: _exact_all(gs, exact, objective))
+    reports = []
+    for i, (g, cut, count) in enumerate(zip(graphs, cuts, counters)):
+        (rep_l, seq_l), (rep_r, seq_r) = solved[2 * i:2 * i + 2]
+        count.merge(rep_l.stats)
+        count.merge(rep_r.stats)
+        if orient:
+            left = set(cut.vertices)
+            crossing = [(u, v, w) if u in left else (v, u, w)
+                        for u, v, w in g.edge_items() if (u in left) != (v in left)]
+            seq_l, seq_r, _ = _orient_sides(seq_l, seq_r, crossing)
+        fas = objective == "fas"
+        sides = rep_l.value + rep_r.value if fas else max(rep_l.value, rep_r.value)
+        reports.append(finish(
+            g, objective, seq_l + seq_r, max(_cut_range_lb(sols[i], eps_cut), sides),
+            count, t0, claim=sides + cut.value if fas else None, factor=factor,
+            cuts=(cut,), trace=trace))
+    return reports
 
 
-def _balanced(g: Digraph, objective: str, cut_eps, exact) -> SolveReport:
-    """fas and cutwidth: split at the balanced k = n/2 cut, exact or rounded."""
+def _balanced(graphs, objective: str, cut_eps, exact) -> list[SolveReport]:
+    """fas and cutwidth: split each graph, all of one vertex count, at the
+    balanced k = n/2 cut, exact or rounded."""
     t0 = time.perf_counter()
-    n = g.n
+    n = graphs[0].n
     if n <= 2:
-        return _traced(exact(g), "exact-fallback")
-    counters = Counters(calls=1)
+        return [_traced(rep, "exact-fallback")
+                for rep in _exact_all(graphs, exact, objective)]
+    counters = [Counters(calls=1) for _ in graphs]
     k = n // 2
-    cut = (dkmc_exact(g, k, counters) if cut_eps is None
-           else dkmc_weighted_approx(g, k, cut_eps, counters))
-    return _split(g, objective, [cut], cut_eps, exact, counters, t0,
-                  2 + Fraction(cut_eps or 0), (("balanced", n, k),))
+    cuts = _solve(graphs,
+                  lambda g: (dkmc_exact(g, k, counters[0]) if cut_eps is None
+                             else dkmc_weighted_approx(g, k, cut_eps, counters[0])),
+                  lambda gs: [p[k] for p in _cut_profiles(gs, [k], cut_eps, counters)])
+    return _split(graphs, objective, [[cut] for cut in cuts], cut_eps, exact,
+                  counters, t0, 2 + Fraction(cut_eps or 0), (("balanced", n, k),))
 
 
 def fas_balanced_approx(g: Digraph, cut_eps=None) -> SolveReport:
     """Feedback arc set within factor 2 (exact cut) or 2+eps (rounded cut;
     eps = 1 gives the weighted 3-approximation)."""
-    return _balanced(g, "fas", cut_eps, fas_exact)
+    return _balanced([g], "fas", cut_eps, fas_exact)[0]
 
 
 def cutwidth_balanced_approx(g: Digraph, cut_eps=None) -> SolveReport:
     """Directed cutwidth within factor 2 (exact cut) or 2+eps (rounded)."""
-    return _balanced(g, "cutwidth", cut_eps, cutwidth_exact)
+    return _balanced([g], "cutwidth", cut_eps, cutwidth_exact)[0]
 
 
 def _ola(g: Digraph, alpha, weighted: bool, undirected: bool) -> SolveReport:
@@ -219,9 +257,9 @@ def _ola(g: Digraph, alpha, weighted: bool, undirected: bool) -> SolveReport:
         return _traced(ola_exact(g), "exact-fallback")
     counters = Counters(calls=1)
     sols = list(cut_profile(g, range(lo, hi + 1), eps_cut, counters).values())
-    return _split(g, "ola", sols, eps_cut, ola_exact, counters, t0,
+    return _split([g], "ola", [sols], eps_cut, ola_exact, [counters], t0,
                   1 + 1 / ((2 if undirected else 1) * (1 - af)),
-                  (("cut-range", lo, hi),), orient=undirected)
+                  (("cut-range", lo, hi),), orient=undirected)[0]
 
 
 def ola_directed_approx(g: Digraph, alpha, weighted: bool = False) -> SolveReport:
@@ -285,7 +323,8 @@ def dpw_2approx(g: Digraph) -> SolveReport:
     best_mask, best_val = int(masks[i]), int(vals[i])
     prefix_seq = list(table.order_of(best_mask))
     rest = tuple(v for v in range(n) if not best_mask >> v & 1)
-    rep_c, seq_c = _sub_order(g, rest, dpw_exact)
+    (rep_c, seq_c), = _sub_orders(
+        [(g, rest)], lambda gs: _exact_all(gs, dpw_exact, "dpw"))
     counters.merge(rep_c.stats)
     report = finish(g, "dpw", prefix_seq + seq_c, max(best_val, rep_c.value),
                     counters, t0, factor=Fraction(2), trace=(("prefix", n, p),))
@@ -310,43 +349,54 @@ def fas_scheme(g: Digraph, eps, weighted: bool = False,
     k = math.ceil(Fraction(2 if weighted else 1) / eps_f)
     guards.check(k * g.n, guards.SCHEME_BUDGET, "fas_scheme level*n")
     ladder = boost_ladder(k - 1, delta1) if k >= 2 else ()
-    return _fas_level(g, k, weighted, ladder)
+    return _fas_level([g], k, weighted, ladder)[0]
 
 
-def _fas_level(g: Digraph, level: int, weighted: bool,
-               ladder: tuple[BoostParams, ...]) -> SolveReport:
+def _fas_level(graphs, level: int, weighted: bool,
+               ladder: tuple[BoostParams, ...]) -> list[SolveReport]:
+    """Level `level` of the scheme for graphs of one vertex count. All their
+    complements have one size: the exact ones are solved as one batch, the
+    others as one batch at level - 1."""
     if level <= 1:
-        return fas_balanced_approx(g, cut_eps=1 if weighted else None)
+        cut_eps = 1 if weighted else None
+        return _solve(graphs, lambda g: fas_balanced_approx(g, cut_eps=cut_eps),
+                      lambda gs: _balanced(gs, "fas", cut_eps, fas_exact))
     t0 = time.perf_counter()
-    n = g.n
+    n = graphs[0].n
     params = ladder[level - 2]
     prefix = _round_half_up(params.alpha * n)
     if n <= 2 or prefix < 1 or prefix >= n:
-        return _traced(fas_exact(g), f"exact-fallback-level-{level}")
-    counters = Counters(calls=1)
-    table = fas_table(g, prefix)
-    counters.table_entries += table.entries
+        return [_traced(rep, f"exact-fallback-level-{level}")
+                for rep in _exact_all(graphs, fas_exact, "fas")]
+    tables = _solve(graphs, lambda g: fas_table(g, prefix),
+                    lambda gs: _prefix_tables(gs, prefix, "fas"))
     subsets = list(combinations(range(n), prefix))
-    a_vals = [cut_into(g, s) for s in subsets]
-    star = min(range(len(subsets)), key=lambda i: a_vals[i])
-    best = None
-    lb = 0
-    for idx, sub in enumerate(subsets):
-        members = set(sub)
-        comp = tuple(v for v in range(n) if v not in members)
-        if idx == star:
-            crep, cseq = _sub_order(g, comp, fas_exact)
-            crep = _traced(crep, "exact-complement")
-        else:
-            crep, cseq = _sub_order(
-                g, comp, lambda h: _fas_level(h, level - 1, weighted, ladder))
-        counters.merge(crep.stats)
-        sub_val = table.value_of(sub)
-        lb = max(lb, sub_val + crep.lower_bound)
-        cand = sub_val + a_vals[idx] + crep.value
-        if best is None or cand < best[0]:
-            best = cand, list(table.order_of(sub)) + cseq, crep.trace
-    value, seq, ctrace = best
-    return finish(g, "fas", seq, lb, counters, t0, claim=value,
-                  factor=1 + Fraction(2 if weighted else 1, level),
-                  trace=(("boost", level, n, prefix),) + ctrace)
+    comps = [tuple(v for v in range(n) if v not in sub) for sub in subsets]
+    a_vals = [[cut_into(g, sub) for sub in subsets] for g in graphs]
+    stars = [min(range(len(subsets)), key=a.__getitem__) for a in a_vals]
+    boosted = iter(_sub_orders(
+        [(g, comp) for g, star in zip(graphs, stars)
+         for idx, comp in enumerate(comps) if idx != star],
+        lambda gs: _fas_level(gs, level - 1, weighted, ladder)))
+    exact = _sub_orders(
+        [(g, comps[star]) for g, star in zip(graphs, stars)],
+        lambda gs: [_traced(rep, "exact-complement")
+                    for rep in _exact_all(gs, fas_exact, "fas")])
+    reports = []
+    for g, table, a, star, star_rep in zip(graphs, tables, a_vals, stars, exact):
+        counters = Counters(table_entries=table.entries, calls=1)
+        best = None
+        lb = 0
+        for idx, sub in enumerate(subsets):
+            crep, cseq = star_rep if idx == star else next(boosted)
+            counters.merge(crep.stats)
+            sub_val = table.value_of(sub)
+            lb = max(lb, sub_val + crep.lower_bound)
+            cand = sub_val + a[idx] + crep.value
+            if best is None or cand < best[0]:
+                best = cand, list(table.order_of(sub)) + cseq, crep.trace
+        value, seq, ctrace = best
+        reports.append(finish(g, "fas", seq, lb, counters, t0, claim=value,
+                              factor=1 + Fraction(2 if weighted else 1, level),
+                              trace=(("boost", level, n, prefix),) + ctrace))
+    return reports

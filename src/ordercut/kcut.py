@@ -19,6 +19,9 @@ once per graph, one matrix per part pair over all subsets of both parts from
 sums over mask bits (_PairMatrices), and hands each split's three blocks to
 min_weight_triangle. Entries are int64 while 2 * total arc weight < 2**62,
 which bounds every entry and triangle sum, and Python ints (object) beyond.
+Graphs of one vertex count share the parts and splits, so an exact search
+over several of them (_cut_profiles) stacks their matrices on a last axis
+and searches each split of all of them at once.
 
 The rounded search runs the same triangle search after rounding each nonzero
 stored edge weight up to a power of (1+eps/3), which keeps the number of
@@ -102,31 +105,44 @@ def _subsets(part: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [t for k in range(len(part) + 1) for t in combinations(part, k)]
 
 
+def _pair_bytes(parts, bound: int) -> int:
+    """Bytes of one graph's pair matrices, whose entries stay below bound,
+    plus one more largest matrix, which lives in temporaries (RSS fit)."""
+    entry = guards.entry_bytes(guards.int_dtype(bound), bound)
+    cells = [1 << len(parts[a]) + len(parts[b]) for a, b in _PAIRS]
+    return int((sum(cells) + _PAIR_TEMPS * max(cells)) * entry)
+
+
 class _PairMatrices:
-    """Stored edge weights between all subsets of two parts, for every pair.
+    """Stored edge weights between all subsets of two parts, for every pair,
+    of the graphs of a batch with one vertex count, stacked on a last axis
+    over them: mats[a, b][..., i] is graph i's matrix. A lone graph's have
+    no such axis.
 
     Each part's subsets are listed in (size, lex) order, so the size-k ones
     of part i form the row range rows[i][k] of its matrices. Each term sums
     over the bits of subset masks, by doubling, and is put in row order once.
     """
 
-    def __init__(self, g: Digraph, parts):
-        bound = 2 * g.total_arc_weight
+    def __init__(self, graphs, parts):
+        bound = 2 * max(g.total_arc_weight for g in graphs)
         dtype = guards.int_dtype(bound)
-        # guard the bytes first: one more largest matrix lives in temporaries
-        entry = guards.entry_bytes(dtype, bound)
-        cells = [1 << len(parts[a]) + len(parts[b]) for a, b in _PAIRS]
-        self.nbytes = int((sum(cells) + _PAIR_TEMPS * max(cells)) * entry)
+        # guard the bytes first
+        self.nbytes = len(graphs) * _pair_bytes(parts, bound)
         guards.check(self.nbytes, guards.TABLE_BYTE_GUARD, "cut pair matrix bytes")
         self.subsets = [_subsets(tuple(p)) for p in parts]
-        w = np.zeros((g.n, 2, g.n), dtype=dtype)   # [u, 0, v]: u -> v, [v, 1, u]
-        for u, v, wt in g.arc_items:
-            w[u, 0, v] = w[v, 1, u] = wt
+        n = graphs[0].n
+        batch = (len(graphs),) if len(graphs) > 1 else ()
+        w = np.zeros((n, 2, n) + batch, dtype=dtype)   # [u, 0, v]: u -> v, [v, 1, u]
+        for g, wg in zip(graphs, guards.batch_views(w, len(graphs))):
+            for u, v, wt in g.arc_items:
+                wg[u, 0, v] = wg[v, 1, u] = wt
         at = [np.array(p, dtype=np.intp) for p in parts]
         self.order, bits, self.rows = zip(*(_mask_order(len(p)) for p in parts))
+        bits = [b.reshape(b.shape + (1,) * len(batch)) for b in bits]
         arcs = []   # [T, 0, y]: arcs T -> y, [T, 1, y]: y -> T, T in row order
         for p, o in zip(parts, self.order):
-            sums = np.zeros((1 << len(p), 2, g.n), dtype=dtype)
+            sums = np.zeros((1 << len(p), 2, n) + batch, dtype=dtype)
             for i, v in enumerate(p):   # doubling: the masks whose top bit is i
                 np.add(sums[:1 << i], w[v], out=sums[1 << i:2 << i])
             arcs.append(sums[o])
@@ -139,11 +155,12 @@ class _PairMatrices:
         del arcs, sums, t   # both[a, b][T, y] = 2 * arcs T <-> y; sums freed
         self.mats = {}
         for (a, b), cols in both.items():   # T's term - 2 * arcs T <-> U + U's
-            m = np.empty((1 << len(parts[b]), len(cols)), dtype=dtype)   # [U, T]
+            m = np.empty((1 << len(parts[b]), len(cols)) + batch, dtype=dtype)   # [U, T]
             m[0] = terms[a][b]
-            for j, y in enumerate(cols.T):   # doubling over the bits of U
-                np.subtract(m[:1 << j], y, out=m[1 << j:2 << j])
-            m = m[self.order[b]].T   # [T, U], column-major: faster min over j3
+            for j in range(len(parts[b])):   # doubling over the bits of U
+                np.subtract(m[:1 << j], cols[:, j], out=m[1 << j:2 << j])
+            # [T, U], column-major: faster min over j3
+            m = m[self.order[b]].swapaxes(0, 1)
             m += terms[b][a]
             self.mats[a, b] = m
 
@@ -165,7 +182,7 @@ def build_aux(g: Digraph, parts, sizes: tuple[int, int, int],
     The blocks are views into matrices, built here when not given.
     """
     if matrices is None:
-        matrices = _PairMatrices(g, parts)
+        matrices = _PairMatrices([g], parts)
     rows = [r[k] for r, k in zip(matrices.rows, sizes)]
     nodes = tuple(matrices.subsets[i][r] for i, r in enumerate(rows))
     return AuxGraph(tuple(parts), tuple(sizes), nodes, matrices.blocks(rows))
@@ -190,33 +207,66 @@ def min_weight_triangle(blocks, counters: Counters | None = None, keys=None):
     the minimum of the earlier pairs' best completions.
     """
     e01, e02, e12 = blocks
+    best = _best_pairs(blocks, keys)
     r1, r2 = e01.shape
-    r3 = e12.shape[1]
-    if not r1 * r2 * r3:
-        raise ValueError("auxiliary graph has an empty group")
-
-    def by_rows(pair_term):   # one piece unless r1 * r2 * r3 > _CHUNK_CELLS
-        rows = range(0, r1, max(1, _CHUNK_CELLS // (r2 * r3)))
-        parts = [pair_term(e02[lo:lo + rows.step, None]) for lo in rows]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    if keys is None:
-        weights = e01 + by_rows(lambda e: (e + e12).min(axis=2))
-    else:
-        values, ranks = keys[0], keys[1].ravel()
-        best_j3 = by_rows(lambda e: ranks[e * len(values) + e12].argmin(axis=2))
+    weights = best
+    if keys is not None:   # best holds the j3 of each (j1, j2)
+        values = keys[0]
         e01 = values[e01]
-        weights = (e01 + values[e02[np.arange(r1)[:, None], best_j3]]
-                   + values[e12[np.arange(r2), best_j3]])
+        weights = (e01 + values[e02[np.arange(r1)[:, None], best]]
+                   + values[e12[np.arange(r2), best]])
     flat_w = weights.ravel()
     j1, j2 = divmod(int(flat_w.argmin()), r2)
-    j3 = (int((e02[j1] + e12[j2]).argmin()) if keys is None
-          else int(best_j3[j1, j2]))
+    j3 = int((e02[j1] + e12[j2]).argmin()) if keys is None else int(best[j1, j2])
     if counters is not None:
         running = np.minimum.accumulate(flat_w[:-1])
-        counters.triangles += r3 * (1 + int(np.count_nonzero(
+        counters.triangles += e12.shape[1] * (1 + int(np.count_nonzero(
             e01.ravel()[1:] < running)))
     return (j1, j2, j3), int(flat_w[j1 * r2 + j2])
+
+
+def _triangles(blocks, counters) -> list:
+    """min_weight_triangle, unrounded, for the graphs of a batch: their
+    blocks stacked on a last axis over them, one Counters or None each.
+    Every step runs for all of them at once."""
+    e01, e02, e12 = blocks
+    r1, r2, count = e01.shape
+    flat_w = _best_pairs(blocks, None).reshape(r1 * r2, count)
+    at = flat_w.argmin(axis=0)
+    every = np.arange(count)
+    j1, j2 = np.divmod(at, r2)
+    j3 = (e02[j1, :, every] + e12[j2, :, every]).argmin(axis=1)
+    running = np.minimum.accumulate(flat_w[:-1], axis=0)
+    skipped = (e01.reshape(r1 * r2, count)[1:] < running).sum(axis=0)
+    for c, examined in zip(counters, skipped.tolist()):
+        if c is not None:
+            c.triangles += e12.shape[1] * (1 + examined)
+    return [((a, b, c), w) for a, b, c, w in
+            zip(j1.tolist(), j2.tolist(), j3.tolist(), flat_w[at, every].tolist())]
+
+
+def _best_pairs(blocks, keys) -> np.ndarray:
+    """For each (j1, j2), the weight of the best triangle, or with keys its
+    j3; blocks may be stacked on a last axis over a batch. At most
+    _CHUNK_CELLS sums at a time: all j1 rows at once, else rows in pieces,
+    else (where one row of a batch exceeds it) graph by graph."""
+    e01, e02, e12 = blocks
+    r1, r2 = e01.shape[0], e01.shape[1]
+    if not r1 * r2 * e12.shape[1]:
+        raise ValueError("auxiliary graph has an empty group")
+    row = e02.size // r1 * r2   # the sums of one j1 row
+    if row > _CHUNK_CELLS and e01.ndim == 3:
+        graphs = zip(*(guards.batch_views(b, e01.shape[2]) for b in blocks))
+        return np.stack([_best_pairs(graph, keys) for graph in graphs], axis=-1)
+    rows = range(0, r1, max(1, _CHUNK_CELLS // row))
+    if keys is None:
+        parts = [(e02[lo:lo + rows.step, None] + e12).min(axis=2) for lo in rows]
+    else:
+        values, ranks = keys[0], keys[1].ravel()
+        parts = [ranks[e02[lo:lo + rows.step, None] * len(values) + e12].argmin(axis=2)
+                 for lo in rows]
+    pairs = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return e01 + pairs if keys is None else pairs
 
 
 def _splits(parts, k: int):
@@ -366,7 +416,17 @@ def cut_profile(g: Digraph, ks, eps=None,
     rounded search. Within one k, the lower weight wins, then the
     lexicographically smaller vertex set. The matrices are dropped on return.
     """
-    n = g.n
+    return _cut_profiles([g], ks, eps, [counters])[0]
+
+
+def _cut_profiles(graphs, ks, eps, counters) -> list[dict[int, CutSolution]]:
+    """cut_profile for graphs with one vertex count, one Counters or None
+    each. The exact search runs on the stacked pair matrices of graphs whose
+    entries share a dtype, as many at a time as the byte guard admits, which
+    each graph's matrices alone must meet. A rounded search keys each
+    graph's weights in a table of its own, so each graph is a batch of one.
+    """
+    n = graphs[0].n
     ks = list(ks)
     for k in ks:
         if not 0 <= k <= n:
@@ -377,29 +437,56 @@ def cut_profile(g: Digraph, ks, eps=None,
         if eps <= 0:
             raise ValueError("eps must be positive")
     parts = tripartition(n)
-    matrices = _PairMatrices(g, parts)
+    bounds = [2 * g.total_arc_weight for g in graphs]
+    for bound in bounds:
+        guards.check(_pair_bytes(parts, bound), guards.TABLE_BYTE_GUARD,
+                     "cut pair matrix bytes")
+
+    def room(batch) -> int:
+        if eps is not None:
+            return 1
+        return guards.TABLE_BYTE_GUARD // _pair_bytes(
+            parts, max(bounds[i] for i in batch))
+
+    profiles = [None] * len(graphs)
+    for batch in guards.batches([guards.int_dtype(b) for b in bounds], room):
+        found = _search([graphs[i] for i in batch], parts, ks, eps,
+                        [counters[i] for i in batch])
+        for i, profile in zip(batch, found):
+            profiles[i] = profile
+    return profiles
+
+
+def _search(graphs, parts, ks, eps, counters) -> list[dict[int, CutSolution]]:
+    """The cut search of one batch, every split of every k once for all. A
+    lone graph's splits go through min_weight_triangle, which a traced run
+    records as a span; a batch's (never rounded) through _triangles."""
+    matrices = _PairMatrices(graphs, parts)
     rounding = None if eps is None else _Rounding(matrices, eps)
-    out = {}
+    profiles = [{} for _ in graphs]
+    lone = len(graphs) == 1
     for k in ks:
         splits = list(_splits(parts, k))
         grid = rounding is not None and rounding.on_grid(max(
             rounding.split_max(s) for s in splits))
-        best = (math.inf,)
+        best = [(math.inf,)] * len(graphs)
         for sizes in splits:
             rows = [r[k] for r, k in zip(matrices.rows, sizes)]
             blocks, keys = (rounding.search_keys(rows) if grid
                             else (matrices.blocks(rows), None))
-            js, weight = min_weight_triangle(blocks, counters, keys)
-            if eps is None and weight % 2:
-                raise AssertionError("stored triangle weight must be even")
-            if weight <= best[0]:   # L is built for candidates only
-                best = min(best, (weight, matrices.members(rows, js)))
-        weight, l = best
-        value = cut_into(g, l)
-        if eps is None and 2 * value != weight:
-            raise AssertionError(f"dkmc value {weight // 2}, cut_into {value}")
-        out[k] = CutSolution(l, k, value)
-    return out
+            found = ([min_weight_triangle(blocks, counters[0], keys)] if lone
+                     else _triangles(blocks, counters))
+            for i, (js, weight) in enumerate(found):
+                if eps is None and weight % 2:
+                    raise AssertionError("stored triangle weight must be even")
+                if weight <= best[i][0]:   # L is built for candidates only
+                    best[i] = min(best[i], (weight, matrices.members(rows, js)))
+        for g, profile, (weight, l) in zip(graphs, profiles, best):
+            value = cut_into(g, l)
+            if eps is None and 2 * value != weight:
+                raise AssertionError(f"dkmc value {weight // 2}, cut_into {value}")
+            profile[k] = CutSolution(l, k, value)
+    return profiles
 
 
 def dkmc_exact(g: Digraph, k: int, counters: Counters | None = None) -> CutSolution:

@@ -18,8 +18,9 @@ of length k + 1 in lexicographic order, and each prefix's score is its
 parent's combined with cost[S*n + v] of its last vertex. The last vertex costs
 nothing, so n - 1 levels reach all n! leaves, still in lexicographic order:
 the first minimum is the lexicographically least optimal sequence, recovered
-by unranking its index in the factorial number system. Scores are int64 while
-2 * n * total arc weight is below 2**62, else Python ints (object).
+by unranking its index in the factorial number system. Scores are the
+narrowest of int16/int32/int64 holding 2 * n * total arc weight, as the
+subset tables' values are, and Python ints (object) once that reaches 2**62.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ def perm_opt(g: Digraph, objective: str) -> OracleResult:
     guards.check(n, guards.ORACLE_GUARD, "oracle vertex count")
     if n == 0:
         return OracleResult(objective, 0, Ordering(()), 1)
-    dtype = guards.int_dtype(2 * n * g.total_arc_weight)
+    bound = 2 * n * g.total_arc_weight
+    dtype = guards.narrow_dtype(bound, bound)
     cost = _cost_table(g, objective, dtype)
     combine = _COMBINE[objective]
     values = np.zeros(1, dtype=dtype)

@@ -30,6 +30,13 @@ counts boundary(S) per block instead.
 Values are the narrowest of int16/int32/int64 holding 3 * bound + 1, where
 bound is the largest possible entry: the sentinel 2 * bound + 1 plus a fas
 cost. Once twice the bound reaches 2**62 they are Python ints (object).
+
+The tables of graphs with one vertex count share their layers and block
+positions, so _prefix_tables fills those whose values share a dtype in one
+block loop, their arrays stacked on a last axis over the graphs, each table
+a strided view of them. A batch keeps within the byte guard and its blocks
+within _CHUNK_ROWS masks, and is split where it would not; a lone graph's
+arrays have no such axis.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -99,6 +107,7 @@ def _mask(subset) -> int:
     return subset if isinstance(subset, int) else sum(1 << v for v in subset)
 
 
+@cache
 def _layer_start(n: int, size: int) -> int:
     return sum(math.comb(n, s) for s in range(size))
 
@@ -118,26 +127,29 @@ def _next_layer(layer: np.ndarray, size: int, n: int) -> np.ndarray:
 def _value_dtype(bound: int):
     """The narrowest of int16/int32/int64 holding 3 * bound + 1 (the sentinel
     2 * bound + 1 plus a fas cost); Python ints where guards.int_dtype needs them."""
-    if guards.int_dtype(2 * bound) is object:
-        return object
-    top = 3 * bound + 1
-    return np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64
+    return guards.narrow_dtype(3 * bound + 1, 2 * bound)
 
 
-def _check_size(n: int, cap: int, bound: int) -> int:
-    """Guard the bytes the table and its build allocate; returns the entries.
-    A full table's terms are built in its value array, so they add nothing."""
-    guards.check_universe(n)
-    if not 0 <= cap <= n:
-        raise ValueError(f"size cap {cap} outside 0..{n}")
+def _table_bytes(n: int, cap: int, bound: int) -> tuple[int, int]:
+    """The bytes a table and its build allocate: those each table of a batch
+    adds, and the layer masks the batch shares. A full table's terms are
+    built in its value array, so they add nothing."""
     entries = _layer_start(n, cap + 1)
     widest = math.comb(n, min(cap, n // 2))
     value = guards.entry_bytes(_value_dtype(bound), bound)
     masks = 8 * (entries if cap < n else 2 * widest)   # kept or live layers
     block = 8 * _CHUNK_ARRAYS * min(widest, _CHUNK_ROWS) * n
-    guards.check(entries * (value + 1) + masks + block, guards.TABLE_BYTE_GUARD,
+    return entries * (value + 1) + block, masks
+
+
+def _check_size(n: int, cap: int, bound: int) -> int:
+    """Guard the bytes of one table and its build; returns the entries."""
+    guards.check_universe(n)
+    if not 0 <= cap <= n:
+        raise ValueError(f"size cap {cap} outside 0..{n}")
+    guards.check(sum(_table_bytes(n, cap, bound)), guards.TABLE_BYTE_GUARD,
                  "subset table bytes")
-    return entries
+    return _layer_start(n, cap + 1)
 
 
 def _row_sums(a: np.ndarray) -> list[np.ndarray]:
@@ -146,7 +158,7 @@ def _row_sums(a: np.ndarray) -> list[np.ndarray]:
     tables = []
     for lo in range(0, len(a), 11):
         rows = a[lo:lo + 11]
-        table = np.zeros((1 << len(rows), a.shape[1]), dtype=a.dtype)
+        table = np.zeros((1 << len(rows),) + a.shape[1:], dtype=a.dtype)
         for j, row in enumerate(rows):
             np.add(table[:1 << j], row, out=table[1 << j:2 << j])
         tables.append(table)
@@ -158,13 +170,16 @@ def _closed_masks(g: Digraph) -> list[int]:
     return [sum(1 << u for u, _ in g.in_pairs[v]) | 1 << v for v in range(g.n)]
 
 
-def _crossing_terms(w: np.ndarray) -> np.ndarray:
-    """crossing(S) for every mask S, doubling on the top bit t of S = T + {t}:
+def _crossing_terms(w: np.ndarray, term: np.ndarray | None = None) -> np.ndarray:
+    """crossing(S) for every mask S, into term when given, doubling on the
+    top bit t of S = T + {t}:
     crossing(S) = crossing(T) + w_in[t] - (sum over u in T of w[u,t] + w[t,u])."""
     n = len(w)
     w_in = w.sum(axis=0)
     pair = w + w.T
-    term = np.zeros(1 << n, dtype=w.dtype)
+    if term is None:
+        term = np.empty(1 << n, dtype=w.dtype)
+    term[0] = 0
     for t in range(n):
         top = term[1 << t:2 << t]
         top[0] = w_in[t]
@@ -174,63 +189,113 @@ def _crossing_terms(w: np.ndarray) -> np.ndarray:
     return term
 
 
-def _boundary_terms(g: Digraph, dtype) -> np.ndarray:
-    """boundary(S) = |S| - #{v : closed mask of v within S} for every mask S:
-    the subset sums (zeta transform) of +1 at each {v}, -1 at each closed mask.
-    The sums over the low bits are placed whole, as superset patterns: the
-    passes over them would stride through the table in short runs."""
+def _boundary_terms(g: Digraph, dtype, term: np.ndarray | None = None) -> np.ndarray:
+    """boundary(S) = |S| - #{v : closed mask of v within S} for every mask S,
+    into term when given: the subset sums (zeta transform) of +1 at each {v},
+    -1 at each closed mask. The sums over the low bits are placed whole, as
+    superset patterns: the passes over them would stride through the table
+    in short runs."""
     n = g.n
     low = min(n, 6)
     below = np.arange(1 << low)
     supersets = (below[:, None] & below) == below[:, None]
-    term = np.zeros((1 << n - low, 1 << low), dtype=dtype)
+    if term is None:
+        term = np.empty(1 << n, dtype=dtype)
+    term[:] = 0
+    grid = term.reshape(1 << n - low, 1 << low)   # views, also of a column
     for v, closed in enumerate(_closed_masks(g)):
-        term[1 << v >> low] += supersets[1 << v & (1 << low) - 1]
-        term[closed >> low] -= supersets[closed & (1 << low) - 1]
-    term = term.reshape(-1)
+        grid[1 << v >> low] += supersets[1 << v & (1 << low) - 1]
+        grid[closed >> low] -= supersets[closed & (1 << low) - 1]
     for b in range(low, n):
         view = term.reshape(-1, 2, 1 << b)
         view[:, 1] += view[:, 0]
     return term
 
 
-def _prefix_table(g: Digraph, cap: int, objective: str) -> SubsetTable:
-    n = g.n
-    full = cap == n
-    unit = objective == "dpw"    # dpw counts arcs and ignores weights
-    if not full and objective not in ("fas", "dpw"):
+def _bound(g: Digraph, objective: str) -> int:
+    """The largest possible entry of g's table (the module doc)."""
+    if objective == "dpw":       # dpw counts arcs and ignores weights
+        return g.n
+    return g.total_arc_weight * (g.n if objective == "ola" else 1)
+
+
+def _prefix_tables(graphs, cap: int, objective: str) -> list[SubsetTable]:
+    """The tables of graphs with one vertex count, each as _prefix_table
+    builds it. Graphs whose values share a dtype are filled as one batch, as
+    many at a time as keep the batch's blocks within _CHUNK_ROWS masks and
+    its bytes within the byte guard, which each table alone must meet."""
+    n = graphs[0].n
+    if cap != n and objective not in ("fas", "dpw"):
         raise ValueError(f"capped tables are built for fas and dpw, not {objective}")
-    total = len(g.arc_items) if unit else g.total_arc_weight
-    bound = {"fas": total, "ola": n * total, "cutwidth": total, "dpw": n}[objective]
+    bounds = [_bound(g, objective) for g in graphs]
+    for bound in bounds:
+        _check_size(n, cap, bound)
+    width = min(math.comb(n, min(cap, n // 2)), _CHUNK_ROWS)   # widest block
+
+    def room(batch) -> int:
+        each, shared = _table_bytes(n, cap, max(bounds[i] for i in batch))
+        return min(_CHUNK_ROWS // width,
+                   (guards.TABLE_BYTE_GUARD - shared) // each)
+
+    tables = [None] * len(graphs)
+    for batch in guards.batches([_value_dtype(b) for b in bounds], room):
+        filled = _fill([graphs[i] for i in batch], cap, objective,
+                       max(bounds[i] for i in batch))
+        for i, table in zip(batch, filled):
+            tables[i] = table
+    return tables
+
+
+def _fill(graphs, cap: int, objective: str, bound: int) -> list[SubsetTable]:
+    """One block loop over the tables of a batch. Masks, layers and block
+    positions are shared. Every per-graph array has a last axis over the
+    graphs, so each gather reads a mask's entries of all of them at once; a
+    lone graph's arrays have none and are built as for one table."""
+    n = graphs[0].n
+    full = cap == n
+    unit = objective == "dpw"
     dtype = _value_dtype(bound)
-    entries = _check_size(n, cap, bound)
-    big = 2 * bound + 1          # above every candidate
+    entries = _layer_start(n, cap + 1)
+    big = 2 * bound + 1          # above every candidate of every graph
+    batch = (len(graphs),) if len(graphs) > 1 else ()
+
+    def each(a) -> list:
+        return guards.batch_views(a, len(graphs))
+
     if not unit:
-        w = np.zeros((n, n), dtype=dtype)
-        for u, v, wt in g.arc_items:
-            w[u, v] = wt
+        w = np.zeros((n, n) + batch, dtype=dtype)
+        for g, wg in zip(graphs, each(w)):
+            for u, v, wt in g.arc_items:
+                wg[u, v] = wt
     if objective == "fas" or not full:
-        vals = np.full(1 << n if full else entries, big, dtype=dtype)
+        vals = np.full((1 << n if full else entries,) + batch, big, dtype=dtype)
     else:
         # an entry not yet filled holds big + its term, crossing(S) or
         # boundary(S): still above every candidate, and read back when filled
-        vals = _boundary_terms(g, dtype) if unit else _crossing_terms(w)
+        vals = np.empty((1 << n,) + batch, dtype=dtype)
+        for g, vg, wg in zip(graphs, each(vals), graphs if unit else each(w)):
+            if unit:
+                _boundary_terms(g, dtype, vg)
+            else:
+                _crossing_terms(wg, vg)
         vals += big
-    last = np.empty(len(vals), dtype=np.int8)
+    last = np.empty(vals.shape, dtype=np.int8)
     vals[0], last[0] = 0, -1
     # one buffer per block-wide array, reused: a fresh one each block costs
     # page faults on a par with the work
     width = min(math.comb(n, min(cap, n // 2)), _CHUNK_ROWS)   # widest block
     prev_buf = np.empty((n, width), dtype=np.int64)
-    cand_buf = np.empty((n, width), dtype=dtype)
+    cand_buf = np.empty((n, width) + batch, dtype=dtype)
     if objective == "fas":       # weight from each v into S
-        sum_tables = _row_sums(w.T)
-        sums_buf = np.empty((width, n), dtype=dtype)
+        sum_tables = _row_sums(w.swapaxes(0, 1))
+        sums_buf = np.empty((width, n) + batch, dtype=dtype)
     elif not full:               # capped dpw: boundary(S) per block
-        closed = np.array(_closed_masks(g), dtype=np.int64)[:, None]
+        closed = np.array([_closed_masks(g) for g in graphs], dtype=np.int64).T
+        closed = closed.reshape((n, 1) + batch)
     bit = (1 << np.arange(n))[:, None]
     notbit = ~bit
-    rank = np.arange(n, 0, -1, dtype=np.int8)[:, None]   # n - v
+    rank = np.arange(n, 0, -1, dtype=np.int8).reshape((n, 1) + (1,) * len(batch))
+    by_mask = (slice(None),) + (None,) * len(batch)   # masks against a batch
     layers = [np.zeros(1, dtype=np.int64)]
     start = 0
     for size in range(1, cap + 1):
@@ -248,28 +313,33 @@ def _prefix_table(g: Digraph, cap: int, objective: str) -> SubsetTable:
                 pos = np.repeat(start + lo + np.arange(cols)[None], n, axis=0)
                 pos[inside] = prev_start + np.searchsorted(prev_layer, prev[inside])
                 prev = pos
-            cand = vals.take(prev, out=cand_buf[:, :cols], mode="clip")
+            cand = vals.take(prev, axis=0, out=cand_buf[:, :cols], mode="clip")
             if objective == "fas":
                 sums = sum_tables[0].take(masks & 2047, axis=0,
                                           out=sums_buf[:cols], mode="clip")
                 for i in range(1, len(sum_tables)):
                     sums += sum_tables[i].take(masks >> 11 * i & 2047, axis=0)
-                cand += sums.T
+                cand += sums.swapaxes(0, 1)
             best = cand.min(axis=0)
             pick = n - ((cand == best) * rank).max(axis=0)   # the first minimum
             if objective != "fas":
                 if full:
                     extra = vals[masks] - big
                 else:    # members whose closed mask is not within S
-                    extra = size - ((closed & masks) == closed).sum(axis=0)
+                    extra = size - ((closed & masks[by_mask]) == closed).sum(axis=0)
                 best = (extra + best if objective == "ola"
                         else np.maximum(extra, best))
             at = masks if full else slice(start + lo, start + lo + cols)
             vals[at] = best
             last[at] = pick
         layers = [layer] if full else layers + [layer]
-    return SubsetTable(n, cap, vals, last,
-                       None if full else tuple(layers), entries)
+    return [SubsetTable(n, cap, vg, lg, None if full else tuple(layers), entries)
+            for vg, lg in zip(each(vals), each(last))]
+
+
+def _prefix_table(g: Digraph, cap: int, objective: str) -> SubsetTable:
+    """One graph's table: a batch of one."""
+    return _prefix_tables([g], cap, objective)[0]
 
 
 def fas_table(g: Digraph, size_cap: int | None = None) -> SubsetTable:
@@ -285,13 +355,26 @@ def dpw_prefix_table(g: Digraph, size_cap: int) -> SubsetTable:
 
 def _exact(g: Digraph, objective: str) -> SolveReport:
     t0 = time.perf_counter()
-    n = g.n
+    guards.check(g.n, guards.EXACT_DP_GUARD, f"{objective}_exact vertex count")
+    table = fas_table(g) if objective == "fas" else _prefix_table(g, g.n, objective)
+    return _exact_report(g, objective, table, t0)
+
+
+def _exacts(graphs, objective: str) -> list[SolveReport]:
+    """The exact reports of graphs with one vertex count, from one batch of
+    tables."""
+    t0 = time.perf_counter()
+    n = graphs[0].n
     guards.check(n, guards.EXACT_DP_GUARD, f"{objective}_exact vertex count")
-    if objective == "fas":
-        table = fas_table(g)
-    else:
-        table = _prefix_table(g, n, objective)
-    full = (1 << n) - 1
+    tables = _prefix_tables(graphs, n, objective)
+    return [_exact_report(g, objective, table, t0)
+            for g, table in zip(graphs, tables)]
+
+
+def _exact_report(g: Digraph, objective: str, table: SubsetTable,
+                  t0: float) -> SolveReport:
+    """g's exact report from its full table, whose value finish() checks."""
+    full = (1 << g.n) - 1
     value = table.value_of(full)
     return finish(g, objective, table.order_of(full), value,
                   Counters(table_entries=table.entries, calls=1), t0, claim=value)

@@ -1,8 +1,9 @@
-"""Golden reports of the balanced-cut solvers: every field but the
-wall-clock `millis` (value, lower bound, ordering, factor, cuts, trace and
-counters) must reproduce the committed text exactly, on seeded directed and
-undirected graphs with both cut modes, both ola rounding modes, and the
-exact fallbacks (n <= 2, and a cut range that rounds to nothing).
+"""Golden reports of the balanced-cut solvers and the boosted fas scheme:
+every field but the wall-clock `millis` (value, lower bound, ordering,
+factor, cuts, trace and counters) must reproduce the committed text
+exactly, on seeded directed and undirected graphs with both cut modes, both
+ola rounding modes, the scheme's boost level, and the exact fallbacks
+(n <= 2, and a cut range that rounds to nothing).
 
 Regenerate the golden file, only when a change of output is intended, with
 
@@ -14,7 +15,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from ordercut import (Digraph, cutwidth_balanced_approx, fas_balanced_approx,
-                      gen_random, ola_directed_approx, ola_undirected_approx)
+                      fas_scheme, gen_random, ola_directed_approx,
+                      ola_undirected_approx)
 
 GOLDEN = Path(__file__).with_name("golden_balanced_reports.txt")
 
@@ -55,6 +57,28 @@ UNDIRECTED = (
      lambda g: ola_undirected_approx(g, THIRD, weighted=True)),
 )
 
+# The scheme at its boost level. At n = 18 the default ladder pairs each of
+# 18 one-vertex prefixes with a 17-vertex complement, solved at level 1 (the
+# balanced split) but for the cheapest prefix's, solved exactly; delta1 =
+# 0.9 at n = 10 gives 45 two-vertex prefixes, whose 44 level-1 complements
+# of 8 vertices split 4 + 4.
+SCHEMES = (
+    ("fas_scheme(1/2)", lambda g: fas_scheme(g, HALF)),
+    ("fas_scheme(1,weighted)", lambda g: fas_scheme(g, 1, weighted=True)),
+)
+DELTA_SCHEMES = (
+    ("fas_scheme(1/2,delta1=0.9)",
+     lambda g: fas_scheme(g, HALF, delta1=0.9)),
+    ("fas_scheme(1,weighted,delta1=0.9)",
+     lambda g: fas_scheme(g, 1, weighted=True, delta1=0.9)),
+)
+SCHEME_INSTANCES = (
+    ("dg18", 18, 0.3, (1, 1), 37, SCHEMES),
+    ("dgw18", 18, 0.3, (1, 1000), 38, SCHEMES),
+    ("dg10", 10, 0.4, (1, 1), 39, DELTA_SCHEMES),
+    ("dgw10", 10, 0.4, (1, 1000), 40, DELTA_SCHEMES),
+)
+
 # Exact fallbacks: n <= 2, and alpha = 9/10 at n = 3, where the directed
 # range [2, 1] and the undirected range [2, 1] are empty.
 FALLBACKS = (
@@ -79,6 +103,8 @@ def cases():
         g = gen_random(n, p, weight_range=weights, seed=seed,
                        undirected=undirected)
         yield name, g, SPLITS + (UNDIRECTED if undirected else ())
+    for name, n, p, weights, seed, solvers in SCHEME_INSTANCES:
+        yield name, gen_random(n, p, weight_range=weights, seed=seed), solvers
     yield from FALLBACKS
 
 

@@ -1,0 +1,186 @@
+"""Same-size subproblems solved as one batch give exactly what they give
+alone: stacked subset tables, the stacked cut search, and the sides of an
+even split in one table call. A batch that does not fit the byte guard is
+split; a graph that alone does not fit is refused as it is alone."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from ordercut import (Counters, Digraph, SizeGuardError, cut_profile,
+                      cutwidth_exact, dpw_exact, fas_balanced_approx,
+                      fas_exact, fas_scheme, gen_random, guards, kcut,
+                      ola_exact, serialize_graph, subset_dp)
+from ordercut import balanced
+from ordercut.cli import main
+
+OBJECTIVES = ("fas", "ola", "cutwidth", "dpw")
+EXACT = {"fas": fas_exact, "ola": ola_exact, "cutwidth": cutwidth_exact,
+         "dpw": dpw_exact}
+
+
+def with_total(n: int, total: int, seed: int) -> Digraph:
+    """A random graph on n vertices whose arc weights sum to total (an
+    arcless one for n < 2)."""
+    g = gen_random(n, 0.5, seed=seed)
+    arcs = [(u, v) for u, v, _ in g.arc_items]
+    if not arcs:
+        return g
+    weights = {a: total // len(arcs) for a in arcs}
+    weights[arcs[0]] += total - sum(weights.values())
+    return Digraph(n, arcs, weights)
+
+
+def mixed(n: int, seed: int = 0) -> list[Digraph]:
+    """Unit weights, weights 1..1000 and totals on both sides of 2**61, so
+    the batch holds int16 and int64 values and Python ints (two graphs of
+    them), interleaved."""
+    graphs = ([gen_random(n, 0.4, seed=seed + i) for i in range(3)]
+              + [gen_random(n, 0.4, weight_range=(1, 1000), seed=seed + i)
+                 for i in range(3)]
+              + [with_total(n, 2 ** 61 + d, seed + d) for d in (-1, 0, 1)])
+    random.Random(seed).shuffle(graphs)
+    return graphs
+
+
+def assert_tables_equal(got, want):
+    assert (got.n, got.size_cap, got.entries) == (want.n, want.size_cap, want.entries)
+    assert got.vals.dtype == want.vals.dtype
+    assert got.vals.tolist() == want.vals.tolist()
+    assert got.last.tolist() == want.last.tolist()
+    if want.layers is None:
+        assert got.layers is None
+    else:
+        assert [m.tolist() for m in got.layers] == [m.tolist() for m in want.layers]
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("n", [0, 1, 5, 8])
+def test_stacked_tables_match_single_tables(objective, n):
+    graphs = mixed(n, seed=n)
+    caps = [n] + ([n // 2] if objective in ("fas", "dpw") else [])
+    for cap in caps:
+        tables = subset_dp._prefix_tables(graphs, cap, objective)
+        for g, table in zip(graphs, tables):
+            assert_tables_equal(table, subset_dp._prefix_table(g, cap, objective))
+
+
+def spy(monkeypatch, module, name) -> list:
+    """Record the batch size of every call of module.name."""
+    sizes = []
+    real = getattr(module, name)
+
+    def call(graphs, *args):
+        sizes.append(len(graphs))
+        return real(graphs, *args)
+
+    monkeypatch.setattr(module, name, call)
+    return sizes
+
+
+def test_batches_keep_blocks_within_chunk_rows(monkeypatch):
+    # the widest layer at n = 12 has 924 masks: four tables fill a block
+    sizes = spy(monkeypatch, subset_dp, "_fill")
+    graphs = [gen_random(12, 0.3, seed=s) for s in range(9)]
+    tables = subset_dp._prefix_tables(graphs, 12, "fas")
+    assert sizes == [4, 4, 1]
+    sizes.clear()
+    for g, table in zip(graphs, tables):
+        assert_tables_equal(table, subset_dp._prefix_table(g, 12, "fas"))
+
+
+@pytest.mark.parametrize("eps", [None, Fraction(1, 2), 1])
+@pytest.mark.parametrize("n,count,ks", [
+    (9, 9, range(10)),       # mixed dtypes, every k
+    (12, 40, [6]),           # 40 graphs exceed _CHUNK_CELLS: rows in pieces
+    (20, 12, [10]),          # so does one row of 12: graph by graph
+])
+def test_stacked_cut_search_matches_cut_profile(eps, n, count, ks):
+    graphs = (mixed(n, seed=n) * count)[:count] if count <= 9 else [
+        gen_random(n, 0.4, seed=s) for s in range(count)]
+    counters = [Counters() for _ in graphs]
+    profiles = kcut._cut_profiles(graphs, ks, eps, counters)
+    for g, profile, c in zip(graphs, profiles, counters):
+        alone = Counters()
+        assert profile == cut_profile(g, ks, eps, alone)
+        assert c.triangles == alone.triangles
+
+
+def fields(rep):
+    return (rep.objective, rep.value, rep.ordering.pos, rep.lower_bound,
+            rep.stats.as_dict(), rep.factor, rep.cuts, rep.trace)
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_even_split_sides_in_one_call(objective, monkeypatch):
+    g = gen_random(10, 0.4, weight_range=(1, 50), seed=7)
+    left = tuple(range(0, 10, 2))
+    right = tuple(range(1, 10, 2))
+    jobs = [(g, left), (g, right)]
+    both = balanced._sub_orders(jobs, lambda gs: subset_dp._exacts(gs, objective))
+    apart = [balanced._sub_orders([job], lambda gs: [EXACT[objective](gs[0])])[0]
+             for job in jobs]
+    assert [(fields(r), s) for r, s in both] == [(fields(r), s) for r, s in apart]
+    # the balanced split of an even n solves its two sides in one call
+    calls = spy(monkeypatch, balanced, "_exacts")
+    fas_balanced_approx(g)
+    assert calls == [2]
+
+
+def test_batch_over_the_byte_guard_is_split(monkeypatch):
+    monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
+    graphs = [gen_random(8, 0.4, seed=s) for s in range(6)]
+    tables = subset_dp._prefix_tables(graphs, 8, "ola")
+    profiles = kcut._cut_profiles(graphs, range(9), None, [None] * 6)
+    each, shared = subset_dp._table_bytes(8, 8, subset_dp._bound(graphs[0], "ola"))
+    pair = kcut._pair_bytes(kcut.tripartition(8), 2 * max(
+        g.total_arc_weight for g in graphs))
+    fills, searches = (spy(monkeypatch, subset_dp, "_fill"),
+                       spy(monkeypatch, kcut, "_search"))
+    # one table fits, two do not
+    monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", shared + each + each // 2)
+    for got, want in zip(subset_dp._prefix_tables(graphs, 8, "ola"), tables):
+        assert_tables_equal(got, want)
+    assert fills == [1] * 6
+    # three graphs' pair matrices fit, four do not
+    monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", 3 * pair + pair // 2)
+    assert kcut._cut_profiles(graphs, range(9), None, [None] * 6) == profiles
+    assert searches == [3, 3]
+
+
+def test_scheme_split_batches_change_nothing(monkeypatch):
+    # delta1 = 0.9 at n = 10: 44 level-1 complements of 8 vertices in one
+    # batch, whose cut search and 4 + 4 side tables then no longer fit
+    monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
+    g = gen_random(10, 0.4, seed=39)
+    want = fields(fas_scheme(g, Fraction(1, 2), delta1=0.9))
+    sizes = spy(monkeypatch, kcut, "_search")
+    monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", 40_000)
+    assert fields(fas_scheme(g, Fraction(1, 2), delta1=0.9)) == want
+    assert len(sizes) > 1 and sum(sizes) == 44
+
+
+def test_member_over_the_byte_guard_is_refused_as_alone(monkeypatch, tmp_path,
+                                                        capsys):
+    # at n = 18 the level-1 complements fit a 1 MB guard; the exact
+    # 17-vertex complement does not, which ends the solve as it did when
+    # every complement was solved alone
+    monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
+    monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", 1 << 20)
+    g = gen_random(18, 0.3, seed=37)
+    message = f"subset table bytes: 5238624 exceeds the desk-scale guard {1 << 20}"
+    with pytest.raises(SizeGuardError) as err:
+        fas_scheme(g, Fraction(1, 2))
+    assert str(err.value).startswith(message)
+    path = tmp_path / "g.g"
+    path.write_text(serialize_graph(g))
+    assert main(["solve", str(path), "--obj", "fas", "--mode", "scheme",
+                 "--eps", "1/2", "--no-timing"]) == 4
+    assert f"size guard: {message}" in capsys.readouterr().err
+    # a cut search member that alone is over the guard
+    graphs = [gen_random(12, 0.3, seed=s) for s in range(3)]
+    pair = kcut._pair_bytes(kcut.tripartition(12), 2 * graphs[0].total_arc_weight)
+    monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", pair - 1)
+    with pytest.raises(SizeGuardError, match=f"cut pair matrix bytes: {pair} "):
+        kcut._cut_profiles(graphs, [6], None, [None] * 3)

@@ -137,14 +137,14 @@ def test_weighted_approx_past_the_grid_is_exact():
     eps = Fraction(1, 10 ** 60)
     for k in range(5):
         assert dkmc_weighted_approx(g, k, eps) == dkmc_oracle(g, k)
-    assert kcut._Rounding(kcut._PairMatrices(g, tripartition(4)), eps).limits == [0]
+    assert kcut._Rounding(kcut._PairMatrices([g], tripartition(4)), eps).limits == [0]
 
 
 @pytest.mark.parametrize("g,eps", [
     (gen_random(8, 0.4, seed=1), Fraction(1, 10 ** 800)),
     (gen_random(12, 0.3, weight_range=(1, 10 ** 6), seed=1), Fraction(1, 10 ** 6))])
 def test_no_power_is_built_when_no_k_reaches_the_grid(g, eps):
-    rounding = kcut._Rounding(kcut._PairMatrices(g, tripartition(g.n)), eps)
+    rounding = kcut._Rounding(kcut._PairMatrices([g], tripartition(g.n)), eps)
     assert rounding.limits == [0]
     ks = range(g.n + 1)
     assert cut_profile(g, ks, eps) == cut_profile(g, ks)
@@ -187,7 +187,7 @@ def test_pair_matrix_byte_guard(monkeypatch):
     assert peak < 1 << 20
     # the guard counts bytes, not vertices: int64 weights fit at n = 26
     small = gen_random(26, 0.3, weight_range=(1, 1000), seed=1)
-    kcut._PairMatrices(small, tripartition(26))
+    kcut._PairMatrices([small], tripartition(26))
 
 
 def test_rank_table_byte_guard(monkeypatch, tmp_path, capsys):
@@ -197,7 +197,7 @@ def test_rank_table_byte_guard(monkeypatch, tmp_path, capsys):
     from ordercut.cli import main
     monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
     g = gen_random(12, 0.4, weight_range=(1, 20), seed=1)
-    nbytes = kcut._PairMatrices(g, tripartition(12)).nbytes
+    nbytes = kcut._PairMatrices([g], tripartition(12)).nbytes
     monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", nbytes + 1)
     with pytest.raises(SizeGuardError, match="rank table bytes"):
         dkmc_weighted_approx(g, 6, Fraction(1, 2))
@@ -384,7 +384,7 @@ def reference_pair_matrices(g, parts):
 
 def assert_pair_matrices_match_reference(g):
     parts = tripartition(g.n)
-    got = kcut._PairMatrices(g, parts)
+    got = kcut._PairMatrices([g], parts)
     dtype, subsets, rows, nbytes, mats = reference_pair_matrices(g, parts)
     assert (got.subsets, list(got.rows), got.nbytes) == (subsets, rows, nbytes)
     assert list(got.mats) == list(mats)
@@ -458,7 +458,7 @@ def reference_rounded_profile(g, ks, eps, counters):
     """The rounded cut_profile as it was: keys recomputed per k from the
     stored weights of that k's splits, keyed blocks of Python ints."""
     parts = tripartition(g.n)
-    matrices = kcut._PairMatrices(g, parts)
+    matrices = kcut._PairMatrices([g], parts)
     out = {}
     for k in ks:
         cells = [build_aux(g, parts, sizes, matrices)
@@ -519,11 +519,11 @@ def test_rounded_profile_matches_reference_at_dtype_boundary(total, eps):
 def test_regimes_are_all_reached():
     g = gen_random(9, 0.5, weight_range=(0, 10 ** 9), seed=905)
     parts = tripartition(9)
-    k_max = int(max(m.max() for m in kcut._PairMatrices(g, parts).mats.values()))
-    rounding = kcut._Rounding(kcut._PairMatrices(g, parts), Fraction(1, 10 ** 9))
+    k_max = int(max(m.max() for m in kcut._PairMatrices([g], parts).mats.values()))
+    rounding = kcut._Rounding(kcut._PairMatrices([g], parts), Fraction(1, 10 ** 9))
     assert not rounding.on_grid(10 ** 8)                     # below 1/eps
     assert not rounding.on_grid(k_max)                       # past the grid
-    rounding = kcut._Rounding(kcut._PairMatrices(g, parts), Fraction(1, 2))
+    rounding = kcut._Rounding(kcut._PairMatrices([g], parts), Fraction(1, 2))
     assert rounding.on_grid(k_max)                           # grid
 
 
@@ -581,7 +581,7 @@ def test_long_eps_is_shortened():
     eps = Fraction(1, 100) + Fraction(1, 10 ** 300)
     short = Fraction(eps.numerator * 2 ** 64 // eps.denominator, 2 ** 64)
     g = gen_random(8, 0.4, weight_range=(1, 1000), seed=1)
-    rounding = kcut._Rounding(kcut._PairMatrices(g, tripartition(8)), eps)
+    rounding = kcut._Rounding(kcut._PairMatrices([g], tripartition(8)), eps)
     assert max(rounding.a.bit_length(), rounding.b.bit_length()) <= 66
     assert Fraction(rounding.a, rounding.b) == 1 + short / 3
     assert len(rounding.limits) > 1                          # the grid is used

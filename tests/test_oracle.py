@@ -80,6 +80,31 @@ def test_int64_object_boundary(monkeypatch):
             assert (res.opt, res.count, res.ordering.seq) == naive_opt(g, objective)
 
 
+def test_narrow_scores_at_each_switch(monkeypatch):
+    # a 3-cycle of total weight t scores in the narrowest of int16/int32
+    # that holds 2 * 3 * t
+    from ordercut import oracle
+    seen = []
+
+    def cost_table(g, objective, dtype):
+        seen.append(dtype)
+        return build(g, objective, dtype)
+
+    build = oracle._cost_table
+    monkeypatch.setattr(oracle, "_cost_table", cost_table)
+    for top, narrow, wide in (((1 << 15) - 1, np.int16, np.int32),
+                              ((1 << 31) - 1, np.int32, np.int64)):
+        for total, dtype in ((top // 6, narrow), (top // 6 + 1, wide)):
+            w = total // 3
+            weights = {(0, 1): w, (1, 2): w, (2, 0): total - 2 * w}
+            g = Digraph(3, list(weights), weights)
+            for objective in sorted(EVALUATORS):
+                seen.clear()
+                res = perm_opt(g, objective)
+                assert seen == [dtype]
+                assert (res.opt, res.count, res.ordering.seq) == naive_opt(g, objective)
+
+
 def test_known_counts():
     cyc = Digraph(3, [(0, 1), (1, 2), (2, 0)])
     res = perm_opt(cyc, "fas")

@@ -80,16 +80,20 @@ def test_cli_solve_evaluates_once(evaluated, tmp_path, capsys):
 
 
 def off_by_one(fn):
-    def wrong(g):
-        rep = fn(g)
+    def wrong(*args):
+        rep = fn(*args)
         return dataclasses.replace(rep, value=rep.value + 1)
     return wrong
 
 
 def test_fas_split_checks_sides_plus_cut(monkeypatch):
-    monkeypatch.setattr(balanced, "fas_exact", off_by_one(subset_dp.fas_exact))
-    with pytest.raises(AssertionError, match="fas solver claimed"):
-        fas_balanced_approx(gen_random(8, 0.4, seed=1))
+    # every exact side report one too high: at n = 8 both sides are solved
+    # in one batch call, at n = 9 each through fas_exact
+    monkeypatch.setattr(subset_dp, "_exact_report",
+                        off_by_one(subset_dp._exact_report))
+    for n in (8, 9):
+        with pytest.raises(AssertionError, match="fas solver claimed"):
+            fas_balanced_approx(gen_random(n, 0.4, seed=1))
 
 
 def test_scheme_checks_best_candidate(monkeypatch):
