@@ -78,8 +78,9 @@ def narrow_dtype(top: int, bound: int):
 
 def batches(dtypes, room):
     """Split members 0..len(dtypes)-1 into batches of one dtype, in order;
-    room(members) is how many of those members fit one batch (at least one
-    runs, so a member alone is refused only by its own check)."""
+    room(members), asked of groups of two or more, is how many of those
+    members fit one batch (at least one runs, so a member alone is refused
+    only by its own check)."""
     groups: dict = {}
     for i, dtype in enumerate(dtypes):
         groups.setdefault(dtype, []).append(i)
