@@ -17,9 +17,8 @@ from .graph import (EVALUATORS, OBJECTIVES, Digraph, GraphError, Ordering,
                     gen_random, induced, ola_of)
 from .guards import SizeGuardError
 from .instance_io import ParseError, parse_graph, serialize_graph
-from .kcut import (AuxGraph, CutSolution, build_aux, cut_profile, dkmc_exact,
-                   dkmc_oracle, dkmc_weighted_approx, min_weight_triangle,
-                   tripartition)
+from .kcut import (CutSolution, cut_profile, dkmc_exact, dkmc_oracle,
+                   dkmc_weighted_approx, min_weight_triangle, tripartition)
 from .oracle import OracleResult, perm_opt
 from .report import Counters, SolveReport
 from .subset_dp import (SubsetTable, cutwidth_exact, dpw_exact,
@@ -28,10 +27,10 @@ from .subset_dp import (SubsetTable, cutwidth_exact, dpw_exact,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxGraph", "BoostParams", "Counters", "CutSolution",
+    "BoostParams", "Counters", "CutSolution",
     "Digraph", "EVALUATORS", "GraphError", "OBJECTIVES", "OracleResult",
     "Ordering", "ParseError", "SizeGuardError", "SolveReport", "SubsetTable",
-    "backward_weight", "boost_ladder", "build_aux", "cut_at", "cut_into",
+    "backward_weight", "boost_ladder", "cut_at", "cut_into",
     "cut_profile", "cutwidth_balanced_approx", "cutwidth_exact",
     "cutwidth_of", "dkmc_exact", "dkmc_oracle", "dkmc_weighted_approx",
     "dpw_2approx", "dpw_exact",

@@ -358,9 +358,7 @@ def _fas_level(graphs, level: int, weighted: bool,
     complements have one size: the exact ones are solved as one batch, the
     others as one batch at level - 1."""
     if level <= 1:
-        cut_eps = 1 if weighted else None
-        return _solve(graphs, lambda g: fas_balanced_approx(g, cut_eps=cut_eps),
-                      lambda gs: _balanced(gs, "fas", cut_eps, fas_exact))
+        return _balanced(graphs, "fas", 1 if weighted else None, fas_exact)
     t0 = time.perf_counter()
     n = graphs[0].n
     params = ladder[level - 2]

@@ -25,8 +25,8 @@ class Digraph:
         n: number of vertices (>= 0).
         arcs: iterable of (u, v) pairs, 0-indexed. For an undirected graph
             give each edge once, in either orientation.
-        weights: optional dict mapping (u, v) -> non-negative int weight.
-            Missing arcs default to weight 1.
+        weights: optional dict mapping (u, v) -> non-negative int weight
+            (not a bool). Missing arcs default to weight 1.
         undirected: store the symmetric closure and treat pairs as edges.
         weighted: mark the instance as carrying explicit weights (controls
             serialization). Defaults to True iff weights is not None.
@@ -53,7 +53,7 @@ class Digraph:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
             w = weights.get((u, v), weights.get((v, u), 1) if undirected else 1)
-            if not isinstance(w, int) or w < 0:
+            if not isinstance(w, int) or isinstance(w, bool) or w < 0:
                 raise GraphError(f"negative or non-integer weight on arc ({u}, {v})")
             if v in out[u] or (undirected and u in out[v]):
                 raise GraphError(f"duplicate arc ({u}, {v})")

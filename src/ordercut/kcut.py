@@ -2,7 +2,7 @@
 of arcs entering L from outside.
 
 The exact solver splits V into three fixed index-contiguous parts V1, V2, V3
-of near-equal size. For every split k = k1+k2+k3 it builds a complete
+of near-equal size. For every split k = k1+k2+k3 it searches a complete
 tripartite auxiliary graph with one node per size-k_i subset T of V_i. A node
 carries delta(T), the weight of arcs from V_i - T into T; an edge between
 T (in part a) and U (in part b) stores
@@ -60,24 +60,6 @@ class CutSolution:
     vertices: tuple[int, ...]   # sorted members of L
     k: int
     value: int                  # re-evaluated weight of arcs into L
-
-
-@dataclass
-class AuxGraph:
-    """Complete tripartite auxiliary graph for one (k1, k2, k3) split.
-
-    blocks holds the doubled edge weights between groups 0-1, 0-2 and 1-2
-    as 2-D arrays; e01, e02 and e12 list their rows, indexable [j1][j2].
-    """
-
-    parts: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    sizes: tuple[int, int, int]
-    nodes: tuple[list[tuple[int, ...]], ...]   # subsets per group, lex order
-    blocks: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    e01 = property(lambda self: list(self.blocks[0]))
-    e02 = property(lambda self: list(self.blocks[1]))
-    e12 = property(lambda self: list(self.blocks[2]))
 
 
 def tripartition(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -173,19 +155,6 @@ class _PairMatrices:
         """L for the triangle js of the split with row ranges rows."""
         (s0, s1, s2), (r0, r1, r2) = self.subsets, rows
         return s0[r0.start + js[0]] + s1[r1.start + js[1]] + s2[r2.start + js[2]]
-
-
-def build_aux(g: Digraph, parts, sizes: tuple[int, int, int],
-              matrices: _PairMatrices | None = None) -> AuxGraph:
-    """Auxiliary graph for one split; sizes[i] may be 0 or |parts[i]|.
-
-    The blocks are views into matrices, built here when not given.
-    """
-    if matrices is None:
-        matrices = _PairMatrices([g], parts)
-    rows = [r[k] for r, k in zip(matrices.rows, sizes)]
-    nodes = tuple(matrices.subsets[i][r] for i, r in enumerate(rows))
-    return AuxGraph(tuple(parts), tuple(sizes), nodes, matrices.blocks(rows))
 
 
 def min_weight_triangle(blocks, counters: Counters | None = None, keys=None):

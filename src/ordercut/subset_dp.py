@@ -170,15 +170,13 @@ def _closed_masks(g: Digraph) -> list[int]:
     return [sum(1 << u for u, _ in g.in_pairs[v]) | 1 << v for v in range(g.n)]
 
 
-def _crossing_terms(w: np.ndarray, term: np.ndarray | None = None) -> np.ndarray:
-    """crossing(S) for every mask S, into term when given, doubling on the
-    top bit t of S = T + {t}:
+def _crossing_terms(w: np.ndarray, term: np.ndarray) -> None:
+    """crossing(S) for every mask S, into term, doubling on the top bit t of
+    S = T + {t}:
     crossing(S) = crossing(T) + w_in[t] - (sum over u in T of w[u,t] + w[t,u])."""
     n = len(w)
     w_in = w.sum(axis=0)
     pair = w + w.T
-    if term is None:
-        term = np.empty(1 << n, dtype=w.dtype)
     term[0] = 0
     for t in range(n):
         top = term[1 << t:2 << t]
@@ -186,12 +184,11 @@ def _crossing_terms(w: np.ndarray, term: np.ndarray | None = None) -> np.ndarray
         for u in range(t):
             np.subtract(top[:1 << u], pair[u, t], out=top[1 << u:2 << u])
         top += term[:1 << t]
-    return term
 
 
-def _boundary_terms(g: Digraph, dtype, term: np.ndarray | None = None) -> np.ndarray:
+def _boundary_terms(g: Digraph, term: np.ndarray) -> None:
     """boundary(S) = |S| - #{v : closed mask of v within S} for every mask S,
-    into term when given: the subset sums (zeta transform) of +1 at each {v},
+    into term: the subset sums (zeta transform) of +1 at each {v},
     -1 at each closed mask. The sums over the low bits are placed whole, as
     superset patterns: the passes over them would stride through the table
     in short runs."""
@@ -199,8 +196,6 @@ def _boundary_terms(g: Digraph, dtype, term: np.ndarray | None = None) -> np.nda
     low = min(n, 6)
     below = np.arange(1 << low)
     supersets = (below[:, None] & below) == below[:, None]
-    if term is None:
-        term = np.empty(1 << n, dtype=dtype)
     term[:] = 0
     grid = term.reshape(1 << n - low, 1 << low)   # views, also of a column
     for v, closed in enumerate(_closed_masks(g)):
@@ -209,7 +204,6 @@ def _boundary_terms(g: Digraph, dtype, term: np.ndarray | None = None) -> np.nda
     for b in range(low, n):
         view = term.reshape(-1, 2, 1 << b)
         view[:, 1] += view[:, 0]
-    return term
 
 
 def _bound(g: Digraph, objective: str) -> int:
@@ -275,7 +269,7 @@ def _fill(graphs, cap: int, objective: str, bound: int) -> list[SubsetTable]:
         vals = np.empty((1 << n,) + batch, dtype=dtype)
         for g, vg, wg in zip(graphs, each(vals), graphs if unit else each(w)):
             if unit:
-                _boundary_terms(g, dtype, vg)
+                _boundary_terms(g, vg)
             else:
                 _crossing_terms(wg, vg)
         vals += big

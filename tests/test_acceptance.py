@@ -15,14 +15,14 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from ordercut import (EVALUATORS, Digraph, Ordering, backward_weight,
-                      build_aux, cut_at, cut_into, cutwidth_balanced_approx,
-                      cutwidth_exact, dkmc_exact, dkmc_oracle,
-                      dkmc_weighted_approx, dpw_2approx, dpw_exact,
-                      fas_balanced_approx, fas_exact, fas_scheme, fas_table,
-                      gamma_for_target, gen_random, ola_directed_approx,
-                      ola_exact, ola_undirected_approx, perm_opt,
-                      serialize_graph, solve_pw_alpha, tripartition)
+from ordercut import (EVALUATORS, Digraph, Ordering, backward_weight, cut_at,
+                      cut_into, cutwidth_balanced_approx, cutwidth_exact,
+                      dkmc_exact, dkmc_oracle, dkmc_weighted_approx,
+                      dpw_2approx, dpw_exact, fas_balanced_approx, fas_exact,
+                      fas_scheme, fas_table, gamma_for_target, gen_random,
+                      kcut, ola_directed_approx, ola_exact,
+                      ola_undirected_approx, perm_opt, serialize_graph,
+                      solve_pw_alpha, tripartition)
 from ordercut.balanced import _gamma_lhs
 
 from conftest import PATHS_WITH_CHORD, TRIANGLE_WITH_DETOUR
@@ -212,18 +212,21 @@ def test_structural_invariants_and_cli_determinism(tmp_path):
     for n in (5, 7, 9):
         g = gen_random(n, 0.55, weight_range=(1, 6), seed=5100 + n)
         parts = tripartition(n)
+        matrices = kcut._PairMatrices([g], parts)
         for k in range(n + 1):
             for k1 in range(min(k, len(parts[0])) + 1):
                 for k2 in range(min(k - k1, len(parts[1])) + 1):
                     k3 = k - k1 - k2
                     if not 0 <= k3 <= len(parts[2]):
                         continue
-                    aux = build_aux(g, parts, (k1, k2, k3))
-                    for j1, t in enumerate(aux.nodes[0]):
-                        for j2, u in enumerate(aux.nodes[1]):
-                            for j3, w_ in enumerate(aux.nodes[2]):
-                                stored = (aux.e01[j1][j2] + aux.e02[j1][j3]
-                                          + aux.e12[j2][j3])
+                    rows = [r[size] for r, size in zip(matrices.rows, (k1, k2, k3))]
+                    nodes = [s[r] for s, r in zip(matrices.subsets, rows)]
+                    e01, e02, e12 = matrices.blocks(rows)
+                    for j1, t in enumerate(nodes[0]):
+                        for j2, u in enumerate(nodes[1]):
+                            for j3, w_ in enumerate(nodes[2]):
+                                stored = (e01[j1, j2] + e02[j1, j3]
+                                          + e12[j2, j3])
                                 assert stored == 2 * cut_into(g, t + u + w_)
 
     for seed in (21, 22):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ordercut
 from ordercut import (Digraph, GraphError, Ordering, ParseError,
                       SizeGuardError, backward_weight, cut_at, cut_into,
                       cutwidth_of, dpw_of, gen_random, induced, ola_of,
@@ -68,6 +69,15 @@ def test_digraph_validation():
         Digraph(3, [(0, 1), (1, 0)], undirected=True)
     with pytest.raises(GraphError):
         Digraph(2, [(0, 1)], {(0, 1): -3})
+
+
+def test_digraph_rejects_bool_weights():
+    # isinstance(True, int) holds, but "a 1 2 True" would not parse back
+    for weight in (True, False):
+        with pytest.raises(GraphError):
+            Digraph(2, [(0, 1)], {(0, 1): weight})
+        with pytest.raises(GraphError):
+            Digraph(2, [(0, 1)], {(0, 1): weight}, undirected=True)
 
 
 def test_undirected_storage_is_symmetric():
@@ -265,3 +275,11 @@ def test_gen_random_extremes():
     assert gen_random(4, 1.0, seed=1, undirected=True).m == 6
     assert gen_random(5, 1.0, weight_range=(3, 3), seed=2).weighted
     assert not gen_random(5, 1.0, seed=2).weighted
+
+
+# ------------------------------------------------------------------- package
+
+def test_exports_resolve_once():
+    assert len(set(ordercut.__all__)) == len(ordercut.__all__)
+    for name in ordercut.__all__:
+        assert hasattr(ordercut, name), name

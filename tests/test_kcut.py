@@ -8,12 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordercut import (AuxGraph, Counters, CutSolution, Digraph, SizeGuardError,
-                      build_aux, cut_into, cut_profile, dkmc_exact, dkmc_oracle,
-                      dkmc_weighted_approx, gen_random, guards, kcut,
-                      min_weight_triangle, tripartition)
+from ordercut import (Counters, CutSolution, Digraph, SizeGuardError, cut_into,
+                      cut_profile, dkmc_exact, dkmc_oracle, dkmc_weighted_approx,
+                      gen_random, guards, kcut, min_weight_triangle,
+                      tripartition)
 
 CYCLE3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+
+
+def split_rows(matrices, sizes):
+    """Each part's row range of its size-sizes[i] subsets."""
+    return [r[size] for r, size in zip(matrices.rows, sizes)]
+
+
+def split_nodes(matrices, rows):
+    """The subsets of each part at rows: the split's auxiliary nodes."""
+    return [s[r] for s, r in zip(matrices.subsets, rows)]
 
 
 def test_tripartition_sizes():
@@ -26,13 +36,15 @@ def test_tripartition_sizes():
 def test_aux_graph_hand_example():
     # split (1,0,0) of the 3-cycle: the only candidate L is {0}, whose cut
     # is the arc 2->0; the doubled weight sits on the 0-2 group edge.
-    parts = tripartition(3)
-    aux = build_aux(CYCLE3, parts, (1, 0, 0))
-    assert aux.nodes[0] == [(0,)]
-    assert aux.nodes[1] == [()] and aux.nodes[2] == [()]
-    assert aux.e01 == [[0]]
-    assert aux.e02 == [[2]]
-    assert aux.e12 == [[0]]
+    matrices = kcut._PairMatrices([CYCLE3], tripartition(3))
+    rows = split_rows(matrices, (1, 0, 0))
+    nodes = split_nodes(matrices, rows)
+    assert nodes[0] == [(0,)]
+    assert nodes[1] == [()] and nodes[2] == [()]
+    e01, e02, e12 = (b.tolist() for b in matrices.blocks(rows))
+    assert e01 == [[0]]
+    assert e02 == [[2]]
+    assert e12 == [[0]]
 
 
 def test_triangle_weight_is_twice_cut_weight():
@@ -40,18 +52,21 @@ def test_triangle_weight_is_twice_cut_weight():
     for n in range(1, 10):
         g = gen_random(n, 0.6, weight_range=(1, 7), seed=100 + n)
         parts = tripartition(n)
+        matrices = kcut._PairMatrices([g], parts)
         for k in range(n + 1):
             for k1 in range(min(k, len(parts[0])) + 1):
                 for k2 in range(min(k - k1, len(parts[1])) + 1):
                     k3 = k - k1 - k2
                     if not 0 <= k3 <= len(parts[2]):
                         continue
-                    aux = build_aux(g, parts, (k1, k2, k3))
-                    for j1, t in enumerate(aux.nodes[0]):
-                        for j2, u in enumerate(aux.nodes[1]):
-                            for j3, w_ in enumerate(aux.nodes[2]):
-                                stored = (aux.e01[j1][j2] + aux.e02[j1][j3]
-                                          + aux.e12[j2][j3])
+                    rows = split_rows(matrices, (k1, k2, k3))
+                    nodes = split_nodes(matrices, rows)
+                    e01, e02, e12 = matrices.blocks(rows)
+                    for j1, t in enumerate(nodes[0]):
+                        for j2, u in enumerate(nodes[1]):
+                            for j3, w_ in enumerate(nodes[2]):
+                                stored = (e01[j1, j2] + e02[j1, j3]
+                                          + e12[j2, j3])
                                 cut = cut_into(g, t + u + w_)
                                 assert stored == 2 * cut
 
@@ -270,13 +285,13 @@ def test_triangle_search_matches_seed_scan_on_aux_graphs():
         g = gen_random(n, 0.5, weight_range=(1, 3 + 40 * (seed % 2)),
                        seed=700 + seed)
         parts = tripartition(n)
+        matrices = kcut._PairMatrices([g], parts)
         for k in range(n + 1):
             for sizes in kcut._splits(parts, k):
-                aux = build_aux(g, parts, sizes)
+                blocks = matrices.blocks(split_rows(matrices, sizes))
                 counters = Counters()
-                triple, weight = min_weight_triangle(aux.blocks, counters)
-                lists = [[[int(w) for w in row] for row in m]
-                         for m in (aux.e01, aux.e02, aux.e12)]
+                triple, weight = min_weight_triangle(blocks, counters)
+                lists = [[[int(w) for w in row] for row in m] for m in blocks]
                 assert ((triple, weight, counters.triangles)
                         == seed_triangle_scan(*lists))
 
@@ -292,10 +307,9 @@ def test_triangle_search_matches_seed_scan_with_ties(data):
                                   min_size=rows, max_size=rows))
 
     e01, e02, e12 = matrix(r1, r2), matrix(r1, r3), matrix(r2, r3)
-    aux = AuxGraph(((), (), ()), (0, 0, 0), ([], [], []),
-                   tuple(np.array(m, dtype=np.int64) for m in (e01, e02, e12)))
+    blocks = tuple(np.array(m, dtype=np.int64) for m in (e01, e02, e12))
     counters = Counters()
-    triple, weight = min_weight_triangle(aux.blocks, counters)
+    triple, weight = min_weight_triangle(blocks, counters)
     assert (triple, weight, counters.triangles) == seed_triangle_scan(e01, e02, e12)
 
 
@@ -314,11 +328,15 @@ def test_int64_dispatch_bound(monkeypatch, total, dtype):
     # either way the result equals the all-Python-int run.
     g = _graph_with_total(total)
     assert g.total_arc_weight == total
-    assert build_aux(g, tripartition(6), (1, 1, 1)).blocks[0].dtype == dtype
+    def block_dtype():
+        matrices = kcut._PairMatrices([g], tripartition(6))
+        return matrices.blocks(split_rows(matrices, (1, 1, 1)))[0].dtype
+
+    assert block_dtype() == dtype
     ks = range(7)
     runs = [cut_profile(g, ks), cut_profile(g, ks, Fraction(1, 2))]
     monkeypatch.setattr(guards, "int_dtype", lambda bound: object)
-    assert build_aux(g, tripartition(6), (1, 1, 1)).blocks[0].dtype == object
+    assert block_dtype() == object
     assert runs == [cut_profile(g, ks), cut_profile(g, ks, Fraction(1, 2))]
 
 
@@ -329,14 +347,15 @@ def test_exact_profile_totals_match_oracle_and_seed_scan():
     graphs += [_graph_with_total(2 ** 61 - 1), _graph_with_total(2 ** 61)]
     for g in graphs:
         parts = tripartition(g.n)
+        matrices = kcut._PairMatrices([g], parts)
         counters = Counters()
         got = cut_profile(g, range(g.n + 1), None, counters)
         examined = 0
         for k in range(g.n + 1):
             assert got[k] == dkmc_oracle(g, k)
             for sizes in kcut._splits(parts, k):
-                aux = build_aux(g, parts, sizes)
-                examined += seed_triangle_scan(aux.e01, aux.e02, aux.e12)[2]
+                blocks = matrices.blocks(split_rows(matrices, sizes))
+                examined += seed_triangle_scan(*blocks)[2]
         assert counters.triangles == examined
 
 
@@ -461,17 +480,17 @@ def reference_rounded_profile(g, ks, eps, counters):
     matrices = kcut._PairMatrices([g], parts)
     out = {}
     for k in ks:
-        cells = [build_aux(g, parts, sizes, matrices)
-                 for sizes in kcut._splits(parts, k)]
-        weights = sorted({int(w) for aux in cells for blk in aux.blocks
+        cells = [split_rows(matrices, sizes) for sizes in kcut._splits(parts, k)]
+        weights = sorted({int(w) for rows in cells for blk in matrices.blocks(rows)
                           for w in blk.ravel().tolist()})
         keys = dict(zip(weights, reference_rounded_keys(weights, eps)))
         best = None
-        for aux in cells:
+        for rows in cells:
             blocks = [np.array([[keys[int(w)] for w in row] for row in blk.tolist()],
-                               dtype=object) for blk in aux.blocks]
+                               dtype=object) for blk in matrices.blocks(rows)]
             (j1, j2, j3), weight = reference_triangle(*blocks, counters)
-            cand = (weight, aux.nodes[0][j1] + aux.nodes[1][j2] + aux.nodes[2][j3])
+            nodes = split_nodes(matrices, rows)
+            cand = (weight, nodes[0][j1] + nodes[1][j2] + nodes[2][j3])
             if best is None or cand < best:
                 best = cand
         out[k] = CutSolution(best[1], k, cut_into(g, best[1]))

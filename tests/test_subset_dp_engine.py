@@ -181,9 +181,10 @@ def test_term_tables_match_plain_python(g):
     w = np.zeros((n, n), dtype=dtype)
     for u, v, wt in g.arc_items:
         w[u, v] = wt
-    crossing = subset_dp._crossing_terms(w)
-    boundary = subset_dp._boundary_terms(g, np.int16)
-    assert len(crossing) == len(boundary) == 1 << n
+    crossing = np.empty(1 << n, dtype=dtype)
+    boundary = np.empty(1 << n, dtype=np.int16)
+    subset_dp._crossing_terms(w, crossing)
+    subset_dp._boundary_terms(g, boundary)
     for mask in range(1 << n):
         assert crossing[mask] == crossing_of(g, mask)
         assert boundary[mask] == boundary_of(g, mask)
