@@ -21,7 +21,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .balanced import (cutwidth_balanced_approx, dpw_2approx, fas_balanced_approx,
@@ -200,6 +199,7 @@ def _run_suite(tasks: list[tuple], jobs: int) -> tuple[list[dict], int]:
     if workers <= 1:
         results = [_suite_task(t) for t in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays for it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_suite_task, tasks))
     # one line per message: every mode of an unparsable instance fails alike

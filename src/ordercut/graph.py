@@ -33,7 +33,8 @@ class Digraph:
     """
 
     __slots__ = (
-        "n", "undirected", "weighted", "_out", "in_pairs", "arc_items", "m",
+        "n", "undirected", "weighted", "in_pairs", "arc_items", "m",
+        "_total_arc_weight",
     )
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]],
@@ -41,11 +42,8 @@ class Digraph:
                  undirected: bool = False, weighted: bool | None = None):
         if n < 0:
             raise GraphError("vertex count must be non-negative")
-        self.n = n
-        self.undirected = undirected
-        self.weighted = bool(weights is not None) if weighted is None else weighted
         out: list[dict[int, int]] = [dict() for _ in range(n)]
-        inn: list[dict[int, int]] = [dict() for _ in range(n)]
+        weighted = weights is not None if weighted is None else weighted
         weights = weights or {}
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
@@ -58,22 +56,31 @@ class Digraph:
             if v in out[u] or (undirected and u in out[v]):
                 raise GraphError(f"duplicate arc ({u}, {v})")
             out[u][v] = w
-            inn[v][u] = w
             if undirected:
                 out[v][u] = w
-                inn[u][v] = w
-        self._out = out
-        self.in_pairs = tuple(tuple(sorted(d.items())) for d in inn)
-        self.arc_items = tuple(sorted(
-            (u, v, w) for u in range(n) for v, w in out[u].items()))
+        self._set_arcs(n, undirected, weighted, tuple(
+            (u, v, w) for u in range(n) for v, w in sorted(out[u].items())))
+
+    def _set_arcs(self, n: int, undirected: bool, weighted: bool,
+                  arc_items: tuple[tuple[int, int, int], ...]) -> "Digraph":
+        """Fill every field from valid arc items sorted by (u, v), each
+        undirected edge given in both directions."""
+        self.n, self.undirected, self.weighted = n, undirected, weighted
+        inn: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for u, v, w in arc_items:
+            inn[v].append((u, w))
+        self.in_pairs = tuple(map(tuple, inn))
+        self.arc_items = arc_items
         # m follows the file header: arcs for dg, edges for ug.
-        self.m = len(self.arc_items) // 2 if undirected else len(self.arc_items)
+        self.m = len(arc_items) // 2 if undirected else len(arc_items)
+        self._total_arc_weight = sum(w for _, _, w in arc_items)
+        return self
 
     def has_arc(self, u: int, v: int) -> bool:
-        return v in self._out[u]
+        return u in dict(self.in_pairs[v])
 
     def weight(self, u: int, v: int) -> int:
-        return self._out[u][v]
+        return dict(self.in_pairs[v])[u]
 
     def edge_items(self) -> Iterator[tuple[int, int, int]]:
         """Yield (u, v, w) with u < v once per undirected edge."""
@@ -83,7 +90,7 @@ class Digraph:
 
     @property
     def total_arc_weight(self) -> int:
-        return sum(w for _, _, w in self.arc_items)
+        return self._total_arc_weight
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Digraph):
@@ -235,18 +242,11 @@ def induced(g: Digraph, vertices: Iterable[int]) -> tuple[Digraph, dict[int, int
     if keep and not (0 <= keep[0] and keep[-1] < g.n):
         raise ValueError("induced vertex set outside graph")
     relabel = {old: new for new, old in enumerate(keep)}
-    arcs = []
-    weights = {}
-    for u, v, w in g.arc_items:
-        if u in relabel and v in relabel:
-            if g.undirected and u > v:
-                continue
-            a = (relabel[u], relabel[v])
-            arcs.append(a)
-            weights[a] = w
-    sub = Digraph(len(keep), arcs, weights, undirected=g.undirected,
-                  weighted=g.weighted)
-    return sub, relabel
+    # relabelling in sorted order keeps the parent's arc items sorted
+    return Digraph.__new__(Digraph)._set_arcs(
+        len(keep), g.undirected, g.weighted,
+        tuple((relabel[u], relabel[v], w) for u, v, w in g.arc_items
+              if u in relabel and v in relabel)), relabel
 
 
 def gen_random(n: int, p: float, weight_range: tuple[int, int] = (1, 1),

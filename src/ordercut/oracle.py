@@ -12,15 +12,17 @@ S placed before it:
     ola, cutwidth:   weight of arcs into S + v from outside it (the cut there)
     dpw:             members of S + v with an in-neighbour outside it
 
-so a per-graph table cost[S*n + v] scores every ordering. The orderings are
-the leaves of the lexicographic permutation tree; level k holds the prefixes
-of length k + 1 in lexicographic order, and each prefix's score is its
-parent's combined with cost[S*n + v] of its last vertex. The last vertex costs
-nothing, so n - 1 levels reach all n! leaves, still in lexicographic order:
-the first minimum is the lexicographically least optimal sequence, recovered
-by unranking its index in the factorial number system. Scores are the
-narrowest of int16/int32/int64 holding 2 * n * total arc weight, as the
-subset tables' values are, and Python ints (object) once that reaches 2**62.
+so a per-graph table cost[S*n + v] scores every ordering: one product of the
+2^n x n matrix of vertices outside each mask with the n x n arc weights (arc
+counts for dpw), and row sums for the cut and dpw. The orderings are the
+leaves of the lexicographic permutation tree; level k holds the prefixes of
+length k + 1 in lexicographic order, and each prefix's score is its parent's
+combined with its last vertex's cost, gathered with take at the level's cached
+int32 indices S*n + v. The last vertex costs nothing, so n - 1 levels reach
+all n! leaves, still in lexicographic order: the first minimum is the
+lexicographically least optimal sequence, recovered by unranking its index in
+the factorial number system. Scores are the narrowest of int16/int32/int64
+holding 2 * n * total arc weight, and Python ints (object) from 2**62 up.
 """
 
 from __future__ import annotations
@@ -65,22 +67,22 @@ def _cost_table(g: Digraph, objective: str, dtype) -> np.ndarray:
     """cost[S*n + v] of placing v right after the set S."""
     n = g.n
     masks = np.arange(1 << n, dtype=np.int64)
+    bit = 1 << np.arange(n, dtype=np.int64)
     # out_of[mask, u]: u is not in mask (S for fas, S + v for the rest)
-    out_of = ((masks[:, None] >> np.arange(n)) & 1) == 0
+    out_of = (masks[:, None] & bit) == 0
+    w = np.zeros((n, n), dtype=dtype)       # arc weights; arc counts for dpw
+    for u, v, wt in g.arc_items:
+        w[u, v] = 1 if objective == "dpw" else wt
+    # into[mask, x]: weight (dpw: number) of arcs into x from outside mask
+    into = out_of.astype(dtype) @ w
     if objective == "fas":
-        cost = np.zeros((1 << n, n), dtype=dtype)
-        for u, v, w in g.arc_items:
-            cost[:, v] += out_of[:, u].astype(dtype) * w
-        return cost.ravel()
-    inner = np.zeros((1 << n, n), dtype=bool)     # [T, x]: x in T, u -> x from outside
-    cut = np.zeros(1 << n, dtype=dtype)
-    for u, x, w in g.arc_items:
-        crossing = out_of[:, u] & ~out_of[:, x]
-        inner[:, x] |= crossing
-        cut += crossing.astype(dtype) * w
-    per_t = inner.sum(axis=1) if objective == "dpw" else cut
+        return into.ravel()
+    if objective == "dpw":                  # members fed from outside
+        per_t = ((into > 0) & ~out_of).sum(axis=1)
+    else:                                   # the cut into the mask
+        per_t = (into * ~out_of).sum(axis=1, dtype=dtype)
     # cost[S, v] = per_t[S + v]; v in S never occurs in a prefix
-    return per_t[masks[:, None] | (1 << np.arange(n))].ravel()
+    return per_t[masks[:, None] | bit].ravel()
 
 
 def _unrank(index: int, n: int) -> list[int]:
@@ -99,15 +101,13 @@ def perm_opt(g: Digraph, objective: str) -> OracleResult:
         raise ValueError(f"unknown objective {objective!r}")
     n = g.n
     guards.check(n, guards.ORACLE_GUARD, "oracle vertex count")
-    if n == 0:
-        return OracleResult(objective, 0, Ordering(()), 1)
     bound = 2 * n * g.total_arc_weight
     dtype = guards.narrow_dtype(bound, bound)
     cost = _cost_table(g, objective, dtype)
     combine = _COMBINE[objective]
     values = np.zeros(1, dtype=dtype)
     for k, level in enumerate(_position_matrix(n)):
-        values = combine(np.repeat(values, n - k), cost[level])
+        values = combine(np.repeat(values, n - k), cost.take(level))
     idx = int(np.argmin(values))            # first minimum = lex-least sequence
     opt = int(values[idx])
     count = int(np.count_nonzero(values == opt))

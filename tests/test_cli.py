@@ -283,6 +283,7 @@ def test_jobs_below_one_exits_2(capsys, tmp_path):
 
 
 def test_jobs_clamped_to_tasks_and_cpus(capsys, tmp_path, monkeypatch):
+    import concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
 
     from ordercut import cli, gen_random
@@ -293,7 +294,7 @@ def test_jobs_clamped_to_tasks_and_cpus(capsys, tmp_path, monkeypatch):
         seen.append(max_workers)
         return ThreadPoolExecutor(max_workers=1)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", fake_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fake_pool)
     corp = make_corpus(tmp_path, [gen_random(5, 0.5, seed=s) for s in range(3)])
     base = ("bench", corp, "--obj", "fas", "--no-timing")
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
@@ -576,3 +577,14 @@ def test_one_parser_per_process(tmp_path):
     assert runs == [[p.returncode, p.stdout, p.stderr] for p in fresh]
     assert [code for code, _, _ in runs] == [2, 2, 0, 0]
     assert built == 1
+
+
+def test_import_leaves_the_process_pool_out():
+    # only a suite with more than one worker imports concurrent.futures
+    script = ("import sys, ordercut.cli; "
+              "print('concurrent.futures' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src},
+                         check=True)
+    assert run.stdout == "False\n"

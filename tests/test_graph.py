@@ -142,6 +142,43 @@ def test_induced_relabels_sorted():
     assert sub.arc_items == ((0, 1, 7), (1, 2, 1), (2, 0, 2))
 
 
+def constructor_induced(g, keep):
+    """The reference: the induced subgraph through the checking constructor,
+    each undirected edge given once."""
+    relabel = {old: new for new, old in enumerate(sorted(keep))}
+    weights = {(relabel[u], relabel[v]): w for u, v, w in g.arc_items
+               if u in relabel and v in relabel and (u < v or not g.undirected)}
+    return Digraph(len(relabel), list(weights), weights,
+                   undirected=g.undirected, weighted=g.weighted)
+
+
+@settings(max_examples=150)
+@given(st.booleans().flatmap(
+    lambda ug: digraphs(max_n=9, undirected=ug, max_w=10 ** 17)),
+    st.booleans(), st.data())
+def test_induced_matches_constructor(g, weighted, data):
+    g = Digraph(g.n, [(u, v) for u, v, _ in g.arc_items
+                      if u < v or not g.undirected],
+                {(u, v): w for u, v, w in g.arc_items},
+                undirected=g.undirected, weighted=weighted)
+    keep = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
+    sub, relabel = induced(g, keep)
+    want = constructor_induced(g, keep)
+    assert relabel == {old: new for new, old in enumerate(sorted(keep))}
+    assert sub == want
+    for field in ("n", "in_pairs", "arc_items", "m", "weighted", "undirected",
+                  "total_arc_weight"):
+        assert getattr(sub, field) == getattr(want, field), field
+    assert sub.total_arc_weight == sum(w for _, _, w in sub.arc_items)
+
+
+def test_induced_rejects_vertices_outside_graph():
+    g = Digraph(3, [(0, 1), (1, 2)])
+    for keep in ([0, 3], [-1, 1]):
+        with pytest.raises(ValueError, match="outside graph"):
+            induced(g, keep)
+
+
 @settings(max_examples=80)
 @given(graph_with_ordering())
 def test_backward_plus_reverse_is_total(gw):

@@ -135,3 +135,45 @@ def test_size_guard(monkeypatch):
     g = Digraph(10, [(0, 1)])
     with pytest.raises(SizeGuardError):
         perm_opt(g, "fas")
+
+
+def loop_cost_table(g, objective, dtype):
+    """The per-arc reference: one 2^n-row update per arc."""
+    n = g.n
+    masks = np.arange(1 << n, dtype=np.int64)
+    out_of = ((masks[:, None] >> np.arange(n)) & 1) == 0
+    if objective == "fas":
+        cost = np.zeros((1 << n, n), dtype=dtype)
+        for u, v, w in g.arc_items:
+            cost[:, v] += out_of[:, u].astype(dtype) * w
+        return cost.ravel()
+    inner = np.zeros((1 << n, n), dtype=bool)
+    cut = np.zeros(1 << n, dtype=dtype)
+    for u, x, w in g.arc_items:
+        crossing = out_of[:, u] & ~out_of[:, x]
+        inner[:, x] |= crossing
+        cut += crossing.astype(dtype) * w
+    per_t = inner.sum(axis=1) if objective == "dpw" else cut
+    return per_t[masks[:, None] | (1 << np.arange(n))].ravel()
+
+
+# each weight range, scored in every dtype that holds 2 * n * total arc
+# weight: int16 and up for the small ones, Python ints for 10**17
+SCORE_DTYPES = (np.int16, np.int32, np.int64, object)
+
+
+@pytest.mark.parametrize("objective", sorted(EVALUATORS))
+def test_cost_table_matches_per_arc_loop(objective):
+    from ordercut import guards, oracle
+    for n in range(10):
+        for undirected in (False, True):
+            for seed, top in enumerate((1, 5, 1000, 10 ** 8, 10 ** 17)):
+                g = gen_random(n, 0.5, weight_range=(1, top),
+                               seed=10 * n + seed, undirected=undirected)
+                bound = 2 * n * g.total_arc_weight
+                narrow = guards.narrow_dtype(bound, bound)
+                for dtype in SCORE_DTYPES[SCORE_DTYPES.index(narrow):]:
+                    got = oracle._cost_table(g, objective, dtype)
+                    want = loop_cost_table(g, objective, dtype)
+                    assert got.dtype == want.dtype, (g, dtype)
+                    assert got.tolist() == want.tolist(), (g, dtype)
