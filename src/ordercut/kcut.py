@@ -157,7 +157,7 @@ class _PairMatrices:
         return s0[r0.start + js[0]] + s1[r1.start + js[1]] + s2[r2.start + js[2]]
 
 
-def min_weight_triangle(blocks, counters: Counters | None = None, keys=None):
+def min_weight_triangle(blocks, keys=None):
     """Minimum-weight triangle; blocks = (e01, e02, e12) are the 2-D edge
     weights between groups 0-1, 0-2 and 1-2.
 
@@ -169,11 +169,6 @@ def min_weight_triangle(blocks, counters: Counters | None = None, keys=None):
     For each (j1, j2) the search takes the first j3 minimizing e02 + e12 (or
     its rank), over all j1 at once unless r1 * r2 * r3 > _CHUNK_CELLS, then
     adds e01 over the r1 * r2 cells only.
-
-    counters.triangles grows by the number of triangles a lex-order scan
-    examines when it skips every (j1, j2) whose e01 weight already reaches
-    the best sum found so far: |N3| for each pair whose e01 weight is below
-    the minimum of the earlier pairs' best completions.
     """
     e01, e02, e12 = blocks
     best = _best_pairs(blocks, keys)
@@ -181,23 +176,17 @@ def min_weight_triangle(blocks, counters: Counters | None = None, keys=None):
     weights = best
     if keys is not None:   # best holds the j3 of each (j1, j2)
         values = keys[0]
-        e01 = values[e01]
-        weights = (e01 + values[e02[np.arange(r1)[:, None], best]]
+        weights = (values[e01] + values[e02[np.arange(r1)[:, None], best]]
                    + values[e12[np.arange(r2), best]])
-    flat_w = weights.ravel()
-    j1, j2 = divmod(int(flat_w.argmin()), r2)
+    j1, j2 = divmod(int(weights.argmin()), r2)
     j3 = int((e02[j1] + e12[j2]).argmin()) if keys is None else int(best[j1, j2])
-    if counters is not None:
-        running = np.minimum.accumulate(flat_w[:-1])
-        counters.triangles += e12.shape[1] * (1 + int(np.count_nonzero(
-            e01.ravel()[1:] < running)))
-    return (j1, j2, j3), int(flat_w[j1 * r2 + j2])
+    return (j1, j2, j3), int(weights[j1, j2])
 
 
-def _triangles(blocks, counters) -> list:
+def _triangles(blocks) -> list:
     """min_weight_triangle, unrounded, for the graphs of a batch: their
-    blocks stacked on a last axis over them, one Counters or None each.
-    Every step runs for all of them at once."""
+    blocks stacked on a last axis over them. Every step runs for all of them
+    at once."""
     e01, e02, e12 = blocks
     r1, r2, count = e01.shape
     flat_w = _best_pairs(blocks, None).reshape(r1 * r2, count)
@@ -205,11 +194,6 @@ def _triangles(blocks, counters) -> list:
     every = np.arange(count)
     j1, j2 = np.divmod(at, r2)
     j3 = (e02[j1, :, every] + e12[j2, :, every]).argmin(axis=1)
-    running = np.minimum.accumulate(flat_w[:-1], axis=0)
-    skipped = (e01.reshape(r1 * r2, count)[1:] < running).sum(axis=0)
-    for c, examined in zip(counters, skipped.tolist()):
-        if c is not None:
-            c.triangles += e12.shape[1] * (1 + examined)
     return [((a, b, c), w) for a, b, c, w in
             zip(j1.tolist(), j2.tolist(), j3.tolist(), flat_w[at, every].tolist())]
 
@@ -394,6 +378,9 @@ def _cut_profiles(graphs, ks, eps, counters) -> list[dict[int, CutSolution]]:
     entries share a dtype, as many at a time as the byte guard admits, which
     each graph's matrices alone must meet. A rounded search keys each
     graph's weights in a table of its own, so each graph is a batch of one.
+
+    Every search evaluates all triangles of every split, one per candidate
+    L: C(n, k) for each k, so each Counters' triangles grows by their sum.
     """
     n = graphs[0].n
     ks = list(ks)
@@ -419,14 +406,17 @@ def _cut_profiles(graphs, ks, eps, counters) -> list[dict[int, CutSolution]]:
 
     profiles = [None] * len(graphs)
     for batch in guards.batches([guards.int_dtype(b) for b in bounds], room):
-        found = _search([graphs[i] for i in batch], parts, ks, eps,
-                        [counters[i] for i in batch])
+        found = _search([graphs[i] for i in batch], parts, ks, eps)
         for i, profile in zip(batch, found):
             profiles[i] = profile
+    triangles = sum(math.comb(n, k) for k in ks)
+    for c in counters:
+        if c is not None:
+            c.triangles += triangles
     return profiles
 
 
-def _search(graphs, parts, ks, eps, counters) -> list[dict[int, CutSolution]]:
+def _search(graphs, parts, ks, eps) -> list[dict[int, CutSolution]]:
     """The cut search of one batch, every split of every k once for all. A
     lone graph's splits go through min_weight_triangle, which a traced run
     records as a span; a batch's (never rounded) through _triangles."""
@@ -443,8 +433,8 @@ def _search(graphs, parts, ks, eps, counters) -> list[dict[int, CutSolution]]:
             rows = [r[k] for r, k in zip(matrices.rows, sizes)]
             blocks, keys = (rounding.search_keys(rows) if grid
                             else (matrices.blocks(rows), None))
-            found = ([min_weight_triangle(blocks, counters[0], keys)] if lone
-                     else _triangles(blocks, counters))
+            found = ([min_weight_triangle(blocks, keys)] if lone
+                     else _triangles(blocks))
             for i, (js, weight) in enumerate(found):
                 if eps is None and weight % 2:
                     raise AssertionError("stored triangle weight must be even")

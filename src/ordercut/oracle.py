@@ -78,7 +78,7 @@ def _cost_table(g: Digraph, objective: str, dtype) -> np.ndarray:
     if objective == "fas":
         return into.ravel()
     if objective == "dpw":                  # members fed from outside
-        per_t = ((into > 0) & ~out_of).sum(axis=1)
+        per_t = ((into > 0) & ~out_of).sum(axis=1, dtype=dtype)
     else:                                   # the cut into the mask
         per_t = (into * ~out_of).sum(axis=1, dtype=dtype)
     # cost[S, v] = per_t[S + v]; v in S never occurs in a prefix

@@ -332,7 +332,8 @@ def test_degenerate_inputs_fall_back_to_exact():
 
 def test_reports_merge_child_counters(triangle_with_detour):
     rep = fas_balanced_approx(triangle_with_detour)
-    # two exact half-solves (2^3 entries each) plus the cut search
+    # two exact half-solves (2^3 entries each) plus the cut search over
+    # the C(6, 3) candidate sets
     assert rep.stats.table_entries == 16
-    assert rep.stats.triangles > 0
+    assert rep.stats.triangles == 20
     assert rep.stats.calls >= 3

@@ -5,6 +5,7 @@ split; a graph that alone does not fit is refused as it is alone."""
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -104,7 +105,26 @@ def test_stacked_cut_search_matches_cut_profile(eps, n, count, ks):
     for g, profile, c in zip(graphs, profiles, counters):
         alone = Counters()
         assert profile == cut_profile(g, ks, eps, alone)
-        assert c.triangles == alone.triangles
+        assert c.triangles == alone.triangles == sum(comb(n, k) for k in ks)
+
+
+@pytest.mark.parametrize("eps", [None, Fraction(1, 2)])
+@pytest.mark.parametrize("n", range(13))
+def test_cut_search_counts_every_candidate_set(eps, n):
+    # every search evaluates the C(n, k) sets L of each k it is given, alone
+    # or stacked, whatever the dtype; a Counters that already holds a count
+    # grows by exactly that, and None is skipped
+    graphs = mixed(n, seed=n)
+    rest = len(graphs) - 1
+    for ks in (range(n + 1), [n // 2], [n, 0, n // 3]):
+        want = sum(comb(n, k) for k in ks)
+        counters = [Counters(triangles=7) for _ in graphs]
+        kcut._cut_profiles(graphs, ks, eps, counters[:-1] + [None])
+        assert [c.triangles for c in counters] == [7 + want] * rest + [7]
+        for g, c in zip(graphs, counters):
+            kcut._cut_profiles([g], ks, eps, [c])
+            cut_profile(g, ks, eps, c)
+        assert [c.triangles for c in counters] == [7 + 3 * want] * rest + [7 + 2 * want]
 
 
 def fields(rep):

@@ -384,6 +384,21 @@ def test_bench_counters_grow_with_n(capsys, tmp_path):
     assert entries == sorted(entries) and entries[0] < entries[-1]
 
 
+def test_bench_counts_the_balanced_cut_sets(capsys, tmp_path):
+    # the balanced cut of an even n evaluates every set of n/2 vertices;
+    # the exact DP and the side solves evaluate none
+    from math import comb
+    from ordercut import gen_random
+    sizes = (4, 6, 8, 10)
+    corp = make_corpus(tmp_path, [gen_random(n, 0.5, seed=n) for n in sizes])
+    code, out, _ = run(capsys, "bench", str(corp), "--obj", "fas",
+                       "--mode", "2approx", "--mode", "exact", "--no-timing")
+    assert code == 0
+    rows = [r.split(",") for r in out.splitlines()[1:]]
+    assert [(r[2], int(r[8])) for r in rows] == [
+        pair for n in sizes for pair in (("2approx", comb(n, n // 2)), ("exact", 0))]
+
+
 # ---------------------------------------------------------------- exit codes
 
 def test_usage_errors_exit_2(capsys, cycle_file):

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -107,7 +108,18 @@ def test_dkmc_exact_matches_oracle():
 def test_dkmc_counts_triangles():
     counters = Counters()
     dkmc_exact(gen_random(7, 0.5, seed=5), 3, counters)
-    assert counters.triangles > 0
+    assert counters.triangles == comb(7, 3)
+
+
+def test_splits_hold_every_size_k_set_once():
+    # Vandermonde: the splits' triangles, r1 * r2 * r3 summed, are the
+    # C(n, k) candidate sets L, so a search evaluates C(n, k) triangles
+    for n in range(33):
+        parts = tripartition(n)
+        for k in range(n + 1):
+            assert sum(comb(len(parts[0]), k1) * comb(len(parts[1]), k2)
+                       * comb(len(parts[2]), k3)
+                       for k1, k2, k3 in kcut._splits(parts, k)) == comb(n, k)
 
 
 def test_weighted_approx_tiny_eps_is_exact():
@@ -264,19 +276,17 @@ def test_cut_profile_matches_oracle_for_every_k(g, eps):
 
 def seed_triangle_scan(e01, e02, e12):
     """The original pruned lex-order scan over nested lists: the reference
-    for min_weight_triangle's triple, weight and examined-triangle count."""
+    for min_weight_triangle's triple, weight and tie-break."""
     best = best_triple = None
-    examined = 0
     for j1, (row01, row02) in enumerate(zip(e01, e02)):
         for j2, w12 in enumerate(row01):
             if best is not None and w12 >= best:
                 continue
             for j3, w3 in enumerate(row02):
-                examined += 1
                 total = w12 + w3 + e12[j2][j3]
                 if best is None or total < best:
                     best, best_triple = total, (j1, j2, j3)
-    return best_triple, best, examined
+    return best_triple, best
 
 
 def test_triangle_search_matches_seed_scan_on_aux_graphs():
@@ -289,11 +299,8 @@ def test_triangle_search_matches_seed_scan_on_aux_graphs():
         for k in range(n + 1):
             for sizes in kcut._splits(parts, k):
                 blocks = matrices.blocks(split_rows(matrices, sizes))
-                counters = Counters()
-                triple, weight = min_weight_triangle(blocks, counters)
                 lists = [[[int(w) for w in row] for row in m] for m in blocks]
-                assert ((triple, weight, counters.triangles)
-                        == seed_triangle_scan(*lists))
+                assert min_weight_triangle(blocks) == seed_triangle_scan(*lists)
 
 
 @settings(max_examples=150, deadline=None)
@@ -308,9 +315,7 @@ def test_triangle_search_matches_seed_scan_with_ties(data):
 
     e01, e02, e12 = matrix(r1, r2), matrix(r1, r3), matrix(r2, r3)
     blocks = tuple(np.array(m, dtype=np.int64) for m in (e01, e02, e12))
-    counters = Counters()
-    triple, weight = min_weight_triangle(blocks, counters)
-    assert (triple, weight, counters.triangles) == seed_triangle_scan(e01, e02, e12)
+    assert min_weight_triangle(blocks) == seed_triangle_scan(e01, e02, e12)
 
 
 def _graph_with_total(total: int) -> Digraph:
@@ -341,8 +346,9 @@ def test_int64_dispatch_bound(monkeypatch, total, dtype):
 
 
 def test_exact_profile_totals_match_oracle_and_seed_scan():
-    # a whole exact call: every k equals the oracle, and the call's triangle
-    # count is the seed scan's summed over every split of every k
+    # a whole exact call: every k equals the oracle, its doubled value is
+    # the seed scan's best weight over the splits, and the call counts
+    # C(n, k) triangles for each k
     graphs = [gen_random(n, 0.5, seed=n) for n in range(1, 13)]
     graphs += [_graph_with_total(2 ** 61 - 1), _graph_with_total(2 ** 61)]
     for g in graphs:
@@ -350,13 +356,12 @@ def test_exact_profile_totals_match_oracle_and_seed_scan():
         matrices = kcut._PairMatrices([g], parts)
         counters = Counters()
         got = cut_profile(g, range(g.n + 1), None, counters)
-        examined = 0
         for k in range(g.n + 1):
             assert got[k] == dkmc_oracle(g, k)
-            for sizes in kcut._splits(parts, k):
-                blocks = matrices.blocks(split_rows(matrices, sizes))
-                examined += seed_triangle_scan(*blocks)[2]
-        assert counters.triangles == examined
+            assert 2 * got[k].value == min(
+                seed_triangle_scan(*matrices.blocks(split_rows(matrices, sizes)))[1]
+                for sizes in kcut._splits(parts, k))
+        assert counters.triangles == 2 ** g.n
 
 
 # ------------------------------------------------ pair matrices, reference copy
@@ -365,7 +370,6 @@ def reference_pair_matrices(g, parts):
     """The pair matrices as they were built: 0/1 subset matrices chi, one row
     per subset in (size, lex) order, and integer matrix products."""
     from itertools import accumulate, combinations, pairwise
-    from math import comb
     bound = 2 * g.total_arc_weight
     dtype = guards.int_dtype(bound)
     entry = guards.entry_bytes(dtype, bound)
@@ -454,7 +458,7 @@ def reference_rounded_keys(weights, eps):
     return keys
 
 
-def reference_triangle(e01, e02, e12, counters):
+def reference_triangle(e01, e02, e12):
     """The triangle search on summed weights, a block of j1 rows at a time."""
     r1, r2 = e01.shape
     r3 = e12.shape[1]
@@ -467,13 +471,10 @@ def reference_triangle(e01, e02, e12, counters):
     flat = best_j3.ravel()
     j1, j2 = divmod(int(flat.argmin()), r2)
     j3 = int((e02[j1] + e12[j2]).argmin())
-    running = np.minimum.accumulate(flat[:-1])
-    counters.triangles += r3 * (1 + int(np.count_nonzero(
-        e01.ravel()[1:] < running)))
     return (j1, j2, j3), int(flat[j1 * r2 + j2])
 
 
-def reference_rounded_profile(g, ks, eps, counters):
+def reference_rounded_profile(g, ks, eps):
     """The rounded cut_profile as it was: keys recomputed per k from the
     stored weights of that k's splits, keyed blocks of Python ints."""
     parts = tripartition(g.n)
@@ -488,7 +489,7 @@ def reference_rounded_profile(g, ks, eps, counters):
         for rows in cells:
             blocks = [np.array([[keys[int(w)] for w in row] for row in blk.tolist()],
                                dtype=object) for blk in matrices.blocks(rows)]
-            (j1, j2, j3), weight = reference_triangle(*blocks, counters)
+            (j1, j2, j3), weight = reference_triangle(*blocks)
             nodes = split_nodes(matrices, rows)
             cand = (weight, nodes[0][j1] + nodes[1][j2] + nodes[2][j3])
             if best is None or cand < best:
@@ -503,10 +504,9 @@ ROUNDING_EPS = [Fraction(1, 10 ** 9), Fraction(1, 10), Fraction(1, 2),
 
 def assert_matches_reference(g, eps):
     ks = range(g.n + 1)
-    got, want = Counters(), Counters()
-    assert (cut_profile(g, ks, eps, got)
-            == reference_rounded_profile(g, ks, eps, want))
-    assert got.triangles == want.triangles
+    counters = Counters()
+    assert cut_profile(g, ks, eps, counters) == reference_rounded_profile(g, ks, eps)
+    assert counters.triangles == 2 ** g.n
 
 
 @settings(max_examples=150, deadline=None)

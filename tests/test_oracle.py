@@ -153,7 +153,7 @@ def loop_cost_table(g, objective, dtype):
         crossing = out_of[:, u] & ~out_of[:, x]
         inner[:, x] |= crossing
         cut += crossing.astype(dtype) * w
-    per_t = inner.sum(axis=1) if objective == "dpw" else cut
+    per_t = inner.sum(axis=1, dtype=dtype) if objective == "dpw" else cut
     return per_t[masks[:, None] | (1 << np.arange(n))].ravel()
 
 
