@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -122,7 +123,7 @@ def _record(instance: str, g: Digraph, obj: str, label: str, rep,
     return rec
 
 
-def _csv_row(rec: dict) -> str:
+def _csv_row(rec: dict) -> list[str]:
     if "opt" in rec:
         opt = str(rec["opt"])
         if "ratio" in rec:
@@ -135,7 +136,7 @@ def _csv_row(rec: dict) -> str:
     cells = [rec["instance"], rec["objective"], rec["mode"], str(rec["value"]),
              str(rec["lower_bound"]), opt, ratio, str(stats["table_entries"]),
              str(stats["triangles"]), str(stats["calls"]), str(rec["millis"])]
-    return ",".join(cells)
+    return cells
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -243,8 +244,12 @@ def _suite(ns: argparse.Namespace, modes: list[str], factor: str | None = None) 
     tasks = [(inst, path, ns.obj, mode, *params, factor is not None, ns.no_timing)
              for inst, path in _corpus(ns.corpus) for mode in modes]
     records, failed = _run_suite(tasks, ns.jobs)
-    lines = [CSV_HEADER] + [_csv_row(r) for r in records]
-    _emit("\n".join(lines) + "\n", ns.out)
+    import csv   # only the suites write CSV
+    text = io.StringIO()
+    rows = csv.writer(text, lineterminator="\n")   # quotes a mode holding a comma
+    rows.writerow(CSV_HEADER.split(","))
+    rows.writerows(_csv_row(r) for r in records)
+    _emit(text.getvalue(), ns.out)
     if factor is None:
         return failed
     violations = []

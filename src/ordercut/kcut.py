@@ -23,6 +23,21 @@ Graphs of one vertex count share the parts and splits, so an exact search
 over several of them (_cut_profiles) stacks their matrices on a last axis
 and searches each split of all of them at once.
 
+The search is pruned without changing any result (_Bounds). Once per call
+it bounds, for every row j1 of part 0 and every (k2, k3), each triangle
+through j1 from below:
+
+    lb[j1, k2, k3] = min_j2 (e01[j1, j2] + min_j3 e12[j2, j3]) + min_j3 e02[j1, j3]
+
+over the size-k2 and size-k3 subsets, and each split by the least lb of
+its rows, sb[k1, k2, k3]. Each k visits its splits in ascending sb and
+stops at the first whose sb exceeds the best weight found; a visited split
+hands the kernel only the rows with lb <= best. The <= keeps every tied
+triangle, so the smallest-vertex tie-break is unchanged. A batch keeps a
+row where any member's lb is at most that member's best. Counters'
+triangles count the cells the search examined: kept rows * r2 * r3 over
+the splits visited, at most C(n, k) per k.
+
 The rounded search runs the same triangle search after rounding each nonzero
 stored edge weight up to a power of (1+eps/3), which keeps the number of
 distinct weights logarithmic while inflating any triangle by less than a
@@ -31,7 +46,12 @@ distinct weights logarithmic while inflating any triangle by less than a
 every pair-matrix entry once per call (np.searchsorted against the integer
 thresholds floor((1+eps/3)^e)) and ranks every sum of two keys exactly, once.
 The search then runs on int64 key indices and pair-sum ranks, and only the
-r1 * r2 cells of the best completions add the keys themselves.
+r1 * r2 cells of the best completions add the keys themselves. Its bounds
+are taken in key values: keys grow with their index, so the least index
+gives the least key. The keys are compared as float64 sums, scaled as in
+_pair_ranks, against the best key sum widened by a relative 2^-48 and an
+absolute 2^-1060, which exceeds every rounding and underflow error of the
+sums: a row may be kept in vain, but never dropped.
 """
 
 from __future__ import annotations
@@ -50,9 +70,12 @@ from .report import Counters
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 _CHUNK_CELLS = 1 << 13     # pair terms held at once by the search
+_BOUND_CELLS = 1 << 16     # 0-1 terms held at once by the bounds
 _MAX_POWERS = 2048         # past this many powers of 1+eps/3, no rounding
 _PAIR_TEMPS = 1.05         # largest pair matrices live in temporaries (RSS fit)
 _RANK_BYTES = 66           # peak bytes of _pair_ranks per key squared (RSS fit)
+_SLACK = 2.0 ** -48        # relative float error a key bound may hide
+_UNDERFLOW = 2.0 ** -1060  # absolute error of three underflowed scaled keys
 
 
 @dataclass(frozen=True)
@@ -89,10 +112,13 @@ def _subsets(part: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def _pair_bytes(parts, bound: int) -> int:
     """Bytes of one graph's pair matrices, whose entries stay below bound,
-    plus one more largest matrix, which lives in temporaries (RSS fit)."""
+    plus one more largest matrix, which lives in temporaries (RSS fit), and
+    the search's row and split bounds (_Bounds)."""
     entry = guards.entry_bytes(guards.int_dtype(bound), bound)
+    s0, s1, s2 = (len(p) for p in parts)
     cells = [1 << len(parts[a]) + len(parts[b]) for a, b in _PAIRS]
-    return int((sum(cells) + _PAIR_TEMPS * max(cells)) * entry)
+    bounds = ((1 << s0) + s0 + 1) * (s1 + 1) * (s2 + 1)
+    return int((sum(cells) + _PAIR_TEMPS * max(cells) + bounds) * entry)
 
 
 class _PairMatrices:
@@ -141,8 +167,11 @@ class _PairMatrices:
             m[0] = terms[a][b]
             for j in range(len(parts[b])):   # doubling over the bits of U
                 np.subtract(m[:1 << j], cols[:, j], out=m[1 << j:2 << j])
-            # [T, U], column-major: faster min over j3
+            # [T, U], column-major: faster min over j3; but 0-1 row-major,
+            # as _Bounds reduces it over U and the search takes its rows
             m = m[self.order[b]].swapaxes(0, 1)
+            if b == 1:
+                m = np.ascontiguousarray(m)
             m += terms[b][a]
             self.mats[a, b] = m
 
@@ -206,7 +235,7 @@ def _best_pairs(blocks, keys) -> np.ndarray:
     e01, e02, e12 = blocks
     r1, r2 = e01.shape[0], e01.shape[1]
     if not r1 * r2 * e12.shape[1]:
-        raise ValueError("auxiliary graph has an empty group")
+        raise ValueError("a block is empty: no triangle to search")
     row = e02.size // r1 * r2   # the sums of one j1 row
     if row > _CHUNK_CELLS and e01.ndim == 3:
         graphs = zip(*(guards.batch_views(b, e01.shape[2]) for b in blocks))
@@ -229,6 +258,13 @@ def _splits(parts, k: int):
                 yield (k1, k2, k - k1 - k2)
 
 
+def _scaled(keys: list[int]) -> tuple[int, np.ndarray]:
+    """(scale, approx): a power of two, and keys / scale as correctly
+    rounded float64s, none of whose sums of three overflows."""
+    scale = 1 << max(0, keys[-1].bit_length() - 1000)
+    return scale, np.array([key / scale for key in keys])
+
+
 def _pair_ranks(keys: list[int]) -> np.ndarray:
     """ranks[i, j]: the dense rank of keys[i] + keys[j] among all such sums.
 
@@ -239,8 +275,7 @@ def _pair_ranks(keys: list[int]) -> np.ndarray:
     floats put in the wrong order differ by at most a few ulps plus the
     underflow, so they always fall into the same run.
     """
-    scale = 1 << max(0, keys[-1].bit_length() - 1000)
-    approx = np.array([key / scale for key in keys])   # correctly rounded
+    approx = _scaled(keys)[1]
     i, j = np.triu_indices(len(keys))
     sums = approx[i] + approx[j]
     order = np.argsort(sums, kind="stable")
@@ -360,6 +395,57 @@ class _Rounding:
         index, values = self.grid
         return self.matrices.blocks(rows, index), (values, self.ranks)
 
+    def bounds(self) -> "_Bounds":
+        """The row and split bounds of the grid's keys."""
+        index, values = self.grid
+        return _Bounds(index, self.matrices.rows, _scaled(values.tolist()))
+
+
+class _Bounds:
+    """Lower bounds on the triangle weights of every split of one matrix set
+    (mats, as _PairMatrices.mats), with a last axis over the members of a
+    batch, a lone graph's of length 1:
+
+    - lb[j1, k2, k3]: on every triangle through row j1 of part 0 with the
+      size-k2 subsets of part 1 and the size-k3 subsets of part 2;
+    - sb[k1, k2, k3]: the least lb of the size-k1 rows, on the whole split.
+
+    With keys = (scale, approx), mats hold indices into the ascending keys,
+    of which approx holds float64 copies divided by scale (_scaled), and the
+    bounds are float sums of those; limits widens a best weight to match.
+    """
+
+    def __init__(self, mats, rows, keys=None):
+        self.scale = None if keys is None else keys[0]
+        at = [[r.start for r in part] for part in rows]
+        c02, c12 = (np.minimum.reduceat(mats[p], at[2], axis=1)
+                    for p in ((0, 2), (1, 2)))   # the least entry per k3
+        m01 = mats[0, 1]
+        if keys is not None:   # the least index holds the least key
+            c02, c12 = keys[1][c02], keys[1][c12]
+        lb = np.empty((len(m01), len(at[1]), len(at[2])) + m01.shape[2:],
+                      dtype=c12.dtype)
+        step = max(1, _BOUND_CELLS // m01[0].size)   # rows of m01 at a time
+        temp = np.empty((min(step, len(m01)),) + m01.shape[1:], dtype=c12.dtype)
+        for lo in range(0, len(m01), step):
+            rows01 = m01[lo:lo + step]
+            sums = temp[:len(rows01)]
+            for k3 in range(len(at[2])):
+                first = rows01 if keys is None else keys[1].take(rows01, out=sums)
+                np.add(first, c12[:, k3], out=sums)
+                np.minimum.reduceat(sums, at[1], axis=1, out=lb[lo:lo + step, :, k3])
+        lb += c02[:, None]
+        self.lb = lb.reshape(lb.shape[:3] + (-1,))
+        self.sb = np.minimum.reduceat(self.lb, at[0], axis=0)
+
+    def limits(self, weights) -> list:
+        """The largest bound a row or split may have, member by member, and
+        still hold a triangle of weight at most weights; exact, or for keys
+        widened past every float error of the bounds."""
+        if self.scale is None:
+            return weights
+        return [w / self.scale * (1 + _SLACK) + _UNDERFLOW for w in weights]
+
 
 def cut_profile(g: Digraph, ks, eps=None,
                 counters: Counters | None = None) -> dict[int, CutSolution]:
@@ -379,8 +465,7 @@ def _cut_profiles(graphs, ks, eps, counters) -> list[dict[int, CutSolution]]:
     each graph's matrices alone must meet. A rounded search keys each
     graph's weights in a table of its own, so each graph is a batch of one.
 
-    Every search evaluates all triangles of every split, one per candidate
-    L: C(n, k) for each k, so each Counters' triangles grows by their sum.
+    Each Counters' triangles grows by the cells its search examined.
     """
     n = graphs[0].n
     ks = list(ks)
@@ -406,46 +491,68 @@ def _cut_profiles(graphs, ks, eps, counters) -> list[dict[int, CutSolution]]:
 
     profiles = [None] * len(graphs)
     for batch in guards.batches([guards.int_dtype(b) for b in bounds], room):
-        found = _search([graphs[i] for i in batch], parts, ks, eps)
+        found, cells = _search([graphs[i] for i in batch], parts, ks, eps)
         for i, profile in zip(batch, found):
             profiles[i] = profile
-    triangles = sum(math.comb(n, k) for k in ks)
-    for c in counters:
-        if c is not None:
-            c.triangles += triangles
+            if counters[i] is not None:
+                counters[i].triangles += cells
     return profiles
 
 
-def _search(graphs, parts, ks, eps) -> list[dict[int, CutSolution]]:
-    """The cut search of one batch, every split of every k once for all. A
-    lone graph's splits go through min_weight_triangle, which a traced run
-    records as a span; a batch's (never rounded) through _triangles."""
+def _search(graphs, parts, ks, eps) -> tuple[list[dict[int, CutSolution]], int]:
+    """The cut search of one batch, pruned by _Bounds: each split of each k
+    in ascending bound until one exceeds every member's best weight, and in
+    a split only the rows that may still win. Returns the profiles and the
+    cells examined, the same for every member. A lone graph's splits go
+    through min_weight_triangle, which a traced run records as a span; a
+    batch's (never rounded) through _triangles."""
     matrices = _PairMatrices(graphs, parts)
     rounding = None if eps is None else _Rounding(matrices, eps)
     profiles = [{} for _ in graphs]
     lone = len(graphs) == 1
+    bounds = None
+    cells = 0
     for k in ks:
         splits = list(_splits(parts, k))
         grid = rounding is not None and rounding.on_grid(max(
             rounding.split_max(s) for s in splits))
+        if bounds is None or (bounds.scale is not None) != grid:
+            bounds = None   # one set of bounds at a time
+            bounds = rounding.bounds() if grid else _Bounds(matrices.mats,
+                                                            matrices.rows)
+        split_bounds = bounds.sb[tuple(zip(*splits))].tolist()   # [split][member]
         best = [(math.inf,)] * len(graphs)
-        for sizes in splits:
+        for s in sorted(range(len(splits)), key=lambda s: min(split_bounds[s])):
+            sizes = splits[s]
             rows = [r[k] for r, k in zip(matrices.rows, sizes)]
+            keep = np.arange(rows[0].stop - rows[0].start)
+            if best[0][0] < math.inf:   # every member has a weight to beat
+                limits = bounds.limits([w for w, _ in best])
+                if min(split_bounds[s]) > max(limits):
+                    break
+                row_bounds = bounds.lb[rows[0], sizes[1], sizes[2]]
+                keep = np.flatnonzero((row_bounds <= limits).any(axis=1))
+                if not keep.size:
+                    continue
             blocks, keys = (rounding.search_keys(rows) if grid
                             else (matrices.blocks(rows), None))
+            e01, e02, e12 = blocks
+            blocks = e01[keep], e02[keep], e12
+            cells += keep.size * e12.shape[0] * e12.shape[1]
             found = ([min_weight_triangle(blocks, keys)] if lone
                      else _triangles(blocks))
-            for i, (js, weight) in enumerate(found):
+            for i, ((j1, j2, j3), weight) in enumerate(found):
                 if eps is None and weight % 2:
                     raise AssertionError("stored triangle weight must be even")
                 if weight <= best[i][0]:   # L is built for candidates only
+                    js = int(keep[j1]), j2, j3
                     best[i] = min(best[i], (weight, matrices.members(rows, js)))
         for g, profile, (weight, l) in zip(graphs, profiles, best):
             value = cut_into(g, l)
             if eps is None and 2 * value != weight:
                 raise AssertionError(f"dkmc value {weight // 2}, cut_into {value}")
             profile[k] = CutSolution(l, k, value)
-    return profiles
+    return profiles, cells
 
 
 def dkmc_exact(g: Digraph, k: int, counters: Counters | None = None) -> CutSolution:

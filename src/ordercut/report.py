@@ -12,9 +12,10 @@ from .graph import EVALUATORS, Digraph, Ordering
 @dataclass
 class Counters:
     """Work counters carried by every report, its sub-solves' merged in:
-    table_entries, the subset-table entries built; triangles, the candidate
-    vertex sets the cut search evaluated (C(n, k) for each k searched, 0 for
-    the exact DPs); calls, the solver calls."""
+    table_entries, the subset-table entries built; triangles, the cells the
+    pruned cut search examined (kept rows * r2 * r3 over the splits it
+    visited, at most C(n, k) for each k searched, 0 for the exact DPs); calls,
+    the solver calls."""
 
     table_entries: int = 0
     triangles: int = 0

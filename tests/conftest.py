@@ -1,6 +1,9 @@
+import random
+from collections import Counter
+
 import pytest
 
-from ordercut import Digraph, gen_random
+from ordercut import Digraph, gen_random, kcut
 
 # Hand-built graphs used across the suite (0-indexed).
 
@@ -39,3 +42,70 @@ def two_triangles():
 def random_corpus(count, n, p, weight_range=(1, 1), undirected=False, seed0=0):
     return [gen_random(n, p, weight_range=weight_range, seed=seed0 + i,
                        undirected=undirected) for i in range(count)]
+
+
+def with_total(n: int, total: int, seed: int) -> Digraph:
+    """A random graph on n vertices whose arc weights sum to total (an
+    arcless one for n < 2)."""
+    g = gen_random(n, 0.5, seed=seed)
+    arcs = [(u, v) for u, v, _ in g.arc_items]
+    if not arcs:
+        return g
+    weights = {a: total // len(arcs) for a in arcs}
+    weights[arcs[0]] += total - sum(weights.values())
+    return Digraph(n, arcs, weights)
+
+
+def mixed(n: int, seed: int = 0) -> list[Digraph]:
+    """Unit weights, weights 1..1000 and totals on both sides of 2**61, so
+    the batch holds int16 and int64 values and Python ints (two graphs of
+    them), interleaved."""
+    graphs = ([gen_random(n, 0.4, seed=seed + i) for i in range(3)]
+              + [gen_random(n, 0.4, weight_range=(1, 1000), seed=seed + i)
+                 for i in range(3)]
+              + [with_total(n, 2 ** 61 + d, seed + d) for d in (-1, 0, 1)])
+    random.Random(seed).shuffle(graphs)
+    return graphs
+
+
+class KernelCells:
+    """The cells the cut kernels were handed: of = {id(graph): cells}, and
+    searches, each kcut._search call's cells in order."""
+
+    def __init__(self):
+        self.of = Counter()
+        self.searches = []
+
+    def clear(self):
+        self.of.clear()
+        self.searches.clear()
+
+
+@pytest.fixture
+def kernel_cells(monkeypatch):
+    """A spy on the cut kernels: each call of min_weight_triangle or
+    _triangles counts r1 * r2 * r3 of its blocks for every graph of the
+    kcut._search batch it serves."""
+    cells = KernelCells()
+    batch = []
+    search, lone, stacked = kcut._search, kcut.min_weight_triangle, kcut._triangles
+
+    def spy_search(graphs, *args):
+        batch[:] = graphs
+        cells.searches.append(0)
+        return search(graphs, *args)
+
+    def spy(kernel):
+        def call(blocks, *args):
+            e01, _, e12 = blocks
+            count = e01.shape[0] * e12.shape[0] * e12.shape[1]
+            cells.searches[-1] += count
+            for g in batch:
+                cells.of[id(g)] += count
+            return kernel(blocks, *args)
+        return call
+
+    monkeypatch.setattr(kcut, "_search", spy_search)
+    monkeypatch.setattr(kcut, "min_weight_triangle", spy(lone))
+    monkeypatch.setattr(kcut, "_triangles", spy(stacked))
+    return cells

@@ -330,10 +330,10 @@ def test_degenerate_inputs_fall_back_to_exact():
     assert fas_balanced_approx(single).value == 0
 
 
-def test_reports_merge_child_counters(triangle_with_detour):
+def test_reports_merge_child_counters(triangle_with_detour, kernel_cells):
     rep = fas_balanced_approx(triangle_with_detour)
-    # two exact half-solves (2^3 entries each) plus the cut search over
-    # the C(6, 3) candidate sets
+    # two exact half-solves (2^3 entries each) plus the cells of the cut
+    # search, at most the C(6, 3) candidate sets
     assert rep.stats.table_entries == 16
-    assert rep.stats.triangles == 20
+    assert rep.stats.triangles == kernel_cells.of[id(triangle_with_detour)] <= 20
     assert rep.stats.calls >= 3

@@ -3,46 +3,23 @@ alone: stacked subset tables, the stacked cut search, and the sides of an
 even split in one table call. A batch that does not fit the byte guard is
 split; a graph that alone does not fit is refused as it is alone."""
 
-import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from ordercut import (Counters, Digraph, SizeGuardError, cut_profile,
+from ordercut import (Counters, SizeGuardError, cut_profile,
                       cutwidth_exact, dpw_exact, fas_balanced_approx,
                       fas_exact, fas_scheme, gen_random, guards, kcut,
                       ola_exact, serialize_graph, subset_dp)
 from ordercut import balanced
 from ordercut.cli import main
 
+from conftest import mixed
+
 OBJECTIVES = ("fas", "ola", "cutwidth", "dpw")
 EXACT = {"fas": fas_exact, "ola": ola_exact, "cutwidth": cutwidth_exact,
          "dpw": dpw_exact}
-
-
-def with_total(n: int, total: int, seed: int) -> Digraph:
-    """A random graph on n vertices whose arc weights sum to total (an
-    arcless one for n < 2)."""
-    g = gen_random(n, 0.5, seed=seed)
-    arcs = [(u, v) for u, v, _ in g.arc_items]
-    if not arcs:
-        return g
-    weights = {a: total // len(arcs) for a in arcs}
-    weights[arcs[0]] += total - sum(weights.values())
-    return Digraph(n, arcs, weights)
-
-
-def mixed(n: int, seed: int = 0) -> list[Digraph]:
-    """Unit weights, weights 1..1000 and totals on both sides of 2**61, so
-    the batch holds int16 and int64 values and Python ints (two graphs of
-    them), interleaved."""
-    graphs = ([gen_random(n, 0.4, seed=seed + i) for i in range(3)]
-              + [gen_random(n, 0.4, weight_range=(1, 1000), seed=seed + i)
-                 for i in range(3)]
-              + [with_total(n, 2 ** 61 + d, seed + d) for d in (-1, 0, 1)])
-    random.Random(seed).shuffle(graphs)
-    return graphs
 
 
 def assert_tables_equal(got, want):
@@ -97,39 +74,53 @@ def test_batches_keep_blocks_within_chunk_rows(monkeypatch):
     (12, 40, [6]),           # 40 graphs exceed _CHUNK_CELLS: rows in pieces
     (20, 12, [10]),          # so does one row of 12: graph by graph
 ])
-def test_stacked_cut_search_matches_cut_profile(eps, n, count, ks):
+def test_stacked_cut_search_matches_cut_profile(eps, n, count, ks, kernel_cells):
+    # each member counts the cells of the blocks its batch searched, which
+    # may be more than it searches alone, and never more than every set L
     graphs = (mixed(n, seed=n) * count)[:count] if count <= 9 else [
         gen_random(n, 0.4, seed=s) for s in range(count)]
     counters = [Counters() for _ in graphs]
     profiles = kcut._cut_profiles(graphs, ks, eps, counters)
-    for g, profile, c in zip(graphs, profiles, counters):
+    stacked = [kernel_cells.of[id(g)] for g in graphs]
+    for g, profile, c, cells in zip(graphs, profiles, counters, stacked):
+        kernel_cells.clear()
         alone = Counters()
         assert profile == cut_profile(g, ks, eps, alone)
-        assert c.triangles == alone.triangles == sum(comb(n, k) for k in ks)
+        assert alone.triangles == kernel_cells.of[id(g)]
+        assert c.triangles == cells <= sum(comb(n, k) for k in ks)
 
 
 @pytest.mark.parametrize("eps", [None, Fraction(1, 2)])
 @pytest.mark.parametrize("n", range(13))
-def test_cut_search_counts_every_candidate_set(eps, n):
-    # every search evaluates the C(n, k) sets L of each k it is given, alone
-    # or stacked, whatever the dtype; a Counters that already holds a count
-    # grows by exactly that, and None is skipped
+def test_cut_search_counts_every_candidate_set(eps, n, kernel_cells):
+    # every search counts the cells its batch handed the kernels, at most
+    # the C(n, k) sets L of each k it is given, alone or stacked, whatever
+    # the dtype; a Counters that already holds a count grows by exactly
+    # that, and None is skipped
     graphs = mixed(n, seed=n)
-    rest = len(graphs) - 1
     for ks in (range(n + 1), [n // 2], [n, 0, n // 3]):
-        want = sum(comb(n, k) for k in ks)
+        most = sum(comb(n, k) for k in ks)
+        kernel_cells.clear()
         counters = [Counters(triangles=7) for _ in graphs]
         kcut._cut_profiles(graphs, ks, eps, counters[:-1] + [None])
-        assert [c.triangles for c in counters] == [7 + want] * rest + [7]
-        for g, c in zip(graphs, counters):
+        assert all(0 < kernel_cells.of[id(g)] <= most for g in graphs)
+        stacked = [7 + kernel_cells.of[id(g)] for g in graphs[:-1]] + [7]
+        assert [c.triangles for c in counters] == stacked
+        for g, c, before in zip(graphs, counters, stacked):
+            kernel_cells.clear()
             kcut._cut_profiles([g], ks, eps, [c])
             cut_profile(g, ks, eps, c)
-        assert [c.triangles for c in counters] == [7 + 3 * want] * rest + [7 + 2 * want]
+            once = kernel_cells.searches[0]
+            assert kernel_cells.searches == [once, once]
+            assert c.triangles == before + 2 * once
 
 
-def fields(rep):
+def fields(rep, triangles=True):
+    stats = rep.stats.as_dict()
+    if not triangles:   # the cells a batch's cut search shares
+        del stats["triangles"]
     return (rep.objective, rep.value, rep.ordering.pos, rep.lower_bound,
-            rep.stats.as_dict(), rep.factor, rep.cuts, rep.trace)
+            stats, rep.factor, rep.cuts, rep.trace)
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -171,13 +162,14 @@ def test_batch_over_the_byte_guard_is_split(monkeypatch):
 
 def test_scheme_split_batches_change_nothing(monkeypatch):
     # delta1 = 0.9 at n = 10: 44 level-1 complements of 8 vertices in one
-    # batch, whose cut search and 4 + 4 side tables then no longer fit
+    # batch, whose cut search and 4 + 4 side tables then no longer fit. The
+    # cells searched change with the batches, as a batch shares its blocks
     monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
     g = gen_random(10, 0.4, seed=39)
-    want = fields(fas_scheme(g, Fraction(1, 2), delta1=0.9))
+    want = fields(fas_scheme(g, Fraction(1, 2), delta1=0.9), triangles=False)
     sizes = spy(monkeypatch, kcut, "_search")
     monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", 40_000)
-    assert fields(fas_scheme(g, Fraction(1, 2), delta1=0.9)) == want
+    assert fields(fas_scheme(g, Fraction(1, 2), delta1=0.9), triangles=False) == want
     assert len(sizes) > 1 and sum(sizes) == 44
 
 

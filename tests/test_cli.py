@@ -384,9 +384,10 @@ def test_bench_counters_grow_with_n(capsys, tmp_path):
     assert entries == sorted(entries) and entries[0] < entries[-1]
 
 
-def test_bench_counts_the_balanced_cut_sets(capsys, tmp_path):
-    # the balanced cut of an even n evaluates every set of n/2 vertices;
-    # the exact DP and the side solves evaluate none
+def test_bench_counts_the_balanced_cut_sets(capsys, tmp_path, kernel_cells):
+    # the balanced cut of an even n examines the cells its one search hands
+    # the kernel, at most every set of n/2 vertices; the exact DP and the
+    # side solves examine none
     from math import comb
     from ordercut import gen_random
     sizes = (4, 6, 8, 10)
@@ -395,8 +396,29 @@ def test_bench_counts_the_balanced_cut_sets(capsys, tmp_path):
                        "--mode", "2approx", "--mode", "exact", "--no-timing")
     assert code == 0
     rows = [r.split(",") for r in out.splitlines()[1:]]
+    cells = iter(kernel_cells.searches)
     assert [(r[2], int(r[8])) for r in rows] == [
-        pair for n in sizes for pair in (("2approx", comb(n, n // 2)), ("exact", 0))]
+        pair for _ in sizes for pair in (("2approx", next(cells)), ("exact", 0))]
+    assert len(kernel_cells.searches) == len(sizes)
+    assert all(0 < c <= comb(n, n // 2) for c, n in zip(kernel_cells.searches, sizes))
+
+
+def test_csv_quotes_a_mode_with_two_flags(capsys, tmp_path):
+    # a mode naming two flags holds a comma, so it is quoted and every row
+    # reads back as the header's 11 fields; other cells are written bare
+    import csv
+    from ordercut import gen_random
+    corp = make_corpus(tmp_path, [gen_random(8, 0.4, weight_range=(1, 9), seed=1)])
+    for flags, mode in ((["--obj", "ola", "--mode", "2approx", "--alpha", "1/2",
+                          "--weighted"], "2approx(alpha=1/2,weighted)"),
+                        (["--obj", "fas", "--mode", "scheme", "--eps", "1",
+                          "--weighted"], "scheme(eps=1,weighted)")):
+        code, out, _ = run(capsys, "verify", corp, *flags, "--factor", "3",
+                           "--no-timing")
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))
+        assert [len(r) for r in rows] == [11, 11] and rows[1][2] == mode
+        assert out.splitlines()[1].startswith(f'inst0.g,{rows[1][1]},"{mode}",')
 
 
 # ---------------------------------------------------------------- exit codes

@@ -1,7 +1,8 @@
 """Golden `solve --no-timing` output: every valid objective x mode on a few
 seeded instances must reproduce the committed bytes exactly, including the
-`stats` counters. `triangles` counts the candidate vertex sets the cut
-search evaluated: C(n, k) for each k searched, and 0 for the exact DPs.
+`stats` counters. `triangles` counts the cells the pruned cut search
+examined: kept rows * r2 * r3 over the splits it visited, at most C(n, k)
+for each k searched, and 0 for the exact DPs.
 
 Regenerate the golden file, only when a change of output is intended, with
 

@@ -1,18 +1,24 @@
 """The (k, n-k)-cut solver and its triangle construction."""
 
+import importlib.util
+import sys
 import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, inf
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ordercut import (Counters, CutSolution, Digraph, SizeGuardError, cut_into,
                       cut_profile, dkmc_exact, dkmc_oracle, dkmc_weighted_approx,
                       gen_random, guards, kcut, min_weight_triangle,
-                      tripartition)
+                      parse_graph, tripartition)
+from ordercut.cli import _solver
+
+from conftest import mixed
 
 CYCLE3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -105,15 +111,17 @@ def test_dkmc_exact_matches_oracle():
             assert cut_into(g, a.vertices) == a.value
 
 
-def test_dkmc_counts_triangles():
+def test_dkmc_counts_triangles(kernel_cells):
+    # the cells handed to the kernel, fewer than the C(n, k) sets L
+    g = gen_random(7, 0.5, seed=5)
     counters = Counters()
-    dkmc_exact(gen_random(7, 0.5, seed=5), 3, counters)
-    assert counters.triangles == comb(7, 3)
+    dkmc_exact(g, 3, counters)
+    assert 0 < counters.triangles == kernel_cells.of[id(g)] < comb(7, 3)
 
 
 def test_splits_hold_every_size_k_set_once():
     # Vandermonde: the splits' triangles, r1 * r2 * r3 summed, are the
-    # C(n, k) candidate sets L, so a search evaluates C(n, k) triangles
+    # C(n, k) candidate sets L, so a search examines at most C(n, k) cells
     for n in range(33):
         parts = tripartition(n)
         for k in range(n + 1):
@@ -248,8 +256,8 @@ def test_oracle_lex_least_witness():
 # ------------------------------------------------- cut engine property tests
 
 @st.composite
-def digraphs(draw, max_n=10, max_w=1000, min_w=0):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def digraphs(draw, max_n=10, max_w=1000, min_w=0, min_n=1):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
                            max_size=len(pairs))) if pairs else []
@@ -345,10 +353,10 @@ def test_int64_dispatch_bound(monkeypatch, total, dtype):
     assert runs == [cut_profile(g, ks), cut_profile(g, ks, Fraction(1, 2))]
 
 
-def test_exact_profile_totals_match_oracle_and_seed_scan():
+def test_exact_profile_totals_match_oracle_and_seed_scan(kernel_cells):
     # a whole exact call: every k equals the oracle, its doubled value is
-    # the seed scan's best weight over the splits, and the call counts
-    # C(n, k) triangles for each k
+    # the seed scan's best weight over the splits, and the call counts the
+    # cells it handed the kernel, at most C(n, k) for each k
     graphs = [gen_random(n, 0.5, seed=n) for n in range(1, 13)]
     graphs += [_graph_with_total(2 ** 61 - 1), _graph_with_total(2 ** 61)]
     for g in graphs:
@@ -361,7 +369,7 @@ def test_exact_profile_totals_match_oracle_and_seed_scan():
             assert 2 * got[k].value == min(
                 seed_triangle_scan(*matrices.blocks(split_rows(matrices, sizes)))[1]
                 for sizes in kcut._splits(parts, k))
-        assert counters.triangles == 2 ** g.n
+        assert counters.triangles == kernel_cells.of[id(g)] <= 2 ** g.n
 
 
 # ------------------------------------------------ pair matrices, reference copy
@@ -373,8 +381,10 @@ def reference_pair_matrices(g, parts):
     bound = 2 * g.total_arc_weight
     dtype = guards.int_dtype(bound)
     entry = guards.entry_bytes(dtype, bound)
+    s0, s1, s2 = (len(p) for p in parts)
     cells = [1 << len(parts[a]) + len(parts[b]) for a, b in kcut._PAIRS]
-    nbytes = int((sum(cells) + kcut._PAIR_TEMPS * max(cells)) * entry)
+    bounds = ((1 << s0) + s0 + 1) * (s1 + 1) * (s2 + 1)   # lb and sb
+    nbytes = int((sum(cells) + kcut._PAIR_TEMPS * max(cells) + bounds) * entry)
     w = np.zeros((g.n, g.n), dtype=dtype)
     for u, v, wt in g.arc_items:
         w[u, v] = wt
@@ -502,37 +512,39 @@ ROUNDING_EPS = [Fraction(1, 10 ** 9), Fraction(1, 10), Fraction(1, 2),
                 Fraction(1), Fraction(3)]
 
 
-def assert_matches_reference(g, eps):
+def assert_matches_reference(g, eps, kernel_cells):
     ks = range(g.n + 1)
     counters = Counters()
+    kernel_cells.clear()
     assert cut_profile(g, ks, eps, counters) == reference_rounded_profile(g, ks, eps)
-    assert counters.triangles == 2 ** g.n
+    assert counters.triangles == kernel_cells.of[id(g)] <= 2 ** g.n
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from([(0, 3), (0, 1000), (0, 10 ** 9), (10 ** 8, 10 ** 9)])
        .flatmap(lambda w: digraphs(max_n=9, min_w=w[0], max_w=w[1])),
        st.sampled_from(ROUNDING_EPS))
-def test_rounded_profile_matches_reference(g, eps):
+def test_rounded_profile_matches_reference(kernel_cells, g, eps):
     # small weights are rounded on the grid or not at all; weights near
     # 10**9 with eps = 1e-9 lie past the grid and are searched unrounded
-    assert_matches_reference(g, eps)
+    assert_matches_reference(g, eps, kernel_cells)
 
 
 @pytest.mark.parametrize("eps", ROUNDING_EPS)
-def test_rounded_profile_matches_reference_on_seeded_graphs(eps):
+def test_rounded_profile_matches_reference_on_seeded_graphs(eps, kernel_cells):
     # with eps = 1e-9, weights up to 20 lie below 1/eps and weights up to
     # 10**9 past the grid, both unrounded; the other eps round both on the grid
     for seed in range(6):
         for weights in ((0, 20), (0, 10 ** 9)):
             g = gen_random(4 + seed, 0.5, weight_range=weights, seed=900 + seed)
-            assert_matches_reference(g, eps)
+            assert_matches_reference(g, eps, kernel_cells)
 
 
 @pytest.mark.parametrize("total", [2 ** 61 - 1, 2 ** 61])
 @pytest.mark.parametrize("eps", ROUNDING_EPS)
-def test_rounded_profile_matches_reference_at_dtype_boundary(total, eps):
-    assert_matches_reference(_graph_with_total(total), eps)
+def test_rounded_profile_matches_reference_at_dtype_boundary(total, eps, kernel_cells):
+    assert_matches_reference(_graph_with_total(total), eps, kernel_cells)
 
 
 def test_regimes_are_all_reached():
@@ -639,3 +651,151 @@ def test_pair_ranks_on_float_ties():
 def test_pair_ranks_match_exact_sums(keys):
     keys = sorted(keys)
     assert kcut._pair_ranks(keys).tolist() == brute_ranks(keys)
+
+
+# ------------------------------------------ pruned search, unpruned reference
+
+def unpruned_search(graphs, parts, ks, eps):
+    """The cut search before pruning: every row of every split of every k.
+    The reference for _search's CutSolutions, vertices included."""
+    matrices = kcut._PairMatrices(graphs, parts)
+    rounding = None if eps is None else kcut._Rounding(matrices, eps)
+    profiles = [{} for _ in graphs]
+    lone = len(graphs) == 1
+    for k in ks:
+        splits = list(kcut._splits(parts, k))
+        grid = rounding is not None and rounding.on_grid(max(
+            rounding.split_max(s) for s in splits))
+        best = [(inf,)] * len(graphs)
+        for sizes in splits:
+            rows = split_rows(matrices, sizes)
+            blocks, keys = (rounding.search_keys(rows) if grid
+                            else (matrices.blocks(rows), None))
+            found = ([min_weight_triangle(blocks, keys)] if lone
+                     else kcut._triangles(blocks))
+            for i, (js, weight) in enumerate(found):
+                if weight <= best[i][0]:
+                    best[i] = min(best[i], (weight, matrices.members(rows, js)))
+        for g, profile, (_, l) in zip(graphs, profiles, best):
+            profile[k] = CutSolution(l, k, cut_into(g, l))
+    return profiles
+
+
+def unpruned_profile(g, ks, eps=None):
+    eps = None if eps is None else Fraction(eps)
+    return unpruned_search([g], tripartition(g.n), list(ks), eps)[0]
+
+
+PRUNING_EPS = [None, Fraction(1, 2), Fraction(1), Fraction(3)]
+
+
+def reference_bounds(blocks, values=None):
+    """lb of one split by its definition, from its blocks: for each row j1,
+    min_j2 (e01 + min_j3 e12) + min_j3 e02; with values, the blocks hold
+    key indices and the bound sums their keys, exactly."""
+    e01, e02, e12 = ([[w if values is None else values[w] for w in row]
+                      for row in b.tolist()] for b in blocks)
+    return [min(w + min(r12) for w, r12 in zip(r01, e12)) + min(r02)
+            for r01, r02 in zip(e01, e02)]
+
+
+@pytest.mark.parametrize("cells", [kcut._BOUND_CELLS, 1, 50])
+def test_bounds_match_their_definition(monkeypatch, cells):
+    # lb and sb of every split, exact and in scaled keys, whether the 0-1
+    # rows are bounded in one piece or a few rows at a time
+    monkeypatch.setattr(kcut, "_BOUND_CELLS", cells)
+    g = gen_random(10, 0.4, weight_range=(1, 9), seed=2)
+    parts = tripartition(10)
+    matrices = kcut._PairMatrices([g], parts)
+    rounding = kcut._Rounding(matrices, Fraction(1, 2))
+    index, keys = rounding.grid
+    exact, keyed = kcut._Bounds(matrices.mats, matrices.rows), rounding.bounds()
+    for k in range(11):
+        for sizes in kcut._splits(parts, k):
+            rows = split_rows(matrices, sizes)
+            got = exact.lb[rows[0], sizes[1], sizes[2], 0].tolist()
+            assert got == reference_bounds(matrices.blocks(rows))
+            assert exact.sb[sizes][0] == min(got)
+            got = keyed.lb[rows[0], sizes[1], sizes[2], 0].tolist()
+            want = reference_bounds(matrices.blocks(rows, index), keys.tolist())
+            assert all(abs(a - b / keyed.scale) <= a * 2 ** -50
+                       for a, b in zip(got, want))
+            assert keyed.sb[sizes][0] == min(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs(min_n=0, max_n=14, max_w=3), st.sampled_from(PRUNING_EPS))
+def test_pruned_search_matches_unpruned_with_ties(g, eps):
+    # weights 0..3 tie many triangles: a row whose bound equals the best
+    # weight may hold the winning, smallest vertex set
+    ks = range(g.n + 1)
+    assert cut_profile(g, ks, eps) == unpruned_profile(g, ks, eps)
+
+
+@pytest.mark.parametrize("eps", PRUNING_EPS)
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 13, 16])
+@pytest.mark.parametrize("weights", [(0, 1), (0, 3), (1, 1000)])
+def test_pruned_search_matches_unpruned_on_seeded_graphs(n, weights, eps):
+    g = gen_random(n, 0.4, weight_range=weights, seed=n)
+    ks = range(n + 1)
+    assert cut_profile(g, ks, eps) == unpruned_profile(g, ks, eps)
+
+
+def test_pruned_search_matches_unpruned_on_scaled_keys():
+    # eps = 1/100 keys the weights as powers of 301/300 scaled by up to
+    # 300^2048: keys far past 2^1024, whose bounds are floats after scaling
+    eps = Fraction(1, 100)
+    g = gen_random(9, 0.4, weight_range=(1, 20), seed=3)
+    rounding = kcut._Rounding(kcut._PairMatrices([g], tripartition(9)), eps)
+    assert rounding.on_grid(max(int(m.max()) for m in rounding.matrices.mats.values()))
+    assert rounding.bounds().scale > 2 ** 1000
+    ks = range(10)
+    assert cut_profile(g, ks, eps) == unpruned_profile(g, ks, eps)
+
+
+@pytest.mark.parametrize("g,eps", [
+    # past the grid: 64-digit weights, unrounded Python ints
+    (gen_random(8, 0.5, weight_range=(10 ** 63, 10 ** 64), seed=4),
+     Fraction(1, 10 ** 60)),
+    (gen_random(8, 0.5, weight_range=(10 ** 63, 10 ** 64), seed=4), None),
+    (_graph_with_total(2 ** 61 - 1), None),
+    (_graph_with_total(2 ** 61), None),
+    (_graph_with_total(2 ** 61 - 1), Fraction(1, 2)),
+    (_graph_with_total(2 ** 61), Fraction(1, 2)),
+])
+def test_pruned_search_matches_unpruned_past_the_grid_and_at_the_boundary(g, eps):
+    ks = range(g.n + 1)
+    assert cut_profile(g, ks, eps) == unpruned_profile(g, ks, eps)
+
+
+@pytest.mark.parametrize("eps", PRUNING_EPS)
+@pytest.mark.parametrize("n", [3, 8, 11])
+def test_stacked_pruned_search_matches_unpruned(n, eps):
+    # int64 and Python-int batches: a row is kept where any member may win
+    graphs = mixed(n, seed=n)
+    ks = range(n + 1)
+    got = kcut._cut_profiles(graphs, ks, eps, [None] * len(graphs))
+    assert got == [unpruned_profile(g, ks, eps) for g in graphs]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pruned_search_matches_unpruned_on_the_benchmark(seed, monkeypatch):
+    # every cut-approx solve, lone, batched and rounded searches alike, is
+    # the same but for the cells it counts
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # for its dataclasses
+    spec.loader.exec_module(workloads)
+    workload = workloads.build("cut-approx", seed)
+    ops = [(parse_graph(workload.instances[op.instance].text()),
+            _solver(op.objective, op.mode, op.eps, op.alpha, op.weighted)[1])
+           for op in workload.ops]
+
+    def results(rep):
+        return (rep.value, rep.ordering.pos, rep.lower_bound, rep.factor,
+                rep.cuts, rep.trace)
+
+    pruned = [results(solve(g)) for g, solve in ops]
+    monkeypatch.setattr(kcut, "_search", lambda *args: (unpruned_search(*args), 0))
+    assert pruned == [results(solve(g)) for g, solve in ops]
