@@ -30,11 +30,14 @@ through j1 from below:
     lb[j1, k2, k3] = min_j2 (e01[j1, j2] + min_j3 e12[j2, j3]) + min_j3 e02[j1, j3]
 
 over the size-k2 and size-k3 subsets, and each split by the least lb of
-its rows, sb[k1, k2, k3]. Each k visits its splits in ascending sb and
-stops at the first whose sb exceeds the best weight found; a visited split
-hands the kernel only the rows with lb <= best. The <= keeps every tied
-triangle, so the smallest-vertex tie-break is unchanged. A batch keeps a
-row where any member's lb is at most that member's best. Counters'
+its rows, sb[k1, k2, k3]. That takes one pass over the 0-1 matrix per k3.
+A call over one k (every balanced split) bounds that k's splits only: a
+row's size k1 and k2 fix k3 = k - k1 - k2, so one pass serves them all.
+Each k visits its splits in ascending sb and stops at the first whose sb
+exceeds the best weight found; a visited split hands the kernel only the
+rows with lb <= best. The <= keeps every tied triangle, so the
+smallest-vertex tie-break is unchanged. A batch keeps a row where any
+member's lb is at most that member's best. Counters'
 triangles count the cells the search examined: kept rows * r2 * r3 over
 the splits visited, at most C(n, k) per k.
 
@@ -44,7 +47,8 @@ distinct weights logarithmic while inflating any triangle by less than a
 (1+eps) factor; the returned value is always the true, unrounded cut weight
 (see _Rounding). The powers are far wider than int64, so cut_profile keys
 every pair-matrix entry once per call (np.searchsorted against the integer
-thresholds floor((1+eps/3)^e)) and ranks every sum of two keys exactly, once.
+thresholds floor((1+eps/3)^e), in the matrix's memory order) and ranks
+every sum of two keys exactly, once.
 The search then runs on int64 key indices and pair-sum ranks, and only the
 r1 * r2 cells of the best completions add the keys themselves. Its bounds
 are taken in key values: keys grow with their index, so the least index
@@ -110,14 +114,28 @@ def _subsets(part: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [t for k in range(len(part) + 1) for t in combinations(part, k)]
 
 
-def _pair_bytes(parts, bound: int) -> int:
+def _bound_cells(sizes, one_k: bool) -> int:
+    """Entries _Bounds holds at its peak for parts of sizes (s0, s1, s2),
+    exact or keyed: lb and sb, the least 0-2 and 1-2 entries per k3 (keyed:
+    their key indices too) and the rows of m01 bounded at a time; for one
+    k, also its gathered 1-2 terms, their rows and the gathered 0-2 terms."""
+    s0, s1, s2 = sizes
+    piece = min(1 << s0 + s1, max(_BOUND_CELLS, 1 << s1))   # rows of m01 at a time
+    least = 2 * ((1 << s0) + (1 << s1)) * (s2 + 1)          # c02 and c12
+    if not one_k:
+        return ((1 << s0) + s0 + 1) * (s1 + 1) * (s2 + 1) + least + piece
+    lb = (1 << s0) * (s1 + 1)
+    return 2 * lb + (s0 + 1) * (s1 + 1) + least + (s0 + 1 << s1) + 2 * piece
+
+
+def _pair_bytes(parts, bound: int, one_k: bool = False) -> int:
     """Bytes of one graph's pair matrices, whose entries stay below bound,
     plus one more largest matrix, which lives in temporaries (RSS fit), and
-    the search's row and split bounds (_Bounds)."""
+    the search's row and split bounds (_Bounds) for one k or for several."""
     entry = guards.entry_bytes(guards.int_dtype(bound), bound)
-    s0, s1, s2 = (len(p) for p in parts)
-    cells = [1 << len(parts[a]) + len(parts[b]) for a, b in _PAIRS]
-    bounds = ((1 << s0) + s0 + 1) * (s1 + 1) * (s2 + 1)
+    sizes = [len(p) for p in parts]
+    cells = [1 << sizes[a] + sizes[b] for a, b in _PAIRS]
+    bounds = _bound_cells(sizes, one_k)
     return int((sum(cells) + _PAIR_TEMPS * max(cells) + bounds) * entry)
 
 
@@ -132,11 +150,11 @@ class _PairMatrices:
     over the bits of subset masks, by doubling, and is put in row order once.
     """
 
-    def __init__(self, graphs, parts):
+    def __init__(self, graphs, parts, one_k: bool = False):
         bound = 2 * max(g.total_arc_weight for g in graphs)
         dtype = guards.int_dtype(bound)
-        # guard the bytes first
-        self.nbytes = len(graphs) * _pair_bytes(parts, bound)
+        # guard the bytes first: the search's bounds are for one k or several
+        self.nbytes = len(graphs) * _pair_bytes(parts, bound, one_k)
         guards.check(self.nbytes, guards.TABLE_BYTE_GUARD, "cut pair matrix bytes")
         self.subsets = [_subsets(tuple(p)) for p in parts]
         n = graphs[0].n
@@ -314,7 +332,8 @@ class _Rounding:
     nonzero multiple of 2^-64 not above it, so the powers have short
     factors; a smaller eps keeps every cut within 1+eps. The pair-sum ranks
     of the at most _MAX_POWERS + 2 keys are built for the first k on the
-    grid, once the byte guard admits them beside the pair matrices.
+    grid, once the byte guard admits them beside the pair matrices and
+    the key index (nbytes).
     """
 
     def __init__(self, matrices: _PairMatrices, eps: Fraction):
@@ -351,17 +370,31 @@ class _Rounding:
         return self.low <= smax <= self.limits[-1]
 
     @cached_property
+    def nbytes(self) -> int:
+        """The pair matrices' bytes, plus an intp key index of each of their
+        entries and one matrix's worth of keying temporaries."""
+        cells = [m.size for m in self.matrices.mats.values()]
+        return self.matrices.nbytes + 8 * (sum(cells) + max(cells))
+
+    @cached_property
     def grid(self) -> tuple[dict, np.ndarray]:
         """(index, values): index[a, b] maps each entry of the pair matrix
-        (a, b) to its key in the ascending values."""
+        (a, b) to its key in the ascending values, row-major. Each matrix
+        is searched in its memory order, and the index matrices and keying
+        temporaries are guarded before they are built (nbytes)."""
+        guards.check(self.nbytes, guards.TABLE_BYTE_GUARD,
+                     "cut pair matrix and key index bytes")
         limits, mats = self.limits, self.matrices.mats
         if mats[0, 1].dtype == object:
             limits = np.array(limits, dtype=object)
         else:   # every stored weight is below 2**62
             limits = np.array([min(t, 2 ** 62) for t in limits], dtype=np.int64)
-        # weights past the last limit belong only to k's searched unrounded
-        index = {pair: np.minimum(np.searchsorted(limits, m), len(limits) - 1)
-                 for pair, m in mats.items()}
+        index = {}
+        for pair, m in mats.items():   # m.T where m is column-major
+            idx = np.searchsorted(limits, m if m.flags.c_contiguous else m.T)
+            # weights past the last limit belong only to k's searched unrounded
+            np.minimum(idx, len(limits) - 1, out=idx)
+            index[pair] = idx if m.flags.c_contiguous else idx.T
         used = np.zeros(len(limits), dtype=bool)
         for idx in index.values():
             used[idx] = True
@@ -369,40 +402,61 @@ class _Rounding:
         emax = exps[-1]
         keys = [self.a ** e * self.b ** (emax - e) if e >= 0 else 0 for e in exps]
         compact = np.cumsum(used) - 1
-        return ({pair: compact[idx] for pair, idx in index.items()},
-                np.array(keys, dtype=guards.int_dtype(3 * keys[-1])))
+        for pair, idx in index.items():   # row-major, as the kernel reads them
+            index[pair] = compact.take(idx)
+        return index, np.array(keys, dtype=guards.int_dtype(3 * keys[-1]))
 
     @cached_property
     def ranks(self) -> np.ndarray:
         keys = self.grid[1].tolist()
-        guards.check(self.matrices.nbytes + _RANK_BYTES * len(keys) ** 2,
-                     guards.TABLE_BYTE_GUARD, "cut pair matrix and rank table bytes")
+        guards.check(self.nbytes + _RANK_BYTES * len(keys) ** 2, guards.TABLE_BYTE_GUARD,
+                     "cut pair matrix, key index and rank table bytes")
         return _pair_ranks(keys)
 
     @cached_property
-    def block_max(self) -> dict:
-        """[a, b][ka, kb]: the largest weight between the size-ka subsets of
-        part a and the size-kb subsets of part b."""
+    def k_max(self) -> list:
+        """[k]: the largest stored weight of the splits of k, from the
+        largest weight between the size-ka and size-kb subsets of each
+        part pair (a, b)."""
         at = [[r.start for r in rows] for rows in self.matrices.rows]
-        return {(a, b): np.maximum.reduceat(np.maximum.reduceat(m, at[a]), at[b], 1)
-                for (a, b), m in self.matrices.mats.items()}
-
-    def split_max(self, s) -> int:   # the largest stored weight of split s
-        return max(int(self.block_max[a, b][s[a], s[b]]) for a, b in _PAIRS)
+        m01, m02, m12 = (np.maximum.reduceat(np.maximum.reduceat(m, at[a]), at[b], 1)
+                         for (a, b), m in self.matrices.mats.items())
+        split = np.maximum(np.maximum(m01[:, :, None], m02[:, None]), m12)
+        most = np.zeros(sum(split.shape) - 2, dtype=split.dtype)
+        np.maximum.at(most, np.indices(split.shape).sum(axis=0).ravel(), split.ravel())
+        return most.tolist()
 
     def search_keys(self, rows) -> tuple:
         """min_weight_triangle's blocks and keys for one split on the grid."""
         index, values = self.grid
         return self.matrices.blocks(rows, index), (values, self.ranks)
 
-    def bounds(self) -> "_Bounds":
-        """The row and split bounds of the grid's keys."""
+    def bounds(self, k=None) -> "_Bounds":
+        """The row and split bounds of the grid's keys, for one k or all."""
         index, values = self.grid
-        return _Bounds(index, self.matrices.rows, _scaled(values.tolist()))
+        return _Bounds(index, self.matrices.rows, _scaled(values.tolist()), k)
+
+
+@cache
+def _one_k_index(sizes, k: int) -> tuple:
+    """(k1s, pick12, pick02) for the bounds of one k over parts of sizes
+    (s0, s1, s2): k1s[j1], the size of row j1 of part 0; pick12[k1, j2],
+    the place of (j2, k3) in c12 flattened, and pick02[j1, k2], that of
+    (j1, k3) in c02, where k3 = k - k1 - k2 is clipped to 0..s2. A k3
+    is clipped only for a (k1, k2) that is no split of k, whose bounds are
+    never read, and all of a (k1, k2) share one k3, so no minimum mixes a
+    clipped k3 with a true one."""
+    s0, s1, s2 = sizes
+    k1s, k2s = (_mask_order(s)[1].sum(axis=1) for s in (s0, s1))
+    k3 = np.clip(k - np.arange(s0 + 1)[:, None] - k2s, 0, s2)
+    pick12 = np.arange(1 << s1) * (s2 + 1) + k3
+    k3 = np.clip(k - k1s[:, None] - np.arange(s1 + 1), 0, s2)
+    pick02 = np.arange(1 << s0)[:, None] * (s2 + 1) + k3
+    return k1s, pick12, pick02
 
 
 class _Bounds:
-    """Lower bounds on the triangle weights of every split of one matrix set
+    """Lower bounds on the triangle weights of the splits of one matrix set
     (mats, as _PairMatrices.mats), with a last axis over the members of a
     batch, a lone graph's of length 1:
 
@@ -410,33 +464,58 @@ class _Bounds:
       size-k2 subsets of part 1 and the size-k3 subsets of part 2;
     - sb[k1, k2, k3]: the least lb of the size-k1 rows, on the whole split.
 
+    A search over several ks bounds every (k2, k3), one pass over the 0-1
+    matrix for each k3. A search over one k bounds only its own splits, in
+    one pass: k3 = k - k1 - k2 follows from the row's size k1 and k2, and
+    the k3 axis has length 1 (places gives a split's place in sb).
+
     With keys = (scale, approx), mats hold indices into the ascending keys,
     of which approx holds float64 copies divided by scale (_scaled), and the
     bounds are float sums of those; limits widens a best weight to match.
     """
 
-    def __init__(self, mats, rows, keys=None):
+    def __init__(self, mats, rows, keys=None, k=None):
         self.scale = None if keys is None else keys[0]
+        self.k = k
         at = [[r.start for r in part] for part in rows]
         c02, c12 = (np.minimum.reduceat(mats[p], at[2], axis=1)
                     for p in ((0, 2), (1, 2)))   # the least entry per k3
         m01 = mats[0, 1]
         if keys is not None:   # the least index holds the least key
             c02, c12 = keys[1][c02], keys[1][c12]
-        lb = np.empty((len(m01), len(at[1]), len(at[2])) + m01.shape[2:],
-                      dtype=c12.dtype)
+        if k is not None:   # g12[k1, j2] = c12[j2, k - k1 - k2]
+            k1s, pick12, pick02 = _one_k_index(tuple(len(a) - 1 for a in at), k)
+            g12 = c12.reshape((-1,) + c12.shape[2:])[pick12]
+        passes = len(at[2]) if k is None else 1
+        lb = np.empty((len(m01), len(at[1]), passes) + m01.shape[2:], dtype=c12.dtype)
         step = max(1, _BOUND_CELLS // m01[0].size)   # rows of m01 at a time
-        temp = np.empty((min(step, len(m01)),) + m01.shape[1:], dtype=c12.dtype)
+        # the rows of m01 summed at a time, and for keys of one k their terms
+        temp = np.empty((1 if k is None or keys is None else 2, min(step, len(m01)))
+                        + m01.shape[1:], dtype=c12.dtype)
         for lo in range(0, len(m01), step):
             rows01 = m01[lo:lo + step]
-            sums = temp[:len(rows01)]
-            for k3 in range(len(at[2])):
-                first = rows01 if keys is None else keys[1].take(rows01, out=sums)
-                np.add(first, c12[:, k3], out=sums)
+            sums = temp[0, :len(rows01)]
+            if k is None:   # per k3, the column c12[:, k3] for every row
+                columns = [c12[:, k3] for k3 in range(passes)]
+            else:   # the row of g12 for the size k1 of each row
+                columns = [g12.take(k1s[lo:lo + step], axis=0, mode="clip",
+                                    out=temp[-1, :len(rows01)])]
+            for k3, column in enumerate(columns):
+                first = (rows01 if keys is None
+                         else keys[1].take(rows01, out=sums, mode="clip"))
+                np.add(first, column, out=sums)
                 np.minimum.reduceat(sums, at[1], axis=1, out=lb[lo:lo + step, :, k3])
-        lb += c02[:, None]
+        if k is None:
+            lb += c02[:, None]
+        else:   # c02[j1, k - k1 - k2]
+            lb += c02.reshape((-1,) + c02.shape[2:])[pick02][:, :, None]
         self.lb = lb.reshape(lb.shape[:3] + (-1,))
         self.sb = np.minimum.reduceat(self.lb, at[0], axis=0)
+
+    def places(self, splits) -> list:
+        """Each split's place (k1, k2, k3) in sb, at which lb holds the
+        bounds of its rows, lb[rows of k1, k2, k3]."""
+        return splits if self.k is None else [(k1, k2, 0) for k1, k2, _ in splits]
 
     def limits(self, weights) -> list:
         """The largest bound a row or split may have, member by member, and
@@ -478,16 +557,17 @@ def _cut_profiles(graphs, ks, eps, counters) -> list[dict[int, CutSolution]]:
         if eps <= 0:
             raise ValueError("eps must be positive")
     parts = tripartition(n)
+    one_k = len(ks) == 1
     bounds = [2 * g.total_arc_weight for g in graphs]
     for bound in bounds:
-        guards.check(_pair_bytes(parts, bound), guards.TABLE_BYTE_GUARD,
+        guards.check(_pair_bytes(parts, bound, one_k), guards.TABLE_BYTE_GUARD,
                      "cut pair matrix bytes")
 
     def room(batch) -> int:
         if eps is not None:
             return 1
         return guards.TABLE_BYTE_GUARD // _pair_bytes(
-            parts, max(bounds[i] for i in batch))
+            parts, max(bounds[i] for i in batch), one_k)
 
     profiles = [None] * len(graphs)
     for batch in guards.batches([guards.int_dtype(b) for b in bounds], room):
@@ -502,11 +582,13 @@ def _cut_profiles(graphs, ks, eps, counters) -> list[dict[int, CutSolution]]:
 def _search(graphs, parts, ks, eps) -> tuple[list[dict[int, CutSolution]], int]:
     """The cut search of one batch, pruned by _Bounds: each split of each k
     in ascending bound until one exceeds every member's best weight, and in
-    a split only the rows that may still win. Returns the profiles and the
-    cells examined, the same for every member. A lone graph's splits go
-    through min_weight_triangle, which a traced run records as a span; a
-    batch's (never rounded) through _triangles."""
-    matrices = _PairMatrices(graphs, parts)
+    a split only the rows that may still win. A search over one k bounds
+    that k's splits only. Returns the profiles and the cells examined, the
+    same for every member. A lone graph's splits go through
+    min_weight_triangle, which a traced run records as a span; a batch's
+    (never rounded) through _triangles."""
+    one = ks[0] if len(ks) == 1 else None
+    matrices = _PairMatrices(graphs, parts, one is not None)
     rounding = None if eps is None else _Rounding(matrices, eps)
     profiles = [{} for _ in graphs]
     lone = len(graphs) == 1
@@ -514,13 +596,13 @@ def _search(graphs, parts, ks, eps) -> tuple[list[dict[int, CutSolution]], int]:
     cells = 0
     for k in ks:
         splits = list(_splits(parts, k))
-        grid = rounding is not None and rounding.on_grid(max(
-            rounding.split_max(s) for s in splits))
+        grid = rounding is not None and rounding.on_grid(rounding.k_max[k])
         if bounds is None or (bounds.scale is not None) != grid:
             bounds = None   # one set of bounds at a time
-            bounds = rounding.bounds() if grid else _Bounds(matrices.mats,
-                                                            matrices.rows)
-        split_bounds = bounds.sb[tuple(zip(*splits))].tolist()   # [split][member]
+            bounds = (rounding.bounds(one) if grid
+                      else _Bounds(matrices.mats, matrices.rows, k=one))
+        places = bounds.places(splits)
+        split_bounds = bounds.sb[tuple(zip(*places))].tolist()   # [split][member]
         best = [(math.inf,)] * len(graphs)
         for s in sorted(range(len(splits)), key=lambda s: min(split_bounds[s])):
             sizes = splits[s]
@@ -530,7 +612,7 @@ def _search(graphs, parts, ks, eps) -> tuple[list[dict[int, CutSolution]], int]:
                 limits = bounds.limits([w for w, _ in best])
                 if min(split_bounds[s]) > max(limits):
                     break
-                row_bounds = bounds.lb[rows[0], sizes[1], sizes[2]]
+                row_bounds = bounds.lb[(rows[0],) + places[s][1:]]
                 keep = np.flatnonzero((row_bounds <= limits).any(axis=1))
                 if not keep.size:
                     continue

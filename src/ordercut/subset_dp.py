@@ -45,6 +45,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cache
+from itertools import pairwise
 
 import numpy as np
 
@@ -152,17 +153,20 @@ def _check_size(n: int, cap: int, bound: int) -> int:
     return _layer_start(n, cap + 1)
 
 
-def _row_sums(a: np.ndarray) -> list[np.ndarray]:
-    """For rows a[11*i : 11*i + 11]: table i[b] is the sum of those rows at the
-    bits of b. Sums over S then take one gather per group, exact in any dtype."""
-    tables = []
-    for lo in range(0, len(a), 11):
-        rows = a[lo:lo + 11]
-        table = np.zeros((1 << len(rows),) + a.shape[1:], dtype=a.dtype)
-        for j, row in enumerate(rows):
+def _row_sums(a: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
+    """The rows of a in the fewest groups of at most 12, of near-equal size,
+    as (first, low, table): the group's first row, the mask of its width,
+    and table[b], the sum of its rows at the bits of b. Sums over S then take
+    one gather per group, table[S >> first & low], exact in any dtype."""
+    count = max(1, -(-len(a) // 12))
+    edges = [-(-len(a) * i // count) for i in range(count + 1)]   # larger first
+    groups = []
+    for lo, hi in pairwise(edges):
+        table = np.zeros((1 << hi - lo,) + a.shape[1:], dtype=a.dtype)
+        for j, row in enumerate(a[lo:hi]):
             np.add(table[:1 << j], row, out=table[1 << j:2 << j])
-        tables.append(table)
-    return tables
+        groups.append((lo, (1 << hi - lo) - 1, table))
+    return groups
 
 
 def _closed_masks(g: Digraph) -> list[int]:
@@ -281,7 +285,7 @@ def _fill(graphs, cap: int, objective: str, bound: int) -> list[SubsetTable]:
     prev_buf = np.empty((n, width), dtype=np.int64)
     cand_buf = np.empty((n, width) + batch, dtype=dtype)
     if objective == "fas":       # weight from each v into S
-        sum_tables = _row_sums(w.swapaxes(0, 1))
+        (_, low, low_table), *high_tables = _row_sums(w.swapaxes(0, 1))
         sums_buf = np.empty((width, n) + batch, dtype=dtype)
     elif not full:               # capped dpw: boundary(S) per block
         closed = np.array([_closed_masks(g) for g in graphs], dtype=np.int64).T
@@ -309,10 +313,10 @@ def _fill(graphs, cap: int, objective: str, bound: int) -> list[SubsetTable]:
                 prev = pos
             cand = vals.take(prev, axis=0, out=cand_buf[:, :cols], mode="clip")
             if objective == "fas":
-                sums = sum_tables[0].take(masks & 2047, axis=0,
-                                          out=sums_buf[:cols], mode="clip")
-                for i in range(1, len(sum_tables)):
-                    sums += sum_tables[i].take(masks >> 11 * i & 2047, axis=0)
+                sums = low_table.take(masks & low, axis=0, out=sums_buf[:cols],
+                                      mode="clip")
+                for first, width, table in high_tables:
+                    sums += table.take(masks >> first & width, axis=0)
                 cand += sums.swapaxes(0, 1)
             best = cand.min(axis=0)
             pick = n - ((cand == best) * rank).max(axis=0)   # the first minimum

@@ -192,7 +192,8 @@ def test_member_over_the_byte_guard_is_refused_as_alone(monkeypatch, tmp_path,
     assert f"size guard: {message}" in capsys.readouterr().err
     # a cut search member that alone is over the guard
     graphs = [gen_random(12, 0.3, seed=s) for s in range(3)]
-    pair = kcut._pair_bytes(kcut.tripartition(12), 2 * graphs[0].total_arc_weight)
+    pair = kcut._pair_bytes(kcut.tripartition(12), 2 * graphs[0].total_arc_weight,
+                            one_k=True)
     monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", pair - 1)
     with pytest.raises(SizeGuardError, match=f"cut pair matrix bytes: {pair} "):
         kcut._cut_profiles(graphs, [6], None, [None] * 3)

@@ -226,22 +226,50 @@ def test_pair_matrix_byte_guard(monkeypatch):
 
 
 def test_rank_table_byte_guard(monkeypatch, tmp_path, capsys):
-    # a guard just above the pair matrices leaves no room for the pair-sum
-    # ranks of a k searched on the grid; the exact search needs none
+    # a guard just above the pair matrices of one k leaves no room for the
+    # key index of a k searched on the grid, and one just above both none
+    # for the pair-sum ranks; the exact search needs neither
     from ordercut import serialize_graph
     from ordercut.cli import main
     monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
     g = gen_random(12, 0.4, weight_range=(1, 20), seed=1)
-    nbytes = kcut._PairMatrices([g], tripartition(12)).nbytes
-    monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", nbytes + 1)
-    with pytest.raises(SizeGuardError, match="rank table bytes"):
-        dkmc_weighted_approx(g, 6, Fraction(1, 2))
-    assert dkmc_exact(g, 6).value == dkmc_oracle(g, 6).value
+    matrices = kcut._PairMatrices([g], tripartition(12), one_k=True)
+    for nbytes, what in ((matrices.nbytes, "key index bytes"),
+                         (kcut._Rounding(matrices, Fraction(1, 2)).nbytes,
+                          "rank table bytes")):
+        monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", nbytes + 1)
+        with pytest.raises(SizeGuardError, match=what):
+            dkmc_weighted_approx(g, 6, Fraction(1, 2))
+        assert dkmc_exact(g, 6).value == dkmc_oracle(g, 6).value
     path = tmp_path / "g.g"
     path.write_text(serialize_graph(g))
     assert main(["solve", str(path), "--obj", "fas", "--mode", "2approx",
                  "--eps", "1/2"]) == 4
-    assert "size guard: cut pair matrix and rank table bytes" in capsys.readouterr().err
+    assert ("size guard: cut pair matrix, key index and rank table bytes"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("n", [21, 26])
+@pytest.mark.parametrize("eps", [None, Fraction(1)])
+def test_single_k_search_peaks_under_its_byte_model(n, eps):
+    # the bytes the guards check for one k: the pair matrices and bounds,
+    # and when rounded also the key index and the rank table
+    g = gen_random(n, 0.3, weight_range=(1, 1000), seed=1)
+    matrices = kcut._PairMatrices([g], tripartition(n), one_k=True)
+    model = matrices.nbytes
+    if eps is not None:
+        rounding = kcut._Rounding(matrices, eps)
+        model = rounding.nbytes + kcut._RANK_BYTES * len(rounding.grid[1]) ** 2
+        del rounding
+    del matrices
+    cut_profile(g, [n // 2], eps)   # fills the caches of part masks
+    tracemalloc.start()
+    try:
+        cut_profile(g, [n // 2], eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= model
 
 
 def test_oracle_lex_least_witness():
@@ -383,7 +411,9 @@ def reference_pair_matrices(g, parts):
     entry = guards.entry_bytes(dtype, bound)
     s0, s1, s2 = (len(p) for p in parts)
     cells = [1 << len(parts[a]) + len(parts[b]) for a, b in kcut._PAIRS]
-    bounds = ((1 << s0) + s0 + 1) * (s1 + 1) * (s2 + 1)   # lb and sb
+    bounds = ((1 << s0) + s0 + 1) * (s1 + 1) * (s2 + 1)   # lb and sb of every k
+    bounds += 2 * ((1 << s0) + (1 << s1)) * (s2 + 1)     # c02, c12, keyed or not
+    bounds += min(1 << s0 + s1, max(kcut._BOUND_CELLS, 1 << s1))   # m01 rows
     nbytes = int((sum(cells) + kcut._PAIR_TEMPS * max(cells) + bounds) * entry)
     w = np.zeros((g.n, g.n), dtype=dtype)
     for u, v, wt in g.arc_items:
@@ -561,6 +591,8 @@ def test_regimes_are_all_reached():
 class _Matrices:
     """Stand-in for _PairMatrices: the weights as one row of pair (0, 1)."""
 
+    nbytes = 0
+
     def __init__(self, weights, dtype):
         zero = np.zeros((1, 1), dtype=dtype)
         self.mats = {(0, 1): np.array([weights], dtype=dtype),
@@ -663,12 +695,12 @@ def unpruned_search(graphs, parts, ks, eps):
     profiles = [{} for _ in graphs]
     lone = len(graphs) == 1
     for k in ks:
-        splits = list(kcut._splits(parts, k))
-        grid = rounding is not None and rounding.on_grid(max(
-            rounding.split_max(s) for s in splits))
+        cells = [split_rows(matrices, sizes) for sizes in kcut._splits(parts, k)]
+        smax = max(int(block.max()) for rows in cells for block in matrices.blocks(rows))
+        assert rounding is None or rounding.k_max[k] == smax
+        grid = rounding is not None and rounding.on_grid(smax)
         best = [(inf,)] * len(graphs)
-        for sizes in splits:
-            rows = split_rows(matrices, sizes)
+        for rows in cells:
             blocks, keys = (rounding.search_keys(rows) if grid
                             else (matrices.blocks(rows), None))
             found = ([min_weight_triangle(blocks, keys)] if lone
@@ -702,7 +734,8 @@ def reference_bounds(blocks, values=None):
 @pytest.mark.parametrize("cells", [kcut._BOUND_CELLS, 1, 50])
 def test_bounds_match_their_definition(monkeypatch, cells):
     # lb and sb of every split, exact and in scaled keys, whether the 0-1
-    # rows are bounded in one piece or a few rows at a time
+    # rows are bounded in one piece or a few rows at a time; the bounds of
+    # one k equal those of every k at that k's splits
     monkeypatch.setattr(kcut, "_BOUND_CELLS", cells)
     g = gen_random(10, 0.4, weight_range=(1, 9), seed=2)
     parts = tripartition(10)
@@ -711,6 +744,8 @@ def test_bounds_match_their_definition(monkeypatch, cells):
     index, keys = rounding.grid
     exact, keyed = kcut._Bounds(matrices.mats, matrices.rows), rounding.bounds()
     for k in range(11):
+        one = kcut._Bounds(matrices.mats, matrices.rows, k=k), rounding.bounds(k)
+        assert [b.lb.dtype for b in one] == [np.int64, np.float64]
         for sizes in kcut._splits(parts, k):
             rows = split_rows(matrices, sizes)
             got = exact.lb[rows[0], sizes[1], sizes[2], 0].tolist()
@@ -721,6 +756,40 @@ def test_bounds_match_their_definition(monkeypatch, cells):
             assert all(abs(a - b / keyed.scale) <= a * 2 ** -50
                        for a, b in zip(got, want))
             assert keyed.sb[sizes][0] == min(got)
+            for every, bounds in zip((exact, keyed), one):
+                place = bounds.places([sizes])[0]
+                assert (bounds.lb[(rows[0],) + place[1:]].tolist()
+                        == every.lb[rows[0], sizes[1], sizes[2]].tolist())
+                assert bounds.sb[place].tolist() == every.sb[sizes].tolist()
+
+
+@pytest.mark.parametrize("total", [2 ** 61 - 1, 2 ** 61 + 1])
+def test_one_k_bounds_ignore_the_k3_of_no_split(total):
+    # a (k1, k2) with no split of k gets a clipped k3; no bound of a split
+    # takes it, and no bound wraps in int64 at the largest int64 weights
+    g = _graph_with_total(total)
+    parts = tripartition(6)
+    matrices = kcut._PairMatrices([g], parts)
+    every = kcut._Bounds(matrices.mats, matrices.rows)
+    for k in range(7):
+        one = kcut._Bounds(matrices.mats, matrices.rows, k=k)
+        assert one.lb.dtype == every.lb.dtype
+        assert min(one.lb.ravel().tolist()) >= 0
+        assert max(one.lb.ravel().tolist()) <= 2 * total
+        for sizes in kcut._splits(parts, k):
+            rows = split_rows(matrices, sizes)
+            assert (one.lb[rows[0], sizes[1], 0].tolist()
+                    == every.lb[rows[0], sizes[1], sizes[2]].tolist())
+
+
+def assert_pruned_matches_unpruned(g, eps):
+    # the search over every k (several-k bounds) and over each k alone
+    # (one-k bounds)
+    ks = range(g.n + 1)
+    want = unpruned_profile(g, ks, eps)
+    assert cut_profile(g, ks, eps) == want
+    for k in ks:
+        assert cut_profile(g, [k], eps) == {k: want[k]}
 
 
 @settings(max_examples=200, deadline=None)
@@ -728,17 +797,15 @@ def test_bounds_match_their_definition(monkeypatch, cells):
 def test_pruned_search_matches_unpruned_with_ties(g, eps):
     # weights 0..3 tie many triangles: a row whose bound equals the best
     # weight may hold the winning, smallest vertex set
-    ks = range(g.n + 1)
-    assert cut_profile(g, ks, eps) == unpruned_profile(g, ks, eps)
+    assert_pruned_matches_unpruned(g, eps)
 
 
 @pytest.mark.parametrize("eps", PRUNING_EPS)
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 13, 16])
 @pytest.mark.parametrize("weights", [(0, 1), (0, 3), (1, 1000)])
 def test_pruned_search_matches_unpruned_on_seeded_graphs(n, weights, eps):
-    g = gen_random(n, 0.4, weight_range=weights, seed=n)
-    ks = range(n + 1)
-    assert cut_profile(g, ks, eps) == unpruned_profile(g, ks, eps)
+    assert_pruned_matches_unpruned(gen_random(n, 0.4, weight_range=weights, seed=n),
+                                   eps)
 
 
 def test_pruned_search_matches_unpruned_on_scaled_keys():
@@ -749,8 +816,7 @@ def test_pruned_search_matches_unpruned_on_scaled_keys():
     rounding = kcut._Rounding(kcut._PairMatrices([g], tripartition(9)), eps)
     assert rounding.on_grid(max(int(m.max()) for m in rounding.matrices.mats.values()))
     assert rounding.bounds().scale > 2 ** 1000
-    ks = range(10)
-    assert cut_profile(g, ks, eps) == unpruned_profile(g, ks, eps)
+    assert_pruned_matches_unpruned(g, eps)
 
 
 @pytest.mark.parametrize("g,eps", [
@@ -762,10 +828,11 @@ def test_pruned_search_matches_unpruned_on_scaled_keys():
     (_graph_with_total(2 ** 61), None),
     (_graph_with_total(2 ** 61 - 1), Fraction(1, 2)),
     (_graph_with_total(2 ** 61), Fraction(1, 2)),
+    (_graph_with_total(2 ** 61 + 1), None),
+    (_graph_with_total(2 ** 61 + 1), Fraction(1, 2)),
 ])
 def test_pruned_search_matches_unpruned_past_the_grid_and_at_the_boundary(g, eps):
-    ks = range(g.n + 1)
-    assert cut_profile(g, ks, eps) == unpruned_profile(g, ks, eps)
+    assert_pruned_matches_unpruned(g, eps)
 
 
 @pytest.mark.parametrize("eps", PRUNING_EPS)
@@ -774,8 +841,11 @@ def test_stacked_pruned_search_matches_unpruned(n, eps):
     # int64 and Python-int batches: a row is kept where any member may win
     graphs = mixed(n, seed=n)
     ks = range(n + 1)
-    got = kcut._cut_profiles(graphs, ks, eps, [None] * len(graphs))
-    assert got == [unpruned_profile(g, ks, eps) for g in graphs]
+    want = [unpruned_profile(g, ks, eps) for g in graphs]
+    assert kcut._cut_profiles(graphs, ks, eps, [None] * len(graphs)) == want
+    for k in ks:   # one k: the one-k bounds of a batch
+        got = kcut._cut_profiles(graphs, [k], eps, [None] * len(graphs))
+        assert got == [{k: profile[k]} for profile in want]
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -122,6 +122,33 @@ def test_full_table_values_match_oracle(g):
         assert table.value_of(full) == perm_opt(g, objective).opt
 
 
+@pytest.mark.parametrize("n,widths", [(0, [0]), (11, [11]), (12, [12]),
+                                      (13, [7, 6]), (16, [8, 8]), (17, [9, 8]),
+                                      (24, [12, 12]), (25, [9, 8, 8]),
+                                      (26, [9, 9, 8])])
+def test_fas_row_sums_take_the_fewest_even_groups(n, widths):
+    # at most 12 rows a group, as few groups as that allows, near-equal in
+    # size; each group's gather sums its rows at the bits of the mask
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, 1000, size=(n, 3, 2))
+    groups = subset_dp._row_sums(a)
+    assert [len(table).bit_length() - 1 for _, _, table in groups] == widths
+    assert [first for first, _, _ in groups] == [sum(widths[:i])
+                                                  for i in range(len(widths))]
+    for mask in rng.integers(0, 1 << n, size=50).tolist():
+        got = sum(table[mask >> first & low] for first, low, table in groups)
+        want = sum((a[v] for v in range(n) if mask >> v & 1), np.zeros((3, 2), int))
+        assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_fas_table_in_two_row_groups_matches_seed_dp(n):
+    # n = 13 and 14 gather the fas weights from two groups of rows
+    g = gen_random(n, 0.4, weight_range=(1, 9), seed=n)
+    assert_matches_seed(g, n, "fas")
+    assert_matches_seed(g, n // 2, "fas")
+
+
 @pytest.mark.parametrize("total", [2 ** 61 - 1, 2 ** 61])
 def test_int64_dispatch_bound(total):
     arcs = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 1)]
