@@ -24,15 +24,14 @@ over several of them (_cut_profiles) stacks their matrices on a last axis
 and searches each split of all of them at once.
 
 The search is pruned without changing any result (_Bounds). Once per call
-it bounds, for every row j1 of part 0 and every (k2, k3), each triangle
-through j1 from below:
+it bounds, for every k searched, every row j1 of part 0 and every k2, each
+triangle through j1 from below:
 
-    lb[j1, k2, k3] = min_j2 (e01[j1, j2] + min_j3 e12[j2, j3]) + min_j3 e02[j1, j3]
+    lb[k][j1, k2] = min_j2 (e01[j1, j2] + min_j3 e12[j2, j3]) + min_j3 e02[j1, j3]
 
-over the size-k2 and size-k3 subsets, and each split by the least lb of
-its rows, sb[k1, k2, k3]. That takes one pass over the 0-1 matrix per k3.
-A call over one k (every balanced split) bounds that k's splits only: a
-row's size k1 and k2 fix k3 = k - k1 - k2, so one pass serves them all.
+over the size-k2 and size-k3 subsets, where k3 = k - k1 - k2 follows from
+the row's size k1, and each split by the least lb of its rows,
+sb[k][k1, k2]. One pass over the 0-1 matrix bounds every k at once.
 Each k visits its splits in ascending sb and stops at the first whose sb
 exceeds the best weight found; a visited split hands the kernel only the
 rows with lb <= best. The <= keeps every tied triangle, so the
@@ -114,28 +113,27 @@ def _subsets(part: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [t for k in range(len(part) + 1) for t in combinations(part, k)]
 
 
-def _bound_cells(sizes, one_k: bool) -> int:
-    """Entries _Bounds holds at its peak for parts of sizes (s0, s1, s2),
-    exact or keyed: lb and sb, the least 0-2 and 1-2 entries per k3 (keyed:
-    their key indices too) and the rows of m01 bounded at a time; for one
-    k, also its gathered 1-2 terms, their rows and the gathered 0-2 terms."""
+def _bound_cells(sizes, count: int) -> int:
+    """Entries _Bounds holds at its peak for count ks over parts of sizes
+    (s0, s1, s2), exact or keyed: per k, lb, at most as many minima added
+    to it, sb and the gathered 1-2 terms; the least 0-2 and 1-2 entries per
+    k3 (keyed: their key indices too); and the terms of the rows of m01
+    bounded at a time for every k, with those rows' keys."""
     s0, s1, s2 = sizes
-    piece = min(1 << s0 + s1, max(_BOUND_CELLS, 1 << s1))   # rows of m01 at a time
-    least = 2 * ((1 << s0) + (1 << s1)) * (s2 + 1)          # c02 and c12
-    if not one_k:
-        return ((1 << s0) + s0 + 1) * (s1 + 1) * (s2 + 1) + least + piece
-    lb = (1 << s0) * (s1 + 1)
-    return 2 * lb + (s0 + 1) * (s1 + 1) + least + (s0 + 1 << s1) + 2 * piece
+    piece = min(count << s0 + s1, max(_BOUND_CELLS, count << s1))   # rows of m01 at a time
+    least = 2 * ((1 << s0) + (1 << s1)) * (s2 + 1)                  # c02 and c12
+    per_k = 2 * (s1 + 1 << s0) + (s0 + 1) * (s1 + 1) + (s0 + 1 << s1)
+    return count * per_k + least + 2 * piece
 
 
-def _pair_bytes(parts, bound: int, one_k: bool = False) -> int:
+def _pair_bytes(parts, bound: int, count: int) -> int:
     """Bytes of one graph's pair matrices, whose entries stay below bound,
     plus one more largest matrix, which lives in temporaries (RSS fit), and
-    the search's row and split bounds (_Bounds) for one k or for several."""
+    the search's row and split bounds (_Bounds) for count ks."""
     entry = guards.entry_bytes(guards.int_dtype(bound), bound)
     sizes = [len(p) for p in parts]
     cells = [1 << sizes[a] + sizes[b] for a, b in _PAIRS]
-    bounds = _bound_cells(sizes, one_k)
+    bounds = _bound_cells(sizes, count)
     return int((sum(cells) + _PAIR_TEMPS * max(cells) + bounds) * entry)
 
 
@@ -150,11 +148,11 @@ class _PairMatrices:
     over the bits of subset masks, by doubling, and is put in row order once.
     """
 
-    def __init__(self, graphs, parts, one_k: bool = False):
+    def __init__(self, graphs, parts, count: int = 1):
         bound = 2 * max(g.total_arc_weight for g in graphs)
         dtype = guards.int_dtype(bound)
-        # guard the bytes first: the search's bounds are for one k or several
-        self.nbytes = len(graphs) * _pair_bytes(parts, bound, one_k)
+        # guard the bytes first, with the search's bounds for count ks
+        self.nbytes = len(graphs) * _pair_bytes(parts, bound, count)
         guards.check(self.nbytes, guards.TABLE_BYTE_GUARD, "cut pair matrix bytes")
         self.subsets = [_subsets(tuple(p)) for p in parts]
         n = graphs[0].n
@@ -431,91 +429,78 @@ class _Rounding:
         index, values = self.grid
         return self.matrices.blocks(rows, index), (values, self.ranks)
 
-    def bounds(self, k=None) -> "_Bounds":
-        """The row and split bounds of the grid's keys, for one k or all."""
+    def bounds(self, ks) -> "_Bounds":
+        """The row and split bounds of the grid's keys for the splits of ks."""
         index, values = self.grid
-        return _Bounds(index, self.matrices.rows, _scaled(values.tolist()), k)
+        return _Bounds(index, self.matrices.rows, ks, _scaled(values.tolist()))
 
 
 @cache
-def _one_k_index(sizes, k: int) -> tuple:
-    """(k1s, pick12, pick02) for the bounds of one k over parts of sizes
-    (s0, s1, s2): k1s[j1], the size of row j1 of part 0; pick12[k1, j2],
-    the place of (j2, k3) in c12 flattened, and pick02[j1, k2], that of
-    (j1, k3) in c02, where k3 = k - k1 - k2 is clipped to 0..s2. A k3
-    is clipped only for a (k1, k2) that is no split of k, whose bounds are
-    never read, and all of a (k1, k2) share one k3, so no minimum mixes a
-    clipped k3 with a true one."""
+def _k_index(sizes, ks: tuple) -> tuple:
+    """(k1s, pick12, pick02) for the bounds of ks over parts of sizes
+    (s0, s1, s2): k1s[j1], the size of row j1 of part 0; pick12[i, k1, j2],
+    the place of (j2, k3) in c12 flattened, and pick02[i, j1, k2], that of
+    (j1, k3) in c02, where k3 = ks[i] - k1 - k2 is clipped to 0..s2. A k3
+    is clipped only for a (k1, k2) that is no split of ks[i], whose bounds
+    are never read, and all of a (k1, k2) share one k3, so no minimum mixes
+    a clipped k3 with a true one."""
     s0, s1, s2 = sizes
     k1s, k2s = (_mask_order(s)[1].sum(axis=1) for s in (s0, s1))
-    k3 = np.clip(k - np.arange(s0 + 1)[:, None] - k2s, 0, s2)
+    ks = np.array(ks)[:, None, None]
+    k3 = np.clip(ks - np.arange(s0 + 1)[:, None] - k2s, 0, s2)
     pick12 = np.arange(1 << s1) * (s2 + 1) + k3
-    k3 = np.clip(k - k1s[:, None] - np.arange(s1 + 1), 0, s2)
+    k3 = np.clip(ks - k1s[:, None] - np.arange(s1 + 1), 0, s2)
     pick02 = np.arange(1 << s0)[:, None] * (s2 + 1) + k3
     return k1s, pick12, pick02
 
 
 class _Bounds:
-    """Lower bounds on the triangle weights of the splits of one matrix set
-    (mats, as _PairMatrices.mats), with a last axis over the members of a
-    batch, a lone graph's of length 1:
+    """Lower bounds on the triangle weights of the splits of ks over one
+    matrix set (mats, as _PairMatrices.mats), with a last axis over the
+    members of a batch, a lone graph's of length 1:
 
-    - lb[j1, k2, k3]: on every triangle through row j1 of part 0 with the
-      size-k2 subsets of part 1 and the size-k3 subsets of part 2;
-    - sb[k1, k2, k3]: the least lb of the size-k1 rows, on the whole split.
+    - lb[i, j1, k2]: on every triangle through row j1 of part 0 with the
+      size-k2 subsets of part 1 and the size-k3 subsets of part 2, where
+      k3 = ks[i] - k1 - k2 and k1 is the size of j1;
+    - sb[i, k1, k2]: the least lb of the size-k1 rows, on the whole split.
 
-    A search over several ks bounds every (k2, k3), one pass over the 0-1
-    matrix for each k3. A search over one k bounds only its own splits, in
-    one pass: k3 = k - k1 - k2 follows from the row's size k1 and k2, and
-    the k3 axis has length 1 (places gives a split's place in sb).
+    One pass over the 0-1 matrix bounds every k: the row's size k1 and k2
+    fix each k's k3 (_k_index), and each piece of rows is summed with the
+    1-2 terms of every k at once.
 
     With keys = (scale, approx), mats hold indices into the ascending keys,
     of which approx holds float64 copies divided by scale (_scaled), and the
     bounds are float sums of those; limits widens a best weight to match.
     """
 
-    def __init__(self, mats, rows, keys=None, k=None):
+    def __init__(self, mats, rows, ks, keys=None):
         self.scale = None if keys is None else keys[0]
-        self.k = k
         at = [[r.start for r in part] for part in rows]
         c02, c12 = (np.minimum.reduceat(mats[p], at[2], axis=1)
                     for p in ((0, 2), (1, 2)))   # the least entry per k3
         m01 = mats[0, 1]
         if keys is not None:   # the least index holds the least key
             c02, c12 = keys[1][c02], keys[1][c12]
-        if k is not None:   # g12[k1, j2] = c12[j2, k - k1 - k2]
-            k1s, pick12, pick02 = _one_k_index(tuple(len(a) - 1 for a in at), k)
-            g12 = c12.reshape((-1,) + c12.shape[2:])[pick12]
-        passes = len(at[2]) if k is None else 1
-        lb = np.empty((len(m01), len(at[1]), passes) + m01.shape[2:], dtype=c12.dtype)
-        step = max(1, _BOUND_CELLS // m01[0].size)   # rows of m01 at a time
-        # the rows of m01 summed at a time, and for keys of one k their terms
-        temp = np.empty((1 if k is None or keys is None else 2, min(step, len(m01)))
-                        + m01.shape[1:], dtype=c12.dtype)
+        k1s, pick12, pick02 = _k_index(tuple(len(a) - 1 for a in at), tuple(ks))
+        g12 = c12.reshape((-1,) + c12.shape[2:])[pick12]   # [i, k1, j2]: c12[j2, k3]
+        lb = c02.reshape((-1,) + c02.shape[2:])[pick02]    # [i, j1, k2]: c02[j1, k3]
+        count = len(pick12)
+        step = max(1, _BOUND_CELLS // (count * m01[0].size))   # rows of m01 at a time
+        # those rows' terms for every k, and for keys the rows' own keys
+        temp = np.empty((count + (keys is not None)) * min(step, len(m01)) * m01[0].size,
+                        dtype=c12.dtype)
         for lo in range(0, len(m01), step):
             rows01 = m01[lo:lo + step]
-            sums = temp[0, :len(rows01)]
-            if k is None:   # per k3, the column c12[:, k3] for every row
-                columns = [c12[:, k3] for k3 in range(passes)]
-            else:   # the row of g12 for the size k1 of each row
-                columns = [g12.take(k1s[lo:lo + step], axis=0, mode="clip",
-                                    out=temp[-1, :len(rows01)])]
-            for k3, column in enumerate(columns):
-                first = (rows01 if keys is None
-                         else keys[1].take(rows01, out=sums, mode="clip"))
-                np.add(first, column, out=sums)
-                np.minimum.reduceat(sums, at[1], axis=1, out=lb[lo:lo + step, :, k3])
-        if k is None:
-            lb += c02[:, None]
-        else:   # c02[j1, k - k1 - k2]
-            lb += c02.reshape((-1,) + c02.shape[2:])[pick02][:, :, None]
+            size = count * rows01.size
+            sums = g12.take(k1s[lo:lo + step], axis=1, mode="clip",
+                            out=temp[:size].reshape((count,) + rows01.shape))
+            if keys is not None:
+                rows01 = keys[1].take(rows01, mode="clip",
+                                      out=temp[size:size + rows01.size].reshape(rows01.shape))
+            sums += rows01
+            lb[:, lo:lo + step] += np.minimum.reduceat(sums, at[1], axis=2)
         self.lb = lb.reshape(lb.shape[:3] + (-1,))
-        self.sb = np.minimum.reduceat(self.lb, at[0], axis=0)
-
-    def places(self, splits) -> list:
-        """Each split's place (k1, k2, k3) in sb, at which lb holds the
-        bounds of its rows, lb[rows of k1, k2, k3]."""
-        return splits if self.k is None else [(k1, k2, 0) for k1, k2, _ in splits]
+        self.sb = np.minimum.reduceat(self.lb, at[0], axis=1)
 
     def limits(self, weights) -> list:
         """The largest bound a row or split may have, member by member, and
@@ -557,17 +542,16 @@ def _cut_profiles(graphs, ks, eps, counters) -> list[dict[int, CutSolution]]:
         if eps <= 0:
             raise ValueError("eps must be positive")
     parts = tripartition(n)
-    one_k = len(ks) == 1
     bounds = [2 * g.total_arc_weight for g in graphs]
     for bound in bounds:
-        guards.check(_pair_bytes(parts, bound, one_k), guards.TABLE_BYTE_GUARD,
+        guards.check(_pair_bytes(parts, bound, len(ks)), guards.TABLE_BYTE_GUARD,
                      "cut pair matrix bytes")
 
     def room(batch) -> int:
         if eps is not None:
             return 1
         return guards.TABLE_BYTE_GUARD // _pair_bytes(
-            parts, max(bounds[i] for i in batch), one_k)
+            parts, max(bounds[i] for i in batch), len(ks))
 
     profiles = [None] * len(graphs)
     for batch in guards.batches([guards.int_dtype(b) for b in bounds], room):
@@ -582,54 +566,56 @@ def _cut_profiles(graphs, ks, eps, counters) -> list[dict[int, CutSolution]]:
 def _search(graphs, parts, ks, eps) -> tuple[list[dict[int, CutSolution]], int]:
     """The cut search of one batch, pruned by _Bounds: each split of each k
     in ascending bound until one exceeds every member's best weight, and in
-    a split only the rows that may still win. A search over one k bounds
-    that k's splits only. Returns the profiles and the cells examined, the
-    same for every member. A lone graph's splits go through
+    a split only the rows that may still win. The ks searched unrounded and
+    those on the rounding grid are each bounded in one pass, one group at a
+    time. Returns the profiles, keyed in ks order, and the cells examined,
+    the same for every member. A lone graph's splits go through
     min_weight_triangle, which a traced run records as a span; a batch's
     (never rounded) through _triangles."""
-    one = ks[0] if len(ks) == 1 else None
-    matrices = _PairMatrices(graphs, parts, one is not None)
+    matrices = _PairMatrices(graphs, parts, len(ks))
     rounding = None if eps is None else _Rounding(matrices, eps)
-    profiles = [{} for _ in graphs]
+    on_grid = [rounding is not None and rounding.on_grid(rounding.k_max[k]) for k in ks]
     lone = len(graphs) == 1
-    bounds = None
+    found = {}   # [k][member]: (weight, L)
     cells = 0
+    for grid in (False, True):
+        group = [k for k, on in zip(ks, on_grid) if on == grid]
+        if not group:
+            continue
+        bounds = (rounding.bounds(group) if grid
+                  else _Bounds(matrices.mats, matrices.rows, group))
+        for k, lb, sb in zip(group, bounds.lb, bounds.sb):
+            splits = list(_splits(parts, k))
+            split_bounds = sb[tuple(zip(*splits))[:2]].tolist()   # [split][member]
+            best = [(math.inf,)] * len(graphs)
+            for s in sorted(range(len(splits)), key=lambda s: min(split_bounds[s])):
+                rows = [r[size] for r, size in zip(matrices.rows, splits[s])]
+                keep = np.arange(rows[0].stop - rows[0].start)
+                if best[0][0] < math.inf:   # every member has a weight to beat
+                    limits = bounds.limits([w for w, _ in best])
+                    if min(split_bounds[s]) > max(limits):
+                        break
+                    keep = np.flatnonzero((lb[rows[0], splits[s][1]] <= limits).any(axis=1))
+                    if not keep.size:
+                        continue
+                blocks, keys = (rounding.search_keys(rows) if grid
+                                else (matrices.blocks(rows), None))
+                e01, e02, e12 = blocks
+                blocks = e01[keep], e02[keep], e12
+                cells += keep.size * e12.shape[0] * e12.shape[1]
+                triangles = ([min_weight_triangle(blocks, keys)] if lone
+                             else _triangles(blocks))
+                for i, ((j1, j2, j3), weight) in enumerate(triangles):
+                    if eps is None and weight % 2:
+                        raise AssertionError("stored triangle weight must be even")
+                    if weight <= best[i][0]:   # L is built for candidates only
+                        js = int(keep[j1]), j2, j3
+                        best[i] = min(best[i], (weight, matrices.members(rows, js)))
+            found[k] = best
+        del bounds, lb, sb   # one group's bounds at a time
+    profiles = [{} for _ in graphs]
     for k in ks:
-        splits = list(_splits(parts, k))
-        grid = rounding is not None and rounding.on_grid(rounding.k_max[k])
-        if bounds is None or (bounds.scale is not None) != grid:
-            bounds = None   # one set of bounds at a time
-            bounds = (rounding.bounds(one) if grid
-                      else _Bounds(matrices.mats, matrices.rows, k=one))
-        places = bounds.places(splits)
-        split_bounds = bounds.sb[tuple(zip(*places))].tolist()   # [split][member]
-        best = [(math.inf,)] * len(graphs)
-        for s in sorted(range(len(splits)), key=lambda s: min(split_bounds[s])):
-            sizes = splits[s]
-            rows = [r[k] for r, k in zip(matrices.rows, sizes)]
-            keep = np.arange(rows[0].stop - rows[0].start)
-            if best[0][0] < math.inf:   # every member has a weight to beat
-                limits = bounds.limits([w for w, _ in best])
-                if min(split_bounds[s]) > max(limits):
-                    break
-                row_bounds = bounds.lb[(rows[0],) + places[s][1:]]
-                keep = np.flatnonzero((row_bounds <= limits).any(axis=1))
-                if not keep.size:
-                    continue
-            blocks, keys = (rounding.search_keys(rows) if grid
-                            else (matrices.blocks(rows), None))
-            e01, e02, e12 = blocks
-            blocks = e01[keep], e02[keep], e12
-            cells += keep.size * e12.shape[0] * e12.shape[1]
-            found = ([min_weight_triangle(blocks, keys)] if lone
-                     else _triangles(blocks))
-            for i, ((j1, j2, j3), weight) in enumerate(found):
-                if eps is None and weight % 2:
-                    raise AssertionError("stored triangle weight must be even")
-                if weight <= best[i][0]:   # L is built for candidates only
-                    js = int(keep[j1]), j2, j3
-                    best[i] = min(best[i], (weight, matrices.members(rows, js)))
-        for g, profile, (weight, l) in zip(graphs, profiles, best):
+        for g, profile, (weight, l) in zip(graphs, profiles, found[k]):
             value = cut_into(g, l)
             if eps is None and 2 * value != weight:
                 raise AssertionError(f"dkmc value {weight // 2}, cut_into {value}")

@@ -146,7 +146,7 @@ def test_batch_over_the_byte_guard_is_split(monkeypatch):
     profiles = kcut._cut_profiles(graphs, range(9), None, [None] * 6)
     each, shared = subset_dp._table_bytes(8, 8, subset_dp._bound(graphs[0], "ola"))
     pair = kcut._pair_bytes(kcut.tripartition(8), 2 * max(
-        g.total_arc_weight for g in graphs))
+        g.total_arc_weight for g in graphs), 9)
     fills, searches = (spy(monkeypatch, subset_dp, "_fill"),
                        spy(monkeypatch, kcut, "_search"))
     # one table fits, two do not
@@ -192,8 +192,7 @@ def test_member_over_the_byte_guard_is_refused_as_alone(monkeypatch, tmp_path,
     assert f"size guard: {message}" in capsys.readouterr().err
     # a cut search member that alone is over the guard
     graphs = [gen_random(12, 0.3, seed=s) for s in range(3)]
-    pair = kcut._pair_bytes(kcut.tripartition(12), 2 * graphs[0].total_arc_weight,
-                            one_k=True)
+    pair = kcut._pair_bytes(kcut.tripartition(12), 2 * graphs[0].total_arc_weight, 1)
     monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", pair - 1)
     with pytest.raises(SizeGuardError, match=f"cut pair matrix bytes: {pair} "):
         kcut._cut_profiles(graphs, [6], None, [None] * 3)

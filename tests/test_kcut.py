@@ -233,7 +233,7 @@ def test_rank_table_byte_guard(monkeypatch, tmp_path, capsys):
     from ordercut.cli import main
     monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
     g = gen_random(12, 0.4, weight_range=(1, 20), seed=1)
-    matrices = kcut._PairMatrices([g], tripartition(12), one_k=True)
+    matrices = kcut._PairMatrices([g], tripartition(12))
     for nbytes, what in ((matrices.nbytes, "key index bytes"),
                          (kcut._Rounding(matrices, Fraction(1, 2)).nbytes,
                           "rank table bytes")):
@@ -252,24 +252,26 @@ def test_rank_table_byte_guard(monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("n", [21, 26])
 @pytest.mark.parametrize("eps", [None, Fraction(1)])
 def test_single_k_search_peaks_under_its_byte_model(n, eps):
-    # the bytes the guards check for one k: the pair matrices and bounds,
-    # and when rounded also the key index and the rank table
+    # the bytes the guards check for one k and for every k but 0 and n: the
+    # pair matrices and bounds, and when rounded also the key index and the
+    # rank table
     g = gen_random(n, 0.3, weight_range=(1, 1000), seed=1)
-    matrices = kcut._PairMatrices([g], tripartition(n), one_k=True)
-    model = matrices.nbytes
-    if eps is not None:
-        rounding = kcut._Rounding(matrices, eps)
-        model = rounding.nbytes + kcut._RANK_BYTES * len(rounding.grid[1]) ** 2
-        del rounding
-    del matrices
-    cut_profile(g, [n // 2], eps)   # fills the caches of part masks
-    tracemalloc.start()
-    try:
-        cut_profile(g, [n // 2], eps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= model
+    for ks in ([n // 2], range(1, n)):
+        matrices = kcut._PairMatrices([g], tripartition(n), len(ks))
+        model = matrices.nbytes
+        if eps is not None:
+            rounding = kcut._Rounding(matrices, eps)
+            model = rounding.nbytes + kcut._RANK_BYTES * len(rounding.grid[1]) ** 2
+            del rounding
+        del matrices
+        cut_profile(g, ks, eps)   # fills the caches of part masks and k indices
+        tracemalloc.start()
+        try:
+            cut_profile(g, ks, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= model
 
 
 def test_oracle_lex_least_witness():
@@ -411,9 +413,11 @@ def reference_pair_matrices(g, parts):
     entry = guards.entry_bytes(dtype, bound)
     s0, s1, s2 = (len(p) for p in parts)
     cells = [1 << len(parts[a]) + len(parts[b]) for a, b in kcut._PAIRS]
-    bounds = ((1 << s0) + s0 + 1) * (s1 + 1) * (s2 + 1)   # lb and sb of every k
+    # one k's lb and at most as many minima, sb and gathered 1-2 terms
+    bounds = 2 * (1 << s0) * (s1 + 1) + (s0 + 1) * (s1 + 1) + (s0 + 1) * (1 << s1)
     bounds += 2 * ((1 << s0) + (1 << s1)) * (s2 + 1)     # c02, c12, keyed or not
-    bounds += min(1 << s0 + s1, max(kcut._BOUND_CELLS, 1 << s1))   # m01 rows
+    # the m01 rows bounded at a time, their 1-2 terms or keys
+    bounds += 2 * min(1 << s0 + s1, max(kcut._BOUND_CELLS, 1 << s1))
     nbytes = int((sum(cells) + kcut._PAIR_TEMPS * max(cells) + bounds) * entry)
     w = np.zeros((g.n, g.n), dtype=dtype)
     for u, v, wt in g.arc_items:
@@ -735,32 +739,35 @@ def reference_bounds(blocks, values=None):
 def test_bounds_match_their_definition(monkeypatch, cells):
     # lb and sb of every split, exact and in scaled keys, whether the 0-1
     # rows are bounded in one piece or a few rows at a time; the bounds of
-    # one k equal those of every k at that k's splits
+    # every k together equal those of each k alone and of a pair of ks
     monkeypatch.setattr(kcut, "_BOUND_CELLS", cells)
     g = gen_random(10, 0.4, weight_range=(1, 9), seed=2)
     parts = tripartition(10)
     matrices = kcut._PairMatrices([g], parts)
     rounding = kcut._Rounding(matrices, Fraction(1, 2))
     index, keys = rounding.grid
-    exact, keyed = kcut._Bounds(matrices.mats, matrices.rows), rounding.bounds()
-    for k in range(11):
-        one = kcut._Bounds(matrices.mats, matrices.rows, k=k), rounding.bounds(k)
-        assert [b.lb.dtype for b in one] == [np.int64, np.float64]
+    ks = range(11)
+    every = kcut._Bounds(matrices.mats, matrices.rows, ks), rounding.bounds(ks)
+    exact, keyed = every
+    assert [b.lb.dtype for b in every] == [np.int64, np.float64]
+    for k in ks:
         for sizes in kcut._splits(parts, k):
             rows = split_rows(matrices, sizes)
-            got = exact.lb[rows[0], sizes[1], sizes[2], 0].tolist()
+            got = exact.lb[k, rows[0], sizes[1], 0].tolist()
             assert got == reference_bounds(matrices.blocks(rows))
-            assert exact.sb[sizes][0] == min(got)
-            got = keyed.lb[rows[0], sizes[1], sizes[2], 0].tolist()
+            assert exact.sb[k, sizes[0], sizes[1], 0] == min(got)
+            got = keyed.lb[k, rows[0], sizes[1], 0].tolist()
             want = reference_bounds(matrices.blocks(rows, index), keys.tolist())
             assert all(abs(a - b / keyed.scale) <= a * 2 ** -50
                        for a, b in zip(got, want))
-            assert keyed.sb[sizes][0] == min(got)
-            for every, bounds in zip((exact, keyed), one):
-                place = bounds.places([sizes])[0]
-                assert (bounds.lb[(rows[0],) + place[1:]].tolist()
-                        == every.lb[rows[0], sizes[1], sizes[2]].tolist())
-                assert bounds.sb[place].tolist() == every.sb[sizes].tolist()
+            assert keyed.sb[k, sizes[0], sizes[1], 0] == min(got)
+        for some in ([k], [k, 10 - k]):
+            alone = (kcut._Bounds(matrices.mats, matrices.rows, some),
+                     rounding.bounds(some))
+            for all_ks, bounds in zip(every, alone):
+                assert bounds.lb.dtype == all_ks.lb.dtype
+                assert bounds.lb.tolist() == all_ks.lb[some].tolist()
+                assert bounds.sb.tolist() == all_ks.sb[some].tolist()
 
 
 @pytest.mark.parametrize("total", [2 ** 61 - 1, 2 ** 61 + 1])
@@ -770,24 +777,26 @@ def test_one_k_bounds_ignore_the_k3_of_no_split(total):
     g = _graph_with_total(total)
     parts = tripartition(6)
     matrices = kcut._PairMatrices([g], parts)
-    every = kcut._Bounds(matrices.mats, matrices.rows)
     for k in range(7):
-        one = kcut._Bounds(matrices.mats, matrices.rows, k=k)
-        assert one.lb.dtype == every.lb.dtype
+        one = kcut._Bounds(matrices.mats, matrices.rows, [k])
+        assert one.lb.dtype == matrices.mats[0, 1].dtype
         assert min(one.lb.ravel().tolist()) >= 0
         assert max(one.lb.ravel().tolist()) <= 2 * total
         for sizes in kcut._splits(parts, k):
             rows = split_rows(matrices, sizes)
-            assert (one.lb[rows[0], sizes[1], 0].tolist()
-                    == every.lb[rows[0], sizes[1], sizes[2]].tolist())
+            assert (one.lb[0, rows[0], sizes[1], 0].tolist()
+                    == reference_bounds(matrices.blocks(rows)))
 
 
 def assert_pruned_matches_unpruned(g, eps):
-    # the search over every k (several-k bounds) and over each k alone
-    # (one-k bounds)
+    # the search over every k and over each k alone; with eps, every k
+    # mixes the ks searched unrounded with those on the grid, and the
+    # profile still lists them in ks order
     ks = range(g.n + 1)
     want = unpruned_profile(g, ks, eps)
-    assert cut_profile(g, ks, eps) == want
+    got = cut_profile(g, ks, eps)
+    assert got == want
+    assert list(got) == list(ks)
     for k in ks:
         assert cut_profile(g, [k], eps) == {k: want[k]}
 
@@ -815,7 +824,7 @@ def test_pruned_search_matches_unpruned_on_scaled_keys():
     g = gen_random(9, 0.4, weight_range=(1, 20), seed=3)
     rounding = kcut._Rounding(kcut._PairMatrices([g], tripartition(9)), eps)
     assert rounding.on_grid(max(int(m.max()) for m in rounding.matrices.mats.values()))
-    assert rounding.bounds().scale > 2 ** 1000
+    assert rounding.bounds(range(10)).scale > 2 ** 1000
     assert_pruned_matches_unpruned(g, eps)
 
 
