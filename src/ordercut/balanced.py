@@ -141,10 +141,12 @@ def _solve(graphs, lone, batch) -> list:
     """Results for graphs of one vertex count: [lone(g)] for a lone graph,
     else batch(graphs), one call for all.
 
-    A lone graph keeps its own path: run as a batch of one (a batch axis of
-    length 1), balanced fas and ola measured 15-38% slower at n = 8-21.
-    The lone balanced cut also stays a dkmc_* call, which a traced run
-    counts as a kcut call."""
+    Either way a lone graph's table, exact solve or cut search runs as a
+    batch of one with no batch axis. (The 15-38% measured at n = 8-21 was
+    the cut kernel's: kcut searches a lone graph with min_weight_triangle,
+    not _triangles over a batch axis of length 1.) The lone fork exists so
+    that a traced run sees the public call, *_exact, fas_table or dkmc_*,
+    which perfbench/test_perfbench.py needs for kcut.calls > 0."""
     return [lone(graphs[0])] if len(graphs) == 1 else batch(graphs)
 
 

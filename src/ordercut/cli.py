@@ -123,20 +123,12 @@ def _record(instance: str, g: Digraph, obj: str, label: str, rep,
     return rec
 
 
-def _csv_row(rec: dict) -> list[str]:
-    if "opt" in rec:
-        opt = str(rec["opt"])
-        if "ratio" in rec:
-            ratio = str(rec["ratio"])
-        else:
-            ratio = "exact-zero"
-    else:
-        opt = ratio = ""
+def _csv_row(rec: dict) -> list:
     stats = rec["stats"]
-    cells = [rec["instance"], rec["objective"], rec["mode"], str(rec["value"]),
-             str(rec["lower_bound"]), opt, ratio, str(stats["table_entries"]),
-             str(stats["triangles"]), str(stats["calls"]), str(rec["millis"])]
-    return cells
+    return [rec["instance"], rec["objective"], rec["mode"], rec["value"],
+            rec["lower_bound"], rec.get("opt", ""),
+            rec.get("ratio", "exact-zero" if "opt" in rec else ""),
+            stats["table_entries"], stats["triangles"], stats["calls"], rec["millis"]]
 
 
 def _emit(text: str, out: str | None) -> None:

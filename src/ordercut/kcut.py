@@ -17,8 +17,10 @@ optimal L for that split.
 A stored edge weight depends only on (T, U), never on k. cut_profile builds,
 once per graph, one matrix per part pair over all subsets of both parts from
 sums over mask bits (_PairMatrices), and hands each split's three blocks to
-min_weight_triangle. Entries are int64 while 2 * total arc weight < 2**62,
-which bounds every entry and triangle sum, and Python ints (object) beyond.
+min_weight_triangle. One order of each part's subset masks (_mask_order)
+lays out the matrices and names the members of L. Entries are int64 while
+2 * total arc weight < 2**62, which bounds every entry and triangle sum,
+and Python ints (object) beyond.
 Graphs of one vertex count share the parts and splits, so an exact search
 over several of them (_cut_profiles) stacks their matrices on a last axis
 and searches each split of all of them at once.
@@ -48,13 +50,14 @@ distinct weights logarithmic while inflating any triangle by less than a
 every pair-matrix entry once per call (np.searchsorted against the integer
 thresholds floor((1+eps/3)^e), in the matrix's memory order) and ranks
 every sum of two keys exactly, once.
-The search then runs on int64 key indices and pair-sum ranks, and only the
-r1 * r2 cells of the best completions add the keys themselves. Its bounds
-are taken in key values: keys grow with their index, so the least index
-gives the least key. The keys are compared as float64 sums, scaled as in
-_pair_ranks, against the best key sum widened by a relative 2^-48 and an
-absolute 2^-1060, which exceeds every rounding and underflow error of the
-sums: a row may be kept in vain, but never dropped.
+The search then runs the same body on int64 key indices and pair-sum
+ranks, and only the r1 * r2 cells of the best completions add the keys
+themselves. _Bounds takes the ascending key values and bounds in them:
+keys grow with their index, so the least index gives the least key. The
+keys are compared as float64 sums, scaled as in _pair_ranks, against the
+best key sum widened by a relative 2^-48 and an absolute 2^-1060, which
+exceeds every rounding and underflow error of the sums: a row may be kept
+in vain, but never dropped.
 """
 
 from __future__ import annotations
@@ -107,12 +110,6 @@ def _mask_order(size: int):
     return order, bits[order], [slice(lo, hi) for lo, hi in pairwise(starts)]
 
 
-@cache
-def _subsets(part: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The subsets of part as vertex tuples, in (size, lex) order."""
-    return [t for k in range(len(part) + 1) for t in combinations(part, k)]
-
-
 def _bound_cells(sizes, count: int) -> int:
     """Entries _Bounds holds at its peak for count ks over parts of sizes
     (s0, s1, s2), exact or keyed: per k, lb, at most as many minima added
@@ -143,9 +140,11 @@ class _PairMatrices:
     over them: mats[a, b][..., i] is graph i's matrix. A lone graph's have
     no such axis.
 
-    Each part's subsets are listed in (size, lex) order, so the size-k ones
-    of part i form the row range rows[i][k] of its matrices. Each term sums
-    over the bits of subset masks, by doubling, and is put in row order once.
+    Each part's subsets are listed in (size, lex) order (_mask_order), so
+    the size-k ones of part i form the row range rows[i][k] of its matrices,
+    and bits[i][r] holds the mask bits of row r, from which members reads L.
+    Each term sums over the bits of subset masks, by doubling, and is put in
+    row order once.
     """
 
     def __init__(self, graphs, parts, count: int = 1):
@@ -154,7 +153,7 @@ class _PairMatrices:
         # guard the bytes first, with the search's bounds for count ks
         self.nbytes = len(graphs) * _pair_bytes(parts, bound, count)
         guards.check(self.nbytes, guards.TABLE_BYTE_GUARD, "cut pair matrix bytes")
-        self.subsets = [_subsets(tuple(p)) for p in parts]
+        self.parts = parts
         n = graphs[0].n
         batch = (len(graphs),) if len(graphs) > 1 else ()
         w = np.zeros((n, 2, n) + batch, dtype=dtype)   # [u, 0, v]: u -> v, [v, 1, u]
@@ -162,10 +161,10 @@ class _PairMatrices:
             for u, v, wt in g.arc_items:
                 wg[u, 0, v] = wg[v, 1, u] = wt
         at = [np.array(p, dtype=np.intp) for p in parts]
-        self.order, bits, self.rows = zip(*(_mask_order(len(p)) for p in parts))
-        bits = [b.reshape(b.shape + (1,) * len(batch)) for b in bits]
+        order, self.bits, self.rows = zip(*(_mask_order(len(p)) for p in parts))
+        bits = [b.reshape(b.shape + (1,) * len(batch)) for b in self.bits]
         arcs = []   # [T, 0, y]: arcs T -> y, [T, 1, y]: y -> T, T in row order
-        for p, o in zip(parts, self.order):
+        for p, o in zip(parts, order):
             sums = np.zeros((1 << len(p), 2, n) + batch, dtype=dtype)
             for i, v in enumerate(p):   # doubling: the masks whose top bit is i
                 np.add(sums[:1 << i], w[v], out=sums[1 << i:2 << i])
@@ -185,7 +184,7 @@ class _PairMatrices:
                 np.subtract(m[:1 << j], cols[:, j], out=m[1 << j:2 << j])
             # [T, U], column-major: faster min over j3; but 0-1 row-major,
             # as _Bounds reduces it over U and the search takes its rows
-            m = m[self.order[b]].swapaxes(0, 1)
+            m = m[order[b]].swapaxes(0, 1)
             if b == 1:
                 m = np.ascontiguousarray(m)
             m += terms[b][a]
@@ -197,9 +196,10 @@ class _PairMatrices:
         return m[0, 1][r0, r1], m[0, 2][r0, r2], m[1, 2][r1, r2]
 
     def members(self, rows, js) -> tuple[int, ...]:
-        """L for the triangle js of the split with row ranges rows."""
-        (s0, s1, s2), (r0, r1, r2) = self.subsets, rows
-        return s0[r0.start + js[0]] + s1[r1.start + js[1]] + s2[r2.start + js[2]]
+        """L for the triangle js of the split with row ranges rows: the
+        vertices whose bits are set in the masks of its three rows."""
+        return tuple(v for part, bits, r, j in zip(self.parts, self.bits, rows, js)
+                     for v, bit in zip(part, bits[r.start + j].tolist()) if bit)
 
 
 def min_weight_triangle(blocks, keys=None):
@@ -424,16 +424,6 @@ class _Rounding:
         np.maximum.at(most, np.indices(split.shape).sum(axis=0).ravel(), split.ravel())
         return most.tolist()
 
-    def search_keys(self, rows) -> tuple:
-        """min_weight_triangle's blocks and keys for one split on the grid."""
-        index, values = self.grid
-        return self.matrices.blocks(rows, index), (values, self.ranks)
-
-    def bounds(self, ks) -> "_Bounds":
-        """The row and split bounds of the grid's keys for the splits of ks."""
-        index, values = self.grid
-        return _Bounds(index, self.matrices.rows, ks, _scaled(values.tolist()))
-
 
 @cache
 def _k_index(sizes, ks: tuple) -> tuple:
@@ -468,35 +458,35 @@ class _Bounds:
     fix each k's k3 (_k_index), and each piece of rows is summed with the
     1-2 terms of every k at once.
 
-    With keys = (scale, approx), mats hold indices into the ascending keys,
-    of which approx holds float64 copies divided by scale (_scaled), and the
-    bounds are float sums of those; limits widens a best weight to match.
+    With values, the grid's ascending keys, mats hold indices into them,
+    and the bounds are float sums of the keys divided by a power of two,
+    scale (_scaled); limits widens a best weight to match.
     """
 
-    def __init__(self, mats, rows, ks, keys=None):
-        self.scale = None if keys is None else keys[0]
+    def __init__(self, mats, rows, ks, values=None):
+        self.scale, approx = (None, None) if values is None else _scaled(values.tolist())
         at = [[r.start for r in part] for part in rows]
         c02, c12 = (np.minimum.reduceat(mats[p], at[2], axis=1)
                     for p in ((0, 2), (1, 2)))   # the least entry per k3
         m01 = mats[0, 1]
-        if keys is not None:   # the least index holds the least key
-            c02, c12 = keys[1][c02], keys[1][c12]
+        if approx is not None:   # the least index holds the least key
+            c02, c12 = approx[c02], approx[c12]
         k1s, pick12, pick02 = _k_index(tuple(len(a) - 1 for a in at), tuple(ks))
         g12 = c12.reshape((-1,) + c12.shape[2:])[pick12]   # [i, k1, j2]: c12[j2, k3]
         lb = c02.reshape((-1,) + c02.shape[2:])[pick02]    # [i, j1, k2]: c02[j1, k3]
         count = len(pick12)
         step = max(1, _BOUND_CELLS // (count * m01[0].size))   # rows of m01 at a time
-        # those rows' terms for every k, and for keys the rows' own keys
-        temp = np.empty((count + (keys is not None)) * min(step, len(m01)) * m01[0].size,
+        # those rows' terms for every k, and with values the rows' own keys
+        temp = np.empty((count + (approx is not None)) * min(step, len(m01)) * m01[0].size,
                         dtype=c12.dtype)
         for lo in range(0, len(m01), step):
             rows01 = m01[lo:lo + step]
             size = count * rows01.size
             sums = g12.take(k1s[lo:lo + step], axis=1, mode="clip",
                             out=temp[:size].reshape((count,) + rows01.shape))
-            if keys is not None:
-                rows01 = keys[1].take(rows01, mode="clip",
-                                      out=temp[size:size + rows01.size].reshape(rows01.shape))
+            if approx is not None:
+                rows01 = approx.take(rows01, mode="clip",
+                                     out=temp[size:size + rows01.size].reshape(rows01.shape))
             sums += rows01
             lb[:, lo:lo + step] += np.minimum.reduceat(sums, at[1], axis=2)
         self.lb = lb.reshape(lb.shape[:3] + (-1,))
@@ -567,9 +557,10 @@ def _search(graphs, parts, ks, eps) -> tuple[list[dict[int, CutSolution]], int]:
     """The cut search of one batch, pruned by _Bounds: each split of each k
     in ascending bound until one exceeds every member's best weight, and in
     a split only the rows that may still win. The ks searched unrounded and
-    those on the rounding grid are each bounded in one pass, one group at a
-    time. Returns the profiles, keyed in ks order, and the cells examined,
-    the same for every member. A lone graph's splits go through
+    those on the rounding grid are each bounded and searched by one body,
+    over the pair matrices or over the grid's key indices and values, one
+    group at a time. Returns the profiles, keyed in ks order, and the cells
+    examined, the same for every member. A lone graph's splits go through
     min_weight_triangle, which a traced run records as a span; a batch's
     (never rounded) through _triangles."""
     matrices = _PairMatrices(graphs, parts, len(ks))
@@ -582,8 +573,9 @@ def _search(graphs, parts, ks, eps) -> tuple[list[dict[int, CutSolution]], int]:
         group = [k for k, on in zip(ks, on_grid) if on == grid]
         if not group:
             continue
-        bounds = (rounding.bounds(group) if grid
-                  else _Bounds(matrices.mats, matrices.rows, group))
+        mats, values = rounding.grid if grid else (matrices.mats, None)
+        bounds = _Bounds(mats, matrices.rows, group, values)
+        keys = None if values is None else (values, rounding.ranks)
         for k, lb, sb in zip(group, bounds.lb, bounds.sb):
             splits = list(_splits(parts, k))
             split_bounds = sb[tuple(zip(*splits))[:2]].tolist()   # [split][member]
@@ -598,9 +590,7 @@ def _search(graphs, parts, ks, eps) -> tuple[list[dict[int, CutSolution]], int]:
                     keep = np.flatnonzero((lb[rows[0], splits[s][1]] <= limits).any(axis=1))
                     if not keep.size:
                         continue
-                blocks, keys = (rounding.search_keys(rows) if grid
-                                else (matrices.blocks(rows), None))
-                e01, e02, e12 = blocks
+                e01, e02, e12 = matrices.blocks(rows, mats)
                 blocks = e01[keep], e02[keep], e12
                 cells += keep.size * e12.shape[0] * e12.shape[1]
                 triangles = ([min_weight_triangle(blocks, keys)] if lone

@@ -13,7 +13,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from ordercut import (EVALUATORS, Digraph, Ordering, backward_weight, cut_at,
                       cut_into, cutwidth_balanced_approx, cutwidth_exact,
@@ -214,20 +214,20 @@ def test_structural_invariants_and_cli_determinism(tmp_path):
         parts = tripartition(n)
         matrices = kcut._PairMatrices([g], parts)
         for k in range(n + 1):
+            seen = []   # L of every triangle of every split of k
             for k1 in range(min(k, len(parts[0])) + 1):
                 for k2 in range(min(k - k1, len(parts[1])) + 1):
                     k3 = k - k1 - k2
                     if not 0 <= k3 <= len(parts[2]):
                         continue
                     rows = [r[size] for r, size in zip(matrices.rows, (k1, k2, k3))]
-                    nodes = [s[r] for s, r in zip(matrices.subsets, rows)]
                     e01, e02, e12 = matrices.blocks(rows)
-                    for j1, t in enumerate(nodes[0]):
-                        for j2, u in enumerate(nodes[1]):
-                            for j3, w_ in enumerate(nodes[2]):
-                                stored = (e01[j1, j2] + e02[j1, j3]
-                                          + e12[j2, j3])
-                                assert stored == 2 * cut_into(g, t + u + w_)
+                    for js in product(*map(range, e01.shape), range(e12.shape[1])):
+                        j1, j2, j3 = js
+                        seen.append(matrices.members(rows, js))
+                        stored = e01[j1, j2] + e02[j1, j3] + e12[j2, j3]
+                        assert stored == 2 * cut_into(g, seen[-1])
+            assert sorted(seen) == list(combinations(range(n), k))
 
     for seed in (21, 22):
         g = gen_random(8, 0.5, weight_range=(1, 5), seed=seed)

@@ -457,6 +457,23 @@ def test_usage_errors_exit_2(capsys, cycle_file):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "--n", "0", "--p", "0.5"], "error: --n must be positive"),
+    (["gen", "--n", "3", "--p", "0.5", "--wmin", "3", "--wmax", "1"],
+     "error: need 0 <= --wmin <= --wmax"),
+    (["solve", "{cycle}", "--obj", "fas", "--mode", "2approx", "--eps", "abc"],
+     "error: --eps must be a rational number"),
+    (["bench", "{tmp}/missing", "--obj", "fas"],
+     "error: corpus path '{tmp}/missing' is neither a file nor a directory"),
+    (["gen", "--n", "3", "--p", "0.5", "--out", "{tmp}/missing/g.g"], "io error: "),
+])
+def test_input_checks_exit_2(capsys, cycle_file, tmp_path, argv, message):
+    def fill(text):
+        return text.format(cycle=cycle_file, tmp=tmp_path)
+    code, out, err = run(capsys, *map(fill, argv))
+    assert code == 2 and out == "" and err.startswith(fill(message))
+
+
 # Every --obj x --mode x subset of {--eps 1/2, --alpha 1/3, --weighted}:
 # the accepted combinations and their mode labels; all others exit 2.
 ACCEPTED = {

@@ -28,9 +28,16 @@ def split_rows(matrices, sizes):
     return [r[size] for r, size in zip(matrices.rows, sizes)]
 
 
+def part_subsets(matrices):
+    """Each part's subsets as vertex tuples, in the row order of its
+    matrices: the vertices whose mask bits are set."""
+    return [[tuple(v for v, bit in zip(part, row) if bit) for row in bits.tolist()]
+            for part, bits in zip(matrices.parts, matrices.bits)]
+
+
 def split_nodes(matrices, rows):
     """The subsets of each part at rows: the split's auxiliary nodes."""
-    return [s[r] for s, r in zip(matrices.subsets, rows)]
+    return [s[r] for s, r in zip(part_subsets(matrices), rows)]
 
 
 def test_tripartition_sizes():
@@ -453,7 +460,7 @@ def assert_pair_matrices_match_reference(g):
     parts = tripartition(g.n)
     got = kcut._PairMatrices([g], parts)
     dtype, subsets, rows, nbytes, mats = reference_pair_matrices(g, parts)
-    assert (got.subsets, list(got.rows), got.nbytes) == (subsets, rows, nbytes)
+    assert (part_subsets(got), list(got.rows), got.nbytes) == (subsets, rows, nbytes)
     assert list(got.mats) == list(mats)
     for pair, m in mats.items():
         assert got.mats[pair].dtype == m.dtype == dtype
@@ -704,9 +711,10 @@ def unpruned_search(graphs, parts, ks, eps):
         assert rounding is None or rounding.k_max[k] == smax
         grid = rounding is not None and rounding.on_grid(smax)
         best = [(inf,)] * len(graphs)
+        mats, values = rounding.grid if grid else (matrices.mats, None)
+        keys = None if values is None else (values, rounding.ranks)
         for rows in cells:
-            blocks, keys = (rounding.search_keys(rows) if grid
-                            else (matrices.blocks(rows), None))
+            blocks = matrices.blocks(rows, mats)
             found = ([min_weight_triangle(blocks, keys)] if lone
                      else kcut._triangles(blocks))
             for i, (js, weight) in enumerate(found):
@@ -747,7 +755,8 @@ def test_bounds_match_their_definition(monkeypatch, cells):
     rounding = kcut._Rounding(matrices, Fraction(1, 2))
     index, keys = rounding.grid
     ks = range(11)
-    every = kcut._Bounds(matrices.mats, matrices.rows, ks), rounding.bounds(ks)
+    every = (kcut._Bounds(matrices.mats, matrices.rows, ks),
+             kcut._Bounds(index, matrices.rows, ks, keys))
     exact, keyed = every
     assert [b.lb.dtype for b in every] == [np.int64, np.float64]
     for k in ks:
@@ -763,7 +772,7 @@ def test_bounds_match_their_definition(monkeypatch, cells):
             assert keyed.sb[k, sizes[0], sizes[1], 0] == min(got)
         for some in ([k], [k, 10 - k]):
             alone = (kcut._Bounds(matrices.mats, matrices.rows, some),
-                     rounding.bounds(some))
+                     kcut._Bounds(index, matrices.rows, some, keys))
             for all_ks, bounds in zip(every, alone):
                 assert bounds.lb.dtype == all_ks.lb.dtype
                 assert bounds.lb.tolist() == all_ks.lb[some].tolist()
@@ -824,7 +833,8 @@ def test_pruned_search_matches_unpruned_on_scaled_keys():
     g = gen_random(9, 0.4, weight_range=(1, 20), seed=3)
     rounding = kcut._Rounding(kcut._PairMatrices([g], tripartition(9)), eps)
     assert rounding.on_grid(max(int(m.max()) for m in rounding.matrices.mats.values()))
-    assert rounding.bounds(range(10)).scale > 2 ** 1000
+    index, values = rounding.grid
+    assert kcut._Bounds(index, rounding.matrices.rows, range(10), values).scale > 2 ** 1000
     assert_pruned_matches_unpruned(g, eps)
 
 

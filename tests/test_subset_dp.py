@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordercut import (Digraph, SizeGuardError, backward_weight, cutwidth_exact,
-                      cutwidth_of, dpw_exact, dpw_of, dpw_prefix_table,
-                      fas_exact, fas_table, gen_random, induced, ola_exact,
-                      ola_of)
+from ordercut import (Digraph, SizeGuardError, backward_weight, cut_into,
+                      cutwidth_exact, cutwidth_of, dkmc_exact, dpw_exact,
+                      dpw_of, dpw_prefix_table, fas_exact, fas_table,
+                      gen_random, guards, induced, ola_exact, ola_of)
 
 CYCLE3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -173,10 +173,21 @@ def test_exact_guard_rejects_large_universe(monkeypatch):
         fas_table(Digraph(33, [(0, 1)]), 2)  # hard cap, not overridable
 
 
-def test_guard_override_env(monkeypatch):
+def test_guard_override_env(monkeypatch, capsys):
+    # one k of 27 vertices exceeds only the soft "dkmc vertex count" guard
+    # (26): refused without the override, run with it, and the override's
+    # warning reaches stderr once over two calls
+    g = gen_random(27, 0.3, seed=1)
+    monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
+    with pytest.raises(SizeGuardError, match="dkmc vertex count"):
+        dkmc_exact(g, 13)
     monkeypatch.setenv("ORDERCUT_GUARD_OVERRIDE", "1")
-    g = Digraph(27, [(0, 1)])
-    # table over 2^27 entries would exceed the entry guard too; pick a
-    # capped table so the override only lifts the vertex-count guard
-    tbl = fas_table(g, 1)
-    assert tbl.value_of((0,)) == 0
+    monkeypatch.setattr(guards, "_warned", False)
+    capsys.readouterr()
+    sol = dkmc_exact(g, 13)
+    assert dkmc_exact(g, 13) == sol
+    assert len(sol.vertices) == 13 and cut_into(g, sol.vertices) == sol.value
+    err = capsys.readouterr().err
+    assert err.count("warning: ORDERCUT_GUARD_OVERRIDE=1 lifts") == 1
+    with pytest.raises(SizeGuardError):
+        guards.check_universe(33)   # the hard cap stays
