@@ -13,13 +13,18 @@ of vertices in S with an in-neighbor outside S, both with respect to the whole
 graph. The fas table is self-contained per subset, so fas_table(g, c) yields
 the optimal feedback arc weight of every induced subgraph G[S] with |S| <= c.
 
-Tables are flat arrays of values and last vertices (int8, -1 for the empty
-set), indexed by mask when full and, when capped, by position in layers of
-ascending masks, built from one another without enumerating 2^n; capped
-tables are built for fas and dpw only. A layer is filled a block of masks at
-a time: f(S-v) for every v at once (a sentinel above every candidate for v
-not in S), plus the fas term, then the first minimum along v, so ties keep
-the smallest vertex index, then the crossing or boundary term of S.
+Tables are flat arrays of values only, indexed by mask when full and, when
+capped, by position in layers of ascending masks, built from one another
+without enumerating 2^n; capped tables are built for fas and dpw only. A
+layer is filled a block of masks at a time: f(S-v) for every v at once (a
+sentinel above every candidate for v not in S), plus the fas term, then the
+minimum along v, then the crossing or boundary term of S.
+
+No last vertex is stored. Every f(S-v) is final before S is filled and the
+candidates of v not in S never win, so the last vertex of S is derived from
+the finished values when asked for: the first v in S, ascending, minimising
+f(S-v) (plus the fas term), the candidate the fill's minimum took, so ties
+keep the smallest vertex index.
 
 A full ola/cutwidth/dpw table holds the term of every mask in its value array
 before any entry is filled, as sentinel + term, built in contiguous passes:
@@ -59,14 +64,14 @@ _CHUNK_ARRAYS = 8         # at most this many mask-by-vertex arrays live per ste
 
 @dataclass(frozen=True, eq=False)
 class SubsetTable:
-    """Filled DP table: the arrays vals (values) and last (last vertices),
-    laid out as in the module doc; value_of and order_of read them by
-    bitmask or vertex subset."""
+    """Filled DP table: the value array vals, laid out as in the module doc,
+    and for fas the weight matrix w (w[u, v] the weight of arc u -> v);
+    value_of, last_of and order_of read them by bitmask or vertex subset."""
 
     n: int
     size_cap: int
     vals: np.ndarray
-    last: np.ndarray
+    w: np.ndarray | None                    # fas tables only
     layers: tuple[np.ndarray, ...] | None   # capped tables only
     entries: int
 
@@ -86,15 +91,53 @@ class SubsetTable:
         """The value of a bitmask or vertex subset."""
         return int(self.vals[self._position(_mask(subset))])
 
-    def order_of(self, subset) -> tuple[int, ...]:
-        """Vertices of the subset in table-optimal placement order."""
+    def last_of(self, subset) -> int:
+        """The last vertex of a table-optimal placement of a nonempty subset
+        S: the first v in S, ascending, minimising f(S-v), plus for fas the
+        weight of arcs from v into S-v."""
         mask = _mask(subset)
+        if not mask:
+            raise ValueError("the empty set has no last vertex")
+        self._position(mask)
+        return self._last(mask, self._into(mask))
+
+    def order_of(self, subset) -> tuple[int, ...]:
+        """Vertices of the subset in table-optimal placement order: its
+        last_of, preceded by the order of the rest."""
+        mask = _mask(subset)
+        self._position(mask)
+        into = self._into(mask)
+        cols = None if self.w is None else self.w.T.tolist()
         rev = []
         while mask:
-            v = int(self.last[self._position(mask)])
+            v = self._last(mask, into)
             rev.append(v)
             mask ^= 1 << v
+            if cols is not None:
+                into = [a - b for a, b in zip(into, cols[v])]
         return tuple(reversed(rev))
+
+    def _into(self, mask: int) -> list[int] | None:
+        """For fas, the weight of arcs from each vertex into the mask."""
+        if self.w is None:
+            return None
+        return self.w[:, [v for v in range(self.n) if mask >> v & 1]].sum(
+            axis=1).tolist()
+
+    def _last(self, mask: int, into: list[int] | None) -> int:
+        """last_of a nonempty mask in the table, given _into(mask)."""
+        full = self.layers is None
+        item = self.vals.item
+        best = last = None
+        for v in range(self.n):
+            if mask >> v & 1:
+                prev = mask ^ 1 << v
+                cand = item(prev if full else self._position(prev))
+                if into is not None:
+                    cand += into[v]
+                if last is None or cand < best:
+                    best, last = cand, v
+        return last
 
     def layer(self, size: int) -> tuple[np.ndarray, np.ndarray]:
         """A capped table's size-`size` masks, ascending, and their values."""
@@ -104,8 +147,16 @@ class SubsetTable:
 
 
 def _mask(subset) -> int:
-    """A bitmask as it is, or the mask of a vertex subset."""
-    return subset if isinstance(subset, int) else sum(1 << v for v in subset)
+    """A bitmask as it is, or the mask of a vertex subset; ValueError for a
+    subset that names a vertex twice."""
+    if isinstance(subset, int):
+        return subset
+    mask = 0
+    for v in subset:
+        if mask >> v & 1:
+            raise ValueError(f"vertex {v} named twice in a subset")
+        mask |= 1 << v
+    return mask
 
 
 @cache
@@ -134,13 +185,16 @@ def _value_dtype(bound: int):
 def _table_bytes(n: int, cap: int, bound: int) -> tuple[int, int]:
     """The bytes a table and its build allocate: those each table of a batch
     adds, and the layer masks the batch shares. A full table's terms are
-    built in its value array, so they add nothing."""
+    built in its value array, so they add nothing. A block's arrays hold a
+    fresh Python int per entry when values are objects. fas's row sums are
+    not counted: at most 2^13 * n entries, fewer than a full table's block
+    holds."""
     entries = _layer_start(n, cap + 1)
     widest = math.comb(n, min(cap, n // 2))
     value = guards.entry_bytes(_value_dtype(bound), bound)
     masks = 8 * (entries if cap < n else 2 * widest)   # kept or live layers
-    block = 8 * _CHUNK_ARRAYS * min(widest, _CHUNK_ROWS) * n
-    return entries * (value + 1) + block, masks
+    block = max(8, value) * _CHUNK_ARRAYS * min(widest, _CHUNK_ROWS) * n
+    return entries * value + block, masks
 
 
 def _check_size(n: int, cap: int, bound: int) -> int:
@@ -277,8 +331,7 @@ def _fill(graphs, cap: int, objective: str, bound: int) -> list[SubsetTable]:
             else:
                 _crossing_terms(wg, vg)
         vals += big
-    last = np.empty(vals.shape, dtype=np.int8)
-    vals[0], last[0] = 0, -1
+    vals[0] = 0
     # one buffer per block-wide array, reused: a fresh one each block costs
     # page faults on a par with the work
     width = min(math.comb(n, min(cap, n // 2)), _CHUNK_ROWS)   # widest block
@@ -292,7 +345,6 @@ def _fill(graphs, cap: int, objective: str, bound: int) -> list[SubsetTable]:
         closed = closed.reshape((n, 1) + batch)
     bit = (1 << np.arange(n))[:, None]
     notbit = ~bit
-    rank = np.arange(n, 0, -1, dtype=np.int8).reshape((n, 1) + (1,) * len(batch))
     by_mask = (slice(None),) + (None,) * len(batch)   # masks against a batch
     layers = [np.zeros(1, dtype=np.int64)]
     start = 0
@@ -319,7 +371,6 @@ def _fill(graphs, cap: int, objective: str, bound: int) -> list[SubsetTable]:
                     sums += table.take(masks >> first & width, axis=0)
                 cand += sums.swapaxes(0, 1)
             best = cand.min(axis=0)
-            pick = n - ((cand == best) * rank).max(axis=0)   # the first minimum
             if objective != "fas":
                 if full:
                     extra = vals[masks] - big
@@ -329,10 +380,10 @@ def _fill(graphs, cap: int, objective: str, bound: int) -> list[SubsetTable]:
                         else np.maximum(extra, best))
             at = masks if full else slice(start + lo, start + lo + cols)
             vals[at] = best
-            last[at] = pick
         layers = [layer] if full else layers + [layer]
-    return [SubsetTable(n, cap, vg, lg, None if full else tuple(layers), entries)
-            for vg, lg in zip(each(vals), each(last))]
+    weights = each(w) if objective == "fas" else [None] * len(graphs)
+    return [SubsetTable(n, cap, vg, wg, None if full else tuple(layers), entries)
+            for vg, wg in zip(each(vals), weights)]
 
 
 def _prefix_table(g: Digraph, cap: int, objective: str) -> SubsetTable:

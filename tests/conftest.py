@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -66,6 +67,57 @@ def mixed(n: int, seed: int = 0) -> list[Digraph]:
               + [with_total(n, 2 ** 61 + d, seed + d) for d in (-1, 0, 1)])
     random.Random(seed).shuffle(graphs)
     return graphs
+
+
+def seed_table(g, cap, objective):
+    """mask -> (value, last vertex) by the original dict DP."""
+    n = g.n
+    full = (1 << n) - 1
+    out_pairs = [[] for _ in range(n)]
+    in_mask = [0] * n
+    for u, v, w in g.arc_items:
+        out_pairs[u].append((v, w))
+        in_mask[v] |= 1 << u
+    masks = [sum(1 << v for v in c)
+             for s in range(1, cap + 1) for c in combinations(range(n), s)]
+
+    def weight(pairs, inside):
+        return sum(w for x, w in pairs if inside >> x & 1)
+
+    table = {0: (0, -1)}
+    for mask in masks:
+        best = bestv = -1
+        for v in range(n):
+            if not mask >> v & 1:
+                continue
+            prev = mask ^ 1 << v
+            cand = table[prev][0]
+            if objective == "fas":
+                cand += weight(out_pairs[v], prev)
+            if best < 0 or cand < best:
+                best, bestv = cand, v
+        members = [v for v in range(n) if mask >> v & 1]
+        if objective == "dpw":
+            term = sum(1 for v in members if in_mask[v] & (full & ~mask))
+        elif objective != "fas":
+            term = sum(weight(g.in_pairs[v], full & ~mask) for v in members)
+        if objective == "ola":
+            best += term
+        elif objective != "fas":
+            best = max(best, term)
+        table[mask] = (best, bestv)
+    return table
+
+
+def assert_last_vertices(table, ref):
+    """Every mask of the table has the last vertex of ref, seed_table's dict
+    for it; the empty set has none."""
+    for mask, (_, last) in ref.items():
+        if mask:
+            assert table.last_of(mask) == last
+        else:
+            with pytest.raises(ValueError):
+                table.last_of(mask)
 
 
 class KernelCells:

@@ -15,22 +15,24 @@ from ordercut import (Counters, SizeGuardError, cut_profile,
 from ordercut import balanced
 from ordercut.cli import main
 
-from conftest import mixed
+from conftest import assert_last_vertices, mixed, seed_table
 
 OBJECTIVES = ("fas", "ola", "cutwidth", "dpw")
 EXACT = {"fas": fas_exact, "ola": ola_exact, "cutwidth": cutwidth_exact,
          "dpw": dpw_exact}
 
 
-def assert_tables_equal(got, want):
+def assert_tables_equal(got, want, g, objective):
+    """got, g's table from a batch, is want, g's table alone, and each of its
+    masks has the last vertex the seed dict DP gives it."""
     assert (got.n, got.size_cap, got.entries) == (want.n, want.size_cap, want.entries)
     assert got.vals.dtype == want.vals.dtype
     assert got.vals.tolist() == want.vals.tolist()
-    assert got.last.tolist() == want.last.tolist()
     if want.layers is None:
         assert got.layers is None
     else:
         assert [m.tolist() for m in got.layers] == [m.tolist() for m in want.layers]
+    assert_last_vertices(got, seed_table(g, got.size_cap, objective))
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -41,7 +43,8 @@ def test_stacked_tables_match_single_tables(objective, n):
     for cap in caps:
         tables = subset_dp._prefix_tables(graphs, cap, objective)
         for g, table in zip(graphs, tables):
-            assert_tables_equal(table, subset_dp._prefix_table(g, cap, objective))
+            assert_tables_equal(table, subset_dp._prefix_table(g, cap, objective),
+                                g, objective)
 
 
 def spy(monkeypatch, module, name) -> list:
@@ -65,7 +68,7 @@ def test_batches_keep_blocks_within_chunk_rows(monkeypatch):
     assert sizes == [4, 4, 1]
     sizes.clear()
     for g, table in zip(graphs, tables):
-        assert_tables_equal(table, subset_dp._prefix_table(g, 12, "fas"))
+        assert_tables_equal(table, subset_dp._prefix_table(g, 12, "fas"), g, "fas")
 
 
 @pytest.mark.parametrize("eps", [None, Fraction(1, 2), 1])
@@ -151,8 +154,9 @@ def test_batch_over_the_byte_guard_is_split(monkeypatch):
                        spy(monkeypatch, kcut, "_search"))
     # one table fits, two do not
     monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", shared + each + each // 2)
-    for got, want in zip(subset_dp._prefix_tables(graphs, 8, "ola"), tables):
-        assert_tables_equal(got, want)
+    for g, got, want in zip(graphs, subset_dp._prefix_tables(graphs, 8, "ola"),
+                            tables):
+        assert_tables_equal(got, want, g, "ola")
     assert fills == [1] * 6
     # three graphs' pair matrices fit, four do not
     monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", 3 * pair + pair // 2)
@@ -181,7 +185,7 @@ def test_member_over_the_byte_guard_is_refused_as_alone(monkeypatch, tmp_path,
     monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
     monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", 1 << 20)
     g = gen_random(18, 0.3, seed=37)
-    message = f"subset table bytes: 5238624 exceeds the desk-scale guard {1 << 20}"
+    message = f"subset table bytes: 5107552 exceeds the desk-scale guard {1 << 20}"
     with pytest.raises(SizeGuardError) as err:
         fas_scheme(g, Fraction(1, 2))
     assert str(err.value).startswith(message)

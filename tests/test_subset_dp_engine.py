@@ -1,10 +1,11 @@
 """The array-backed subset DP engine against references.
 
-seed_table is the dict-based DP the engine replaced, kept here only as the
-reference for every entry's value and last vertex (including the
+seed_table (conftest) is the dict-based DP the engine replaced, kept only as
+the reference for every entry's value and last vertex (including the
 smallest-vertex tie-break).
 """
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -17,48 +18,10 @@ from ordercut import (Digraph, SizeGuardError, dpw_2approx, dpw_prefix_table,
 from ordercut import subset_dp
 from ordercut.subset_dp import _prefix_table
 
+from conftest import assert_last_vertices, seed_table
+
 OBJECTIVES = ("fas", "ola", "cutwidth", "dpw")
 CAPPED = ("fas", "dpw")      # the objectives with capped tables
-
-
-def seed_table(g, cap, objective):
-    """mask -> (value, last vertex) by the original dict DP."""
-    n = g.n
-    full = (1 << n) - 1
-    out_pairs = [[] for _ in range(n)]
-    in_mask = [0] * n
-    for u, v, w in g.arc_items:
-        out_pairs[u].append((v, w))
-        in_mask[v] |= 1 << u
-    masks = [sum(1 << v for v in c)
-             for s in range(1, cap + 1) for c in combinations(range(n), s)]
-
-    def weight(pairs, inside):
-        return sum(w for x, w in pairs if inside >> x & 1)
-
-    table = {0: (0, -1)}
-    for mask in masks:
-        best = bestv = -1
-        for v in range(n):
-            if not mask >> v & 1:
-                continue
-            prev = mask ^ 1 << v
-            cand = table[prev][0]
-            if objective == "fas":
-                cand += weight(out_pairs[v], prev)
-            if best < 0 or cand < best:
-                best, bestv = cand, v
-        members = [v for v in range(n) if mask >> v & 1]
-        if objective == "dpw":
-            term = sum(1 for v in members if in_mask[v] & (full & ~mask))
-        elif objective != "fas":
-            term = sum(weight(g.in_pairs[v], full & ~mask) for v in members)
-        if objective == "ola":
-            best += term
-        elif objective != "fas":
-            best = max(best, term)
-        table[mask] = (best, bestv)
-    return table
 
 
 @st.composite
@@ -79,13 +42,13 @@ def assert_matches_seed(g, cap, objective):
              dpw_prefix_table(g, cap) if objective == "dpw" else
              _prefix_table(g, cap, objective))
     ref = seed_table(g, cap, objective)
-    assert len(table.vals) == len(table.last) == table.entries == len(ref)
+    assert len(table.vals) == table.entries == len(ref)
     # every reference mask has its own position
     assert sorted(table._position(mask) for mask in ref) == list(range(len(ref)))
-    for mask, (value, last) in ref.items():
+    for mask, (value, _) in ref.items():
         got = table.value_of(mask)
         assert type(got) is int and got == value
-        assert table.last[table._position(mask)] == last
+    assert_last_vertices(table, ref)
 
 
 @settings(max_examples=60, deadline=None)
@@ -242,12 +205,14 @@ def test_dpw_2approx_prefix_is_first_minimum(n, seed):
 def test_out_of_table_masks_raise():
     g = Digraph(5, [(0, 1), (1, 2), (2, 0)])
     full, capped = fas_table(g), fas_table(g, 2)
+    # a subset naming a vertex twice is no subset: (2, 2) once read as {3}
+    repeat = fas_table(gen_random(6, 0.5, seed=3))
     for table, missing in ((full, 32), (full, -1), (capped, 7), (capped, 64),
-                           (capped, (0, 1, 2))):
-        with pytest.raises(ValueError):
-            table.value_of(missing)
-        with pytest.raises(ValueError):
-            table.order_of(missing)
+                           (capped, (0, 1, 2)), (repeat, (2, 2)),
+                           (capped, (1, 1))):
+        for read in (table.value_of, table.last_of, table.order_of):
+            with pytest.raises(ValueError):
+                read(missing)
     assert capped.order_of((0, 2)) == (2, 0) and capped.order_of(0) == ()
     assert full.value_of(7) == 1 and capped.value_of(0) == 0
 
@@ -266,6 +231,24 @@ def test_byte_guard(monkeypatch):
     with pytest.raises(SizeGuardError):
         fas_table(Digraph(28, [(0, 1)]))
     assert fas_table(Digraph(32, [(0, 1)]), 2).entries == 1 + 32 + 496
+
+
+@pytest.mark.parametrize("objective,n,cap,top", [
+    ("fas", 12, 12, 1), ("fas", 16, 16, 1), ("fas", 16, 16, 10 ** 6),
+    ("fas", 12, 12, 10 ** 18), ("ola", 12, 12, 1), ("ola", 16, 16, 10 ** 6),
+    ("ola", 14, 14, 10 ** 18), ("dpw", 14, 7, 1), ("dpw", 16, 8, 1)])
+def test_table_bytes_bound_the_traced_peak(objective, n, cap, top):
+    # int16, int32 and Python-int values: the byte model the guard reads is
+    # at least the memory a build allocates at its peak
+    g = gen_random(n, 0.3, weight_range=(1, top), seed=1)
+    model = sum(subset_dp._table_bytes(n, cap, subset_dp._bound(g, objective)))
+    tracemalloc.start()
+    try:
+        _prefix_table(g, cap, objective)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= model
 
 
 # dpw_2approx keeps the first optimal prefix in combinations order (tuple
