@@ -182,13 +182,21 @@ def _suite_task(task: tuple) -> tuple[int, dict | str]:
         return 4, f"error: {task[0]}: size guard: {exc}"
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity where the platform
+    reports one (taskset, cgroup cpusets), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_suite(tasks: list[tuple], jobs: int) -> tuple[list[dict], int]:
     """Records sorted by (instance, mode), and 4 if any instance hit a size
     guard, else 3 if any failed to parse, else 0. Failures go to stderr in
     task order, so neither output depends on --jobs."""
     if jobs < 1:
         raise UsageError("--jobs must be at least 1")
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(tasks), _cpus())
     if workers <= 1:
         results = [_suite_task(t) for t in tasks]
     else:

@@ -21,7 +21,7 @@ import numpy as np
 
 SUBSET_HARD_CAP = 32          # bitmask universe; never lifted
 EXACT_DP_GUARD = 26           # full exact DPs and kcut enumerations
-TABLE_BYTE_GUARD = 1 << 30    # subset table, cut pair and rank tables; n=26 table ~0.66 GiB
+TABLE_BYTE_GUARD = 1 << 30    # subset table, cut pair and rank tables; n=26 int64 table ~0.52 GiB
 SCHEME_BUDGET = 48            # fas_scheme: level * n
 ORACLE_GUARD = 9              # perm_opt: n! enumeration
 DKMC_ORACLE_GUARD = 1 << 20   # dkmc_oracle: C(n, k) subsets

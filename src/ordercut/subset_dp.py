@@ -15,33 +15,44 @@ the optimal feedback arc weight of every induced subgraph G[S] with |S| <= c.
 
 Tables are flat arrays of values only, indexed by mask when full and, when
 capped, by position in layers of ascending masks, built from one another
-without enumerating 2^n; capped tables are built for fas and dpw only. A
-layer is filled a block of masks at a time: f(S-v) for every v at once (a
-sentinel above every candidate for v not in S), plus the fas term, then the
-minimum along v, then the crossing or boundary term of S.
+without enumerating 2^n; capped tables are built for fas and dpw only.
 
-No last vertex is stored. Every f(S-v) is final before S is filled and the
-candidates of v not in S never win, so the last vertex of S is derived from
-the finished values when asked for: the first v in S, ascending, minimising
-f(S-v) (plus the fas term), the candidate the fill's minimum took, so ties
-keep the smallest vertex index.
+One loop fills every table, a chunk of rows at a time. A row holds the
+masks S = H * 2^b + L of one high mask H, L over the low b bits: b =
+min(n, _LOW_BITS) in a full table, whose rows are contiguous, and b = 0 in a
+capped one, whose rows are its masks. Rows are filled by the size of H, and
+only the members of S are read:
+- a high member v: f(S-v) for every L at once is the whole row H-v (a capped
+  table finds it in the previous layer by searchsorted);
+- a low member u: one cached pattern per b lists L-u, a size of L at a time,
+  laid out so the minimum runs over the members. The chunk is transposed,
+  low masks by rows, so these gathers read whole runs of rows too.
+fas adds w(v -> S-v) = w(v -> H-v) + w(v -> L) to a high member's candidate,
+both parts from sums of rows of the weights. While the low members are
+taken, the chunk holds f(S) - w(L -> H), so a low member u adds only
+w(u -> L-u), which a table per graph lists in the pattern's order.
+
+No last vertex is stored. Every f(S-v) is final before S is filled, so the
+last vertex of S is derived from the finished values when asked for: the
+first v in S, ascending, minimising f(S-v) (plus the fas term). That is the
+minimum the fill took, with ties kept at the smallest vertex index.
 
 A full ola/cutwidth/dpw table holds the term of every mask in its value array
-before any entry is filled, as sentinel + term, built in contiguous passes:
-crossing by doubling on the top bit of S, boundary as the subset sums of +1
-at each {v} and -1 at each {v} plus its in-neighbors. A capped dpw table
-counts boundary(S) per block instead.
+before its entry is filled, built in contiguous passes: crossing by doubling
+on the top bit of S, boundary as the subset sums of +1 at each {v} and -1 at
+each {v} plus its in-neighbors. A capped dpw table counts boundary(S) per
+chunk instead.
 
 Values are the narrowest of int16/int32/int64 holding 3 * bound + 1, where
-bound is the largest possible entry: the sentinel 2 * bound + 1 plus a fas
-cost. Once twice the bound reaches 2**62 they are Python ints (object).
+bound is the largest possible entry; every candidate lies from -bound to
+2 * bound. Once twice the bound reaches 2**62 they are Python ints (object).
 
-The tables of graphs with one vertex count share their layers and block
-positions, so _prefix_tables fills those whose values share a dtype in one
-block loop, their arrays stacked on a last axis over the graphs, each table
-a strided view of them. A batch keeps within the byte guard and its blocks
-within _CHUNK_ROWS masks, and is split where it would not; a lone graph's
-arrays have no such axis.
+The tables of graphs with one vertex count share their rows and chunks, so
+_prefix_tables fills those whose values share a dtype in one loop, their
+arrays stacked on a last axis over the graphs, each table a strided view of
+them. A batch keeps within the byte guard and its chunks within one table's
+chunk size, and is split where it would not; a lone graph's arrays have no
+such axis.
 """
 
 from __future__ import annotations
@@ -58,8 +69,10 @@ from . import guards
 from .graph import Digraph
 from .report import Counters, SolveReport, finish
 
-_CHUNK_ROWS = 1 << 12     # masks per vectorized step
-_CHUNK_ARRAYS = 8         # at most this many mask-by-vertex arrays live per step
+_LOW_BITS = 12            # B: a full table's row holds 2^min(n, B) masks
+_CHUNK_MASKS = 1 << 16    # masks per chunk of a full table's rows
+_CHUNK_ROWS = 1 << 12     # masks per chunk of a capped table, one a row
+_SMALL_BYTES = 1 << 15    # a build's small arrays and numpy's buffers
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,45 +177,87 @@ def _layer_start(n: int, size: int) -> int:
     return sum(math.comb(n, s) for s in range(size))
 
 
-def _next_layer(layer: np.ndarray, size: int, n: int) -> np.ndarray:
-    """The size-(size+1) masks, ascending, from the ascending size-`size` ones:
-    those with top bit t are the size-`size` masks below 2^t plus bit t."""
-    out = np.empty(math.comb(n, size + 1), dtype=np.int64)
+def _next_layer(layer: np.ndarray, members: np.ndarray, size: int,
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The size-(size+1) masks of n bits, ascending, and their members as a
+    (size+1, count) int8 array of bit positions, from the ascending
+    size-`size` ones and theirs: those with top bit t are the size-`size`
+    masks below 2^t plus bit t."""
+    if not size:                 # the singletons
+        return 1 << np.arange(n), np.arange(n, dtype=np.int8)[None]
+    counts = [math.comb(t, size) for t in range(size, n)]
+    out = np.empty(sum(counts), dtype=np.int64)
     at = 0
-    for t in range(size, n):
-        below = math.comb(t, size)
+    for t, below in enumerate(counts, size):
         np.bitwise_or(layer[:below], 1 << t, out=out[at:at + below])
         at += below
-    return out
+    bits = np.empty((size + 1, len(out)), dtype=np.int8)
+    np.concatenate([members[:, :below] for below in counts], axis=1,
+                   out=bits[:size])
+    bits[size] = np.repeat(np.arange(size, n), counts)
+    return out, bits
+
+
+def _chunks(n: int, cap: int) -> tuple[int, int, int, int]:
+    """How a table is filled: (b, high, top, rows), the low bits of a row's
+    masks, the bits of its high mask, the largest high mask size and the
+    rows of a chunk. A full table's row holds the 2^b masks of one high mask,
+    b = min(n, _LOW_BITS); a capped table's holds one mask, b = 0."""
+    if cap < n:
+        return 0, n, cap, _CHUNK_ROWS
+    b = min(n, _LOW_BITS)
+    return b, n - b, n - b, max(1, _CHUNK_MASKS >> b)
 
 
 def _value_dtype(bound: int):
-    """The narrowest of int16/int32/int64 holding 3 * bound + 1 (the sentinel
-    2 * bound + 1 plus a fas cost); Python ints where guards.int_dtype needs them."""
+    """The narrowest of int16/int32/int64 holding 3 * bound + 1, which holds
+    every candidate, from -bound to 2 * bound; Python ints where
+    guards.int_dtype needs them."""
     return guards.narrow_dtype(3 * bound + 1, 2 * bound)
 
 
-def _table_bytes(n: int, cap: int, bound: int) -> tuple[int, int]:
+def _table_bytes(n: int, cap: int, bound: int, objective: str) -> tuple[int, int]:
     """The bytes a table and its build allocate: those each table of a batch
-    adds, and the layer masks the batch shares. A full table's terms are
-    built in its value array, so they add nothing. A block's arrays hold a
-    fresh Python int per entry when values are objects. fas's row sums are
-    not counted: at most 2^13 * n entries, fewer than a full table's block
-    holds."""
+    adds, and those the batch shares, its layers and their members. When
+    values are objects, an entry counts a Python int of its own only in the
+    arrays that compute one: the values, sums of weights and fas's
+    candidates; the others hold pointers. The low masks' positions, cached
+    once per b (under 0.6 MB for b = 12), are not counted."""
     entries = _layer_start(n, cap + 1)
-    widest = math.comb(n, min(cap, n // 2))
-    value = guards.entry_bytes(_value_dtype(bound), bound)
-    masks = 8 * (entries if cap < n else 2 * widest)   # kept or live layers
-    block = max(8, value) * _CHUNK_ARRAYS * min(widest, _CHUNK_ROWS) * n
-    return entries * value + block, masks
+    dtype = _value_dtype(bound)
+    value = guards.entry_bytes(dtype, bound)
+    item = 8 if dtype is object else value
+    fas = objective == "fas"
+    b, high, top, rows = _chunks(n, cap)
+    widest = math.comb(high, min(top, high // 2))
+    cols = min(rows, widest)
+    chunk = cols << b                        # masks of the widest chunk
+    cand = value if fas else item            # a candidate: fas adds weights
+    low = max((size + 1) * math.comb(b, size) for size in range(b + 1))
+    # a chunk's arrays: candidates of its high members (and fas's addends),
+    # the chunk, its terms and copies, then two layers' low candidates
+    temps = (top * chunk * cand + 4 * chunk * value + (top * chunk * item if fas else 0)
+             + 2 * (low + math.comb(b, b // 2)) * cols * cand
+             + (4 * top + n) * cols * 8)
+    each = (1 << n if cap == n else entries) * value + temps
+    if fas:          # weights, row sums, low sums and their terms
+        picks = (b << b - 1) + (1 << b) if b else 0
+        each += ((n * n + picks) * item
+                 + ((n << min(high, 12)) + (n << b)) * value)
+    elif objective != "dpw":
+        each += n * n * item
+    shared = ((8 * entries if cap < n else 0) + (8 + 2 * top) * widest
+              + _SMALL_BYTES)
+    return each, shared
 
 
-def _check_size(n: int, cap: int, bound: int) -> int:
+def _check_size(n: int, cap: int, bound: int, objective: str) -> int:
     """Guard the bytes of one table and its build; returns the entries."""
     guards.check_universe(n)
     if not 0 <= cap <= n:
         raise ValueError(f"size cap {cap} outside 0..{n}")
-    guards.check(sum(_table_bytes(n, cap, bound)), guards.TABLE_BYTE_GUARD,
+    guards.check(sum(_table_bytes(n, cap, bound, objective)),
+                 guards.TABLE_BYTE_GUARD,
                  "subset table bytes")
     return _layer_start(n, cap + 1)
 
@@ -252,7 +307,7 @@ def _boundary_terms(g: Digraph, term: np.ndarray) -> None:
     in short runs."""
     n = g.n
     low = min(n, 6)
-    below = np.arange(1 << low)
+    below = np.arange(1 << low, dtype=np.uint8)
     supersets = (below[:, None] & below) == below[:, None]
     term[:] = 0
     grid = term.reshape(1 << n - low, 1 << low)   # views, also of a column
@@ -274,19 +329,22 @@ def _bound(g: Digraph, objective: str) -> int:
 def _prefix_tables(graphs, cap: int, objective: str) -> list[SubsetTable]:
     """The tables of graphs with one vertex count, each as _prefix_table
     builds it. Graphs whose values share a dtype are filled as one batch, as
-    many at a time as keep the batch's blocks within _CHUNK_ROWS masks and
-    its bytes within the byte guard, which each table alone must meet."""
+    many at a time as keep the batch's widest chunk within one table's chunk
+    size and its bytes within the byte guard, which each table alone must
+    meet."""
     n = graphs[0].n
     if cap != n and objective not in ("fas", "dpw"):
         raise ValueError(f"capped tables are built for fas and dpw, not {objective}")
     bounds = [_bound(g, objective) for g in graphs]
     for bound in bounds:
-        _check_size(n, cap, bound)
-    width = min(math.comb(n, min(cap, n // 2)), _CHUNK_ROWS)   # widest block
+        _check_size(n, cap, bound, objective)
+    b, high, top, rows = _chunks(n, cap)
+    width = min(rows, math.comb(high, min(top, high // 2))) << b   # widest chunk
 
     def room(batch) -> int:
-        each, shared = _table_bytes(n, cap, max(bounds[i] for i in batch))
-        return min(_CHUNK_ROWS // width,
+        each, shared = _table_bytes(n, cap, max(bounds[i] for i in batch),
+                                    objective)
+        return min((rows << b) // width,
                    (guards.TABLE_BYTE_GUARD - shared) // each)
 
     tables = [None] * len(graphs)
@@ -298,8 +356,33 @@ def _prefix_tables(graphs, cap: int, objective: str) -> list[SubsetTable]:
     return tables
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous array as a 1-D array of its rows along the first axis,
+    each a void item, unless it holds Python ints: numpy scatters whole rows
+    so several times faster than rows of numbers."""
+    if a.dtype == object:
+        return a
+    return a.reshape(len(a), -1).view(np.dtype((np.void, a[:1].nbytes))).reshape(-1)
+
+
+@cache
+def _low_layers(b: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The nonempty masks of b bits a size l = 1..b at a time: the size-l
+    masks L, ascending, a (l+1, count) array of L-u at each member u, then L
+    itself, and at the same places the positions u * 2^b + L of the fas
+    terms w(u -> L-u) in an (n, 2^b) table, then 0, where w(0 -> {}) is."""
+    at, bits = np.zeros(1, dtype=np.int64), np.zeros((0, 1), dtype=np.int8)
+    layers = []
+    for size in range(b):
+        at, bits = _next_layer(at, bits, size, b)
+        u = bits.astype(np.int64)
+        layers.append((at, np.concatenate([at - (1 << u), at[None]]),
+                       np.concatenate([u << b | at, np.zeros((1, len(at)), np.int64)])))
+    return layers
+
+
 def _fill(graphs, cap: int, objective: str, bound: int) -> list[SubsetTable]:
-    """One block loop over the tables of a batch. Masks, layers and block
+    """One loop over the tables of a batch. Masks, layers and chunk
     positions are shared. Every per-graph array has a last axis over the
     graphs, so each gather reads a mask's entries of all of them at once; a
     lone graph's arrays have none and are built as for one table."""
@@ -308,8 +391,8 @@ def _fill(graphs, cap: int, objective: str, bound: int) -> list[SubsetTable]:
     unit = objective == "dpw"
     dtype = _value_dtype(bound)
     entries = _layer_start(n, cap + 1)
-    big = 2 * bound + 1          # above every candidate of every graph
     batch = (len(graphs),) if len(graphs) > 1 else ()
+    b, high, top, rows_per = _chunks(n, cap)
 
     def each(a) -> list:
         return guards.batch_views(a, len(graphs))
@@ -319,68 +402,113 @@ def _fill(graphs, cap: int, objective: str, bound: int) -> list[SubsetTable]:
         for g, wg in zip(graphs, each(w)):
             for u, v, wt in g.arc_items:
                 wg[u, v] = wt
-    if objective == "fas" or not full:
-        vals = np.full((1 << n if full else entries,) + batch, big, dtype=dtype)
-    else:
-        # an entry not yet filled holds big + its term, crossing(S) or
-        # boundary(S): still above every candidate, and read back when filled
-        vals = np.empty((1 << n,) + batch, dtype=dtype)
+    vals = np.empty((1 << n if full else entries,) + batch, dtype=dtype)
+    if full and objective != "fas":
+        # each entry holds its term, crossing(S) or boundary(S), until filled
         for g, vg, wg in zip(graphs, each(vals), graphs if unit else each(w)):
             if unit:
                 _boundary_terms(g, vg)
             else:
                 _crossing_terms(wg, vg)
-        vals += big
-    vals[0] = 0
-    # one buffer per block-wide array, reused: a fresh one each block costs
-    # page faults on a par with the work
-    width = min(math.comb(n, min(cap, n // 2)), _CHUNK_ROWS)   # widest block
-    prev_buf = np.empty((n, width), dtype=np.int64)
-    cand_buf = np.empty((n, width) + batch, dtype=dtype)
-    if objective == "fas":       # weight from each v into S
-        (_, low, low_table), *high_tables = _row_sums(w.swapaxes(0, 1))
-        sums_buf = np.empty((width, n) + batch, dtype=dtype)
-    elif not full:               # capped dpw: boundary(S) per block
+    grid = vals.reshape((-1, 1 << b) + batch)   # a row per high mask/position
+    low = _low_layers(b)
+    low_terms = [None] * b
+    if objective == "fas":
+        groups = _row_sums(w.swapaxes(0, 1)[b:])   # w(v -> H) per high mask H
+    if objective == "fas" and b:
+        to_low = np.zeros((n, 1 << b) + batch, dtype=dtype)   # w(v -> L)
+        for j in range(b):
+            np.add(to_low[:, :1 << j], w[:, j, None],
+                   out=to_low[:, 1 << j:2 << j])
+        # w(u -> L-u) for each member u of each low mask L, and 0 for L
+        flat = to_low.reshape((-1,) + batch)
+        low_terms = [flat.take(picks, axis=0)[:, :, None] for _, _, picks in low]
+    if unit and not full:        # capped dpw: boundary(S) per chunk
         closed = np.array([_closed_masks(g) for g in graphs], dtype=np.int64).T
         closed = closed.reshape((n, 1) + batch)
-    bit = (1 << np.arange(n))[:, None]
-    notbit = ~bit
-    by_mask = (slice(None),) + (None,) * len(batch)   # masks against a batch
-    layers = [np.zeros(1, dtype=np.int64)]
+        by_row = (slice(None),) + (None,) * len(batch)   # rows against a batch
+    layer, members = np.zeros(1, dtype=np.int64), np.zeros((0, 1), dtype=np.int8)
+    layers = [layer]             # kept by capped tables
     start = 0
-    for size in range(1, cap + 1):
-        prev_layer = layers[-1]
-        layer = _next_layer(prev_layer, size - 1, n)
-        prev_start, start = start, start + len(prev_layer)
-        for lo in range(0, len(layer), _CHUNK_ROWS):
-            masks = layer[lo:lo + _CHUNK_ROWS]
-            # column j is mask j; row v is S-v, or S itself for v outside S,
-            # whose entry is not filled yet, so at least big
-            cols = len(masks)
-            prev = np.bitwise_and(notbit, masks, out=prev_buf[:, :cols])
-            if not full:     # as positions: S-v in the previous layer, or S
-                inside = (bit & masks) != 0
-                pos = np.repeat(start + lo + np.arange(cols)[None], n, axis=0)
-                pos[inside] = prev_start + np.searchsorted(prev_layer, prev[inside])
-                prev = pos
-            cand = vals.take(prev, axis=0, out=cand_buf[:, :cols], mode="clip")
-            if objective == "fas":
-                sums = low_table.take(masks & low, axis=0, out=sums_buf[:cols],
-                                      mode="clip")
-                for first, width, table in high_tables:
-                    sums += table.take(masks >> first & width, axis=0)
-                cand += sums.swapaxes(0, 1)
-            best = cand.min(axis=0)
-            if objective != "fas":
-                if full:
-                    extra = vals[masks] - big
-                else:    # members whose closed mask is not within S
-                    extra = size - ((closed & masks[by_mask]) == closed).sum(axis=0)
-                best = (extra + best if objective == "ola"
-                        else np.maximum(extra, best))
-            at = masks if full else slice(start + lo, start + lo + cols)
-            vals[at] = best
-        layers = [layer] if full else layers + [layer]
+    for size in range(top + 1):
+        if size:
+            prev_layer = layer
+            layer, members = _next_layer(layer, members, size - 1, high)
+            prev_start, start = start, start + len(prev_layer)
+            if not full:
+                layers.append(layer)
+        for lo in range(0, len(layer), rows_per):
+            rows = layer[lo:lo + rows_per]
+            cols = len(rows)
+            if full and objective != "fas":   # terms, prefilled
+                term = np.ascontiguousarray(grid.take(rows, axis=0).swapaxes(0, 1))
+            elif unit:   # members whose closed mask is not within S
+                term = size - ((closed & rows[by_row]) == closed).sum(axis=0)[None]
+            # a chunk, low masks by rows: each entry holds the least candidate
+            # of its high members until its low members are taken. A chunk of
+            # contiguous rows is a view of them
+            in_place = cols == 1 or not full
+            if in_place:
+                pos = rows[0] if full else start + lo
+                out = grid[pos:pos + cols].swapaxes(0, 1)
+            else:
+                out = np.empty((1 << b, cols) + batch, dtype=dtype)
+            if size:
+                # the high members v of each row H: rows H-v, read whole
+                k = members[:, lo:lo + rows_per].astype(np.int64)
+                prev = rows - (1 << k)
+                if not full:
+                    prev = prev_start + np.searchsorted(prev_layer, prev)
+                cand = grid.take(prev, axis=0)
+                if objective == "fas":
+                    # w(v -> S-v) = w(v -> H-v) + w(v -> L)
+                    (first, width, t), *rest = groups
+                    into = t.take(rows >> first & width, axis=0)
+                    for first, width, t in rest:
+                        into += t.take(rows >> first & width, axis=0)
+                    into = into.swapaxes(0, 1)
+                    cand += into[k + b, np.arange(cols)][:, :, None]
+                    if b:
+                        cand += to_low.take(k + b, axis=0)
+                np.minimum.reduce(cand, out=out.swapaxes(0, 1))
+                if objective == "fas" and b:
+                    # the chunk holds f(S) - w(L -> H), so a low member u
+                    # adds only w(u -> L-u); w(L -> H) is added back below
+                    across = np.empty_like(out)
+                    across[0] = 0
+                    for j in range(b):
+                        np.add(across[:1 << j], into[j],
+                               out=across[1 << j:2 << j])
+                    out -= across
+            if not size:                      # the empty set
+                out[0] = 0
+            elif objective == "ola":
+                out[0] += term[0]
+            elif objective != "fas":
+                np.maximum(out[0], term[0], out=out[0])
+            if b:
+                # the low members u of each L, a layer of L at a time: L-u is
+                # in an earlier layer of the same rows
+                best = np.empty((math.comb(b, b // 2), cols) + batch, dtype=dtype)
+                out_rows, best_rows = _rows(out), _rows(best)
+            for (at, less, _), extra in zip(low, low_terms):
+                if not size:     # row 0 has no high candidate at L itself
+                    less = less[:-1]
+                    extra = None if extra is None else extra[:-1]
+                cand = out.take(less, axis=0)
+                if objective == "fas":
+                    cand += extra
+                part = best[:len(at)]
+                np.minimum.reduce(cand, out=part)
+                if objective == "ola":
+                    part += term.take(at, axis=0)
+                elif objective != "fas":
+                    np.maximum(part, term.take(at, axis=0), out=part)
+                out_rows[at] = best_rows[:len(at)]
+            if objective == "fas" and b and size:
+                out += across
+            if not in_place:
+                grid[rows] = out.swapaxes(0, 1)
     weights = each(w) if objective == "fas" else [None] * len(graphs)
     return [SubsetTable(n, cap, vg, wg, None if full else tuple(layers), entries)
             for vg, wg in zip(each(vals), weights)]

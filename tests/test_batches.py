@@ -37,14 +37,18 @@ def assert_tables_equal(got, want, g, objective):
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 @pytest.mark.parametrize("n", [0, 1, 5, 8])
-def test_stacked_tables_match_single_tables(objective, n):
+def test_stacked_tables_match_single_tables(objective, n, monkeypatch):
     graphs = mixed(n, seed=n)
     caps = [n] + ([n // 2] if objective in ("fas", "dpw") else [])
-    for cap in caps:
-        tables = subset_dp._prefix_tables(graphs, cap, objective)
-        for g, table in zip(graphs, tables):
-            assert_tables_equal(table, subset_dp._prefix_table(g, cap, objective),
-                                g, objective)
+    # full tables in one row and, with rows of 2^3 masks, in chunks of
+    # several rows
+    for low_bits in (subset_dp._LOW_BITS, 3):
+        monkeypatch.setattr(subset_dp, "_LOW_BITS", low_bits)
+        for cap in caps:
+            tables = subset_dp._prefix_tables(graphs, cap, objective)
+            for g, table in zip(graphs, tables):
+                assert_tables_equal(
+                    table, subset_dp._prefix_table(g, cap, objective), g, objective)
 
 
 def spy(monkeypatch, module, name) -> list:
@@ -61,14 +65,21 @@ def spy(monkeypatch, module, name) -> list:
 
 
 def test_batches_keep_blocks_within_chunk_rows(monkeypatch):
-    # the widest layer at n = 12 has 924 masks: four tables fill a block
+    # capped at 6 of 12 vertices, the widest layer has 924 masks: four
+    # tables fill a chunk of 4096. In full tables of 16 vertices, the widest
+    # high layer has 6 rows of 4096 masks: two tables fill a chunk of 2^16
     sizes = spy(monkeypatch, subset_dp, "_fill")
-    graphs = [gen_random(12, 0.3, seed=s) for s in range(9)]
-    tables = subset_dp._prefix_tables(graphs, 12, "fas")
-    assert sizes == [4, 4, 1]
-    sizes.clear()
-    for g, table in zip(graphs, tables):
-        assert_tables_equal(table, subset_dp._prefix_table(g, 12, "fas"), g, "fas")
+    for n, cap, batches in ((12, 6, [4, 4, 1]), (16, 16, [2, 2, 2, 2, 1])):
+        graphs = [gen_random(n, 0.3, seed=s) for s in range(9)]
+        tables = subset_dp._prefix_tables(graphs, cap, "fas")
+        assert sizes == batches
+        for g, table in zip(graphs, tables):
+            alone = subset_dp._prefix_table(g, cap, "fas")
+            if n > 12:   # the seed DP would take seconds
+                assert table.vals.tolist() == alone.vals.tolist()
+            else:
+                assert_tables_equal(table, alone, g, "fas")
+        sizes.clear()
 
 
 @pytest.mark.parametrize("eps", [None, Fraction(1, 2), 1])
@@ -147,7 +158,8 @@ def test_batch_over_the_byte_guard_is_split(monkeypatch):
     graphs = [gen_random(8, 0.4, seed=s) for s in range(6)]
     tables = subset_dp._prefix_tables(graphs, 8, "ola")
     profiles = kcut._cut_profiles(graphs, range(9), None, [None] * 6)
-    each, shared = subset_dp._table_bytes(8, 8, subset_dp._bound(graphs[0], "ola"))
+    each, shared = subset_dp._table_bytes(8, 8, subset_dp._bound(graphs[0], "ola"),
+                                          "ola")
     pair = kcut._pair_bytes(kcut.tripartition(8), 2 * max(
         g.total_arc_weight for g in graphs), 9)
     fills, searches = (spy(monkeypatch, subset_dp, "_fill"),
@@ -172,7 +184,7 @@ def test_scheme_split_batches_change_nothing(monkeypatch):
     g = gen_random(10, 0.4, seed=39)
     want = fields(fas_scheme(g, Fraction(1, 2), delta1=0.9), triangles=False)
     sizes = spy(monkeypatch, kcut, "_search")
-    monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", 40_000)
+    monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", 64_000)
     assert fields(fas_scheme(g, Fraction(1, 2), delta1=0.9), triangles=False) == want
     assert len(sizes) > 1 and sum(sizes) == 44
 
@@ -185,7 +197,7 @@ def test_member_over_the_byte_guard_is_refused_as_alone(monkeypatch, tmp_path,
     monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
     monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", 1 << 20)
     g = gen_random(18, 0.3, seed=37)
-    message = f"subset table bytes: 5107552 exceeds the desk-scale guard {1 << 20}"
+    message = f"subset table bytes: 1938886 exceeds the desk-scale guard {1 << 20}"
     with pytest.raises(SizeGuardError) as err:
         fas_scheme(g, Fraction(1, 2))
     assert str(err.value).startswith(message)

@@ -297,14 +297,23 @@ def test_jobs_clamped_to_tasks_and_cpus(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fake_pool)
     corp = make_corpus(tmp_path, [gen_random(5, 0.5, seed=s) for s in range(3)])
     base = ("bench", corp, "--obj", "fas", "--no-timing")
+    # the CPUs the process may run on, not those of the machine
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
     _, serial, _ = run(capsys, *base)
     assert run(capsys, *base, "--jobs", "1000")[1] == serial   # 3 tasks
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert run(capsys, *base, "--jobs", "1000")[1] == serial   # 2 CPUs
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {1})
+    assert run(capsys, *base, "--jobs", "2")[1] == serial      # serial path
+    # without an affinity, the machine's count
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     assert run(capsys, *base, "--jobs", "1000")[1] == serial   # 2 CPUs
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert run(capsys, *base, "--jobs", "1000")[1] == serial   # serial path
-    assert seen == [3, 2]
+    assert seen == [3, 2, 2]
 
 
 def test_suite_reports_bad_instances_and_keeps_going(capsys, tmp_path,

@@ -37,11 +37,11 @@ def graphs(draw, max_n=8, weights=st.integers(0, 1000)):
                    undirected=undirected)
 
 
-def assert_matches_seed(g, cap, objective):
+def assert_matches_seed(g, cap, objective, ref=None):
     table = (fas_table(g, cap) if objective == "fas" else
              dpw_prefix_table(g, cap) if objective == "dpw" else
              _prefix_table(g, cap, objective))
-    ref = seed_table(g, cap, objective)
+    ref = seed_table(g, cap, objective) if ref is None else ref
     assert len(table.vals) == table.entries == len(ref)
     # every reference mask has its own position
     assert sorted(table._position(mask) for mask in ref) == list(range(len(ref)))
@@ -51,10 +51,21 @@ def assert_matches_seed(g, cap, objective):
     assert_last_vertices(table, ref)
 
 
+def assert_full_matches_seed_at_every_b(g, objective):
+    """g's full table with rows of 2^b masks for every b = 0..n: from a row
+    per mask, all read by high members, to one row of every mask, all read
+    by low members."""
+    ref = seed_table(g, g.n, objective)
+    for b in range(g.n + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subset_dp, "_LOW_BITS", b)
+            assert_matches_seed(g, g.n, objective, ref)
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs(), st.sampled_from(OBJECTIVES), st.data())
 def test_every_entry_matches_seed_dp(g, objective, data):
-    assert_matches_seed(g, g.n, objective)
+    assert_full_matches_seed_at_every_b(g, objective)
     cap = data.draw(st.integers(0, g.n))
     if objective in CAPPED:
         assert_matches_seed(g, cap, objective)
@@ -70,7 +81,7 @@ def test_every_entry_matches_seed_dp(g, objective, data):
            [0, 1, 2 ** 53 + 1, 2 ** 61 - 1, 2 ** 62, 10 ** 40])),
        st.sampled_from(OBJECTIVES))
 def test_huge_weights_match_seed_dp(g, objective):
-    assert_matches_seed(g, g.n, objective)
+    assert_full_matches_seed_at_every_b(g, objective)
     if objective in CAPPED:
         assert_matches_seed(g, g.n // 2, objective)
 
@@ -104,9 +115,19 @@ def test_fas_row_sums_take_the_fewest_even_groups(n, widths):
         assert got.tolist() == want.tolist()
 
 
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_split_table_matches_seed_dp(objective):
+    # n = 15 splits each mask at the production _LOW_BITS = 12: rows of
+    # 4096 masks under high masks of 3 bits, chunks of several rows
+    g = gen_random(15, 0.3, weight_range=(1, 9), seed=15)
+    assert subset_dp._chunks(15, 15) == (12, 3, 3, 16)
+    assert_matches_seed(g, 15, objective)
+
+
 @pytest.mark.parametrize("n", [13, 14])
 def test_fas_table_in_two_row_groups_matches_seed_dp(n):
-    # n = 13 and 14 gather the fas weights from two groups of rows
+    # n = 13 and 14 gather a capped table's fas weights from two groups of
+    # rows, a full table's from one group of high rows and its low sums
     g = gen_random(n, 0.4, weight_range=(1, 9), seed=n)
     assert_matches_seed(g, n, "fas")
     assert_matches_seed(g, n // 2, "fas")
@@ -220,35 +241,45 @@ def test_out_of_table_masks_raise():
 def test_byte_guard(monkeypatch):
     monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
     # a full int64 table at the exact-DP vertex guard fits, a larger one or
-    # one of Python ints does not, while narrower values fit one vertex
-    # more; nothing is allocated to find out
-    assert subset_dp._check_size(26, 26, 10 ** 9) == 1 << 26
-    assert subset_dp._check_size(27, 27, 10 ** 6) == 1 << 27
+    # one of Python ints does not, while narrower values fit one or two
+    # vertices more; nothing is allocated to find out
+    for objective in OBJECTIVES:
+        assert subset_dp._check_size(26, 26, 10 ** 9, objective) == 1 << 26
+        assert subset_dp._check_size(27, 27, 10 ** 6, objective) == 1 << 27
+        assert subset_dp._check_size(28, 28, 10, objective) == 1 << 28
+        with pytest.raises(SizeGuardError):
+            subset_dp._check_size(27, 27, 10 ** 9, objective)
+        with pytest.raises(SizeGuardError):
+            subset_dp._check_size(28, 28, 10 ** 6, objective)
+        with pytest.raises(SizeGuardError):
+            subset_dp._check_size(26, 26, 2 ** 70, objective)
     with pytest.raises(SizeGuardError):
-        subset_dp._check_size(27, 27, 10 ** 9)
-    with pytest.raises(SizeGuardError):
-        subset_dp._check_size(26, 26, 2 ** 70)
-    with pytest.raises(SizeGuardError):
-        fas_table(Digraph(28, [(0, 1)]))
+        fas_table(Digraph(29, [(0, 1)]))
     assert fas_table(Digraph(32, [(0, 1)]), 2).entries == 1 + 32 + 496
 
 
 @pytest.mark.parametrize("objective,n,cap,top", [
     ("fas", 12, 12, 1), ("fas", 16, 16, 1), ("fas", 16, 16, 10 ** 6),
     ("fas", 12, 12, 10 ** 18), ("ola", 12, 12, 1), ("ola", 16, 16, 10 ** 6),
-    ("ola", 14, 14, 10 ** 18), ("dpw", 14, 7, 1), ("dpw", 16, 8, 1)])
+    ("ola", 14, 14, 10 ** 18), ("dpw", 14, 7, 1), ("dpw", 16, 8, 1),
+    ("ola", 17, 17, 1), ("cutwidth", 17, 17, 10 ** 6), ("fas", 18, 18, 10 ** 6),
+    ("dpw", 18, 18, 1)])
 def test_table_bytes_bound_the_traced_peak(objective, n, cap, top):
-    # int16, int32 and Python-int values: the byte model the guard reads is
-    # at least the memory a build allocates at its peak
+    # int16, int32 and Python-int values, one row of every mask and rows of
+    # 2^12 masks: the byte model the guard reads is at least the memory a
+    # build allocates at its peak, and at most 2.5 times it plus the small
+    # arrays' allowance. The cached low-mask patterns are built first
     g = gen_random(n, 0.3, weight_range=(1, top), seed=1)
-    model = sum(subset_dp._table_bytes(n, cap, subset_dp._bound(g, objective)))
+    model = sum(subset_dp._table_bytes(n, cap, subset_dp._bound(g, objective),
+                                       objective))
+    _prefix_table(g, cap, objective)
     tracemalloc.start()
     try:
         _prefix_table(g, cap, objective)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= model
+    assert peak <= model <= 2.5 * peak + subset_dp._SMALL_BYTES
 
 
 # dpw_2approx keeps the first optimal prefix in combinations order (tuple
