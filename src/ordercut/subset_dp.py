@@ -218,11 +218,11 @@ def _value_dtype(bound: int):
 
 def _table_bytes(n: int, cap: int, bound: int, objective: str) -> tuple[int, int]:
     """The bytes a table and its build allocate: those each table of a batch
-    adds, and those the batch shares, its layers and their members. When
-    values are objects, an entry counts a Python int of its own only in the
-    arrays that compute one: the values, sums of weights and fas's
-    candidates; the others hold pointers. The low masks' positions, cached
-    once per b (under 0.6 MB for b = 12), are not counted."""
+    adds, and those the batch shares: its layers and their members, and the
+    low masks' pattern, which the first build of its b caches (0.6 MB at
+    b = 12). When values are objects, an entry counts a Python int of its
+    own only in the arrays that compute one: the values, sums of weights
+    and fas's candidates; the others hold pointers."""
     entries = _layer_start(n, cap + 1)
     dtype = _value_dtype(bound)
     value = guards.entry_bytes(dtype, bound)
@@ -234,6 +234,7 @@ def _table_bytes(n: int, cap: int, bound: int, objective: str) -> tuple[int, int
     chunk = cols << b                        # masks of the widest chunk
     cand = value if fas else item            # a candidate: fas adds weights
     low = max((size + 1) * math.comb(b, size) for size in range(b + 1))
+    picks = (b << b - 1) + (1 << b) if b else 0   # a row's low candidates
     # a chunk's arrays: candidates of its high members (and fas's addends),
     # the chunk, its terms and copies, then two layers' low candidates
     temps = (top * chunk * cand + 4 * chunk * value + (top * chunk * item if fas else 0)
@@ -241,13 +242,12 @@ def _table_bytes(n: int, cap: int, bound: int, objective: str) -> tuple[int, int
              + (4 * top + n) * cols * 8)
     each = (1 << n if cap == n else entries) * value + temps
     if fas:          # weights, row sums, low sums and their terms
-        picks = (b << b - 1) + (1 << b) if b else 0
         each += ((n * n + picks) * item
                  + ((n << min(high, 12)) + (n << b)) * value)
     elif objective != "dpw":
         each += n * n * item
     shared = ((8 * entries if cap < n else 0) + (8 + 2 * top) * widest
-              + _SMALL_BYTES)
+              + 10 * ((1 << b) + 2 * picks) + _SMALL_BYTES)
     return each, shared
 
 

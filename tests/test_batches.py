@@ -184,7 +184,7 @@ def test_scheme_split_batches_change_nothing(monkeypatch):
     g = gen_random(10, 0.4, seed=39)
     want = fields(fas_scheme(g, Fraction(1, 2), delta1=0.9), triangles=False)
     sizes = spy(monkeypatch, kcut, "_search")
-    monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", 64_000)
+    monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", 80_000)
     assert fields(fas_scheme(g, Fraction(1, 2), delta1=0.9), triangles=False) == want
     assert len(sizes) > 1 and sum(sizes) == 44
 
@@ -197,7 +197,7 @@ def test_member_over_the_byte_guard_is_refused_as_alone(monkeypatch, tmp_path,
     monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
     monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", 1 << 20)
     g = gen_random(18, 0.3, seed=37)
-    message = f"subset table bytes: 1938886 exceeds the desk-scale guard {1 << 20}"
+    message = f"subset table bytes: 2553286 exceeds the desk-scale guard {1 << 20}"
     with pytest.raises(SizeGuardError) as err:
         fas_scheme(g, Fraction(1, 2))
     assert str(err.value).startswith(message)
