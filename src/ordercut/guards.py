@@ -5,11 +5,11 @@ instead of silently degrading. ORDERCUT_GUARD_OVERRIDE=1 lifts the soft guards
 (a warning goes to stderr once); the mask-encoding hard cap of 32 vertices
 stays in force regardless.
 
-The exact engines store integers as int64 while every value and partial sum
-stays below 2**62, and as Python ints (dtype=object) beyond that; their byte
-models count an object entry as its 8-byte pointer plus the int it points to.
-Graphs solved as one batch share a dtype, and a batch holds as many of them
-as its byte model admits (batches, batch_views).
+Every exponential array takes its width from int_dtype(bound), where bound
+covers every value and partial sum; byte models count an object entry as
+its 8-byte pointer plus the int it points to. Graphs solved as one batch
+share a key, and a batch holds as many as its byte model admits (batches,
+batch_views).
 """
 
 from __future__ import annotations
@@ -64,26 +64,21 @@ def check_universe(n: int) -> None:
 
 
 def int_dtype(bound: int):
-    """int64 when every value and every partial sum stays below bound."""
-    return np.int64 if bound < 2 ** 62 else object
-
-
-def narrow_dtype(top: int, bound: int):
-    """The narrowest of int16/int32/int64 holding top, or Python ints
-    (object) where int_dtype(bound) needs them."""
-    if int_dtype(bound) is object:
+    """The narrowest of int16/int32/int64 holding every value of magnitude
+    at most bound, and Python ints (object) from 2**62 up."""
+    if bound >= 1 << 62:
         return object
-    return np.int16 if top < 1 << 15 else np.int32 if top < 1 << 31 else np.int64
+    return np.int16 if bound < 1 << 15 else np.int32 if bound < 1 << 31 else np.int64
 
 
-def batches(dtypes, room):
-    """Split members 0..len(dtypes)-1 into batches of one dtype, in order;
+def batches(keys, room):
+    """Split members 0..len(keys)-1 into batches of one key, in order;
     room(members), asked of groups of two or more, is how many of those
     members fit one batch (at least one runs, so a member alone is refused
     only by its own check)."""
     groups: dict = {}
-    for i, dtype in enumerate(dtypes):
-        groups.setdefault(dtype, []).append(i)
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
     for group in groups.values():
         size = max(1, room(group)) if len(group) > 1 else 1
         for lo in range(0, len(group), size):

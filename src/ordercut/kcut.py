@@ -18,12 +18,14 @@ A stored edge weight depends only on (T, U), never on k. cut_profile builds,
 once per graph, one matrix per part pair over all subsets of both parts from
 sums over mask bits (_PairMatrices), and hands each split's three blocks to
 min_weight_triangle. One order of each part's subset masks (_mask_order)
-lays out the matrices and names the members of L. Entries are int64 while
-2 * total arc weight < 2**62, which bounds every entry and triangle sum,
-and Python ints (object) beyond.
+lays out the matrices and names the members of L. Entries take
+guards.int_dtype(2 * total arc weight), which bounds every entry, partial
+sum and triangle sum.
 Graphs of one vertex count share the parts and splits, so an exact search
-over several of them (_cut_profiles) stacks their matrices on a last axis
-and searches each split of all of them at once.
+over several of them (_cut_profiles) stacks their matrices, at the width of
+the largest bound, on a last axis and searches each split of all of them at
+once. Batches are keyed by Python-int-ness, not width: the cells a batch
+examines depend on its members.
 
 The search is pruned without changing any result (_Bounds). Once per call
 it bounds, for every k searched, every row j1 of part 0 and every k2, each
@@ -126,12 +128,13 @@ def _bound_cells(sizes, count: int) -> int:
 def _pair_bytes(parts, bound: int, count: int) -> int:
     """Bytes of one graph's pair matrices, whose entries stay below bound,
     plus one more largest matrix, which lives in temporaries (RSS fit), and
-    the search's row and split bounds (_Bounds) for count ks."""
+    the search's row and split bounds (_Bounds) for count ks, at 8 bytes a
+    cell at least (keyed bounds are float64, row indices intp)."""
     entry = guards.entry_bytes(guards.int_dtype(bound), bound)
     sizes = [len(p) for p in parts]
     cells = [1 << sizes[a] + sizes[b] for a, b in _PAIRS]
     bounds = _bound_cells(sizes, count)
-    return int((sum(cells) + _PAIR_TEMPS * max(cells) + bounds) * entry)
+    return int((sum(cells) + _PAIR_TEMPS * max(cells)) * entry + bounds * max(entry, 8))
 
 
 class _PairMatrices:
@@ -171,10 +174,10 @@ class _PairMatrices:
             arcs.append(sums[o])
         terms = []   # [a][b][T] = 2 * arcs(V_b -> T) + delta(T) for T of part a
         for a, t in enumerate(arcs):
-            into = [t[:, 1, s].sum(axis=1) for s in at]
-            delta = into[a] - (t[:, 0, at[a]] * bits[a]).sum(axis=1)   # - T -> T
+            into = [t[:, 1, s].sum(axis=1, dtype=dtype) for s in at]
+            delta = into[a] - (t[:, 0, at[a]] * bits[a]).sum(axis=1, dtype=dtype)   # - T -> T
             terms.append([2 * x + delta for x in into])
-        both = {(a, b): 2 * arcs[a][:, :, at[b]].sum(axis=1) for a, b in _PAIRS}
+        both = {(a, b): 2 * arcs[a][:, :, at[b]].sum(axis=1, dtype=dtype) for a, b in _PAIRS}
         del arcs, sums, t   # both[a, b][T, y] = 2 * arcs T <-> y; sums freed
         self.mats = {}
         for (a, b), cols in both.items():   # T's term - 2 * arcs T <-> U + U's
@@ -514,9 +517,9 @@ def cut_profile(g: Digraph, ks, eps=None,
 
 def _cut_profiles(graphs, ks, eps, counters) -> list[dict[int, CutSolution]]:
     """cut_profile for graphs with one vertex count, one Counters or None
-    each. The exact search runs on the stacked pair matrices of graphs whose
-    entries share a dtype, as many at a time as the byte guard admits, which
-    each graph's matrices alone must meet. A rounded search keys each
+    each. The exact search runs on the stacked pair matrices of graphs of
+    one batch key (the module doc), as many at a time as the byte guard
+    admits, which each graph's matrices alone must meet. A rounded search keys each
     graph's weights in a table of its own, so each graph is a batch of one.
 
     Each Counters' triangles grows by the cells its search examined.
@@ -544,7 +547,7 @@ def _cut_profiles(graphs, ks, eps, counters) -> list[dict[int, CutSolution]]:
             parts, max(bounds[i] for i in batch), len(ks))
 
     profiles = [None] * len(graphs)
-    for batch in guards.batches([guards.int_dtype(b) for b in bounds], room):
+    for batch in guards.batches([guards.int_dtype(b) is object for b in bounds], room):
         found, cells = _search([graphs[i] for i in batch], parts, ks, eps)
         for i, profile in zip(batch, found):
             profiles[i] = profile

@@ -21,8 +21,9 @@ combined with its last vertex's cost, gathered with take at the level's cached
 int32 indices S*n + v. The last vertex costs nothing, so n - 1 levels reach
 all n! leaves, still in lexicographic order: the first minimum is the
 lexicographically least optimal sequence, recovered by unranking its index in
-the factorial number system. Scores are the narrowest of int16/int32/int64
-holding 2 * n * total arc weight, and Python ints (object) from 2**62 up.
+the factorial number system. Scores take guards.int_dtype(2 * n * total arc
+weight): the narrowest of int16/int32/int64 holding it, and Python ints
+(object) from 2**62 up.
 """
 
 from __future__ import annotations
@@ -101,8 +102,7 @@ def perm_opt(g: Digraph, objective: str) -> OracleResult:
         raise ValueError(f"unknown objective {objective!r}")
     n = g.n
     guards.check(n, guards.ORACLE_GUARD, "oracle vertex count")
-    bound = 2 * n * g.total_arc_weight
-    dtype = guards.narrow_dtype(bound, bound)
+    dtype = guards.int_dtype(2 * n * g.total_arc_weight)
     cost = _cost_table(g, objective, dtype)
     combine = _COMBINE[objective]
     values = np.zeros(1, dtype=dtype)

@@ -43,9 +43,10 @@ on the top bit of S, boundary as the subset sums of +1 at each {v} and -1 at
 each {v} plus its in-neighbors. A capped dpw table counts boundary(S) per
 chunk instead.
 
-Values are the narrowest of int16/int32/int64 holding 3 * bound + 1, where
-bound is the largest possible entry; every candidate lies from -bound to
-2 * bound. Once twice the bound reaches 2**62 they are Python ints (object).
+Every candidate lies from -bound to 2 * bound, where bound is the largest
+possible entry, so values take guards.int_dtype(2 * bound): the narrowest
+of int16/int32/int64 holding them, and Python ints (object) once twice the
+bound reaches 2**62.
 
 The tables of graphs with one vertex count share their rows and chunks, so
 _prefix_tables fills those whose values share a dtype in one loop, their
@@ -209,13 +210,6 @@ def _chunks(n: int, cap: int) -> tuple[int, int, int, int]:
     return b, n - b, n - b, max(1, _CHUNK_MASKS >> b)
 
 
-def _value_dtype(bound: int):
-    """The narrowest of int16/int32/int64 holding 3 * bound + 1, which holds
-    every candidate, from -bound to 2 * bound; Python ints where
-    guards.int_dtype needs them."""
-    return guards.narrow_dtype(3 * bound + 1, 2 * bound)
-
-
 def _table_bytes(n: int, cap: int, bound: int, objective: str) -> tuple[int, int]:
     """The bytes a table and its build allocate: those each table of a batch
     adds, and those the batch shares: its layers and their members, and the
@@ -224,7 +218,7 @@ def _table_bytes(n: int, cap: int, bound: int, objective: str) -> tuple[int, int
     own only in the arrays that compute one: the values, sums of weights
     and fas's candidates; the others hold pointers."""
     entries = _layer_start(n, cap + 1)
-    dtype = _value_dtype(bound)
+    dtype = guards.int_dtype(2 * bound)
     value = guards.entry_bytes(dtype, bound)
     item = 8 if dtype is object else value
     fas = objective == "fas"
@@ -348,7 +342,7 @@ def _prefix_tables(graphs, cap: int, objective: str) -> list[SubsetTable]:
                    (guards.TABLE_BYTE_GUARD - shared) // each)
 
     tables = [None] * len(graphs)
-    for batch in guards.batches([_value_dtype(b) for b in bounds], room):
+    for batch in guards.batches([guards.int_dtype(2 * b) for b in bounds], room):
         filled = _fill([graphs[i] for i in batch], cap, objective,
                        max(bounds[i] for i in batch))
         for i, table in zip(batch, filled):
@@ -389,7 +383,7 @@ def _fill(graphs, cap: int, objective: str, bound: int) -> list[SubsetTable]:
     n = graphs[0].n
     full = cap == n
     unit = objective == "dpw"
-    dtype = _value_dtype(bound)
+    dtype = guards.int_dtype(2 * bound)
     entries = _layer_start(n, cap + 1)
     batch = (len(graphs),) if len(graphs) > 1 else ()
     b, high, top, rows_per = _chunks(n, cap)

@@ -57,6 +57,16 @@ def with_total(n: int, total: int, seed: int) -> Digraph:
     return Digraph(n, arcs, weights)
 
 
+def complete_digraph(n: int, total: int) -> Digraph:
+    """Every ordered pair an arc, weights halving from arc to arc and summing
+    to total: a table's values and fas sums, and the cuts into sets that
+    hold all but vertex 0, all come near it."""
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    weights = {a: total >> i + 1 for i, a in enumerate(arcs)}
+    weights[arcs[0]] += total - sum(weights.values())
+    return Digraph(n, arcs, weights)
+
+
 def mixed(n: int, seed: int = 0) -> list[Digraph]:
     """Unit weights, weights 1..1000 and totals on both sides of 2**61, so
     the batch holds int16 and int64 values and Python ints (two graphs of

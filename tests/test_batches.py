@@ -6,6 +6,7 @@ split; a graph that alone does not fit is refused as it is alone."""
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from ordercut import (Counters, SizeGuardError, cut_profile,
@@ -15,7 +16,7 @@ from ordercut import (Counters, SizeGuardError, cut_profile,
 from ordercut import balanced
 from ordercut.cli import main
 
-from conftest import assert_last_vertices, mixed, seed_table
+from conftest import assert_last_vertices, complete_digraph, mixed, seed_table
 
 OBJECTIVES = ("fas", "ola", "cutwidth", "dpw")
 EXACT = {"fas": fas_exact, "ola": ola_exact, "cutwidth": cutwidth_exact,
@@ -104,6 +105,19 @@ def test_stacked_cut_search_matches_cut_profile(eps, n, count, ks, kernel_cells)
         assert c.triangles == cells <= sum(comb(n, k) for k in ks)
 
 
+def test_cut_batch_spans_matrix_widths(monkeypatch):
+    # 2 * total on both sides of 32,768 needs int16 matrices alone and int32
+    # ones for the batch. Batches are keyed by whether they need Python ints,
+    # not by width, so the four run as one, at the width of the largest
+    searches = spy(monkeypatch, kcut, "_search")
+    graphs = [complete_digraph(9, total) for total in (2 ** 14 - 1, 2 ** 14)]
+    graphs += [gen_random(9, 0.4, weight_range=(1, 2 ** 14), seed=s) for s in (1, 2)]
+    assert {guards.int_dtype(2 * g.total_arc_weight) for g in graphs} == {np.int16, np.int32}
+    profiles = kcut._cut_profiles(graphs, range(10), None, [None] * 4)
+    assert searches == [4]
+    assert profiles == [cut_profile(g, range(10)) for g in graphs]
+
+
 @pytest.mark.parametrize("eps", [None, Fraction(1, 2)])
 @pytest.mark.parametrize("n", range(13))
 def test_cut_search_counts_every_candidate_set(eps, n, kernel_cells):
@@ -179,12 +193,15 @@ def test_batch_over_the_byte_guard_is_split(monkeypatch):
 def test_scheme_split_batches_change_nothing(monkeypatch):
     # delta1 = 0.9 at n = 10: 44 level-1 complements of 8 vertices in one
     # batch, whose cut search and 4 + 4 side tables then no longer fit. The
-    # cells searched change with the batches, as a batch shares its blocks
-    monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
+    # cells searched change with the batches, as a batch shares its blocks.
+    # The int16 pair matrices of all 44 fit beside less than one lone 8-vertex
+    # table's bytes, so the override lets each member run alone while the
+    # smaller guard still sizes the batches
+    monkeypatch.setenv("ORDERCUT_GUARD_OVERRIDE", "1")
     g = gen_random(10, 0.4, seed=39)
     want = fields(fas_scheme(g, Fraction(1, 2), delta1=0.9), triangles=False)
     sizes = spy(monkeypatch, kcut, "_search")
-    monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", 80_000)
+    monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", 40_000)
     assert fields(fas_scheme(g, Fraction(1, 2), delta1=0.9), triangles=False) == want
     assert len(sizes) > 1 and sum(sizes) == 44
 

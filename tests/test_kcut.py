@@ -18,7 +18,7 @@ from ordercut import (Counters, CutSolution, Digraph, SizeGuardError, cut_into,
                       parse_graph, tripartition)
 from ordercut.cli import _solver
 
-from conftest import mixed
+from conftest import complete_digraph, mixed
 
 CYCLE3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -262,7 +262,22 @@ def test_single_k_search_peaks_under_its_byte_model(n, eps):
     # the bytes the guards check for one k and for every k but 0 and n: the
     # pair matrices and bounds, and when rounded also the key index and the
     # rank table
-    g = gen_random(n, 0.3, weight_range=(1, 1000), seed=1)
+    assert_search_peaks_under_its_byte_model(
+        gen_random(n, 0.3, weight_range=(1, 1000), seed=1), eps)
+
+
+@pytest.mark.parametrize("n", [18, 21])
+@pytest.mark.parametrize("eps", [None, Fraction(1)])
+def test_int16_search_peaks_under_its_byte_model(n, eps):
+    # unit weights: int16 pair matrices, beside which the bounds (float64
+    # when keyed) and the search's row indices keep 8 bytes a cell
+    g = gen_random(n, 0.3, seed=1)
+    assert kcut._PairMatrices([g], tripartition(n)).mats[0, 1].dtype == np.int16
+    assert_search_peaks_under_its_byte_model(g, eps)
+
+
+def assert_search_peaks_under_its_byte_model(g, eps):
+    n = g.n
     for ks in ([n // 2], range(1, n)):
         matrices = kcut._PairMatrices([g], tripartition(n), len(ks))
         model = matrices.nbytes
@@ -413,11 +428,13 @@ def test_exact_profile_totals_match_oracle_and_seed_scan(kernel_cells):
 
 def reference_pair_matrices(g, parts):
     """The pair matrices as they were built: 0/1 subset matrices chi, one row
-    per subset in (size, lex) order, and integer matrix products."""
+    per subset in (size, lex) order, and integer matrix products, in int64
+    or Python ints whatever the dtype the engine stores them in."""
     from itertools import accumulate, combinations, pairwise
     bound = 2 * g.total_arc_weight
     dtype = guards.int_dtype(bound)
     entry = guards.entry_bytes(dtype, bound)
+    wide = object if dtype is object else np.int64
     s0, s1, s2 = (len(p) for p in parts)
     cells = [1 << len(parts[a]) + len(parts[b]) for a, b in kcut._PAIRS]
     # one k's lb and at most as many minima, sb and gathered 1-2 terms
@@ -425,8 +442,9 @@ def reference_pair_matrices(g, parts):
     bounds += 2 * ((1 << s0) + (1 << s1)) * (s2 + 1)     # c02, c12, keyed or not
     # the m01 rows bounded at a time, their 1-2 terms or keys
     bounds += 2 * min(1 << s0 + s1, max(kcut._BOUND_CELLS, 1 << s1))
-    nbytes = int((sum(cells) + kcut._PAIR_TEMPS * max(cells) + bounds) * entry)
-    w = np.zeros((g.n, g.n), dtype=dtype)
+    nbytes = int((sum(cells) + kcut._PAIR_TEMPS * max(cells)) * entry
+                 + bounds * max(entry, 8))
+    w = np.zeros((g.n, g.n), dtype=wide)
     for u, v, wt in g.arc_items:
         w[u, v] = wt
     idx = [np.array(p, dtype=np.intp) for p in parts]
@@ -439,7 +457,7 @@ def reference_pair_matrices(g, parts):
                             initial=0)
         rows.append([slice(lo, hi) for lo, hi in pairwise(starts)])
         chi.append(np.array([[v in t for v in part] for t in subs],
-                            dtype=np.int64).astype(dtype))
+                            dtype=np.int64).astype(wide))
 
     def from_part(i, j):
         return chi[i] @ into[j][idx[i]]
@@ -463,7 +481,7 @@ def assert_pair_matrices_match_reference(g):
     assert (part_subsets(got), list(got.rows), got.nbytes) == (subsets, rows, nbytes)
     assert list(got.mats) == list(mats)
     for pair, m in mats.items():
-        assert got.mats[pair].dtype == m.dtype == dtype
+        assert got.mats[pair].dtype == dtype
         assert got.mats[pair].tolist() == m.tolist()
 
 
@@ -586,6 +604,34 @@ def test_rounded_profile_matches_reference_on_seeded_graphs(eps, kernel_cells):
 @pytest.mark.parametrize("eps", ROUNDING_EPS)
 def test_rounded_profile_matches_reference_at_dtype_boundary(total, eps, kernel_cells):
     assert_matches_reference(_graph_with_total(total), eps, kernel_cells)
+
+
+def out_star(n, total):
+    """Arcs from vertex 0 to every other vertex, weights halving from arc to
+    arc and summing to total: the cut into V - {0} is total."""
+    arcs = [(0, v) for v in range(1, n)]
+    weights = {a: total >> i + 1 for i, a in enumerate(arcs)}
+    weights[arcs[0]] += total - sum(weights.values())
+    return Digraph(n, arcs, weights)
+
+
+@pytest.mark.parametrize("make", [complete_digraph, out_star])
+@pytest.mark.parametrize("total,dtype", [(2 ** 14 - 1, np.int16), (2 ** 14, np.int32),
+                                         (2 ** 30 - 1, np.int32), (2 ** 30, np.int64)])
+@pytest.mark.parametrize("eps", [None, Fraction(1, 2)])
+def test_profile_at_each_width_switch(make, total, dtype, eps, kernel_cells):
+    # 2 * total at 32,766/32,768 and 2**31 - 2/2**31: the pair matrices
+    # widen int16 -> int32 -> int64. The arcs out of vertex 0 carry all or
+    # almost all the weight, so the triangles of L = V - {0} weigh 2 * total
+    # or near it, and would wrap in matrices one size too narrow
+    g = make(8, total)
+    mats = kcut._PairMatrices([g], tripartition(8)).mats.values()
+    assert [m.dtype for m in mats] == [dtype] * 3
+    assert 2 * cut_into(g, range(1, 8)) > 1.9 * total
+    if eps is None:
+        assert cut_profile(g, range(9)) == {k: dkmc_oracle(g, k) for k in range(9)}
+    else:
+        assert_matches_reference(g, eps, kernel_cells)
 
 
 def test_regimes_are_all_reached():
@@ -758,7 +804,8 @@ def test_bounds_match_their_definition(monkeypatch, cells):
     every = (kcut._Bounds(matrices.mats, matrices.rows, ks),
              kcut._Bounds(index, matrices.rows, ks, keys))
     exact, keyed = every
-    assert [b.lb.dtype for b in every] == [np.int64, np.float64]
+    assert [b.lb.dtype for b in every] == [guards.int_dtype(2 * g.total_arc_weight),
+                                           np.float64]
     for k in ks:
         for sizes in kcut._splits(parts, k):
             rows = split_rows(matrices, sizes)

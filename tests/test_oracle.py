@@ -170,8 +170,7 @@ def test_cost_table_matches_per_arc_loop(objective):
             for seed, top in enumerate((1, 5, 1000, 10 ** 8, 10 ** 17)):
                 g = gen_random(n, 0.5, weight_range=(1, top),
                                seed=10 * n + seed, undirected=undirected)
-                bound = 2 * n * g.total_arc_weight
-                narrow = guards.narrow_dtype(bound, bound)
+                narrow = guards.int_dtype(2 * n * g.total_arc_weight)
                 for dtype in SCORE_DTYPES[SCORE_DTYPES.index(narrow):]:
                     got = oracle._cost_table(g, objective, dtype)
                     want = loop_cost_table(g, objective, dtype)

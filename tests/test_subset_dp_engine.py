@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from ordercut import (Digraph, SizeGuardError, dpw_2approx, dpw_prefix_table,
                       fas_table, gen_random, perm_opt)
-from ordercut import subset_dp
+from ordercut import guards, subset_dp
 from ordercut.subset_dp import _prefix_table
 
-from conftest import assert_last_vertices, seed_table
+from conftest import assert_last_vertices, complete_digraph, seed_table
 
 OBJECTIVES = ("fas", "ola", "cutwidth", "dpw")
 CAPPED = ("fas", "dpw")      # the objectives with capped tables
@@ -145,18 +145,9 @@ def test_int64_dispatch_bound(total):
 
 
 # at each switch of the value dtype, the largest bound on the narrower side
-DTYPE_SWITCHES = [(10922, np.int16, np.int32),          # 3 * bound + 1 < 2**15
-                  (715827882, np.int32, np.int64),      # 3 * bound + 1 < 2**31
+DTYPE_SWITCHES = [(16383, np.int16, np.int32),          # 2 * bound < 2**15
+                  (1073741823, np.int32, np.int64),     # 2 * bound < 2**31
                   (2 ** 61 - 1, np.int64, object)]      # 2 * bound < 2**62
-
-
-def complete_digraph(n, total):
-    """Every ordered pair an arc, weights halving from arc to arc and summing
-    to total: the table's values, sentinel and fas sums all come near it."""
-    arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    weights = {a: total >> i + 1 for i, a in enumerate(arcs)}
-    weights[arcs[0]] += total - sum(weights.values())
-    return Digraph(n, arcs, weights)
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -188,7 +179,7 @@ def boundary_of(g, mask):
 @given(graphs(max_n=10, weights=st.sampled_from([0, 1, 7, 1000, 2 ** 40, 10 ** 30])))
 def test_term_tables_match_plain_python(g):
     n = g.n
-    dtype = subset_dp._value_dtype(n * g.total_arc_weight)
+    dtype = guards.int_dtype(2 * n * g.total_arc_weight)   # ola's table
     w = np.zeros((n, n), dtype=dtype)
     for u, v, wt in g.arc_items:
         w[u, v] = wt
@@ -244,11 +235,11 @@ def test_byte_guard(monkeypatch):
     # one of Python ints does not, while narrower values fit one or two
     # vertices more; nothing is allocated to find out
     for objective in OBJECTIVES:
-        assert subset_dp._check_size(26, 26, 10 ** 9, objective) == 1 << 26
+        assert subset_dp._check_size(26, 26, 2 * 10 ** 9, objective) == 1 << 26
         assert subset_dp._check_size(27, 27, 10 ** 6, objective) == 1 << 27
         assert subset_dp._check_size(28, 28, 10, objective) == 1 << 28
         with pytest.raises(SizeGuardError):
-            subset_dp._check_size(27, 27, 10 ** 9, objective)
+            subset_dp._check_size(27, 27, 2 * 10 ** 9, objective)
         with pytest.raises(SizeGuardError):
             subset_dp._check_size(28, 28, 10 ** 6, objective)
         with pytest.raises(SizeGuardError):
