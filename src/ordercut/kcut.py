@@ -77,7 +77,7 @@ from .graph import Digraph, cut_into
 from .report import Counters
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
-_CHUNK_CELLS = 1 << 13     # pair terms held at once by the search
+_CHUNK_CELLS = 1 << 13     # pair sums per search step, or one j1 row's
 _BOUND_CELLS = 1 << 16     # 0-1 terms held at once by the bounds
 _MAX_POWERS = 2048         # past this many powers of 1+eps/3, no rounding
 _PAIR_TEMPS = 1.05         # largest pair matrices live in temporaries (RSS fit)
@@ -215,8 +215,8 @@ def min_weight_triangle(blocks, keys=None):
     values, and ranks[i, j] is the dense rank of values[i] + values[j].
 
     For each (j1, j2) the search takes the first j3 minimizing e02 + e12 (or
-    its rank), over all j1 at once unless r1 * r2 * r3 > _CHUNK_CELLS, then
-    adds e01 over the r1 * r2 cells only.
+    its rank), over pieces of j1 rows within _CHUNK_CELLS sums (_best_pairs),
+    then adds e01 over the r1 * r2 cells only.
     """
     e01, e02, e12 = blocks
     best = _best_pairs(blocks, keys)
@@ -248,17 +248,13 @@ def _triangles(blocks) -> list:
 
 def _best_pairs(blocks, keys) -> np.ndarray:
     """For each (j1, j2), the weight of the best triangle, or with keys its
-    j3; blocks may be stacked on a last axis over a batch. At most
-    _CHUNK_CELLS sums at a time: all j1 rows at once, else rows in pieces,
-    else (where one row of a batch exceeds it) graph by graph."""
+    j3; blocks may be stacked on a last axis over a batch. The sums go in
+    pieces of j1 rows, as many as _CHUNK_CELLS holds and at least one."""
     e01, e02, e12 = blocks
     r1, r2 = e01.shape[0], e01.shape[1]
     if not r1 * r2 * e12.shape[1]:
         raise ValueError("a block is empty: no triangle to search")
-    row = e02.size // r1 * r2   # the sums of one j1 row
-    if row > _CHUNK_CELLS and e01.ndim == 3:
-        graphs = zip(*(guards.batch_views(b, e01.shape[2]) for b in blocks))
-        return np.stack([_best_pairs(graph, keys) for graph in graphs], axis=-1)
+    row = e02.size // r1 * r2   # the sums of one j1 row, across a batch
     rows = range(0, r1, max(1, _CHUNK_CELLS // row))
     if keys is None:
         parts = [(e02[lo:lo + rows.step, None] + e12).min(axis=2) for lo in rows]

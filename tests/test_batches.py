@@ -87,7 +87,7 @@ def test_batches_keep_blocks_within_chunk_rows(monkeypatch):
 @pytest.mark.parametrize("n,count,ks", [
     (9, 9, range(10)),       # mixed dtypes, every k
     (12, 40, [6]),           # 40 graphs exceed _CHUNK_CELLS: rows in pieces
-    (20, 12, [10]),          # so does one row of 12: graph by graph
+    (20, 12, [10]),          # so does one row of 12: one-row pieces
 ])
 def test_stacked_cut_search_matches_cut_profile(eps, n, count, ks, kernel_cells):
     # each member counts the cells of the blocks its batch searched, which
@@ -103,6 +103,24 @@ def test_stacked_cut_search_matches_cut_profile(eps, n, count, ks, kernel_cells)
         assert profile == cut_profile(g, ks, eps, alone)
         assert alone.triangles == kernel_cells.of[id(g)]
         assert c.triangles == cells <= sum(comb(n, k) for k in ks)
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_stacked_search_in_one_row_pieces_matches_cut_profile(n, monkeypatch):
+    # 64 sums are less than one row of most stacked blocks, so their rows
+    # are summed one at a time, across the batch. The profiles are the lone
+    # ones, and the cells each member counts come from the rows the search
+    # kept, not from the kernel's pieces, so they do not move
+    graphs = mixed(n, seed=n)
+    for ks in (range(n + 1), [n // 2]):
+        alone = [cut_profile(g, ks) for g in graphs]
+        whole = [Counters() for _ in graphs]
+        kcut._cut_profiles(graphs, ks, None, whole)
+        monkeypatch.setattr(kcut, "_CHUNK_CELLS", 64)
+        pieces = [Counters() for _ in graphs]
+        assert kcut._cut_profiles(graphs, ks, None, pieces) == alone
+        assert [c.triangles for c in pieces] == [c.triangles for c in whole]
+        monkeypatch.undo()
 
 
 def test_cut_batch_spans_matrix_widths(monkeypatch):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ordercut import (Counters, CutSolution, Digraph, SizeGuardError, cut_into,
                       cut_profile, dkmc_exact, dkmc_oracle, dkmc_weighted_approx,
-                      gen_random, guards, kcut, min_weight_triangle,
+                      gen_random, guards, induced, kcut, min_weight_triangle,
                       parse_graph, tripartition)
 from ordercut.cli import _solver
 
@@ -274,6 +274,27 @@ def test_int16_search_peaks_under_its_byte_model(n, eps):
     g = gen_random(n, 0.3, seed=1)
     assert kcut._PairMatrices([g], tripartition(n)).mats[0, 1].dtype == np.int16
     assert_search_peaks_under_its_byte_model(g, eps)
+
+
+def test_stacked_search_peaks_under_its_byte_model():
+    # the 20 one-vertex complements of a 21-vertex graph in one exact
+    # search, as a scheme level stacks them: the larger splits' rows hold
+    # more than _CHUNK_CELLS sums across the batch, so they are summed one
+    # row at a time, within the bytes batches are sized by
+    g = gen_random(21, 0.3, seed=1)
+    graphs = [induced(g, [v for v in range(21) if v != x])[0] for x in range(20)]
+    parts = tripartition(20)
+    assert comb(7, 3) * comb(6, 3) * len(graphs) > kcut._CHUNK_CELLS
+    model = len(graphs) * kcut._pair_bytes(
+        parts, 2 * max(h.total_arc_weight for h in graphs), 1)
+    kcut._cut_profiles(graphs, [10], None, [None] * 20)   # fills the caches
+    tracemalloc.start()
+    try:
+        kcut._cut_profiles(graphs, [10], None, [None] * 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= model
 
 
 def assert_search_peaks_under_its_byte_model(g, eps):
