@@ -17,19 +17,20 @@ back to the exact solver and report factor 1, with the fallback traced.
 
 Subproblems of one size are solved as one batch: the sides of one size in
 one table call (both sides of an even split), and each scheme level's
-complements in one cut search and two table calls at the level below. A
-lone graph goes through the public single-graph function instead, which a
-traced run records as a span; a batch call is private and is not one.
+complements in one cut search and two table calls at the level below.
+fas_exact and the other exact solvers are batches of one; a lone graph is
+passed to them only so that a traced run records it as a span.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, takewhile
 
 import numpy as np
 
@@ -99,19 +100,22 @@ class BoostParams:
     alpha: float
 
 
-def boost_ladder(levels: int, delta1: float = DEFAULT_DELTA1) -> tuple[BoostParams, ...]:
-    """BoostParams for levels 1..levels; delta_{k+1} is the midpoint of the
-    admissible interval (0, 2 - 2^(1 - alpha_k))."""
+def _rungs(levels: int, delta1: float) -> Iterator[BoostParams]:
+    """BoostParams for levels 1..levels, computed as read; delta_{k+1} is
+    the midpoint of the admissible interval (0, 2 - 2^(1 - alpha_k))."""
     if not 0 < delta1 < 1:
         raise ValueError("delta1 must lie in (0, 1)")
-    out = []
     delta = delta1
     for level in range(1, levels + 1):
         gamma = solve_gamma(delta)
         alpha = 1.0 / gamma
-        out.append(BoostParams(level, delta, gamma, alpha))
+        yield BoostParams(level, delta, gamma, alpha)
         delta = (2 - 2 ** (1 - alpha)) / 2
-    return tuple(out)
+
+
+def boost_ladder(levels: int, delta1: float = DEFAULT_DELTA1) -> tuple[BoostParams, ...]:
+    """BoostParams for levels 1..levels (see _rungs)."""
+    return tuple(_rungs(levels, delta1))
 
 
 def _pw_equation(alpha: float) -> float:
@@ -142,11 +146,11 @@ def _solve(graphs, lone, batch) -> list:
     else batch(graphs), one call for all.
 
     Either way a lone graph's table, exact solve or cut search runs as a
-    batch of one with no batch axis. (The 15-38% measured at n = 8-21 was
-    the cut kernel's: kcut searches a lone graph with min_weight_triangle,
-    not _triangles over a batch axis of length 1.) The lone fork exists so
-    that a traced run sees the public call, *_exact, fas_table or dkmc_*,
-    which perfbench/test_perfbench.py needs for kcut.calls > 0."""
+    batch of one with no batch axis: *_exact is _exacts([g]). (The 15-38%
+    measured at n = 8-21 was the cut kernel's: kcut searches a lone graph
+    with min_weight_triangle, not _triangles over a batch axis of length 1.)
+    The lone fork exists only so that a traced run sees the public call
+    (*_exact, fas_table, dkmc_*): perfbench's tests need kcut.calls > 0."""
     return [lone(graphs[0])] if len(graphs) == 1 else batch(graphs)
 
 
@@ -355,7 +359,10 @@ def fas_scheme(g: Digraph, eps, weighted: bool = False,
         raise ValueError("eps must be positive")
     k = math.ceil(Fraction(2 if weighted else 1) / eps_f)
     guards.check(k * g.n, guards.SCHEME_BUDGET, "fas_scheme level*n")
-    ladder = boost_ladder(k - 1, delta1) if k >= 2 else ()
+    # alpha_k falls with k, so rungs stop at the first whose prefix rounds
+    # to 0; from rung 9-11 on, by delta1, gamma cannot even be bracketed
+    rungs = _rungs(k - 1, delta1) if k >= 2 else ()
+    ladder = tuple(takewhile(lambda p: _round_half_up(p.alpha * g.n) >= 1, rungs))
     return _fas_level([g], k, weighted, ladder)[0]
 
 
@@ -368,8 +375,8 @@ def _fas_level(graphs, level: int, weighted: bool,
         return _balanced(graphs, "fas", 1 if weighted else None, fas_exact)
     t0 = time.perf_counter()
     n = graphs[0].n
-    params = ladder[level - 2]
-    prefix = _round_half_up(params.alpha * n)
+    # a missing rung is the top level's, whose prefix rounds to 0
+    prefix = _round_half_up(ladder[level - 2].alpha * n) if level - 2 < len(ladder) else 0
     if n <= 2 or prefix < 1 or prefix >= n:
         return [_traced(rep, f"exact-fallback-level-{level}")
                 for rep in _exact_all(graphs, fas_exact, "fas")]

@@ -475,7 +475,9 @@ class _Bounds:
         lb = c02.reshape((-1,) + c02.shape[2:])[pick02]    # [i, j1, k2]: c02[j1, k3]
         count = len(pick12)
         step = max(1, _BOUND_CELLS // (count * m01[0].size))   # rows of m01 at a time
-        # those rows' terms for every k, and with values the rows' own keys
+        # those rows' terms for every k, and with values the rows' own keys;
+        # one buffer, as fresh arrays per piece peaked up to 1.8x higher at
+        # n = 20-26 and were no faster (0.96-1.04x at n = 9-26, 2 CPUs)
         temp = np.empty((count + (approx is not None)) * min(step, len(m01)) * m01[0].size,
                         dtype=c12.dtype)
         for lo in range(0, len(m01), step):

@@ -524,48 +524,37 @@ def dpw_prefix_table(g: Digraph, size_cap: int) -> SubsetTable:
     return _prefix_table(g, size_cap, "dpw")
 
 
-def _exact(g: Digraph, objective: str) -> SolveReport:
-    t0 = time.perf_counter()
-    guards.check(g.n, guards.EXACT_DP_GUARD, f"{objective}_exact vertex count")
-    table = fas_table(g) if objective == "fas" else _prefix_table(g, g.n, objective)
-    return _exact_report(g, objective, table, t0)
-
-
 def _exacts(graphs, objective: str) -> list[SolveReport]:
     """The exact reports of graphs with one vertex count, from one batch of
-    tables."""
+    tables, whose values finish() checks. fas_table builds a lone fas graph's
+    batch of one, which a traced run then records as fas_exact's child span."""
     t0 = time.perf_counter()
     n = graphs[0].n
     guards.check(n, guards.EXACT_DP_GUARD, f"{objective}_exact vertex count")
-    tables = _prefix_tables(graphs, n, objective)
-    return [_exact_report(g, objective, table, t0)
+    tables = ([fas_table(graphs[0])] if objective == "fas" and len(graphs) == 1
+              else _prefix_tables(graphs, n, objective))
+    full = (1 << n) - 1
+    return [finish(g, objective, table.order_of(full), table.value_of(full),
+                   Counters(table_entries=table.entries, calls=1), t0,
+                   claim=table.value_of(full))
             for g, table in zip(graphs, tables)]
-
-
-def _exact_report(g: Digraph, objective: str, table: SubsetTable,
-                  t0: float) -> SolveReport:
-    """g's exact report from its full table, whose value finish() checks."""
-    full = (1 << g.n) - 1
-    value = table.value_of(full)
-    return finish(g, objective, table.order_of(full), value,
-                  Counters(table_entries=table.entries, calls=1), t0, claim=value)
 
 
 def fas_exact(g: Digraph) -> SolveReport:
     """Minimum-weight feedback arc set via the subset DP."""
-    return _exact(g, "fas")
+    return _exacts([g], "fas")[0]
 
 
 def ola_exact(g: Digraph) -> SolveReport:
     """Optimal linear arrangement via the subset DP."""
-    return _exact(g, "ola")
+    return _exacts([g], "ola")[0]
 
 
 def cutwidth_exact(g: Digraph) -> SolveReport:
     """Directed cutwidth via the subset DP."""
-    return _exact(g, "cutwidth")
+    return _exacts([g], "cutwidth")[0]
 
 
 def dpw_exact(g: Digraph) -> SolveReport:
     """Directed pathwidth via the subset DP (weights ignored)."""
-    return _exact(g, "dpw")
+    return _exacts([g], "dpw")[0]

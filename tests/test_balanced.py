@@ -9,7 +9,7 @@ from ordercut import (Digraph, Ordering, SizeGuardError, backward_weight,
                       boost_ladder, cutwidth_balanced_approx, cutwidth_exact,
                       cutwidth_of, dpw_2approx, dpw_exact, fas_balanced_approx,
                       fas_exact, fas_scheme, gamma_for_target, gen_random,
-                      ola_directed_approx, ola_exact, ola_of,
+                      guards, ola_directed_approx, ola_exact, ola_of,
                       ola_undirected_approx, perm_opt, solve_gamma,
                       solve_pw_alpha)
 from ordercut.balanced import _gamma_lhs, _orient_sides
@@ -42,6 +42,11 @@ def test_solve_gamma_domain():
         solve_gamma(0)
     with pytest.raises(ValueError):
         solve_gamma(1)
+    # in floats the left side is 0.0 at g = 2^64, so a target of 0 or less
+    # has no root below it: the target a rung-10 ladder asks for is 0.0
+    for target in (0.0, -1.0):
+        with pytest.raises(ValueError, match="too small to bracket"):
+            gamma_for_target(target)
     g1 = solve_gamma(0.25)
     g2 = solve_gamma(0.9)
     assert g1 > g2 > 2   # larger margin -> easier target -> smaller gamma
@@ -183,6 +188,22 @@ def test_fas_scheme_default_ladder_degenerates_to_exact():
     rep = fas_scheme(g, Fraction(1, 2))
     assert rep.factor == 1
     assert rep.value == fas_exact(g).value
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("weighted", [False, True])
+def test_fas_scheme_high_levels_on_tiny_graphs_fall_back(n, weighted):
+    # level * n within the budget lets k >= 11 through at n <= 4 and any k
+    # at n = 0, though rung 10's gamma cannot be bracketed: the ladder stops
+    # at the first rung whose prefix rounds to 0, and the top level falls back
+    for g in (gen_random(n, 0.5, seed=n), gen_random(n, 0.6, (1, 9), seed=n)):
+        want = fas_exact(g)
+        for k in (11, 12, 24, 48, 10 ** 30):
+            if k * n > guards.SCHEME_BUDGET:
+                continue
+            rep = fas_scheme(g, Fraction(2 if weighted else 1, k), weighted)
+            assert (rep.value, rep.ordering, rep.factor, rep.trace) == (
+                want.value, want.ordering, 1, ((f"exact-fallback-level-{k}", n),))
 
 
 def test_fas_scheme_budget_guard(monkeypatch):

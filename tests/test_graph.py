@@ -312,6 +312,11 @@ def test_gen_random_extremes():
     assert gen_random(4, 1.0, seed=1, undirected=True).m == 6
     assert gen_random(5, 1.0, weight_range=(3, 3), seed=2).weighted
     assert not gen_random(5, 1.0, seed=2).weighted
+    for p, weight_range, fragment in (
+            (-0.1, (1, 1), "arc probability"), (1.5, (1, 1), "arc probability"),
+            (0.5, (-1, 3), "bad weight range"), (0.5, (5, 2), "bad weight range")):
+        with pytest.raises(ValueError, match=fragment):
+            gen_random(4, p, weight_range)
 
 
 # ------------------------------------------------------------------- package

@@ -100,10 +100,11 @@ def test_dkmc_boundary_k():
     assert dkmc_exact(g, 0).value == 0 and dkmc_exact(g, 0).vertices == ()
     full = dkmc_exact(g, 6)
     assert full.value == 0 and full.vertices == tuple(range(6))
-    with pytest.raises(ValueError):
-        dkmc_exact(g, 7)
-    with pytest.raises(ValueError):
-        dkmc_exact(g, -1)
+    for k in (7, -1):
+        with pytest.raises(ValueError):
+            dkmc_exact(g, k)
+        with pytest.raises(ValueError, match=f"k={k} outside 0..6"):
+            dkmc_oracle(g, k)
 
 
 def test_dkmc_exact_matches_oracle():
@@ -397,6 +398,14 @@ def test_triangle_search_matches_seed_scan_with_ties(data):
     e01, e02, e12 = matrix(r1, r2), matrix(r1, r3), matrix(r2, r3)
     blocks = tuple(np.array(m, dtype=np.int64) for m in (e01, e02, e12))
     assert min_weight_triangle(blocks) == seed_triangle_scan(e01, e02, e12)
+
+
+@pytest.mark.parametrize("r1,r2,r3", [(0, 2, 3), (2, 0, 3), (2, 3, 0)])
+def test_triangle_search_rejects_an_empty_block(r1, r2, r3):
+    blocks = tuple(np.zeros(shape, dtype=np.int64)
+                   for shape in ((r1, r2), (r1, r3), (r2, r3)))
+    with pytest.raises(ValueError, match="a block is empty"):
+        min_weight_triangle(blocks)
 
 
 def _graph_with_total(total: int) -> Digraph:

@@ -80,17 +80,16 @@ def test_cli_solve_evaluates_once(evaluated, tmp_path, capsys):
 
 
 def off_by_one(fn):
-    def wrong(*args):
-        rep = fn(*args)
+    def wrong(*args, **kwargs):
+        rep = fn(*args, **kwargs)
         return dataclasses.replace(rep, value=rep.value + 1)
     return wrong
 
 
 def test_fas_split_checks_sides_plus_cut(monkeypatch):
     # every exact side report one too high: at n = 8 both sides are solved
-    # in one batch call, at n = 9 each through fas_exact
-    monkeypatch.setattr(subset_dp, "_exact_report",
-                        off_by_one(subset_dp._exact_report))
+    # in one batch call, at n = 9 each through fas_exact, a batch of one
+    monkeypatch.setattr(subset_dp, "finish", off_by_one(subset_dp.finish))
     for n in (8, 9):
         with pytest.raises(AssertionError, match="fas solver claimed"):
             fas_balanced_approx(gen_random(n, 0.4, seed=1))
@@ -105,15 +104,17 @@ def test_scheme_checks_best_candidate(monkeypatch):
 
 @pytest.mark.parametrize("obj", sorted(EXACT))
 def test_exact_checks_table_value(obj, monkeypatch):
-    real = subset_dp._prefix_table
+    real = subset_dp._prefix_tables
 
-    def wrong(g, cap, objective):
-        table = real(g, cap, objective)
-        return dataclasses.replace(table, vals=table.vals + 1)
+    def wrong(graphs, cap, objective):
+        return [dataclasses.replace(table, vals=table.vals + 1)
+                for table in real(graphs, cap, objective)]
 
-    monkeypatch.setattr(subset_dp, "_prefix_table", wrong)
+    monkeypatch.setattr(subset_dp, "_prefix_tables", wrong)
     with pytest.raises(AssertionError, match=f"{obj} solver claimed"):
         EXACT[obj](gen_random(6, 0.5, seed=2))
+    with pytest.raises(AssertionError, match=f"{obj} solver claimed"):
+        subset_dp._exacts([gen_random(6, 0.5, seed=s) for s in (2, 3)], obj)
 
 
 def test_dpw_checks_prefix_bound(monkeypatch):

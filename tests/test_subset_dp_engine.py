@@ -214,6 +214,13 @@ def test_dpw_2approx_prefix_is_first_minimum(n, seed):
     assert set(rep.ordering.seq[:p]) == set(first_min_prefix(g, p))
 
 
+@pytest.mark.parametrize("build,cap", [(fas_table, -1), (fas_table, 6),
+                                       (dpw_prefix_table, 6)])
+def test_size_cap_outside_the_table_raises(build, cap):
+    with pytest.raises(ValueError, match="size cap .* outside 0..5"):
+        build(gen_random(5, 0.5, seed=1), cap)
+
+
 def test_out_of_table_masks_raise():
     g = Digraph(5, [(0, 1), (1, 2), (2, 0)])
     full, capped = fas_table(g), fas_table(g, 2)
