@@ -14,16 +14,16 @@ S placed before it:
 
 so a per-graph table cost[S*n + v] scores every ordering: one product of the
 2^n x n matrix of vertices outside each mask with the n x n arc weights (arc
-counts for dpw), and row sums for the cut and dpw. The orderings are the
-leaves of the lexicographic permutation tree; level k holds the prefixes of
-length k + 1 in lexicographic order, and each prefix's score is its parent's
-combined with its last vertex's cost, gathered with take at the level's cached
-int32 indices S*n + v. The last vertex costs nothing, so n - 1 levels reach
-all n! leaves, still in lexicographic order: the first minimum is the
-lexicographically least optimal sequence, recovered by unranking its index in
-the factorial number system. Scores take guards.int_dtype(2 * n * total arc
-weight): the narrowest of int16/int32/int64 holding it, and Python ints
-(object) from 2**62 up.
+counts for dpw), and row sums for the cut and dpw. The leaves are grouped by
+prefix set: level j = 1..n-1 holds, per j-set S, the scores of every ordering
+of S, read whole from the rows of S - v (v in S ascending) and combined with
+cost[(S - v)*n + v]. The last vertex costs nothing, so level n - 1 holds all
+n! orderings. The same loop, adding digits, ranks the leaves; the witness is
+the least rank among the ties, the lexicographically least optimal sequence.
+The cache holds each level's row and cost indices and the n! ranks in
+guards.int_dtype(n!): 1.5 MB at n = 9. Scores take guards.int_dtype(2 * n *
+total arc weight): the narrowest of int16/int32/int64 holding it, and Python
+ints (object) from 2**62 up.
 """
 
 from __future__ import annotations
@@ -49,19 +49,37 @@ class OracleResult:
 
 
 @lru_cache(maxsize=16)
-def _position_matrix(n: int) -> tuple[np.ndarray, ...]:
-    """Per level k = 0..n-2 of the permutation tree, S*n + v for every prefix
-    of length k + 1 in lexicographic order: v is its last vertex and S the
-    mask of the ones before it."""
-    levels = []
-    masks = np.zeros(1, dtype=np.int64)
+def _position_matrix(n: int) -> tuple[tuple, np.ndarray]:
+    """Per level j = 1..n-1, (C(n, j), j) arrays of the row of S - v at level
+    j - 1 and of (S - v)*n + v, for each j-set S (in mask order) and member v
+    (ascending); and every leaf's lexicographic rank."""
+    masks = np.arange(1 << n, dtype=np.int64)
     bit = 1 << np.arange(n, dtype=np.int64)
-    for _ in range(n - 1):
-        # children of every prefix: the vertices it lacks, ascending
-        parent, v = np.nonzero((masks[:, None] & bit) == 0)
-        levels.append((masks[parent] * n + v).astype(np.int32))
-        masks = masks[parent] | bit[v]
-    return tuple(levels)
+    inside = (masks[:, None] & bit) != 0
+    size = inside.sum(axis=1)
+    row = np.zeros(1 << n, dtype=np.intp)       # each set's row in its level
+    levels = []
+    for j in range(1, n):
+        sets = masks[size == j]
+        row[sets] = np.arange(len(sets))
+        v = np.nonzero(inside[sets])[1].reshape(len(sets), j)
+        parent = sets[:, None] ^ bit[v]
+        levels.append((row[parent], parent * n + v))
+    # v's digit after S: the vertices below v missing from S, times (n-|S|-1)!
+    fact = np.array([math.factorial(max(n - 1 - k, 0)) for k in range(n + 1)])
+    digit = (np.arange(n) - inside.cumsum(axis=1) + inside) * fact[size, None]
+    dtype = guards.int_dtype(math.factorial(n))
+    ranks = _leaves(levels, digit.astype(dtype).ravel(), np.add, dtype)
+    return tuple(levels), ranks
+
+
+def _leaves(levels, cost: np.ndarray, combine, dtype) -> np.ndarray:
+    """Every ordering's score, in the leaf layout of _position_matrix."""
+    values = np.zeros(1, dtype=dtype)
+    for rows, at in levels:
+        values = values.reshape(len(values), -1).take(rows, axis=0)
+        combine(values, cost.take(at)[:, :, None], out=values)
+    return values.ravel()
 
 
 def _cost_table(g: Digraph, objective: str, dtype) -> np.ndarray:
@@ -103,15 +121,13 @@ def perm_opt(g: Digraph, objective: str) -> OracleResult:
     n = g.n
     guards.check(n, guards.ORACLE_GUARD, "oracle vertex count")
     dtype = guards.int_dtype(2 * n * g.total_arc_weight)
-    cost = _cost_table(g, objective, dtype)
-    combine = _COMBINE[objective]
-    values = np.zeros(1, dtype=dtype)
-    for k, level in enumerate(_position_matrix(n)):
-        values = combine(np.repeat(values, n - k), cost.take(level))
-    idx = int(np.argmin(values))            # first minimum = lex-least sequence
-    opt = int(values[idx])
-    count = int(np.count_nonzero(values == opt))
-    ordering = Ordering.from_sequence(_unrank(idx, n))
+    levels, ranks = _position_matrix(n)
+    values = _leaves(levels, _cost_table(g, objective, dtype),
+                     _COMBINE[objective], dtype)
+    opt = int(values.min())
+    tied = values == opt
+    count = int(np.count_nonzero(tied))
+    ordering = Ordering.from_sequence(_unrank(int(ranks[tied].min()), n))
     actual = EVALUATORS[objective](g, ordering)
     if actual != opt:
         raise AssertionError(

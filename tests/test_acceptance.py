@@ -20,7 +20,7 @@ from ordercut import (EVALUATORS, Digraph, Ordering, backward_weight, cut_at,
                       dkmc_exact, dkmc_oracle, dkmc_weighted_approx,
                       dpw_2approx, dpw_exact, fas_balanced_approx, fas_exact,
                       fas_scheme, fas_table, gamma_for_target, gen_random,
-                      kcut, ola_directed_approx, ola_exact,
+                      guards, kcut, ola_directed_approx, ola_exact,
                       ola_undirected_approx, perm_opt, serialize_graph,
                       solve_pw_alpha, tripartition)
 from ordercut.balanced import _gamma_lhs
@@ -39,21 +39,26 @@ def announce(name, budget_s, started, detail):
     assert ok, line
 
 
-def test_exact_dps_match_oracle():
+def test_exact_dps_match_oracle(monkeypatch):
     started = time.perf_counter()
-    checked = 0
-    for i in range(200):
-        n = 4 + i % 5
-        p = (0.2, 0.5, 0.8)[i % 3]
-        wr = (1, 1) if i % 2 == 0 else (1, 1000)
-        g = gen_random(n, p, weight_range=wr, seed=1000 + i)
+    graphs = [gen_random(4 + i % 5, (0.2, 0.5, 0.8)[i % 3],
+                         weight_range=(1, 1) if i % 2 == 0 else (1, 1000),
+                         seed=1000 + i) for i in range(200)]
+    # n = 9 directed and undirected, unit and 1..1000 weights; and one
+    # n = 10 graph, past the oracle's guard
+    graphs += [gen_random(9, 0.4, weight_range=wr, seed=1200 + s,
+                          undirected=undirected)
+               for s, (wr, undirected)
+               in enumerate(product(((1, 1), (1, 1000)), (False, True)))]
+    graphs.append(gen_random(10, 0.4, weight_range=(1, 1000), seed=1210))
+    monkeypatch.setattr(guards, "ORACLE_GUARD", 10)
+    for i, g in enumerate(graphs):
         for obj in EXACT:
             rep = EXACT[obj](g)
             assert rep.value == perm_opt(g, obj).opt, (i, obj)
             assert EVALUATORS[obj](g, rep.ordering) == rep.value, (i, obj)
-        checked += 1
     announce("exact DPs ≡ brute force", 60, started,
-             f"4 objectives on {checked} graphs, n in 4..8")
+             f"4 objectives on {len(graphs)} graphs, n in 4..10")
 
 
 def test_kcut_matches_oracle():

@@ -1,5 +1,6 @@
 """Brute-force permutation oracle."""
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -55,6 +56,27 @@ def test_matches_naive_loop(objective):
         assert res.opt == opt, g
         assert res.count == count, g
         assert res.ordering.seq == first, g
+
+
+@pytest.mark.parametrize("objective", ["fas", "cutwidth"])
+def test_leaf_layout(objective):
+    # the cached ranks number the leaves 0..n!-1, and the leaf scores in
+    # rank order are the evaluator's over permutations() in order: sums
+    # (fas) and maxima (cutwidth) on weighted graphs
+    from ordercut import guards, oracle
+    for n in range(8):
+        g = gen_random(n, 0.6, weight_range=(1, 9), seed=600 + n)
+        levels, ranks = oracle._position_matrix(n)
+        assert ranks.dtype == guards.int_dtype(math.factorial(n))
+        assert sorted(ranks.tolist()) == list(range(math.factorial(n)))
+        dtype = guards.int_dtype(2 * n * g.total_arc_weight)
+        leaves = oracle._leaves(levels, oracle._cost_table(g, objective, dtype),
+                                oracle._COMBINE[objective], dtype)
+        in_rank_order = np.empty_like(leaves)
+        in_rank_order[ranks] = leaves
+        want = [EVALUATORS[objective](g, Ordering.from_sequence(seq))
+                for seq in permutations(range(n))]
+        assert in_rank_order.tolist() == want, n
 
 
 def test_int64_object_boundary(monkeypatch):
