@@ -82,8 +82,10 @@ def gamma_for_target(target: float) -> float:
     return _bisect(reaches, 2.0, 2.0 ** 64)[0]
 
 
+@lru_cache(maxsize=64)
 def solve_gamma(delta: float) -> float:
-    """Root of the gamma-equation with right side 1 - log2(2 - delta)."""
+    """Root of the gamma-equation with right side 1 - log2(2 - delta);
+    pure in delta, so each ladder rung is bisected once per process."""
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     return gamma_for_target(1 - math.log2(2 - delta))

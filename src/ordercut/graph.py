@@ -13,6 +13,8 @@ import random
 from itertools import accumulate
 from typing import Iterable, Iterator
 
+import numpy as np
+
 
 class GraphError(ValueError):
     """Raised for structurally invalid graph input."""
@@ -87,6 +89,18 @@ class Digraph:
         for u, v, w in self.arc_items:
             if u < v:
                 yield u, v, w
+
+    def fill_weights(self, *targets, unit: bool = False) -> None:
+        """Set w[u, v] to the weight of each arc u -> v, or to 1 when unit,
+        in each target w, n x n arrays or views of one dtype, by one
+        fancy-index store each. The weights take the targets' dtype before
+        any store: a Python int past 2**63 must not turn them float64."""
+        if self.arc_items:
+            u, v, wt = zip(*self.arc_items)
+            u, v = np.array(u), np.array(v)
+            wt = 1 if unit else np.array(wt, dtype=targets[0].dtype)
+            for w in targets:
+                w[u, v] = wt
 
     @property
     def total_arc_weight(self) -> int:

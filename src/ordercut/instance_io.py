@@ -12,7 +12,7 @@ comments, arcs sorted by (u, v), so parse(serialize(g)) == g.
 from __future__ import annotations
 
 from . import guards
-from .graph import Digraph, GraphError
+from .graph import Digraph
 
 
 class ParseError(ValueError):
@@ -32,10 +32,11 @@ def _int(token: str, what: str, lineno: int) -> int:
 
 
 def parse_graph(text: str) -> Digraph:
-    """Parse instance text into a Digraph (0-indexed internally)."""
+    """Parse instance text into a Digraph (0-indexed internally). Every
+    check of Digraph's is made here, line by line, so the arcs go to the
+    graph as they are, sorted, with no second check."""
     header = None
-    arcs: list[tuple[int, int]] = []
-    weights: dict[tuple[int, int], int] = {}
+    weights: dict[tuple[int, int], int] = {}   # arc as given -> weight
     n = m = 0
     undirected = weighted = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -80,18 +81,17 @@ def parse_graph(text: str) -> Digraph:
                 w = _int(tokens[3], "weight", lineno)
                 if w < 0:
                     raise ParseError(f"line {lineno}: negative weight on arc {u} -> {v}")
-            arcs.append(key)
             weights[key] = w
         else:
             raise ParseError(f"line {lineno}: unknown line type {tokens[0]!r}")
     if header is None:
         raise ParseError("missing header line")
-    if len(arcs) != m:
-        raise ParseError(f"arc count mismatch: header says {m}, body has {len(arcs)}")
-    try:
-        return Digraph(n, arcs, weights, undirected=undirected, weighted=weighted)
-    except GraphError as exc:
-        raise ParseError(str(exc)) from None
+    if len(weights) != m:
+        raise ParseError(f"arc count mismatch: header says {m}, body has {len(weights)}")
+    items = [(u, v, w) for (u, v), w in weights.items()]
+    if undirected:   # each edge in both directions
+        items += [(v, u, w) for u, v, w in items]
+    return Digraph.__new__(Digraph)._set_arcs(n, undirected, weighted, tuple(sorted(items)))
 
 
 def serialize_graph(g: Digraph) -> str:

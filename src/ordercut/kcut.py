@@ -49,22 +49,31 @@ stored edge weight up to a power of (1+eps/3), which keeps the number of
 distinct weights logarithmic while inflating any triangle by less than a
 (1+eps) factor; the returned value is always the true, unrounded cut weight
 (see _Rounding). The powers are far wider than int64, so cut_profile keys
-every pair-matrix entry once per call (np.searchsorted against the integer
-thresholds floor((1+eps/3)^e), in the matrix's memory order) and ranks
-every sum of two keys exactly, once.
+every pair-matrix entry once per call, in the matrix's memory order, to the
+index of its exponent against the integer thresholds floor((1+eps/3)^e):
+through a weight -> index table (one np.repeat, then take) when the
+matrices hold at least _TABLE_MIN_CELLS integer cells and the largest
+weight is at most _TABLE_CELLS per cell, by np.searchsorted otherwise. The
+kernel compares sums of two keys by their ranks. Their order does not
+depend on the largest exponent, so the rank table of a base a/b = 1+eps/3
+is kept across calls and read through its leading rows and columns
+(_rank_table); a grid of more than _RANK_SPAN keys ranks only the
+exponents in use, call by call.
 The search then runs the same body on int64 key indices and pair-sum
 ranks, and only the r1 * r2 cells of the best completions add the keys
-themselves. _Bounds takes the ascending key values and bounds in them:
-keys grow with their index, so the least index gives the least key. The
-keys are compared as float64 sums, scaled as in _pair_ranks, against the
-best key sum widened by a relative 2^-48 and an absolute 2^-1060, which
-exceeds every rounding and underflow error of the sums: a row may be kept
-in vain, but never dropped.
+themselves: as float64 sums, and exactly only in the cells within float
+error of the least. _Bounds takes the ascending key values and bounds in
+them: keys grow with their index, so the least index gives the least key.
+The keys are compared as float64 sums, scaled as in _pair_ranks, against
+the best key sum widened by a relative 2^-48 and an absolute 2^-1060,
+which exceeds every rounding and underflow error of the sums: a row may be
+kept in vain, but never dropped.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -82,8 +91,14 @@ _BOUND_CELLS = 1 << 16     # 0-1 terms held at once by the bounds
 _MAX_POWERS = 2048         # past this many powers of 1+eps/3, no rounding
 _PAIR_TEMPS = 1.05         # largest pair matrices live in temporaries (RSS fit)
 _RANK_BYTES = 66           # peak bytes of _pair_ranks per key squared (RSS fit)
+_RANK_TABLES = 4           # bases whose pair-sum ranks a process keeps
+_RANK_SPAN = 256           # most keys of a kept rank table (66 * 256^2 = 4.3 MB)
+_TABLE_CELLS = 4           # most weight -> index table entries per matrix cell
+_TABLE_MIN_CELLS = 1 << 12  # below: searchsorted beats the table's set-up
 _SLACK = 2.0 ** -48        # relative float error a key bound may hide
 _UNDERFLOW = 2.0 ** -1060  # absolute error of three underflowed scaled keys
+
+_rank_tables: dict = {}    # (a, b): _rank_table's tables, least recently used first
 
 
 @dataclass(frozen=True)
@@ -161,8 +176,7 @@ class _PairMatrices:
         batch = (len(graphs),) if len(graphs) > 1 else ()
         w = np.zeros((n, 2, n) + batch, dtype=dtype)   # [u, 0, v]: u -> v, [v, 1, u]
         for g, wg in zip(graphs, guards.batch_views(w, len(graphs))):
-            for u, v, wt in g.arc_items:
-                wg[u, 0, v] = wg[v, 1, u] = wt
+            g.fill_weights(wg[:, 0], wg[:, 1].T)
         at = [np.array(p, dtype=np.intp) for p in parts]
         order, self.bits, self.rows = zip(*(_mask_order(len(p)) for p in parts))
         bits = [b.reshape(b.shape + (1,) * len(batch)) for b in self.bits]
@@ -210,25 +224,36 @@ def min_weight_triangle(blocks, keys=None):
     weights between groups 0-1, 0-2 and 1-2.
 
     Returns ((j1, j2, j3), weight); the lexicographically least triple wins
-    ties, and weights must be non-negative. With keys = (values, ranks),
-    blocks hold indices into values, a triangle weighs the sum of its three
-    values, and ranks[i, j] is the dense rank of values[i] + values[j].
+    ties, and weights must be non-negative. With keys = (values, ranks) or
+    (values, ranks, approx), blocks hold indices into values, a triangle
+    weighs the sum of its three values, ranks[i, j] orders the sums
+    values[i] + values[j] (ties equal; ranks may have more rows and columns
+    than values), and approx is values as scaled floats (_scaled).
 
     For each (j1, j2) the search takes the first j3 minimizing e02 + e12 (or
     its rank), over pieces of j1 rows within _CHUNK_CELLS sums (_best_pairs),
-    then adds e01 over the r1 * r2 cells only.
+    then adds e01 over the r1 * r2 cells only. Keys are added in floats, and
+    exactly only in the cells within float error of the least float sum.
     """
     e01, e02, e12 = blocks
     best = _best_pairs(blocks, keys)
     r1, r2 = e01.shape
-    weights = best
-    if keys is not None:   # best holds the j3 of each (j1, j2)
-        values = keys[0]
-        weights = (values[e01] + values[e02[np.arange(r1)[:, None], best]]
-                   + values[e12[np.arange(r2), best]])
-    j1, j2 = divmod(int(weights.argmin()), r2)
-    j3 = int((e02[j1] + e12[j2]).argmin()) if keys is None else int(best[j1, j2])
-    return (j1, j2, j3), int(weights[j1, j2])
+    if keys is None:
+        j1, j2 = divmod(int(best.argmin()), r2)
+        return (j1, j2, int((e02[j1] + e12[j2]).argmin())), int(best[j1, j2])
+    values = keys[0]   # best holds the j3 of each (j1, j2)
+    approx = keys[2] if len(keys) > 2 else _scaled(values.tolist())[1]
+    at = (e01.ravel(), e02[np.arange(r1)[:, None], best].ravel(),
+          e12[np.arange(r2), best].ravel())
+    floats = approx[at[0]] + approx[at[1]] + approx[at[2]]
+    cell = int(floats.argmin())
+    near = floats <= floats[cell] * (1 + _SLACK) + _UNDERFLOW
+    if np.count_nonzero(near) > 1:   # the first least exact sum among them
+        near = np.flatnonzero(near)
+        sums = values[at[0][near]] + values[at[1][near]] + values[at[2][near]]
+        cell = int(near[sums.argmin()])
+    j1, j2 = divmod(cell, r2)
+    return (j1, j2, int(best[j1, j2])), sum(int(values[a[cell]]) for a in at)
 
 
 def _triangles(blocks) -> list:
@@ -259,8 +284,8 @@ def _best_pairs(blocks, keys) -> np.ndarray:
     if keys is None:
         parts = [(e02[lo:lo + rows.step, None] + e12).min(axis=2) for lo in rows]
     else:
-        values, ranks = keys[0], keys[1].ravel()
-        parts = [ranks[e02[lo:lo + rows.step, None] * len(values) + e12].argmin(axis=2)
+        width, ranks = keys[1].shape[1], keys[1].ravel()
+        parts = [ranks.take(e02[lo:lo + rows.step, None] * width + e12).argmin(axis=2)
                  for lo in rows]
     pairs = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return e01 + pairs if keys is None else pairs
@@ -277,6 +302,8 @@ def _scaled(keys: list[int]) -> tuple[int, np.ndarray]:
     """(scale, approx): a power of two, and keys / scale as correctly
     rounded float64s, none of whose sums of three overflows."""
     scale = 1 << max(0, keys[-1].bit_length() - 1000)
+    if scale == 1:   # float(key), correctly rounded as key / 1 is
+        return scale, np.array(keys, dtype=np.float64)
     return scale, np.array([key / scale for key in keys])
 
 
@@ -308,7 +335,7 @@ def _pair_ranks(keys: list[int]) -> np.ndarray:
         by_sum = sorted(range(hi - lo), key=exact.__getitem__)
         order[lo:hi] = run[by_sum]
         fresh[lo + 1:hi] = [exact[p] != exact[q] for q, p in pairwise(by_sum)]
-    ranks = np.empty((len(keys), len(keys)), dtype=np.int64)
+    ranks = np.empty((len(keys), len(keys)), dtype=guards.int_dtype(len(sums)))
     ranks[i[order], j[order]] = ranks[j[order], i[order]] = np.cumsum(fresh) - 1
     return ranks
 
@@ -328,9 +355,9 @@ class _Rounding:
     An eps whose denominator exceeds 2^64 is first replaced by the largest
     nonzero multiple of 2^-64 not above it, so the powers have short
     factors; a smaller eps keeps every cut within 1+eps. The pair-sum ranks
-    of the at most _MAX_POWERS + 2 keys are built for the first k on the
-    grid, once the byte guard admits them beside the pair matrices and
-    the key index (nbytes).
+    come from the table kept for the base (_rank_table), read for the first
+    k on the grid once the byte guard admits it beside the pair matrices,
+    the key index and the weight -> index table (nbytes).
     """
 
     def __init__(self, matrices: _PairMatrices, eps: Fraction):
@@ -340,7 +367,7 @@ class _Rounding:
         base = 1 + eps / 3
         self.a, self.b = base.numerator, base.denominator
         self.low = math.ceil(1 / eps)     # the least smax with eps * smax >= 1
-        smax = max(int(m.max()) for m in matrices.mats.values())
+        self.smax = smax = max(int(m.max()) for m in matrices.mats.values())
         # limits[e + 1] = floor(base^e), limits[0] = 0 for weight 0. No power
         # is built when no stored weight reaches low, or when base^_MAX_POWERS
         # < low (eps below about 0.0072): top / 2**64 bounds base^(2^i) from
@@ -358,6 +385,10 @@ class _Rounding:
             while self.limits[-1] < smax and len(self.limits) - 1 <= _MAX_POWERS:
                 pa, pb = pa * self.a, pb * self.b
                 self.limits.append(pa // pb)
+        # the largest exponent a stored weight rounds to; past _RANK_SPAN
+        # keys (wide), the keys are only the exponents in use, call by call
+        self.emax = min(bisect_left(self.limits, smax), len(self.limits) - 1) - 1
+        self.wide = self.emax + 2 > _RANK_SPAN
 
     def on_grid(self, smax: int) -> bool:
         """Whether a k whose largest stored weight is smax is rounded on the
@@ -367,48 +398,89 @@ class _Rounding:
         return self.low <= smax <= self.limits[-1]
 
     @cached_property
+    def table(self) -> int:
+        """Entries of the weight -> index table that keys the matrices: one
+        per weight up to smax, or up to one past the last limit, above
+        which every weight takes the last index. 0 keys them by
+        searchsorted instead: Python-int weights, fewer than
+        _TABLE_MIN_CELLS matrix cells, or more than _TABLE_CELLS table
+        entries per cell."""
+        mats = self.matrices.mats
+        size = min(self.smax, self.limits[-1] + 1) + 1
+        cells = sum(m.size for m in mats.values())
+        if (mats[0, 1].dtype == object or cells < _TABLE_MIN_CELLS
+                or size > _TABLE_CELLS * cells):
+            return 0
+        return size
+
+    @cached_property
     def nbytes(self) -> int:
         """The pair matrices' bytes, plus an intp key index of each of their
-        entries and one matrix's worth of keying temporaries."""
+        entries, one matrix's worth of keying temporaries and the intp
+        weight -> index table."""
         cells = [m.size for m in self.matrices.mats.values()]
-        return self.matrices.nbytes + 8 * (sum(cells) + max(cells))
+        return self.matrices.nbytes + 8 * (sum(cells) + max(cells) + self.table)
 
     @cached_property
     def grid(self) -> tuple[dict, np.ndarray]:
         """(index, values): index[a, b] maps each entry of the pair matrix
-        (a, b) to its key in the ascending values, row-major. Each matrix
-        is searched in its memory order, and the index matrices and keying
-        temporaries are guarded before they are built (nbytes)."""
+        (a, b) to its key in the ascending values, row-major. values holds
+        the keys of the exponents -1..emax, index i that of exponent i - 1,
+        or on a wide grid (more than _RANK_SPAN of them) only the exponents
+        in use. Each matrix is keyed in its memory order, and the index
+        matrices, table and keying temporaries are guarded before they are
+        built (nbytes)."""
         guards.check(self.nbytes, guards.TABLE_BYTE_GUARD,
                      "cut pair matrix and key index bytes")
         limits, mats = self.limits, self.matrices.mats
-        if mats[0, 1].dtype == object:
-            limits = np.array(limits, dtype=object)
-        else:   # every stored weight is below 2**62
-            limits = np.array([min(t, 2 ** 62) for t in limits], dtype=np.int64)
-        index = {}
-        for pair, m in mats.items():   # m.T where m is column-major
-            idx = np.searchsorted(limits, m if m.flags.c_contiguous else m.T)
-            # weights past the last limit belong only to k's searched unrounded
-            np.minimum(idx, len(limits) - 1, out=idx)
-            index[pair] = idx if m.flags.c_contiguous else idx.T
-        used = np.zeros(len(limits), dtype=bool)
+        last = len(limits) - 1   # also the index of weights past the last limit
+        if self.table:   # weight w at the least i with limits[i] >= w
+            top = self.table - 1
+            ends = [min(t, top) for t in limits[:-1]] + [top]
+            lookup = np.repeat(np.arange(len(limits)), np.diff(ends, prepend=-1))
+
+            def key(m):
+                return lookup.take(m, mode="clip")
+        else:
+            if mats[0, 1].dtype == object:
+                limits = np.array(limits, dtype=object)
+            else:   # every stored weight is below 2**62
+                limits = np.array([min(t, 2 ** 62) for t in limits], dtype=np.int64)
+
+            def key(m):
+                idx = np.searchsorted(limits, m)
+                return np.minimum(idx, last, out=idx)
+        index = {pair: key(m) if m.flags.c_contiguous else key(m.T).T   # m.T: m
+                 for pair, m in mats.items()}                           # column-major
+        emax = self.emax
+        if not self.wide:
+            return index, _keys(self.a, self.b, emax)
+        used = np.zeros(last + 1, dtype=bool)
         for idx in index.values():
             used[idx] = True
         exps = (np.flatnonzero(used) - 1).tolist()   # -1 for weight 0
-        emax = exps[-1]
-        keys = [self.a ** e * self.b ** (emax - e) if e >= 0 else 0 for e in exps]
         compact = np.cumsum(used) - 1
         for pair, idx in index.items():   # row-major, as the kernel reads them
             index[pair] = compact.take(idx)
+        keys = [self.a ** e * self.b ** (emax - e) if e >= 0 else 0 for e in exps]
         return index, np.array(keys, dtype=guards.int_dtype(3 * keys[-1]))
 
     @cached_property
     def ranks(self) -> np.ndarray:
-        keys = self.grid[1].tolist()
-        guards.check(self.nbytes + _RANK_BYTES * len(keys) ** 2, guards.TABLE_BYTE_GUARD,
+        """Pair-sum ranks of the grid's keys: the leading rows and columns
+        of the table kept for the base (_rank_table), or on a wide grid a
+        table of the keys in use, built for this call."""
+        keys = self.grid[1]
+        held = None if self.wide else _rank_tables.get((self.a, self.b))
+        if held is not None and len(held) < len(keys):
+            held = None   # to be rebuilt larger
+        guards.check(self.nbytes + (_RANK_BYTES * len(keys) ** 2 if held is None
+                                    else held.nbytes),
+                     guards.TABLE_BYTE_GUARD,
                      "cut pair matrix, key index and rank table bytes")
-        return _pair_ranks(keys)
+        if self.wide:
+            return _pair_ranks(keys.tolist())
+        return _rank_table(self.a, self.b, len(keys))
 
     @cached_property
     def k_max(self) -> list:
@@ -419,9 +491,42 @@ class _Rounding:
         m01, m02, m12 = (np.maximum.reduceat(np.maximum.reduceat(m, at[a]), at[b], 1)
                          for (a, b), m in self.matrices.mats.items())
         split = np.maximum(np.maximum(m01[:, :, None], m02[:, None]), m12)
-        most = np.zeros(sum(split.shape) - 2, dtype=split.dtype)
-        np.maximum.at(most, np.indices(split.shape).sum(axis=0).ravel(), split.ravel())
-        return most.tolist()
+        order, starts = _by_k(split.shape)
+        return np.maximum.reduceat(split.ravel().take(order), starts).tolist()
+
+
+def _keys(a: int, b: int, emax: int) -> np.ndarray:
+    """The keys of the exponents -1..emax of the base a/b: 0, then
+    a^e * b^(emax - e), at a width that holds any sum of three."""
+    keys = [0]
+    for e in range(emax + 1):
+        keys.append(keys[-1] // b * a if e else b ** emax)
+    return np.array(keys, dtype=guards.int_dtype(3 * keys[-1]))
+
+
+def _rank_table(a: int, b: int, size: int) -> np.ndarray:
+    """Pair-sum ranks of at least size keys of the base a/b (_keys), kept
+    across calls for the _RANK_TABLES bases used last. The order of two
+    keys' sums does not depend on emax, as every key scales by the same
+    power of b, so a table built for one emax serves every smaller one
+    through its leading rows and columns; a larger emax rebuilds it."""
+    table = _rank_tables.pop((a, b), None)
+    if table is None or len(table) < size:
+        table = None   # freed before the larger one is built
+        table = _pair_ranks(_keys(a, b, size - 2).tolist())
+    _rank_tables[a, b] = table
+    if len(_rank_tables) > _RANK_TABLES:
+        del _rank_tables[next(iter(_rank_tables))]   # the least recently used
+    return table
+
+
+@cache
+def _by_k(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): the cells (k1, k2, k3) of an array of shape,
+    flattened and ordered by k = k1 + k2 + k3, and where each k starts."""
+    k = np.indices(shape).sum(axis=0).ravel()
+    order = np.argsort(k, kind="stable")
+    return order, np.searchsorted(k[order], np.arange(sum(shape) - 2))
 
 
 @cache
@@ -463,7 +568,8 @@ class _Bounds:
     """
 
     def __init__(self, mats, rows, ks, values=None):
-        self.scale, approx = (None, None) if values is None else _scaled(values.tolist())
+        self.scale, self.approx = (None, None) if values is None else _scaled(values.tolist())
+        approx = self.approx
         at = [[r.start for r in part] for part in rows]
         c02, c12 = (np.minimum.reduceat(mats[p], at[2], axis=1)
                     for p in ((0, 2), (1, 2)))   # the least entry per k3
@@ -576,7 +682,7 @@ def _search(graphs, parts, ks, eps) -> tuple[list[dict[int, CutSolution]], int]:
             continue
         mats, values = rounding.grid if grid else (matrices.mats, None)
         bounds = _Bounds(mats, matrices.rows, group, values)
-        keys = None if values is None else (values, rounding.ranks)
+        keys = None if values is None else (values, rounding.ranks, bounds.approx)
         for k, lb, sb in zip(group, bounds.lb, bounds.sb):
             splits = list(_splits(parts, k))
             split_bounds = sb[tuple(zip(*splits))[:2]].tolist()   # [split][member]

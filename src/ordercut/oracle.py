@@ -90,8 +90,7 @@ def _cost_table(g: Digraph, objective: str, dtype) -> np.ndarray:
     # out_of[mask, u]: u is not in mask (S for fas, S + v for the rest)
     out_of = (masks[:, None] & bit) == 0
     w = np.zeros((n, n), dtype=dtype)       # arc weights; arc counts for dpw
-    for u, v, wt in g.arc_items:
-        w[u, v] = 1 if objective == "dpw" else wt
+    g.fill_weights(w, unit=objective == "dpw")
     # into[mask, x]: weight (dpw: number) of arcs into x from outside mask
     into = out_of.astype(dtype) @ w
     if objective == "fas":

@@ -394,8 +394,7 @@ def _fill(graphs, cap: int, objective: str, bound: int) -> list[SubsetTable]:
     if not unit:
         w = np.zeros((n, n) + batch, dtype=dtype)
         for g, wg in zip(graphs, each(w)):
-            for u, v, wt in g.arc_items:
-                wg[u, v] = wt
+            g.fill_weights(wg)
     vals = np.empty((1 << n if full else entries,) + batch, dtype=dtype)
     if full and objective != "fas":
         # each entry holds its term, crossing(S) or boundary(S), until filled

@@ -1,5 +1,6 @@
 """Graph container, orderings, evaluators, and the instance file format."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -325,3 +326,26 @@ def test_exports_resolve_once():
     assert len(set(ordercut.__all__)) == len(ordercut.__all__)
     for name in ordercut.__all__:
         assert hasattr(ordercut, name), name
+
+
+def test_fill_weights_stores_every_arc_in_every_target():
+    # weights of any size, into an array and a transposed view at once;
+    # unit stores 1 per arc; entries without an arc keep their value
+    g = Digraph(4, [(0, 1), (2, 1), (3, 0)], {(0, 1): 5, (2, 1): 2 ** 70, (3, 0): 0})
+    w = np.full((4, 4), -1, dtype=object)
+    pair = np.zeros((4, 2, 4), dtype=object)
+    g.fill_weights(w, pair[:, 0], pair[:, 1].T)
+    want = {(0, 1): 5, (2, 1): 2 ** 70, (3, 0): 0}
+    assert w.tolist() == [[want.get((u, v), -1) for v in range(4)] for u in range(4)]
+    assert pair[:, 0].tolist() == [[want.get((u, v), 0) for v in range(4)] for u in range(4)]
+    assert pair[:, 1].tolist() == [[want.get((v, u), 0) for v in range(4)] for u in range(4)]
+    unit = np.zeros((4, 4), dtype=np.int16)
+    g.fill_weights(unit, unit=True)
+    assert unit.tolist() == [[int((u, v) in want) for v in range(4)] for u in range(4)]
+    Digraph(3, []).fill_weights(unit)   # no arc: nothing stored
+    # weights past 2**63 beside small ones stay exact Python ints
+    big = Digraph(2, [(0, 1), (1, 0)], {(0, 1): 2 ** 63 + 1, (1, 0): 1})
+    w = np.zeros((2, 2), dtype=object)
+    big.fill_weights(w)
+    assert w.tolist() == [[0, 2 ** 63 + 1], [1, 0]]
+    assert all(type(x) is int for x in w.ravel())

@@ -2,6 +2,7 @@
 
 import importlib.util
 import sys
+from bisect import bisect_left
 import tracemalloc
 from fractions import Fraction
 from math import comb, inf
@@ -688,7 +689,7 @@ class _Matrices:
 
 @pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 2), Fraction(1),
                                  Fraction(3)])
-def test_exponent_lookup_at_every_threshold(eps):
+def test_exponent_lookup_at_every_threshold(eps, monkeypatch):
     # every floor(base^e) and its neighbours, int64 while below 2**62
     base = 1 + eps / 3
     limits = [base.numerator ** e // base.denominator ** e for e in range(2049)]
@@ -705,6 +706,31 @@ def test_exponent_lookup_at_every_threshold(eps):
     past = [0, 1, limits[-1] + 1]
     assert not kcut._Rounding(_Matrices(past, object), eps).on_grid(max(past))
     assert reference_rounded_keys(past, eps) == past
+    # the weight -> index table and searchsorted give weight 0, every
+    # threshold and its neighbours and the weights past the last limit one
+    # index, the least i with limits[i] >= w or the last. The grid ends
+    # early, so weights pass its end: at the last power below 10^5, and
+    # for eps = 1/2 and 1 where the last two thresholds are equal
+    tie = {Fraction(1, 2): [10], Fraction(1): [2]}.get(eps, [])
+    assert all(limits[e] == limits[e - 1] for e in tie)
+    for powers in [max(e for e in range(2049) if limits[e] <= 10 ** 5)] + tie:
+        monkeypatch.setattr(kcut, "_MAX_POWERS", powers)
+        monkeypatch.setattr(kcut, "_RANK_SPAN", powers + 2)   # every exponent a key
+        monkeypatch.setattr(kcut, "_TABLE_MIN_CELLS", 0)
+        ends = [0] + limits[:powers + 1]
+        ws = sorted({w + d for w in ends for d in (-1, 0, 1) if w + d >= 0}
+                    | {ends[-1] + 2, 3 * ends[-1]})
+        want = [min(bisect_left(ends, w), powers + 1) for w in ws]
+        for cells, dtype in ((10 ** 9, np.int64), (0, np.int64), (10 ** 9, object)):
+            monkeypatch.setattr(kcut, "_TABLE_CELLS", cells)
+            rounding = kcut._Rounding(_Matrices(ws, dtype), eps)
+            assert rounding.limits == ends
+            assert bool(rounding.table) == (cells > 0 and dtype is np.int64)
+            index, values = rounding.grid
+            assert index[0, 1][0].tolist() == want
+            assert values.tolist() == [0] + [
+                base.numerator ** e * base.denominator ** (powers - e)
+                for e in range(powers + 1)]
 
 
 @pytest.mark.parametrize("den", [100, 138, 139, 200])
@@ -740,6 +766,71 @@ def test_long_eps_is_shortened():
     assert got == cut_profile(g, ks, short)
     for k in ks:
         assert exact[k].value <= got[k].value <= (1 + eps) * exact[k].value
+
+
+def test_kept_rank_table_grows_and_serves_smaller_grids(monkeypatch):
+    # one table per base: built for one graph's keys, grown for a larger
+    # smax, then read by the first graph through its leading rows and
+    # columns; each split's triangle search equals the one over the ranks
+    # of the keys it uses alone
+    monkeypatch.setattr(kcut, "_rank_tables", {})
+    eps, parts = Fraction(1, 2), tripartition(10)
+
+    def rounding(weights):
+        g = gen_random(10, 0.4, weight_range=weights, seed=4)
+        return kcut._Rounding(kcut._PairMatrices([g], parts), eps)
+
+    first = rounding((1, 9))
+    built = first.ranks
+    assert not first.wide and len(built) == len(first.grid[1])
+    grown = rounding((1, 1000)).ranks
+    assert len(grown) > len(built)
+    again = rounding((1, 9))
+    assert again.ranks is grown and list(kcut._rank_tables) == [(7, 6)]
+    index, values = again.grid
+    size = len(values)
+    lead = np.unique(grown[:size, :size], return_inverse=True)[1].reshape(size, size)
+    assert lead.tolist() == kcut._pair_ranks(values.tolist()).tolist()
+    for k in range(11):
+        for sizes in kcut._splits(parts, k):
+            blocks = again.matrices.blocks(split_rows(again.matrices, sizes), index)
+            used = np.unique(np.concatenate([b.ravel() for b in blocks]))
+            in_use = [np.searchsorted(used, b) for b in blocks]
+            keys = values[used]
+            assert (min_weight_triangle(blocks, (values, grown))
+                    == min_weight_triangle(in_use, (keys, kcut._pair_ranks(keys.tolist()))))
+
+
+def test_rank_tables_are_kept_for_the_bases_used_last(monkeypatch):
+    monkeypatch.setattr(kcut, "_rank_tables", {})
+    g = gen_random(9, 0.4, weight_range=(1, 9), seed=2)
+    for den in range(1, kcut._RANK_TABLES + 3):
+        cut_profile(g, [4], Fraction(1, den))
+    kept = [(3 * den + 1, 3 * den) for den in range(3, kcut._RANK_TABLES + 3)]
+    assert list(kcut._rank_tables) == kept
+
+
+@pytest.mark.parametrize("keys", [
+    [0, 1, 2, 2 ** 100, 2 ** 100 + 1, 2 ** 100 + 3, 2 ** 101 + 1],
+    [2 ** 20 + 2, 2 ** 47 + 1, 2 ** 100, 2 ** 100 + 2 ** 47 - 2 ** 20],
+    [0, 1, 2, 3, 2 ** 2000, 2 ** 2000 + 1, 2 ** 2001 - 1]])
+def test_float_screen_finds_the_exact_least_key_sum(keys):
+    # triangle sums that tie, or differ by 1 where their float sums are
+    # equal or in the wrong order (keys past 2^53, and past 2^1024 scaled):
+    # the least exact sum and, among its ties, the least triple win, as an
+    # exact scan over every triangle finds them
+    values = np.array(keys, dtype=object)
+    ranks = kcut._pair_ranks(keys)
+    rng = np.random.default_rng(len(keys))
+    for _ in range(300):
+        r1, r2, r3 = rng.integers(1, 5, size=3).tolist()
+        blocks = [rng.integers(0, len(keys), size=shape)
+                  for shape in ((r1, r2), (r1, r3), (r2, r3))]
+        e01, e02, e12 = (b.tolist() for b in blocks)
+        weight, js = min((keys[e01[a][b]] + keys[e02[a][c]] + keys[e12[b][c]], (a, b, c))
+                         for a in range(r1) for b in range(r2) for c in range(r3))
+        for extra in ((), (kcut._scaled(keys)[1],)):
+            assert min_weight_triangle(blocks, (values, ranks) + extra) == (js, weight)
 
 
 def brute_ranks(keys):
