@@ -18,9 +18,10 @@ A stored edge weight depends only on (T, U), never on k. cut_profile builds,
 once per graph, one matrix per part pair over all subsets of both parts from
 sums over mask bits (_PairMatrices), and hands each split's three blocks to
 min_weight_triangle. One order of each part's subset masks (_mask_order)
-lays out the matrices and names the members of L. Entries take
-guards.int_dtype(2 * total arc weight), which bounds every entry, partial
-sum and triangle sum.
+lays out the matrices; it and all else that depends on the parts alone,
+such as the vertex tuples that name L and every split of every k, is kept
+(_Layout). Entries take guards.int_dtype(2 * total arc weight), which
+bounds every entry, partial sum and triangle sum.
 Graphs of one vertex count share the parts and splits, so an exact search
 over several of them (_cut_profiles) stacks their matrices, at the width of
 the largest bound, on a last axis and searches each split of all of them at
@@ -35,12 +36,12 @@ triangle through j1 from below:
 
 over the size-k2 and size-k3 subsets, where k3 = k - k1 - k2 follows from
 the row's size k1, and each split by the least lb of its rows,
-sb[k][k1, k2]. One pass over the 0-1 matrix bounds every k at once.
-Each k visits its splits in ascending sb and stops at the first whose sb
-exceeds the best weight found; a visited split hands the kernel only the
-rows with lb <= best. The <= keeps every tied triangle, so the
-smallest-vertex tie-break is unchanged. A batch keeps a row where any
-member's lb is at most that member's best. Counters'
+sb[k][k1, k2]. One pass over the 0-1 matrix bounds every k at once. One
+stable sort orders the splits of all ks by k, then ascending sb; each k
+stops at the first whose sb exceeds the best weight found, and a visited
+split hands the kernel only the rows with lb <= best. The <= keeps every
+tied triangle, so the smallest-vertex tie-break is unchanged. A batch
+keeps a row where any member's lb is at most that member's best. Counters'
 triangles count the cells the search examined: kept rows * r2 * r3 over
 the splits visited, at most C(n, k) per k.
 
@@ -56,9 +57,9 @@ matrices hold at least _TABLE_MIN_CELLS integer cells and the largest
 weight is at most _TABLE_CELLS per cell, by np.searchsorted otherwise. The
 kernel compares sums of two keys by their ranks. Their order does not
 depend on the largest exponent, so the rank table of a base a/b = 1+eps/3
-is kept across calls and read through its leading rows and columns
-(_rank_table); a grid of more than _RANK_SPAN keys ranks only the
-exponents in use, call by call.
+is kept across calls and read through its leading rows and columns, with
+the thresholds and the powers that make the keys (_Base); a grid of more
+than _RANK_SPAN keys ranks only the exponents in use, call by call.
 The search then runs the same body on int64 key indices and pair-sum
 ranks, and only the r1 * r2 cells of the best completions add the keys
 themselves: as float64 sums, and exactly only in the cells within float
@@ -90,15 +91,16 @@ _CHUNK_CELLS = 1 << 13     # pair sums per search step, or one j1 row's
 _BOUND_CELLS = 1 << 16     # 0-1 terms held at once by the bounds
 _MAX_POWERS = 2048         # past this many powers of 1+eps/3, no rounding
 _PAIR_TEMPS = 1.05         # largest pair matrices live in temporaries (RSS fit)
+_CALL_BYTES = 1 << 14      # a search's arrays and lists of any size (tracemalloc fit)
 _RANK_BYTES = 66           # peak bytes of _pair_ranks per key squared (RSS fit)
-_RANK_TABLES = 4           # bases whose pair-sum ranks a process keeps
+_BASES = 4                 # bases whose powers and pair-sum ranks a process keeps
 _RANK_SPAN = 256           # most keys of a kept rank table (66 * 256^2 = 4.3 MB)
 _TABLE_CELLS = 4           # most weight -> index table entries per matrix cell
 _TABLE_MIN_CELLS = 1 << 12  # below: searchsorted beats the table's set-up
 _SLACK = 2.0 ** -48        # relative float error a key bound may hide
 _UNDERFLOW = 2.0 ** -1060  # absolute error of three underflowed scaled keys
 
-_rank_tables: dict = {}    # (a, b): _rank_table's tables, least recently used first
+_bases: dict = {}          # (a, b): _Base, least recently used first
 
 
 @dataclass(frozen=True)
@@ -127,29 +129,79 @@ def _mask_order(size: int):
     return order, bits[order], [slice(lo, hi) for lo, hi in pairwise(starts)]
 
 
-def _bound_cells(sizes, count: int) -> int:
-    """Entries _Bounds holds at its peak for count ks over parts of sizes
-    (s0, s1, s2), exact or keyed: per k, lb, at most as many minima added
-    to it, sb and the gathered 1-2 terms; the least 0-2 and 1-2 entries per
-    k3 (keyed: their key indices too); and the terms of the rows of m01
-    bounded at a time for every k, with those rows' keys."""
-    s0, s1, s2 = sizes
-    piece = min(count << s0 + s1, max(_BOUND_CELLS, count << s1))   # rows of m01 at a time
-    least = 2 * ((1 << s0) + (1 << s1)) * (s2 + 1)                  # c02 and c12
-    per_k = 2 * (s1 + 1 << s0) + (s0 + 1) * (s1 + 1) + (s0 + 1 << s1)
-    return count * per_k + least + 2 * piece
+@cache
+class _Layout:
+    """What a cut search reads that depends on the part sizes alone: each
+    part's _mask_order and row vertex tuples (sets), the pair-matrix build's
+    tables, and every split (k1, k2, k3) of every k (shares), by k, then k1
+    and k2, those of k from first[k]."""
+
+    def __init__(self, sizes):
+        parts, s0 = tripartition(n := sum(sizes)), sizes[0]
+        self.order, self.bits, self.rows = zip(*map(_mask_order, sizes))
+        self.sets = [[tuple(v for v, bit in zip(p, row) if bit) for row in bits.tolist()]
+                     for p, bits in zip(parts, self.bits)]
+        # rows of parts 0, 1, 2 in turn: step[i, a], vertex i of part a or the
+        # arcless n; pick, their sums; own, their parts; inside, their members
+        self.starts = list(accumulate(sizes[:2], initial=0))
+        self.step = np.array([[p[i] if i < len(p) else n for p in parts] for i in range(s0)],
+                             dtype=np.intp).reshape(s0, 3)
+        self.pick = np.concatenate([o + (a << s0) for a, o in enumerate(self.order)])
+        self.own = np.repeat(np.arange(3), [len(b) for b in self.bits])
+        self.inside = np.zeros((len(self.pick), n + 1), dtype=bool)
+        for a, (p, bits) in enumerate(zip(parts, self.bits)):
+            self.inside[np.ix_(self.own == a, p)] = bits
+        shares = np.indices([s + 1 for s in sizes]).reshape(3, -1).T   # lex order
+        self.shares = shares[np.argsort(shares.sum(axis=1), kind="stable")]
+        self.first = [0] + np.bincount(self.shares.sum(axis=1), minlength=n + 1).cumsum().tolist()
+
+    @cache
+    def plan(self, ks: tuple) -> tuple:
+        """(k1s, pick12, pick02, pick, seg, shares, rows, ends) for ks.
+        _Bounds sums in layers, the ks or (when more) the k3 = 0..s2: k1s[j1]
+        is row j1's size; pick12[l, k1, j2] and pick02[l, j1, k2] place (j2,
+        k3) in c12 and (j1, k3) in c02 for layer l, with k3 = ks[i] - k1 - k2
+        clipped to 0..s2 only for no split of ks[i] (never read, and shared by
+        all of its (k1, k2)); pick places each k's bounds among the layers'.
+        The splits of ks in turn: their k's place in ks, (k1, k2, k3) and
+        row ranges, and where each k's end."""
+        s0, s1, s2 = (len(bits[0]) for bits in self.bits)
+        k1s, k2s = (bits.sum(axis=1) for bits in self.bits[:2])
+        k3 = np.clip(np.array(ks)[:, None, None] - np.add.outer(range(s0 + 1), range(s1 + 1)),
+                     0, s2)   # [i, k1, k2]
+        pick = None
+        if len(ks) > s2 + 1:
+            pick = ((k3.take(k1s, axis=1) << s0) + np.arange(1 << s0)[:, None]) * (s1 + 1)
+            pick += np.arange(s1 + 1)
+            k3 = np.broadcast_to(np.arange(s2 + 1)[:, None, None], (s2 + 1,) + k3.shape[1:])
+        pick12 = np.arange(1 << s1) * (s2 + 1) + k3.take(k2s, axis=2)
+        pick02 = np.arange(1 << s0)[:, None] * (s2 + 1) + k3.take(k1s, axis=1)
+        ends = list(accumulate(self.first[k + 1] - self.first[k] for k in ks))
+        at = np.r_[tuple(slice(self.first[k], self.first[k + 1]) for k in ks)]
+        seg = np.repeat(np.arange(len(ks)), np.diff(ends, prepend=0))
+        shares = self.shares[at]
+        rows = [[r[size] for r, size in zip(self.rows, share)] for share in shares.tolist()]
+        return k1s, pick12, pick02, pick, seg, shares, rows, ends
 
 
 def _pair_bytes(parts, bound: int, count: int) -> int:
     """Bytes of one graph's pair matrices, whose entries stay below bound,
-    plus one more largest matrix, which lives in temporaries (RSS fit), and
-    the search's row and split bounds (_Bounds) for count ks, at 8 bytes a
-    cell at least (keyed bounds are float64, row indices intp)."""
+    one more largest matrix in temporaries (RSS fit), the headers and lists
+    of a search (_CALL_BYTES) and, at 8 bytes a cell at least, _Bounds's
+    peak for count ks: per k, lb, as many minima and sb; per layer
+    (_Layout.plan), the 1-2 terms and a k3's minima; c02 and c12 (keyed:
+    their indices too); and the m01 rows bounded at a time, with keys."""
+    s0, s1, s2 = sizes = [len(p) for p in parts]
+    layers = min(count, s2 + 1)
+    piece = min(layers << s0 + s1, max(_BOUND_CELLS, layers << s1))   # rows of m01 at a time
+    least = 2 * ((1 << s0) + (1 << s1)) * (s2 + 1)                   # c02 and c12
+    per_k = 2 * (s1 + 1 << s0) + (s0 + 1) * (s1 + 1)
+    per_layer = (s0 + 1 << s1) + (s1 + 1 << s0 if layers < count else 0)
+    bounds = count * per_k + layers * per_layer + least + 2 * piece
     entry = guards.entry_bytes(guards.int_dtype(bound), bound)
-    sizes = [len(p) for p in parts]
     cells = [1 << sizes[a] + sizes[b] for a, b in _PAIRS]
-    bounds = _bound_cells(sizes, count)
-    return int((sum(cells) + _PAIR_TEMPS * max(cells)) * entry + bounds * max(entry, 8))
+    return int((sum(cells) + _PAIR_TEMPS * max(cells)) * entry + bounds * max(entry, 8)
+               + _CALL_BYTES)
 
 
 class _PairMatrices:
@@ -160,9 +212,10 @@ class _PairMatrices:
 
     Each part's subsets are listed in (size, lex) order (_mask_order), so
     the size-k ones of part i form the row range rows[i][k] of its matrices,
-    and bits[i][r] holds the mask bits of row r, from which members reads L.
-    Each term sums over the bits of subset masks, by doubling, and is put in
-    row order once.
+    and bits[i][r] holds the mask bits of row r. The subset sums of all
+    three parts are doubled over their bits at once, then each matrix over
+    the bits of one part: 0-1 over part 0's, row-major, and 0-2 and 1-2
+    together over part 2's, column-major.
     """
 
     def __init__(self, graphs, parts, count: int = 1):
@@ -171,41 +224,52 @@ class _PairMatrices:
         # guard the bytes first, with the search's bounds for count ks
         self.nbytes = len(graphs) * _pair_bytes(parts, bound, count)
         guards.check(self.nbytes, guards.TABLE_BYTE_GUARD, "cut pair matrix bytes")
-        self.parts = parts
-        n = graphs[0].n
+        self.layout = lay = _Layout(tuple(map(len, parts)))
+        self.parts, self.rows, self.bits = parts, lay.rows, lay.bits
+        n, (s0, s1, s2), (r0, r1, _) = graphs[0].n, map(len, parts), map(len, lay.bits)
         batch = (len(graphs),) if len(graphs) > 1 else ()
-        w = np.zeros((n, 2, n) + batch, dtype=dtype)   # [u, 0, v]: u -> v, [v, 1, u]
+        w = np.zeros((n + 1, n + 1) + batch, dtype=dtype)   # [u, v]: u -> v; n: no arcs
         for g, wg in zip(graphs, guards.batch_views(w, len(graphs))):
-            g.fill_weights(wg[:, 0], wg[:, 1].T)
-        at = [np.array(p, dtype=np.intp) for p in parts]
-        order, self.bits, self.rows = zip(*(_mask_order(len(p)) for p in parts))
-        bits = [b.reshape(b.shape + (1,) * len(batch)) for b in self.bits]
-        arcs = []   # [T, 0, y]: arcs T -> y, [T, 1, y]: y -> T, T in row order
-        for p, o in zip(parts, order):
-            sums = np.zeros((1 << len(p), 2, n) + batch, dtype=dtype)
-            for i, v in enumerate(p):   # doubling: the masks whose top bit is i
-                np.add(sums[:1 << i], w[v], out=sums[1 << i:2 << i])
-            arcs.append(sums[o])
-        terms = []   # [a][b][T] = 2 * arcs(V_b -> T) + delta(T) for T of part a
-        for a, t in enumerate(arcs):
-            into = [t[:, 1, s].sum(axis=1, dtype=dtype) for s in at]
-            delta = into[a] - (t[:, 0, at[a]] * bits[a]).sum(axis=1, dtype=dtype)   # - T -> T
-            terms.append([2 * x + delta for x in into])
-        both = {(a, b): 2 * arcs[a][:, :, at[b]].sum(axis=1, dtype=dtype) for a, b in _PAIRS}
-        del arcs, sums, t   # both[a, b][T, y] = 2 * arcs T <-> y; sums freed
-        self.mats = {}
-        for (a, b), cols in both.items():   # T's term - 2 * arcs T <-> U + U's
-            m = np.empty((1 << len(parts[b]), len(cols)) + batch, dtype=dtype)   # [U, T]
-            m[0] = terms[a][b]
-            for j in range(len(parts[b])):   # doubling over the bits of U
-                np.subtract(m[:1 << j], cols[:, j], out=m[1 << j:2 << j])
-            # [T, U], column-major: faster min over j3; but 0-1 row-major,
-            # as _Bounds reduces it over U and the search takes its rows
-            m = m[order[b]].swapaxes(0, 1)
-            if b == 1:
-                m = np.ascontiguousarray(m)
-            m += terms[b][a]
-            self.mats[a, b] = m
+            g.fill_weights(wg)
+        # per vertex v: arcs v <-> y for every y, then arcs V_b -> v, b = 0, 1, 2
+        each = np.empty((n + 1, n + 4) + batch, dtype=dtype)
+        np.add(w, w.swapaxes(0, 1), out=each[:, :n + 1])
+        each[:, n + 1:] = np.add.reduceat(w, lay.starts, axis=0, dtype=dtype).swapaxes(0, 1)
+        steps = each[lay.step]   # [i, a]: vertex i of part a
+        sums = np.zeros((3, 1 << s0, n + 4) + batch, dtype=dtype)
+        for i in range(s0):   # doubling: the masks whose top bit is i, every part
+            np.add(sums[:, :1 << i], steps[i][:, None], out=sums[:, 1 << i:2 << i])
+        # the sums over T, in the rows of parts 0, 1, 2 in turn: both[T, y],
+        # arcs T <-> y (twice arcs T -> T over y in T), and into[T, b]
+        sums = sums.reshape((3 << s0, n + 4) + batch)[lay.pick]
+        both, into = sums[:, :n + 1], sums[:, n + 1:]
+        delta = into[np.arange(len(into)), lay.own] - np.einsum(
+            "ij...,ij->i...", both, lay.inside) // 2   # arcs V_a - T -> T
+        terms = 2 * into + delta[:, None]   # [T, b] = 2 * arcs(V_b -> T) + delta(T)
+        del w, each, steps, into, delta
+        # T's term - 2 * arcs T <-> U + U's, doubled over the bits of U
+        # under the rows T, then U put in row order: 0-2 and 1-2 first (one
+        # doubling, two arrays, column-major), the larger 0-1 last
+        m = self._doubled(terms[:r0 + r1, 2], 2 * both[:r0 + r1, s0 + s1:n])
+        m02, m12 = m[:, :r0][lay.order[2]], m[:, r0:][lay.order[2]]
+        del m
+        m02 += terms[r0 + r1:, 0, None]
+        m12 += terms[r0 + r1:, 1, None]
+        cols = 2 * both[r0:r0 + r1, :s0]
+        del sums, both
+        m01 = self._doubled(terms[r0:r0 + r1, 0], cols)[lay.order[0]]
+        m01 += terms[:r0, 1, None]
+        self.mats = {(0, 1): m01, (0, 2): m02.swapaxes(0, 1), (1, 2): m12.swapaxes(0, 1)}
+
+    @staticmethod
+    def _doubled(term, cols) -> np.ndarray:
+        """m[T, U] = term[U] - sum of cols[U, i] over the bits i of mask T,
+        by doubling, with T in mask order."""
+        m = np.empty((1 << cols.shape[1],) + term.shape, dtype=term.dtype)
+        m[0] = term
+        for i in range(cols.shape[1]):
+            np.subtract(m[:1 << i], cols[:, i], out=m[1 << i:2 << i])
+        return m
 
     def blocks(self, rows, mats=None) -> tuple[np.ndarray, ...]:
         """The blocks 0-1, 0-2, 1-2 of mats (default: self.mats) at rows."""
@@ -214,9 +278,8 @@ class _PairMatrices:
 
     def members(self, rows, js) -> tuple[int, ...]:
         """L for the triangle js of the split with row ranges rows: the
-        vertices whose bits are set in the masks of its three rows."""
-        return tuple(v for part, bits, r, j in zip(self.parts, self.bits, rows, js)
-                     for v, bit in zip(part, bits[r.start + j].tolist()) if bit)
+        vertices of its three rows."""
+        return sum((s[r.start + j] for s, r, j in zip(self.layout.sets, rows, js)), ())
 
 
 def min_weight_triangle(blocks, keys=None):
@@ -243,8 +306,8 @@ def min_weight_triangle(blocks, keys=None):
         return (j1, j2, int((e02[j1] + e12[j2]).argmin())), int(best[j1, j2])
     values = keys[0]   # best holds the j3 of each (j1, j2)
     approx = keys[2] if len(keys) > 2 else _scaled(values.tolist())[1]
-    at = (e01.ravel(), e02[np.arange(r1)[:, None], best].ravel(),
-          e12[np.arange(r2), best].ravel())
+    j = np.arange(max(r1, r2))
+    at = (e01.ravel(), e02[j[:r1, None], best].ravel(), e12[j[:r2], best].ravel())
     floats = approx[at[0]] + approx[at[1]] + approx[at[2]]
     cell = int(floats.argmin())
     near = floats <= floats[cell] * (1 + _SLACK) + _UNDERFLOW
@@ -253,7 +316,8 @@ def min_weight_triangle(blocks, keys=None):
         sums = values[at[0][near]] + values[at[1][near]] + values[at[2][near]]
         cell = int(near[sums.argmin()])
     j1, j2 = divmod(cell, r2)
-    return (j1, j2, int(best[j1, j2])), sum(int(values[a[cell]]) for a in at)
+    return (j1, j2, int(best[j1, j2])), (int(values[at[0][cell]]) + int(values[at[1][cell]])
+                                         + int(values[at[2][cell]]))
 
 
 def _triangles(blocks) -> list:
@@ -289,13 +353,6 @@ def _best_pairs(blocks, keys) -> np.ndarray:
                  for lo in rows]
     pairs = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return e01 + pairs if keys is None else pairs
-
-
-def _splits(parts, k: int):
-    for k1 in range(min(k, len(parts[0])) + 1):
-        for k2 in range(min(k - k1, len(parts[1])) + 1):
-            if k - k1 - k2 <= len(parts[2]):
-                yield (k1, k2, k - k1 - k2)
 
 
 def _scaled(keys: list[int]) -> tuple[int, np.ndarray]:
@@ -355,7 +412,7 @@ class _Rounding:
     An eps whose denominator exceeds 2^64 is first replaced by the largest
     nonzero multiple of 2^-64 not above it, so the powers have short
     factors; a smaller eps keeps every cut within 1+eps. The pair-sum ranks
-    come from the table kept for the base (_rank_table), read for the first
+    come from the table kept for the base (_Base.rank_table), read for the first
     k on the grid once the byte guard admits it beside the pair matrices,
     the key index and the weight -> index table (nbytes).
     """
@@ -368,23 +425,22 @@ class _Rounding:
         self.a, self.b = base.numerator, base.denominator
         self.low = math.ceil(1 / eps)     # the least smax with eps * smax >= 1
         self.smax = smax = max(int(m.max()) for m in matrices.mats.values())
-        # limits[e + 1] = floor(base^e), limits[0] = 0 for weight 0. No power
-        # is built when no stored weight reaches low, or when base^_MAX_POWERS
-        # < low (eps below about 0.0072): top / 2**64 bounds base^(2^i) from
-        # above, base squared up to 11 times with 64 fraction bits rounded up.
+        # limits[e + 1] = floor(base^e), limits[0] = 0 for weight 0, read
+        # from the thresholds kept for the base. None is needed when no
+        # stored weight reaches low, or when base^_MAX_POWERS < low (eps
+        # below about 0.0072): top / 2**64 bounds base^(2^i) from above,
+        # base squared up to 11 times with 64 fraction bits rounded up.
         goal = self.low << 64
         top = -(-self.a << 64) // self.b
         for _ in range(_MAX_POWERS.bit_length() - 1):
             if top >= goal:
                 break
             top = -(-top * top >> 64)
-        self.limits = [0]
-        if self.low <= smax and top >= goal:
-            self.limits.append(1)
-            pa = pb = 1
-            while self.limits[-1] < smax and len(self.limits) - 1 <= _MAX_POWERS:
-                pa, pb = pa * self.a, pb * self.b
-                self.limits.append(pa // pb)
+        self.base = _bases.pop((self.a, self.b), None) or _Base(self.a, self.b)
+        _bases[self.a, self.b] = self.base   # now the most recently used
+        if len(_bases) > _BASES:
+            del _bases[next(iter(_bases))]   # the least recently used
+        self.limits = self.base.limits(smax) if self.low <= smax and top >= goal else [0]
         # the largest exponent a stored weight rounds to; past _RANK_SPAN
         # keys (wide), the keys are only the exponents in use, call by call
         self.emax = min(bisect_left(self.limits, smax), len(self.limits) - 1) - 1
@@ -441,37 +497,35 @@ class _Rounding:
 
             def key(m):
                 return lookup.take(m, mode="clip")
-        else:
+        else:   # past the next-to-last limit, the last index
             if mats[0, 1].dtype == object:
-                limits = np.array(limits, dtype=object)
+                limits = np.array(limits[:-1], dtype=object)
             else:   # every stored weight is below 2**62
-                limits = np.array([min(t, 2 ** 62) for t in limits], dtype=np.int64)
+                limits = np.array([min(t, 2 ** 62) for t in limits[:-1]], dtype=np.int64)
 
             def key(m):
-                idx = np.searchsorted(limits, m)
-                return np.minimum(idx, last, out=idx)
+                return np.searchsorted(limits, m)
         index = {pair: key(m) if m.flags.c_contiguous else key(m.T).T   # m.T: m
                  for pair, m in mats.items()}                           # column-major
-        emax = self.emax
-        if not self.wide:
-            return index, _keys(self.a, self.b, emax)
-        used = np.zeros(last + 1, dtype=bool)
-        for idx in index.values():
-            used[idx] = True
-        exps = (np.flatnonzero(used) - 1).tolist()   # -1 for weight 0
-        compact = np.cumsum(used) - 1
-        for pair, idx in index.items():   # row-major, as the kernel reads them
-            index[pair] = compact.take(idx)
-        keys = [self.a ** e * self.b ** (emax - e) if e >= 0 else 0 for e in exps]
+        exps = range(-1, self.emax + 1)   # -1 for weight 0
+        if self.wide:
+            used = np.zeros(last + 1, dtype=bool)
+            for idx in index.values():
+                used[idx] = True
+            exps = (np.flatnonzero(used) - 1).tolist()
+            compact = np.cumsum(used) - 1
+            for pair, idx in index.items():   # row-major, as the kernel reads them
+                index[pair] = compact.take(idx)
+        keys = self.base.keys(exps, self.emax)
         return index, np.array(keys, dtype=guards.int_dtype(3 * keys[-1]))
 
     @cached_property
     def ranks(self) -> np.ndarray:
         """Pair-sum ranks of the grid's keys: the leading rows and columns
-        of the table kept for the base (_rank_table), or on a wide grid a
+        of the table kept for the base (_Base.rank_table), or on a wide grid a
         table of the keys in use, built for this call."""
         keys = self.grid[1]
-        held = None if self.wide else _rank_tables.get((self.a, self.b))
+        held = None if self.wide else self.base.ranks
         if held is not None and len(held) < len(keys):
             held = None   # to be rebuilt larger
         guards.check(self.nbytes + (_RANK_BYTES * len(keys) ** 2 if held is None
@@ -480,7 +534,7 @@ class _Rounding:
                      "cut pair matrix, key index and rank table bytes")
         if self.wide:
             return _pair_ranks(keys.tolist())
-        return _rank_table(self.a, self.b, len(keys))
+        return self.base.rank_table(len(keys))
 
     @cached_property
     def k_max(self) -> list:
@@ -491,61 +545,45 @@ class _Rounding:
         m01, m02, m12 = (np.maximum.reduceat(np.maximum.reduceat(m, at[a]), at[b], 1)
                          for (a, b), m in self.matrices.mats.items())
         split = np.maximum(np.maximum(m01[:, :, None], m02[:, None]), m12)
-        order, starts = _by_k(split.shape)
-        return np.maximum.reduceat(split.ravel().take(order), starts).tolist()
+        k1, k2, k3 = self.matrices.layout.shares.T   # by k
+        return np.maximum.reduceat(split[k1, k2, k3], self.matrices.layout.first[:-1]).tolist()
 
 
-def _keys(a: int, b: int, emax: int) -> np.ndarray:
-    """The keys of the exponents -1..emax of the base a/b: 0, then
-    a^e * b^(emax - e), at a width that holds any sum of three."""
-    keys = [0]
-    for e in range(emax + 1):
-        keys.append(keys[-1] // b * a if e else b ** emax)
-    return np.array(keys, dtype=guards.int_dtype(3 * keys[-1]))
+class _Base:
+    """The thresholds floor(a^e / b^e) of one base a/b = 1+eps/3 as far as a
+    call has needed them, the powers (a^e, b^e) of the first _RANK_SPAN of
+    them, which make the keys of every grid but a wide one, and the
+    pair-sum ranks of those keys, kept for the _BASES bases used last."""
 
+    def __init__(self, a: int, b: int):
+        self.a, self.b, self.ranks = a, b, None
+        self.floors, self.powers, self.last = [1], [(1, 1)], (1, 1)
 
-def _rank_table(a: int, b: int, size: int) -> np.ndarray:
-    """Pair-sum ranks of at least size keys of the base a/b (_keys), kept
-    across calls for the _RANK_TABLES bases used last. The order of two
-    keys' sums does not depend on emax, as every key scales by the same
-    power of b, so a table built for one emax serves every smaller one
-    through its leading rows and columns; a larger emax rebuilds it."""
-    table = _rank_tables.pop((a, b), None)
-    if table is None or len(table) < size:
-        table = None   # freed before the larger one is built
-        table = _pair_ranks(_keys(a, b, size - 2).tolist())
-    _rank_tables[a, b] = table
-    if len(_rank_tables) > _RANK_TABLES:
-        del _rank_tables[next(iter(_rank_tables))]   # the least recently used
-    return table
+    def limits(self, smax: int) -> list:
+        """0, then floor(base^e) for e = 0, 1, ... up to the first that
+        reaches smax, or to e = _MAX_POWERS."""
+        floors = self.floors
+        while floors[-1] < smax and len(floors) <= _MAX_POWERS:
+            pa, pb = self.last = self.last[0] * self.a, self.last[1] * self.b
+            floors.append(pa // pb)
+            if len(self.powers) < _RANK_SPAN:
+                self.powers.append(self.last)
+        return [0] + floors[:min(bisect_left(floors, smax), _MAX_POWERS) + 1]
 
+    def keys(self, exps, emax: int) -> list:
+        """The key a^e * b^(emax - e) of each exponent e of exps, 0 for -1."""
+        if emax >= len(self.powers):   # a wide grid's
+            return [self.a ** e * self.b ** (emax - e) if e >= 0 else 0 for e in exps]
+        return [self.powers[e][0] * self.powers[emax - e][1] if e >= 0 else 0 for e in exps]
 
-@cache
-def _by_k(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(order, starts): the cells (k1, k2, k3) of an array of shape,
-    flattened and ordered by k = k1 + k2 + k3, and where each k starts."""
-    k = np.indices(shape).sum(axis=0).ravel()
-    order = np.argsort(k, kind="stable")
-    return order, np.searchsorted(k[order], np.arange(sum(shape) - 2))
-
-
-@cache
-def _k_index(sizes, ks: tuple) -> tuple:
-    """(k1s, pick12, pick02) for the bounds of ks over parts of sizes
-    (s0, s1, s2): k1s[j1], the size of row j1 of part 0; pick12[i, k1, j2],
-    the place of (j2, k3) in c12 flattened, and pick02[i, j1, k2], that of
-    (j1, k3) in c02, where k3 = ks[i] - k1 - k2 is clipped to 0..s2. A k3
-    is clipped only for a (k1, k2) that is no split of ks[i], whose bounds
-    are never read, and all of a (k1, k2) share one k3, so no minimum mixes
-    a clipped k3 with a true one."""
-    s0, s1, s2 = sizes
-    k1s, k2s = (_mask_order(s)[1].sum(axis=1) for s in (s0, s1))
-    ks = np.array(ks)[:, None, None]
-    k3 = np.clip(ks - np.arange(s0 + 1)[:, None] - k2s, 0, s2)
-    pick12 = np.arange(1 << s1) * (s2 + 1) + k3
-    k3 = np.clip(ks - k1s[:, None] - np.arange(s1 + 1), 0, s2)
-    pick02 = np.arange(1 << s0)[:, None] * (s2 + 1) + k3
-    return k1s, pick12, pick02
+    def rank_table(self, size: int) -> np.ndarray:
+        """Pair-sum ranks of at least size keys: as every key scales by the
+        same power of b, their order serves every smaller emax; a larger
+        emax rebuilds them."""
+        if self.ranks is None or len(self.ranks) < size:
+            self.ranks = None   # freed before the larger one is built
+            self.ranks = _pair_ranks(self.keys(range(-1, size - 1), size - 2))
+        return self.ranks
 
 
 class _Bounds:
@@ -558,13 +596,14 @@ class _Bounds:
       k3 = ks[i] - k1 - k2 and k1 is the size of j1;
     - sb[i, k1, k2]: the least lb of the size-k1 rows, on the whole split.
 
-    One pass over the 0-1 matrix bounds every k: the row's size k1 and k2
-    fix each k's k3 (_k_index), and each piece of rows is summed with the
-    1-2 terms of every k at once.
+    One pass over the 0-1 matrix bounds every k: each piece of rows is
+    summed with the 1-2 terms of every layer at once, a layer being a k or,
+    over a wide range of ks, a k3 (_Layout.plan), and each k's bound takes the
+    minima of its layer.
 
     With values, the grid's ascending keys, mats hold indices into them,
     and the bounds are float sums of the keys divided by a power of two,
-    scale (_scaled); limits widens a best weight to match.
+    scale (_scaled); limit widens a best weight to match.
     """
 
     def __init__(self, mats, rows, ks, values=None):
@@ -576,14 +615,14 @@ class _Bounds:
         m01 = mats[0, 1]
         if approx is not None:   # the least index holds the least key
             c02, c12 = approx[c02], approx[c12]
-        k1s, pick12, pick02 = _k_index(tuple(len(a) - 1 for a in at), tuple(ks))
-        g12 = c12.reshape((-1,) + c12.shape[2:])[pick12]   # [i, k1, j2]: c12[j2, k3]
-        lb = c02.reshape((-1,) + c02.shape[2:])[pick02]    # [i, j1, k2]: c02[j1, k3]
+        k1s, pick12, pick02, pick, *_ = _Layout(tuple(len(a) - 1 for a in at)).plan(tuple(ks))
+        g12 = c12.reshape((-1,) + c12.shape[2:])[pick12]   # [l, k1, j2]: c12[j2, k3]
+        lb = c02.reshape((-1,) + c02.shape[2:])[pick02]    # [l, j1, k2]: c02[j1, k3]
         count = len(pick12)
         step = max(1, _BOUND_CELLS // (count * m01[0].size))   # rows of m01 at a time
-        # those rows' terms for every k, and with values the rows' own keys;
-        # one buffer, as fresh arrays per piece peaked up to 1.8x higher at
-        # n = 20-26 and were no faster (0.96-1.04x at n = 9-26, 2 CPUs)
+        # those rows' terms for every layer, and with values the rows' own
+        # keys; one buffer, as fresh arrays per piece peaked up to 1.8x
+        # higher at n = 20-26 and were no faster (0.96-1.04x at n = 9-26)
         temp = np.empty((count + (approx is not None)) * min(step, len(m01)) * m01[0].size,
                         dtype=c12.dtype)
         for lo in range(0, len(m01), step):
@@ -596,16 +635,18 @@ class _Bounds:
                                      out=temp[size:size + rows01.size].reshape(rows01.shape))
             sums += rows01
             lb[:, lo:lo + step] += np.minimum.reduceat(sums, at[1], axis=2)
+        if pick is not None:   # each k's bounds from the layers of its k3
+            lb = lb.reshape((-1,) + lb.shape[3:])[pick]
         self.lb = lb.reshape(lb.shape[:3] + (-1,))
         self.sb = np.minimum.reduceat(self.lb, at[0], axis=1)
 
-    def limits(self, weights) -> list:
-        """The largest bound a row or split may have, member by member, and
-        still hold a triangle of weight at most weights; exact, or for keys
-        widened past every float error of the bounds."""
+    def limit(self, weight):
+        """The largest bound a row or split may have and still hold a
+        triangle of weight at most weight; exact, or for keys widened past
+        every float error of the bounds."""
         if self.scale is None:
-            return weights
-        return [w / self.scale * (1 + _SLACK) + _UNDERFLOW for w in weights]
+            return weight
+        return weight / self.scale * (1 + _SLACK) + _UNDERFLOW
 
 
 def cut_profile(g: Digraph, ks, eps=None,
@@ -662,17 +703,25 @@ def _cut_profiles(graphs, ks, eps, counters) -> list[dict[int, CutSolution]]:
 
 def _search(graphs, parts, ks, eps) -> tuple[list[dict[int, CutSolution]], int]:
     """The cut search of one batch, pruned by _Bounds: each split of each k
-    in ascending bound until one exceeds every member's best weight, and in
-    a split only the rows that may still win. The ks searched unrounded and
-    those on the rounding grid are each bounded and searched by one body,
-    over the pair matrices or over the grid's key indices and values, one
-    group at a time. Returns the profiles, keyed in ks order, and the cells
-    examined, the same for every member. A lone graph's splits go through
-    min_weight_triangle, which a traced run records as a span; a batch's
-    (never rounded) through _triangles."""
+    in ascending bound (one stable sort for a group of ks) until one exceeds
+    every member's best weight, and in a split only the rows that may still
+    win. The ks searched unrounded and those on the rounding grid are each
+    bounded and searched by one body, over the pair matrices or over the
+    grid's key indices and values, one group at a time. Returns the
+    profiles, keyed in ks order, and the cells examined, the same for every
+    member. A lone graph's splits go through min_weight_triangle, which a
+    traced run records as a span; a batch's (never rounded) through
+    _triangles."""
     matrices = _PairMatrices(graphs, parts, len(ks))
     rounding = None if eps is None else _Rounding(matrices, eps)
-    on_grid = [rounding is not None and rounding.on_grid(rounding.k_max[k]) for k in ks]
+    on_grid = [False] * len(ks)
+    if rounding is not None and rounding.low == 1 and rounding.limits[-1] >= rounding.smax > 0:
+        # 1/eps <= 1 and every weight under the last limit: each k = 1..n-1
+        # is on the grid untested, as an L of size k cut by a positive arc
+        # has a triangle of weight >= 2, so k_max[k] >= 1 (k = 0, n: 0)
+        on_grid = [0 < k < graphs[0].n for k in ks]
+    elif rounding is not None and rounding.limits[-1] > 0:
+        on_grid = [rounding.on_grid(rounding.k_max[k]) for k in ks]
     lone = len(graphs) == 1
     found = {}   # [k][member]: (weight, L)
     cells = 0
@@ -683,33 +732,41 @@ def _search(graphs, parts, ks, eps) -> tuple[list[dict[int, CutSolution]], int]:
         mats, values = rounding.grid if grid else (matrices.mats, None)
         bounds = _Bounds(mats, matrices.rows, group, values)
         keys = None if values is None else (values, rounding.ranks, bounds.approx)
-        for k, lb, sb in zip(group, bounds.lb, bounds.sb):
-            splits = list(_splits(parts, k))
-            split_bounds = sb[tuple(zip(*splits))[:2]].tolist()   # [split][member]
-            best = [(math.inf,)] * len(graphs)
-            for s in sorted(range(len(splits)), key=lambda s: min(split_bounds[s])):
-                rows = [r[size] for r, size in zip(matrices.rows, splits[s])]
-                keep = np.arange(rows[0].stop - rows[0].start)
-                if best[0][0] < math.inf:   # every member has a weight to beat
-                    limits = bounds.limits([w for w, _ in best])
-                    if min(split_bounds[s]) > max(limits):
-                        break
-                    keep = np.flatnonzero((lb[rows[0], splits[s][1]] <= limits).any(axis=1))
+        *_, seg, shares, split_rows, ends = matrices.layout.plan(tuple(group))
+        least = bounds.sb.min(axis=-1)[seg, shares[:, 0], shares[:, 1]]   # the least member's
+        order = np.lexsort((least, seg)).tolist()   # by k, then ascending bound
+        least, k2s = least.tolist(), shares[:, 1].tolist()
+        for lb, k, lo, hi in zip(bounds.lb, group, [0] + ends, ends):
+            lb = lb[..., 0] if lone else lb
+            best, top = [(math.inf,)] * len(graphs), None
+            for s in order[lo:hi]:
+                if top is not None and least[s] > top:
+                    break
+                rows = split_rows[s]
+                e01, e02, e12 = matrices.blocks(rows, mats)
+                keep = None
+                if top is not None:   # the rows that may win; copied if any is not
+                    hit = lb[rows[0], k2s[s]] <= limits
+                    keep = (hit if lone else hit.any(axis=1)).nonzero()[0]
                     if not keep.size:
                         continue
-                e01, e02, e12 = matrices.blocks(rows, mats)
-                blocks = e01[keep], e02[keep], e12
-                cells += keep.size * e12.shape[0] * e12.shape[1]
-                triangles = ([min_weight_triangle(blocks, keys)] if lone
-                             else _triangles(blocks))
-                for i, ((j1, j2, j3), weight) in enumerate(triangles):
+                    if keep.size < len(e01):
+                        e01, e02 = e01[keep], e02[keep]
+                cells += len(e01) * e12.shape[0] * e12.shape[1]
+                triangles = ([min_weight_triangle((e01, e02, e12), keys)] if lone
+                             else _triangles((e01, e02, e12)))
+                for m, ((j1, j2, j3), weight) in enumerate(triangles):
                     if eps is None and weight % 2:
                         raise AssertionError("stored triangle weight must be even")
-                    if weight <= best[i][0]:   # L is built for candidates only
-                        js = int(keep[j1]), j2, j3
-                        best[i] = min(best[i], (weight, matrices.members(rows, js)))
+                    if weight <= best[m][0]:   # L is built for candidates only
+                        js = j1 if keep is None else int(keep[j1]), j2, j3
+                        best[m] = min(best[m], (weight, matrices.members(rows, js)))
+                        top = None
+                if top is None:   # each member's largest bound that may still win
+                    limits = [bounds.limit(w) for w, _ in best]
+                    top, limits = max(limits), limits[0] if lone else np.array(limits)
             found[k] = best
-        del bounds, lb, sb   # one group's bounds at a time
+        del bounds, lb   # one group's bounds at a time
     profiles = [{} for _ in graphs]
     for k in ks:
         for g, profile, (weight, l) in zip(graphs, profiles, found[k]):

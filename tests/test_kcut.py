@@ -36,6 +36,12 @@ def part_subsets(matrices):
             for part, bits in zip(matrices.parts, matrices.bits)]
 
 
+def splits(parts, k):
+    """The splits (k1, k2, k3) of k over parts, in the search's order."""
+    layout = kcut._Layout(tuple(map(len, parts)))
+    return layout.shares[layout.first[k]:layout.first[k + 1]].tolist()
+
+
 def split_nodes(matrices, rows):
     """The subsets of each part at rows: the split's auxiliary nodes."""
     return [s[r] for s, r in zip(part_subsets(matrices), rows)]
@@ -136,7 +142,7 @@ def test_splits_hold_every_size_k_set_once():
         for k in range(n + 1):
             assert sum(comb(len(parts[0]), k1) * comb(len(parts[1]), k2)
                        * comb(len(parts[2]), k3)
-                       for k1, k2, k3 in kcut._splits(parts, k)) == comb(n, k)
+                       for k1, k2, k3 in splits(parts, k)) == comb(n, k)
 
 
 def test_weighted_approx_tiny_eps_is_exact():
@@ -258,7 +264,7 @@ def test_rank_table_byte_guard(monkeypatch, tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("n", [21, 26])
+@pytest.mark.parametrize("n", [8, 12, 21, 26])
 @pytest.mark.parametrize("eps", [None, Fraction(1)])
 def test_single_k_search_peaks_under_its_byte_model(n, eps):
     # the bytes the guards check for one k and for every k but 0 and n: the
@@ -268,13 +274,22 @@ def test_single_k_search_peaks_under_its_byte_model(n, eps):
         gen_random(n, 0.3, weight_range=(1, 1000), seed=1), eps)
 
 
-@pytest.mark.parametrize("n", [18, 21])
+@pytest.mark.parametrize("n", [8, 12, 18, 21])
 @pytest.mark.parametrize("eps", [None, Fraction(1)])
 def test_int16_search_peaks_under_its_byte_model(n, eps):
     # unit weights: int16 pair matrices, beside which the bounds (float64
     # when keyed) and the search's row indices keep 8 bytes a cell
     g = gen_random(n, 0.3, seed=1)
     assert kcut._PairMatrices([g], tripartition(n)).mats[0, 1].dtype == np.int16
+    assert_search_peaks_under_its_byte_model(g, eps)
+
+
+@pytest.mark.parametrize("eps", [None, Fraction(1)])
+def test_object_search_peaks_under_its_byte_model(eps):
+    # weights of 2^62 and more: Python-int pair matrices, whose entries
+    # each count a Python int beside the array's pointer
+    g = gen_random(12, 0.3, weight_range=(2 ** 62, 2 ** 64), seed=1)
+    assert kcut._PairMatrices([g], tripartition(12)).mats[0, 1].dtype == object
     assert_search_peaks_under_its_byte_model(g, eps)
 
 
@@ -380,7 +395,7 @@ def test_triangle_search_matches_seed_scan_on_aux_graphs():
         parts = tripartition(n)
         matrices = kcut._PairMatrices([g], parts)
         for k in range(n + 1):
-            for sizes in kcut._splits(parts, k):
+            for sizes in splits(parts, k):
                 blocks = matrices.blocks(split_rows(matrices, sizes))
                 lists = [[[int(w) for w in row] for row in m] for m in blocks]
                 assert min_weight_triangle(blocks) == seed_triangle_scan(*lists)
@@ -451,7 +466,7 @@ def test_exact_profile_totals_match_oracle_and_seed_scan(kernel_cells):
             assert got[k] == dkmc_oracle(g, k)
             assert 2 * got[k].value == min(
                 seed_triangle_scan(*matrices.blocks(split_rows(matrices, sizes)))[1]
-                for sizes in kcut._splits(parts, k))
+                for sizes in splits(parts, k))
         assert counters.triangles == kernel_cells.of[id(g)] <= 2 ** g.n
 
 
@@ -474,7 +489,7 @@ def reference_pair_matrices(g, parts):
     # the m01 rows bounded at a time, their 1-2 terms or keys
     bounds += 2 * min(1 << s0 + s1, max(kcut._BOUND_CELLS, 1 << s1))
     nbytes = int((sum(cells) + kcut._PAIR_TEMPS * max(cells)) * entry
-                 + bounds * max(entry, 8))
+                 + bounds * max(entry, 8) + kcut._CALL_BYTES)
     w = np.zeros((g.n, g.n), dtype=wide)
     for u, v, wt in g.arc_items:
         w[u, v] = wt
@@ -581,7 +596,7 @@ def reference_rounded_profile(g, ks, eps):
     matrices = kcut._PairMatrices([g], parts)
     out = {}
     for k in ks:
-        cells = [split_rows(matrices, sizes) for sizes in kcut._splits(parts, k)]
+        cells = [split_rows(matrices, sizes) for sizes in splits(parts, k)]
         weights = sorted({int(w) for rows in cells for blk in matrices.blocks(rows)
                           for w in blk.ravel().tolist()})
         keys = dict(zip(weights, reference_rounded_keys(weights, eps)))
@@ -773,7 +788,7 @@ def test_kept_rank_table_grows_and_serves_smaller_grids(monkeypatch):
     # smax, then read by the first graph through its leading rows and
     # columns; each split's triangle search equals the one over the ranks
     # of the keys it uses alone
-    monkeypatch.setattr(kcut, "_rank_tables", {})
+    monkeypatch.setattr(kcut, "_bases", {})
     eps, parts = Fraction(1, 2), tripartition(10)
 
     def rounding(weights):
@@ -786,13 +801,13 @@ def test_kept_rank_table_grows_and_serves_smaller_grids(monkeypatch):
     grown = rounding((1, 1000)).ranks
     assert len(grown) > len(built)
     again = rounding((1, 9))
-    assert again.ranks is grown and list(kcut._rank_tables) == [(7, 6)]
+    assert again.ranks is grown and list(kcut._bases) == [(7, 6)]
     index, values = again.grid
     size = len(values)
     lead = np.unique(grown[:size, :size], return_inverse=True)[1].reshape(size, size)
     assert lead.tolist() == kcut._pair_ranks(values.tolist()).tolist()
     for k in range(11):
-        for sizes in kcut._splits(parts, k):
+        for sizes in splits(parts, k):
             blocks = again.matrices.blocks(split_rows(again.matrices, sizes), index)
             used = np.unique(np.concatenate([b.ravel() for b in blocks]))
             in_use = [np.searchsorted(used, b) for b in blocks]
@@ -802,12 +817,12 @@ def test_kept_rank_table_grows_and_serves_smaller_grids(monkeypatch):
 
 
 def test_rank_tables_are_kept_for_the_bases_used_last(monkeypatch):
-    monkeypatch.setattr(kcut, "_rank_tables", {})
+    monkeypatch.setattr(kcut, "_bases", {})
     g = gen_random(9, 0.4, weight_range=(1, 9), seed=2)
-    for den in range(1, kcut._RANK_TABLES + 3):
+    for den in range(1, kcut._BASES + 3):
         cut_profile(g, [4], Fraction(1, den))
-    kept = [(3 * den + 1, 3 * den) for den in range(3, kcut._RANK_TABLES + 3)]
-    assert list(kcut._rank_tables) == kept
+    kept = [(3 * den + 1, 3 * den) for den in range(3, kcut._BASES + 3)]
+    assert list(kcut._bases) == kept
 
 
 @pytest.mark.parametrize("keys", [
@@ -873,7 +888,7 @@ def unpruned_search(graphs, parts, ks, eps):
     profiles = [{} for _ in graphs]
     lone = len(graphs) == 1
     for k in ks:
-        cells = [split_rows(matrices, sizes) for sizes in kcut._splits(parts, k)]
+        cells = [split_rows(matrices, sizes) for sizes in splits(parts, k)]
         smax = max(int(block.max()) for rows in cells for block in matrices.blocks(rows))
         assert rounding is None or rounding.k_max[k] == smax
         grid = rounding is not None and rounding.on_grid(smax)
@@ -928,7 +943,7 @@ def test_bounds_match_their_definition(monkeypatch, cells):
     assert [b.lb.dtype for b in every] == [guards.int_dtype(2 * g.total_arc_weight),
                                            np.float64]
     for k in ks:
-        for sizes in kcut._splits(parts, k):
+        for sizes in splits(parts, k):
             rows = split_rows(matrices, sizes)
             got = exact.lb[k, rows[0], sizes[1], 0].tolist()
             assert got == reference_bounds(matrices.blocks(rows))
@@ -959,7 +974,7 @@ def test_one_k_bounds_ignore_the_k3_of_no_split(total):
         assert one.lb.dtype == matrices.mats[0, 1].dtype
         assert min(one.lb.ravel().tolist()) >= 0
         assert max(one.lb.ravel().tolist()) <= 2 * total
-        for sizes in kcut._splits(parts, k):
+        for sizes in splits(parts, k):
             rows = split_rows(matrices, sizes)
             assert (one.lb[0, rows[0], sizes[1], 0].tolist()
                     == reference_bounds(matrices.blocks(rows)))
