@@ -34,7 +34,6 @@ from itertools import combinations, takewhile
 
 import numpy as np
 
-from . import guards
 from .graph import Digraph, cut_into, induced
 from .kcut import (CutSolution, _cut_profiles, cut_profile, dkmc_exact,
                    dkmc_weighted_approx)
@@ -360,7 +359,6 @@ def fas_scheme(g: Digraph, eps, weighted: bool = False,
     if eps_f <= 0:
         raise ValueError("eps must be positive")
     k = math.ceil(Fraction(2 if weighted else 1) / eps_f)
-    guards.check(k * g.n, guards.SCHEME_BUDGET, "fas_scheme level*n")
     # alpha_k falls with k, so rungs stop at the first whose prefix rounds
     # to 0; from rung 9-11 on, by delta1, gamma cannot even be bracketed
     rungs = _rungs(k - 1, delta1) if k >= 2 else ()
@@ -388,14 +386,15 @@ def _fas_level(graphs, level: int, weighted: bool,
     comps = [tuple(v for v in range(n) if v not in sub) for sub in subsets]
     a_vals = [[cut_into(g, sub) for sub in subsets] for g in graphs]
     stars = [min(range(len(subsets)), key=a.__getitem__) for a in a_vals]
-    boosted = iter(_sub_orders(
-        [(g, comp) for g, star in zip(graphs, stars)
-         for idx, comp in enumerate(comps) if idx != star],
-        lambda gs: _fas_level(gs, level - 1, weighted, ladder)))
+    # exact complements first: one over the byte guard stops before any cut search
     exact = _sub_orders(
         [(g, comps[star]) for g, star in zip(graphs, stars)],
         lambda gs: [_traced(rep, "exact-complement")
                     for rep in _exact_all(gs, fas_exact, "fas")])
+    boosted = iter(_sub_orders(
+        [(g, comp) for g, star in zip(graphs, stars)
+         for idx, comp in enumerate(comps) if idx != star],
+        lambda gs: _fas_level(gs, level - 1, weighted, ladder)))
     reports = []
     for g, table, a, star, star_rep in zip(graphs, tables, a_vals, stars, exact):
         counters = Counters(table_entries=table.entries, calls=1)

@@ -1,9 +1,10 @@
 """Desk-scale size guards.
 
-Every exponential entry point checks its input size and raises SizeGuardError
-instead of silently degrading. ORDERCUT_GUARD_OVERRIDE=1 lifts the soft guards
-(a warning goes to stderr once); the mask-encoding hard cap of 32 vertices
-stays in force regardless.
+Every exponential entry point raises SizeGuardError instead of silently
+degrading, on one guard per resource: the subset DPs and the cut search on
+the bytes they allocate, the two oracles on their enumeration counts.
+ORDERCUT_GUARD_OVERRIDE=1 lifts these soft guards (a warning goes to stderr
+once); the mask-encoding hard cap of 32 vertices stays in force regardless.
 
 Every exponential array takes its width from int_dtype(bound), where bound
 covers every value and partial sum; byte models count an object entry as
@@ -20,9 +21,7 @@ import sys
 import numpy as np
 
 SUBSET_HARD_CAP = 32          # bitmask universe; never lifted
-EXACT_DP_GUARD = 26           # full exact DPs and kcut enumerations
-TABLE_BYTE_GUARD = 1 << 30    # subset table, cut pair and rank tables; n=26 int64 table ~0.52 GiB
-SCHEME_BUDGET = 48            # fas_scheme: level * n
+TABLE_BYTE_GUARD = 1 << 30    # subset tables, cut pair and rank tables; full int16 to n=28, int32 to 27
 ORACLE_GUARD = 9              # perm_opt: n! enumeration
 DKMC_ORACLE_GUARD = 1 << 20   # dkmc_oracle: C(n, k) subsets
 

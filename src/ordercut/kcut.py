@@ -674,7 +674,7 @@ def _cut_profiles(graphs, ks, eps, counters) -> list[dict[int, CutSolution]]:
     for k in ks:
         if not 0 <= k <= n:
             raise ValueError(f"k={k} outside 0..{n}")
-    guards.check(n, guards.EXACT_DP_GUARD, "dkmc vertex count")
+    guards.check_universe(n)
     if eps is not None:
         eps = Fraction(eps)
         if eps <= 0:

@@ -529,7 +529,6 @@ def _exacts(graphs, objective: str) -> list[SolveReport]:
     batch of one, which a traced run then records as fas_exact's child span."""
     t0 = time.perf_counter()
     n = graphs[0].n
-    guards.check(n, guards.EXACT_DP_GUARD, f"{objective}_exact vertex count")
     tables = ([fas_table(graphs[0])] if objective == "fas" and len(graphs) == 1
               else _prefix_tables(graphs, n, objective))
     full = (1 << n) - 1

@@ -9,7 +9,7 @@ from ordercut import (Digraph, Ordering, SizeGuardError, backward_weight,
                       boost_ladder, cutwidth_balanced_approx, cutwidth_exact,
                       cutwidth_of, dpw_2approx, dpw_exact, fas_balanced_approx,
                       fas_exact, fas_scheme, gamma_for_target, gen_random,
-                      guards, ola_directed_approx, ola_exact, ola_of,
+                      kcut, ola_directed_approx, ola_exact, ola_of,
                       ola_undirected_approx, perm_opt, solve_gamma,
                       solve_pw_alpha)
 from ordercut.balanced import _gamma_lhs, _orient_sides
@@ -193,24 +193,36 @@ def test_fas_scheme_default_ladder_degenerates_to_exact():
 @pytest.mark.parametrize("n", range(5))
 @pytest.mark.parametrize("weighted", [False, True])
 def test_fas_scheme_high_levels_on_tiny_graphs_fall_back(n, weighted):
-    # level * n within the budget lets k >= 11 through at n <= 4 and any k
-    # at n = 0, though rung 10's gamma cannot be bracketed: the ladder stops
-    # at the first rung whose prefix rounds to 0, and the top level falls back
+    # every level runs at n <= 4, though rung 10's gamma cannot be
+    # bracketed: the ladder stops at the first rung whose prefix rounds to 0,
+    # and the top level falls back
     for g in (gen_random(n, 0.5, seed=n), gen_random(n, 0.6, (1, 9), seed=n)):
         want = fas_exact(g)
         for k in (11, 12, 24, 48, 10 ** 30):
-            if k * n > guards.SCHEME_BUDGET:
-                continue
             rep = fas_scheme(g, Fraction(2 if weighted else 1, k), weighted)
             assert (rep.value, rep.ordering, rep.factor, rep.trace) == (
                 want.value, want.ordering, 1, ((f"exact-fallback-level-{k}", n),))
 
 
 def test_fas_scheme_budget_guard(monkeypatch):
+    # at n = 32 level 2 boosts a 1-vertex prefix, and its exact complement
+    # of 31 vertices is over the byte guard: refused before any level-1
+    # complement enters the cut search
+    def no_search(*args):
+        raise AssertionError("cut search entered")
     monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
-    g = gen_random(10, 0.5, seed=1)
-    with pytest.raises(SizeGuardError):
-        fas_scheme(g, Fraction(1, 10))   # k = 10, 10 * 10 > 48
+    monkeypatch.setattr(kcut, "_search", no_search)
+    with pytest.raises(SizeGuardError, match="subset table bytes"):
+        fas_scheme(gen_random(32, 0.3, seed=1), Fraction(1, 2))
+
+
+def test_fas_scheme_high_level_at_20_is_exact():
+    # no level above 2 boosts below 33 vertices: k = 3 at n = 20 is fas_exact
+    g = gen_random(20, 0.3, seed=1)
+    want = fas_exact(g)
+    rep = fas_scheme(g, Fraction(1, 3))
+    assert (rep.value, rep.ordering, rep.trace) == (
+        want.value, want.ordering, (("exact-fallback-level-3", 20),))
 
 
 def test_fas_scheme_rejects_bad_eps():

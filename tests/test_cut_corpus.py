@@ -7,19 +7,18 @@ undirected, n = 4..22, with unit weights, weights 1..1000 and (n <= 12)
 weights of 2^62 and more (Python-int pair matrices), each exact and at
 eps = 1, 1/2 and 1/10, over k = n/2 and over every k = 1..n-1; stacked
 `_cut_profiles` over graphs of one vertex count with mixed weights; and
-n = 26 and 32 at k = n/2, exact and at eps = 1, past the vertex guard.
+n = 26 and 32 at k = n/2, exact and at eps = 1.
 
 Regenerate the golden file, only when a change of output is intended, with
 
     PYTHONPATH=src python tests/test_cut_corpus.py
 """
 
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from ordercut import Counters, cut_profile, gen_random, guards, kcut
+from ordercut import Counters, cut_profile, gen_random, kcut
 
 GOLDEN = Path(__file__).with_name("golden_cut_corpus.txt")
 
@@ -79,12 +78,10 @@ def render() -> str:
     return "".join(out)
 
 
-def test_cut_searches_match_golden(monkeypatch):
-    monkeypatch.setenv(guards.OVERRIDE_ENV, "1")   # n = 26 and 32
+def test_cut_searches_match_golden():
     assert render() == GOLDEN.read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
-    os.environ[guards.OVERRIDE_ENV] = "1"
     GOLDEN.write_text(render(), encoding="utf-8")
     print(f"wrote {GOLDEN}", file=sys.stderr)

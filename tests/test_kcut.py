@@ -216,10 +216,13 @@ def test_oracle_guard(monkeypatch):
 
 
 def test_exact_guard(monkeypatch):
-    monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
-    g = Digraph(27, [(0, 1)])
-    with pytest.raises(SizeGuardError):
-        dkmc_exact(g, 13)
+    # the cut search stops at the 32-vertex hard cap, override or not; below
+    # it only the byte guard refuses (test_pair_matrix_byte_guard)
+    g = Digraph(33, [(0, 1)])
+    for override in ("", "1"):
+        monkeypatch.setenv("ORDERCUT_GUARD_OVERRIDE", override)
+        with pytest.raises(SizeGuardError, match="hard cap"):
+            dkmc_exact(g, 16)
 
 
 def test_pair_matrix_byte_guard(monkeypatch):

@@ -1,16 +1,17 @@
 """Exact subset DPs and the capped prefix tables."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordercut import (Digraph, SizeGuardError, backward_weight, cut_into,
-                      cutwidth_exact, cutwidth_of, dkmc_exact, dpw_exact,
-                      dpw_of, dpw_prefix_table, fas_exact, fas_table,
-                      gen_random, guards, induced, ola_exact, ola_of)
+from ordercut import (Digraph, SizeGuardError, backward_weight,
+                      cutwidth_exact, cutwidth_of, dpw_exact, dpw_of,
+                      dpw_prefix_table, fas_exact, fas_table, gen_random,
+                      guards, induced, ola_exact, ola_of)
 
 CYCLE3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -165,28 +166,38 @@ def test_exact_solvers_beat_random_orderings(seed, n):
 
 
 def test_exact_guard_rejects_large_universe(monkeypatch):
+    # a full int16 table at n = 29 models at 1,031 MiB, over the byte guard:
+    # refused before anything is allocated
     monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
-    g = Digraph(27, [(0, 1)])
-    with pytest.raises(SizeGuardError):
-        fas_exact(g)
+    g = Digraph(29, [(0, 1)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError, match="subset table bytes"):
+            fas_exact(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     with pytest.raises(SizeGuardError):
         fas_table(Digraph(33, [(0, 1)]), 2)  # hard cap, not overridable
 
 
 def test_guard_override_env(monkeypatch, capsys):
-    # one k of 27 vertices exceeds only the soft "dkmc vertex count" guard
-    # (26): refused without the override, run with it, and the override's
-    # warning reaches stderr once over two calls
-    g = gen_random(27, 0.3, seed=1)
+    # a byte guard patched below a 12-vertex table refuses fas_exact without
+    # the override and runs it with it, and the override's warning reaches
+    # stderr once over two calls
+    g = gen_random(12, 0.3, seed=1)
+    want = fas_exact(g)
     monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
-    with pytest.raises(SizeGuardError, match="dkmc vertex count"):
-        dkmc_exact(g, 13)
+    monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", 1)
+    with pytest.raises(SizeGuardError, match="subset table bytes"):
+        fas_exact(g)
     monkeypatch.setenv("ORDERCUT_GUARD_OVERRIDE", "1")
     monkeypatch.setattr(guards, "_warned", False)
     capsys.readouterr()
-    sol = dkmc_exact(g, 13)
-    assert dkmc_exact(g, 13) == sol
-    assert len(sol.vertices) == 13 and cut_into(g, sol.vertices) == sol.value
+    for _ in range(2):
+        rep = fas_exact(g)
+        assert (rep.value, rep.ordering) == (want.value, want.ordering)
     err = capsys.readouterr().err
     assert err.count("warning: ORDERCUT_GUARD_OVERRIDE=1 lifts") == 1
     with pytest.raises(SizeGuardError):

@@ -238,7 +238,7 @@ def test_out_of_table_masks_raise():
 
 def test_byte_guard(monkeypatch):
     monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
-    # a full int64 table at the exact-DP vertex guard fits, a larger one or
+    # a full int64 table at n = 26 fits, a larger one or
     # one of Python ints does not, while narrower values fit one or two
     # vertices more; nothing is allocated to find out
     for objective in OBJECTIVES:
