@@ -47,8 +47,11 @@ _LOG2_189 = math.log2(1.89)
 
 
 def _gamma_lhs(gamma: float) -> float:
-    return (gamma * math.log2(gamma)
-            - (gamma - 1) * math.log2(gamma - 1)) / (gamma - 1)
+    """(g*log2(g) - (g-1)*log2(g-1)) / (g-1) as the sum of two positive
+    terms, log2(g)/(g-1) + log2(1 + 1/(g-1)): the difference cancels its
+    digits as g grows, to 0.0 at g = 2^64."""
+    return (math.log2(gamma) / (gamma - 1)
+            + math.log1p(1 / (gamma - 1)) / math.log(2))
 
 
 def _bisect(holds, lo: float, hi: float) -> tuple[float, float]:
@@ -112,11 +115,6 @@ def _rungs(levels: int, delta1: float) -> Iterator[BoostParams]:
         alpha = 1.0 / gamma
         yield BoostParams(level, delta, gamma, alpha)
         delta = (2 - 2 ** (1 - alpha)) / 2
-
-
-def boost_ladder(levels: int, delta1: float = DEFAULT_DELTA1) -> tuple[BoostParams, ...]:
-    """BoostParams for levels 1..levels (see _rungs)."""
-    return tuple(_rungs(levels, delta1))
 
 
 def _pw_equation(alpha: float) -> float:
@@ -214,7 +212,7 @@ def _split(graphs, objective: str, sols, eps_cut, exact, counters, t0: float,
             left = set(cut.vertices)
             crossing = [(u, v, w) if u in left else (v, u, w)
                         for u, v, w in g.edge_items() if (u in left) != (v in left)]
-            seq_l, seq_r, _ = _orient_sides(seq_l, seq_r, crossing)
+            seq_l, seq_r = _orient_sides(seq_l, seq_r, crossing)
         fas = objective == "fas"
         sides = rep_l.value + rep_r.value if fas else max(rep_l.value, rep_r.value)
         reports.append(finish(
@@ -286,8 +284,8 @@ def _orient_sides(seq_l: list[int], seq_r: list[int],
     edges, pretending the far endpoint sits at the boundary position.
 
     crossing lists (x, y, w) with x on the left side, y on the right.
-    Returns the oriented sequences and the four candidate costs
-    (left fwd, left rev, right fwd, right rev).
+    Returns the oriented sequences; a side is reversed only when that is
+    strictly cheaper.
     """
     i = len(seq_l)
     pos_l = {v: p + 1 for p, v in enumerate(seq_l)}
@@ -300,7 +298,7 @@ def _orient_sides(seq_l: list[int], seq_r: list[int],
         rr += w * (len(seq_r) + 1 - pos_r[y])
     left = seq_l if lf <= lr else list(reversed(seq_l))
     right = seq_r if rf <= rr else list(reversed(seq_r))
-    return left, right, (lf, lr, rf, rr)
+    return left, right
 
 
 def ola_undirected_approx(g: Digraph, alpha, weighted: bool = False) -> SolveReport:
@@ -360,7 +358,8 @@ def fas_scheme(g: Digraph, eps, weighted: bool = False,
         raise ValueError("eps must be positive")
     k = math.ceil(Fraction(2 if weighted else 1) / eps_f)
     # alpha_k falls with k, so rungs stop at the first whose prefix rounds
-    # to 0; from rung 9-11 on, by delta1, gamma cannot even be bracketed
+    # to 0; from rung 9 (delta1 = 0.01), 10 (0.02-0.22) or 11 (0.25-0.99)
+    # on, delta_k or its target reads 0.0 and gamma cannot be solved for
     rungs = _rungs(k - 1, delta1) if k >= 2 else ()
     ladder = tuple(takewhile(lambda p: _round_half_up(p.alpha * g.n) >= 1, rungs))
     return _fas_level([g], k, weighted, ladder)[0]

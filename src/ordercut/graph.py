@@ -78,12 +78,6 @@ class Digraph:
         self._total_arc_weight = sum(w for _, _, w in arc_items)
         return self
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return u in dict(self.in_pairs[v])
-
-    def weight(self, u: int, v: int) -> int:
-        return dict(self.in_pairs[v])[u]
-
     def edge_items(self) -> Iterator[tuple[int, int, int]]:
         """Yield (u, v, w) with u < v once per undirected edge."""
         for u, v, w in self.arc_items:
@@ -151,14 +145,6 @@ class Ordering:
             pos[v] = i + 1
         return cls(pos)
 
-    @classmethod
-    def identity(cls, n: int) -> "Ordering":
-        return cls(range(1, n + 1))
-
-    def reverse(self) -> "Ordering":
-        n = len(self.pos)
-        return Ordering(n + 1 - p for p in self.pos)
-
     def __len__(self) -> int:
         return len(self.pos)
 
@@ -178,20 +164,6 @@ def backward_weight(g: Digraph, ordering: Ordering) -> int:
     """Total weight of arcs (u, v) with pos[u] > pos[v]."""
     pos = ordering.pos
     return sum(w for u, v, w in g.arc_items if pos[u] > pos[v])
-
-
-def cut_at(g: Digraph, ordering: Ordering, i: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Arcs crossing position i right-to-left and their total weight.
-
-    An arc (u, v) is in the cut when pos[u] > i and pos[v] <= i. For an
-    undirected instance this picks one stored direction per crossing edge.
-    """
-    if not 1 <= i <= max(g.n - 1, 0):
-        raise ValueError(f"cut position {i} outside 1..n-1")
-    pos = ordering.pos
-    arcs = tuple((u, v) for u, v, _ in g.arc_items if pos[u] > i >= pos[v])
-    weight = sum(w for u, v, w in g.arc_items if pos[u] > i >= pos[v])
-    return arcs, weight
 
 
 def _peak(diff: list[int]) -> int:

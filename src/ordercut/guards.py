@@ -2,7 +2,7 @@
 
 Every exponential entry point raises SizeGuardError instead of silently
 degrading, on one guard per resource: the subset DPs and the cut search on
-the bytes they allocate, the two oracles on their enumeration counts.
+the bytes they allocate, the permutation oracle on its n! count.
 ORDERCUT_GUARD_OVERRIDE=1 lifts these soft guards (a warning goes to stderr
 once); the mask-encoding hard cap of 32 vertices stays in force regardless.
 
@@ -23,7 +23,6 @@ import numpy as np
 SUBSET_HARD_CAP = 32          # bitmask universe; never lifted
 TABLE_BYTE_GUARD = 1 << 30    # subset tables, cut pair and rank tables; full int16 to n=28, int32 to 27
 ORACLE_GUARD = 9              # perm_opt: n! enumeration
-DKMC_ORACLE_GUARD = 1 << 20   # dkmc_oracle: C(n, k) subsets
 
 OVERRIDE_ENV = "ORDERCUT_GUARD_OVERRIDE"
 _warned = False

@@ -78,7 +78,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import accumulate, combinations, pairwise
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -287,11 +287,11 @@ def min_weight_triangle(blocks, keys=None):
     weights between groups 0-1, 0-2 and 1-2.
 
     Returns ((j1, j2, j3), weight); the lexicographically least triple wins
-    ties, and weights must be non-negative. With keys = (values, ranks) or
-    (values, ranks, approx), blocks hold indices into values, a triangle
-    weighs the sum of its three values, ranks[i, j] orders the sums
-    values[i] + values[j] (ties equal; ranks may have more rows and columns
-    than values), and approx is values as scaled floats (_scaled).
+    ties, and weights must be non-negative. With keys = (values, ranks,
+    approx), blocks hold indices into values, a triangle weighs the sum of
+    its three values, ranks[i, j] orders the sums values[i] + values[j]
+    (ties equal; ranks may have more rows and columns than values), and
+    approx is values as scaled floats (_scaled).
 
     For each (j1, j2) the search takes the first j3 minimizing e02 + e12 (or
     its rank), over pieces of j1 rows within _CHUNK_CELLS sums (_best_pairs),
@@ -304,8 +304,7 @@ def min_weight_triangle(blocks, keys=None):
     if keys is None:
         j1, j2 = divmod(int(best.argmin()), r2)
         return (j1, j2, int((e02[j1] + e12[j2]).argmin())), int(best[j1, j2])
-    values = keys[0]   # best holds the j3 of each (j1, j2)
-    approx = keys[2] if len(keys) > 2 else _scaled(values.tolist())[1]
+    values, _, approx = keys   # best holds the j3 of each (j1, j2)
     j = np.arange(max(r1, r2))
     at = (e01.ravel(), e02[j[:r1, None], best].ravel(), e12[j[:r2], best].ravel())
     floats = approx[at[0]] + approx[at[1]] + approx[at[2]]
@@ -787,21 +786,3 @@ def dkmc_weighted_approx(g: Digraph, k: int, eps,
     """(1+eps)-approximate DKMC via weight rounding; value is unrounded."""
     return cut_profile(g, [k], eps, counters)[k]
 
-
-def dkmc_oracle(g: Digraph, k: int) -> CutSolution:
-    """Exact minimum by trying every size-k subset (independent of the
-    triangle construction). Guarded by C(n, k)."""
-    n = g.n
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} outside 0..{n}")
-    guards.check(math.comb(n, k), guards.DKMC_ORACLE_GUARD,
-                 "dkmc_oracle subset count")
-    in_pairs = g.in_pairs
-    best = None
-    best_l = None
-    for combo in combinations(range(n), k):
-        inside = set(combo)
-        value = sum(w for v in combo for u, w in in_pairs[v] if u not in inside)
-        if best is None or value < best:
-            best, best_l = value, combo
-    return CutSolution(best_l, k, best)

@@ -321,8 +321,8 @@ def _bound(g: Digraph, objective: str) -> int:
 
 
 def _prefix_tables(graphs, cap: int, objective: str) -> list[SubsetTable]:
-    """The tables of graphs with one vertex count, each as _prefix_table
-    builds it. Graphs whose values share a dtype are filled as one batch, as
+    """The tables of graphs with one vertex count, capped at size cap.
+    Graphs whose values share a dtype are filled as one batch, as
     many at a time as keep the batch's widest chunk within one table's chunk
     size and its bytes within the byte guard, which each table alone must
     meet."""
@@ -507,20 +507,15 @@ def _fill(graphs, cap: int, objective: str, bound: int) -> list[SubsetTable]:
             for vg, wg in zip(each(vals), weights)]
 
 
-def _prefix_table(g: Digraph, cap: int, objective: str) -> SubsetTable:
-    """One graph's table: a batch of one."""
-    return _prefix_tables([g], cap, objective)[0]
-
-
 def fas_table(g: Digraph, size_cap: int | None = None) -> SubsetTable:
     """Minimum feedback arc weight of G[S] for every |S| <= size_cap."""
-    return _prefix_table(g, g.n if size_cap is None else size_cap, "fas")
+    return _prefix_tables([g], g.n if size_cap is None else size_cap, "fas")[0]
 
 
 def dpw_prefix_table(g: Digraph, size_cap: int) -> SubsetTable:
     """Best achievable max-boundary over orderings of each |S| <= size_cap,
     with boundaries taken in the whole graph."""
-    return _prefix_table(g, size_cap, "dpw")
+    return _prefix_tables([g], size_cap, "dpw")[0]
 
 
 def _exacts(graphs, objective: str) -> list[SolveReport]:

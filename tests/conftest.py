@@ -1,10 +1,11 @@
+import math
 import random
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from ordercut import Digraph, gen_random, kcut
+from ordercut import CutSolution, Digraph, Ordering, balanced, gen_random, kcut, subset_dp
 
 # Hand-built graphs used across the suite (0-indexed).
 
@@ -38,6 +39,61 @@ def triangle_with_detour():
 @pytest.fixture
 def two_triangles():
     return Digraph(6, TWO_TRIANGLES)
+
+
+def identity(n):
+    """The ordering that puts vertex v at position v + 1."""
+    return Ordering(range(1, n + 1))
+
+
+def reverse(ordering):
+    """ordering read from its last position to its first."""
+    n = len(ordering)
+    return Ordering(n + 1 - p for p in ordering.pos)
+
+
+def arc_weights(g):
+    """{(u, v): w} over g's stored arcs, both directions of an undirected
+    edge included."""
+    return {(u, v): w for u, v, w in g.arc_items}
+
+
+def cut_at(g, ordering, i):
+    """The arcs crossing position i right-to-left, pos[u] > i >= pos[v], and
+    their total weight. For an undirected instance this picks one stored
+    direction per crossing edge."""
+    if not 1 <= i <= max(g.n - 1, 0):
+        raise ValueError(f"cut position {i} outside 1..n-1")
+    pos = ordering.pos
+    crossing = [(u, v, w) for u, v, w in g.arc_items if pos[u] > i >= pos[v]]
+    return tuple((u, v) for u, v, _ in crossing), sum(w for *_, w in crossing)
+
+
+def dkmc_oracle(g, k):
+    """The minimum (k, n-k)-cut by trying every size-k subset, independent of
+    the triangle construction; the least subset in combinations order wins
+    ties."""
+    n = g.n
+    if not 0 <= k <= n:
+        raise ValueError(f"k={k} outside 0..{n}")
+    assert math.comb(n, k) <= 1 << 20
+    best = None
+    for combo in combinations(range(n), k):
+        inside = set(combo)
+        value = sum(w for v in combo for u, w in g.in_pairs[v] if u not in inside)
+        if best is None or value < best.value:
+            best = CutSolution(combo, k, value)
+    return best
+
+
+def boost_ladder(levels, delta1=balanced.DEFAULT_DELTA1):
+    """The scheme's BoostParams for levels 1..levels."""
+    return tuple(balanced._rungs(levels, delta1))
+
+
+def prefix_table(g, cap, objective):
+    """g's subset table capped at size cap: a batch of one."""
+    return subset_dp._prefix_tables([g], cap, objective)[0]
 
 
 def random_corpus(count, n, p, weight_range=(1, 1), undirected=False, seed0=0):

@@ -15,9 +15,9 @@ import time
 from fractions import Fraction
 from itertools import combinations, product
 
-from ordercut import (EVALUATORS, Digraph, Ordering, backward_weight, cut_at,
+from ordercut import (EVALUATORS, Digraph, Ordering, backward_weight,
                       cut_into, cutwidth_balanced_approx, cutwidth_exact,
-                      dkmc_exact, dkmc_oracle, dkmc_weighted_approx,
+                      dkmc_exact, dkmc_weighted_approx,
                       dpw_2approx, dpw_exact, fas_balanced_approx, fas_exact,
                       fas_scheme, fas_table, gamma_for_target, gen_random,
                       guards, kcut, ola_directed_approx, ola_exact,
@@ -25,7 +25,8 @@ from ordercut import (EVALUATORS, Digraph, Ordering, backward_weight, cut_at,
                       solve_pw_alpha, tripartition)
 from ordercut.balanced import _gamma_lhs
 
-from conftest import PATHS_WITH_CHORD, TRIANGLE_WITH_DETOUR
+from conftest import (PATHS_WITH_CHORD, TRIANGLE_WITH_DETOUR, cut_at,
+                      dkmc_oracle, identity, reverse)
 
 EXACT = {"fas": fas_exact, "cutwidth": cutwidth_exact,
          "ola": ola_exact, "dpw": dpw_exact}
@@ -166,7 +167,7 @@ def test_approx_ratio_certificates():
 def test_reference_anchor_values():
     started = time.perf_counter()
     g1 = Digraph(6, PATHS_WITH_CHORD)
-    ident = Ordering.identity(6)
+    ident = identity(6)
     arcs1, w1 = cut_at(g1, ident, 1)
     arcs3, w3 = cut_at(g1, ident, 3)
     assert (w1, w3) == (0, 2)
@@ -207,7 +208,7 @@ def test_structural_invariants_and_cli_determinism(tmp_path):
         seq = list(range(n))
         rng.shuffle(seq)
         o = Ordering.from_sequence(seq)
-        assert (backward_weight(g, o) + backward_weight(g, o.reverse())
+        assert (backward_weight(g, o) + backward_weight(g, reverse(o))
                 == g.total_arc_weight)
         stretch_sum = sum(w * (o.pos[u] - o.pos[v])
                           for u, v, w in g.arc_items if o.pos[u] > o.pos[v])

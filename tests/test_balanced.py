@@ -1,12 +1,13 @@
 """Balanced-cut approximations, the boosting scheme, and the numeric solvers."""
 
+import decimal
 import math
 from fractions import Fraction
 
 import pytest
 
 from ordercut import (Digraph, Ordering, SizeGuardError, backward_weight,
-                      boost_ladder, cutwidth_balanced_approx, cutwidth_exact,
+                      cutwidth_balanced_approx, cutwidth_exact,
                       cutwidth_of, dpw_2approx, dpw_exact, fas_balanced_approx,
                       fas_exact, fas_scheme, gamma_for_target, gen_random,
                       kcut, ola_directed_approx, ola_exact, ola_of,
@@ -14,11 +15,13 @@ from ordercut import (Digraph, Ordering, SizeGuardError, backward_weight,
                       solve_pw_alpha)
 from ordercut.balanced import _gamma_lhs, _orient_sides
 
+from conftest import boost_ladder
+
 
 # -------------------------------------------------------------- the numerics
 
 def test_gamma_lhs_boundary_is_exact():
-    # (2*log2(2) - 1*log2(1)) / 1 == 2 with no rounding at all
+    # log2(2)/1 + log1p(1)/ln(2) == 1 + 1: log1p(1) and log(2) are one float
     assert _gamma_lhs(2.0) == 2.0
     assert gamma_for_target(2.0) == 2.0
     assert gamma_for_target(3.0) == 2.0
@@ -29,6 +32,21 @@ def test_gamma_for_target_residuals():
         root = gamma_for_target(target)
         assert abs(_gamma_lhs(root) - target) <= 1e-9
     assert 4.39 <= gamma_for_target(1.0) <= 4.41
+
+
+def test_gamma_lhs_is_accurate_at_large_gamma():
+    # the difference g*log2(g) - (g-1)*log2(g-1) cancels its digits as g
+    # grows: its quotient is off by 4e-11 at 10^6, 0.18 at 2^53 and reads 0.0
+    # at 2^64; against 60 digits the sum of two positive terms stays within
+    # a float's rounding
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        ln2 = decimal.Decimal(2).ln()
+        for gamma in (35.0, 1e6, 2.0 ** 30, 2.0 ** 53, 2.0 ** 64):
+            g = decimal.Decimal(gamma)
+            exact = (g * g.ln() - (g - 1) * (g - 1).ln()) / ln2 / (g - 1)
+            error = decimal.Decimal(_gamma_lhs(gamma)) / exact - 1
+            assert abs(error) <= decimal.Decimal("1e-16"), gamma
 
 
 def test_gamma_lhs_strictly_decreasing():
@@ -42,9 +60,10 @@ def test_solve_gamma_domain():
         solve_gamma(0)
     with pytest.raises(ValueError):
         solve_gamma(1)
-    # in floats the left side is 0.0 at g = 2^64, so a target of 0 or less
-    # has no root below it: the target a rung-10 ladder asks for is 0.0
-    for target in (0.0, -1.0):
+    # the left side is still positive at g = 2^64 (3.5e-18), so a target
+    # below it has no root under 2^64; the first rung a ladder cannot solve
+    # asks for delta 0.0 or a target of 0.0
+    for target in (0.0, -1.0, 1e-30):
         with pytest.raises(ValueError, match="too small to bracket"):
             gamma_for_target(target)
     g1 = solve_gamma(0.25)
@@ -73,21 +92,21 @@ def test_boost_ladder_rejects_bad_delta():
 
 # (delta, gamma, alpha) of levels 1-5, recorded from the per-step bisection
 LADDERS = {
-    0.25: [(0.25, 35.00819692093475, 0.028564738774135616),
-           (0.01960484396457307, 778.2365440083859, 0.0012849563641015868),
-           (0.0008902673575769127, 24990.713374789426, 4.001486412183806e-05),
-           (2.7735805602002728e-05, 1073434.4034373304, 9.315892958133444e-07),
-           (6.45728285397773e-07, 58490130.31212822, 1.7096901556956266e-08)],
-    0.5: [(0.5, 13.35103783657949, 0.0749005442303651),
-          (0.050592431534143834, 256.4466430342436, 0.003899446637975561),
-          (0.0026992409233079773, 7331.328881207899, 0.00013640091942447976),
-          (9.454144340093062e-05, 287006.0572545794, 3.484247021006189e-06),
-          (2.4150930826305483e-06, 14482631.251107888, 6.904822629682726e-08)],
-    0.9: [(0.9, 5.289968331834156, 0.1890370484795089),
-          (0.12280897786495093, 87.19802459967403, 0.0114681497039755),
-          (0.007917604963139091, 2192.3962585574172, 0.00045612192417167943),
-          (0.00031610965254336154, 77554.88561427583, 1.2894094189933614e-05),
-          (8.937465094227548e-06, 3602141.6160857687, 2.77612627869595e-07)],
+    0.25: [(0.25, 35.008196920934736, 0.02856473877413563),
+           (0.01960484396457307, 778.2365440083441, 0.0012849563641016556),
+           (0.0008902673575769127, 24990.713374819272, 4.001486412179027e-05),
+           (2.7735805601891705e-05, 1073434.4033994281, 9.315892958462381e-07),
+           (6.45728285397773e-07, 58490130.538891464, 1.7096901490672454e-08)],
+    0.5: [(0.5, 13.35103783657948, 0.07490054423036516),
+          (0.050592431534143945, 256.446643034242, 0.003899446637975585),
+          (0.0026992409233079773, 7331.328881209925, 0.00013640091942444205),
+          (9.454144340093062e-05, 287006.0572577336, 3.4842470209678973e-06),
+          (2.4150930826305483e-06, 14482631.235634813, 6.904822637059758e-08)],
+    0.9: [(0.9, 5.289968331834154, 0.18903704847950895),
+          (0.12280897786495104, 87.19802459967387, 0.011468149703975519),
+          (0.007917604963139091, 2192.3962585577037, 0.00045612192417161985),
+          (0.00031610965254336154, 77554.88561438648, 1.2894094189915216e-05),
+          (8.937465094227548e-06, 3602141.617046403, 2.776126277955601e-07)],
 }
 
 
@@ -193,8 +212,8 @@ def test_fas_scheme_default_ladder_degenerates_to_exact():
 @pytest.mark.parametrize("n", range(5))
 @pytest.mark.parametrize("weighted", [False, True])
 def test_fas_scheme_high_levels_on_tiny_graphs_fall_back(n, weighted):
-    # every level runs at n <= 4, though rung 10's gamma cannot be
-    # bracketed: the ladder stops at the first rung whose prefix rounds to 0,
+    # every level runs at n <= 4, though rung 11's gamma cannot be
+    # solved for: the ladder stops at the first rung whose prefix rounds to 0,
     # and the top level falls back
     for g in (gen_random(n, 0.5, seed=n), gen_random(n, 0.6, (1, 9), seed=n)):
         want = fas_exact(g)
@@ -318,8 +337,7 @@ def test_orient_sides_frozen_example():
     # (forward kept), right side strictly prefers its reversal
     seq_l, seq_r = [0, 1, 2, 3], [4, 5, 6, 7]
     crossing = [(1, 7, 1), (2, 5, 1)]
-    left, right, costs = _orient_sides(seq_l, seq_r, crossing)
-    assert costs == (3, 3, 6, 4)
+    left, right = _orient_sides(seq_l, seq_r, crossing)
     assert left == [0, 1, 2, 3]
     assert right == [7, 6, 5, 4]
 
@@ -331,7 +349,7 @@ def test_orient_sides_picks_best_of_four():
     crossing = [(u, v, w) if u in left_set else (v, u, w)
                 for u, v, w in g.edge_items()
                 if (u in left_set) != (v in left_set)]
-    best_l, best_r, _ = _orient_sides(seq_l, seq_r, crossing)
+    best_l, best_r = _orient_sides(seq_l, seq_r, crossing)
     chosen = ola_of(g, Ordering.from_sequence(best_l + best_r))
     candidates = []
     for ls in (seq_l, list(reversed(seq_l))):

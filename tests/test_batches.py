@@ -16,7 +16,8 @@ from ordercut import (Counters, SizeGuardError, cut_profile,
 from ordercut import balanced
 from ordercut.cli import main
 
-from conftest import assert_last_vertices, complete_digraph, mixed, seed_table
+from conftest import (assert_last_vertices, complete_digraph, mixed, prefix_table,
+                      seed_table)
 
 OBJECTIVES = ("fas", "ola", "cutwidth", "dpw")
 EXACT = {"fas": fas_exact, "ola": ola_exact, "cutwidth": cutwidth_exact,
@@ -49,7 +50,7 @@ def test_stacked_tables_match_single_tables(objective, n, monkeypatch):
             tables = subset_dp._prefix_tables(graphs, cap, objective)
             for g, table in zip(graphs, tables):
                 assert_tables_equal(
-                    table, subset_dp._prefix_table(g, cap, objective), g, objective)
+                    table, prefix_table(g, cap, objective), g, objective)
 
 
 def spy(monkeypatch, module, name) -> list:
@@ -75,7 +76,7 @@ def test_batches_keep_blocks_within_chunk_rows(monkeypatch):
         tables = subset_dp._prefix_tables(graphs, cap, "fas")
         assert sizes == batches
         for g, table in zip(graphs, tables):
-            alone = subset_dp._prefix_table(g, cap, "fas")
+            alone = prefix_table(g, cap, "fas")
             if n > 12:   # the seed DP would take seconds
                 assert table.vals.tolist() == alone.vals.tolist()
             else:

@@ -14,12 +14,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ordercut import (Counters, CutSolution, Digraph, SizeGuardError, cut_into,
-                      cut_profile, dkmc_exact, dkmc_oracle, dkmc_weighted_approx,
+                      cut_profile, dkmc_exact, dkmc_weighted_approx,
                       gen_random, guards, induced, kcut, min_weight_triangle,
                       parse_graph, tripartition)
 from ordercut.cli import _solver
 
-from conftest import complete_digraph, mixed
+from conftest import complete_digraph, dkmc_oracle, mixed
 
 CYCLE3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -206,13 +206,6 @@ def test_weighted_approx_rejects_bad_eps():
         dkmc_weighted_approx(g, 2, 0)
     with pytest.raises(ValueError):
         dkmc_weighted_approx(g, 2, -1)
-
-
-def test_oracle_guard(monkeypatch):
-    monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
-    g = Digraph(24, [(0, 1)])
-    with pytest.raises(SizeGuardError):
-        dkmc_oracle(g, 12)   # C(24,12) blows the enumeration budget
 
 
 def test_exact_guard(monkeypatch):
@@ -815,8 +808,10 @@ def test_kept_rank_table_grows_and_serves_smaller_grids(monkeypatch):
             used = np.unique(np.concatenate([b.ravel() for b in blocks]))
             in_use = [np.searchsorted(used, b) for b in blocks]
             keys = values[used]
-            assert (min_weight_triangle(blocks, (values, grown))
-                    == min_weight_triangle(in_use, (keys, kcut._pair_ranks(keys.tolist()))))
+            assert (min_weight_triangle(blocks, (values, grown,
+                                                 kcut._scaled(values.tolist())[1]))
+                    == min_weight_triangle(in_use, (keys, kcut._pair_ranks(keys.tolist()),
+                                                    kcut._scaled(keys.tolist())[1])))
 
 
 def test_rank_tables_are_kept_for_the_bases_used_last(monkeypatch):
@@ -847,8 +842,8 @@ def test_float_screen_finds_the_exact_least_key_sum(keys):
         e01, e02, e12 = (b.tolist() for b in blocks)
         weight, js = min((keys[e01[a][b]] + keys[e02[a][c]] + keys[e12[b][c]], (a, b, c))
                          for a in range(r1) for b in range(r2) for c in range(r3))
-        for extra in ((), (kcut._scaled(keys)[1],)):
-            assert min_weight_triangle(blocks, (values, ranks) + extra) == (js, weight)
+        assert (min_weight_triangle(blocks, (values, ranks, kcut._scaled(keys)[1]))
+                == (js, weight))
 
 
 def brute_ranks(keys):
@@ -897,7 +892,8 @@ def unpruned_search(graphs, parts, ks, eps):
         grid = rounding is not None and rounding.on_grid(smax)
         best = [(inf,)] * len(graphs)
         mats, values = rounding.grid if grid else (matrices.mats, None)
-        keys = None if values is None else (values, rounding.ranks)
+        keys = None if values is None else (values, rounding.ranks,
+                                            kcut._scaled(values.tolist())[1])
         for rows in cells:
             blocks = matrices.blocks(rows, mats)
             found = ([min_weight_triangle(blocks, keys)] if lone

@@ -7,12 +7,14 @@ from math import comb
 
 import pytest
 
-from ordercut import (EVALUATORS, balanced, boost_ladder,
+from ordercut import (EVALUATORS, balanced,
                       cutwidth_balanced_approx, dpw_2approx,
                       fas_balanced_approx, fas_scheme, gen_random,
                       ola_directed_approx, ola_undirected_approx, serialize_graph,
                       subset_dp)
 from ordercut.cli import main
+
+from conftest import boost_ladder
 
 EXACT = {"fas": subset_dp.fas_exact, "ola": subset_dp.ola_exact,
          "cutwidth": subset_dp.cutwidth_exact, "dpw": subset_dp.dpw_exact}

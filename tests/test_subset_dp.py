@@ -13,6 +13,8 @@ from ordercut import (Digraph, SizeGuardError, backward_weight,
                       dpw_prefix_table, fas_exact, fas_table, gen_random,
                       guards, induced, ola_exact, ola_of)
 
+from conftest import prefix_table
+
 CYCLE3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 
 
@@ -115,25 +117,22 @@ def test_fas_table_order_reconstruction():
 
 def test_prefix_table_values_single_arc():
     g = Digraph(2, [(0, 1)])
-    from ordercut.subset_dp import _prefix_table
-    cw = _prefix_table(g, 2, "cutwidth")
+    cw = prefix_table(g, 2, "cutwidth")
     assert cw.value_of((0,)) == 0    # arc leaves the prefix, nothing enters
     assert cw.value_of((1,)) == 1
-    ola = _prefix_table(g, 2, "ola")
+    ola = prefix_table(g, 2, "ola")
     assert ola.value_of((0, 1)) == 0
 
 
 def test_prefix_table_values_cycle():
-    from ordercut.subset_dp import _prefix_table
-    cw = _prefix_table(CYCLE3, 3, "cutwidth")
+    cw = prefix_table(CYCLE3, 3, "cutwidth")
     for subset in [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]:
         assert cw.value_of(subset) == 1
 
 
 def test_prefix_table_path_pair_is_free():
-    from ordercut.subset_dp import _prefix_table
     path = Digraph(3, [(0, 1), (1, 2)])
-    cw = _prefix_table(path, 3, "cutwidth")
+    cw = prefix_table(path, 3, "cutwidth")
     assert cw.value_of((0, 1)) == 0
     assert cw.value_of((1, 2)) == 1
 

@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 from ordercut import (Digraph, SizeGuardError, dpw_2approx, dpw_prefix_table,
                       fas_table, gen_random, perm_opt)
 from ordercut import guards, subset_dp
-from ordercut.subset_dp import _prefix_table
-
-from conftest import assert_last_vertices, complete_digraph, seed_table
+from conftest import assert_last_vertices, complete_digraph, prefix_table, seed_table
 
 OBJECTIVES = ("fas", "ola", "cutwidth", "dpw")
 CAPPED = ("fas", "dpw")      # the objectives with capped tables
@@ -40,7 +38,7 @@ def graphs(draw, max_n=8, weights=st.integers(0, 1000)):
 def assert_matches_seed(g, cap, objective, ref=None):
     table = (fas_table(g, cap) if objective == "fas" else
              dpw_prefix_table(g, cap) if objective == "dpw" else
-             _prefix_table(g, cap, objective))
+             prefix_table(g, cap, objective))
     ref = seed_table(g, cap, objective) if ref is None else ref
     assert len(table.vals) == table.entries == len(ref)
     # every reference mask has its own position
@@ -71,7 +69,7 @@ def test_every_entry_matches_seed_dp(g, objective, data):
         assert_matches_seed(g, cap, objective)
     elif cap < g.n:
         with pytest.raises(ValueError):
-            _prefix_table(g, cap, objective)
+            prefix_table(g, cap, objective)
 
 
 # 2**62 and more in total, so fas/cutwidth run on Python ints, and mixed
@@ -92,7 +90,7 @@ def test_full_table_values_match_oracle(g):
     full = (1 << g.n) - 1
     for objective in OBJECTIVES:
         table = (fas_table(g) if objective == "fas"
-                 else _prefix_table(g, g.n, objective))
+                 else prefix_table(g, g.n, objective))
         assert table.value_of(full) == perm_opt(g, objective).opt
 
 
@@ -158,7 +156,7 @@ def test_dtype_switches_match_seed_dp(objective, top, narrow, wide):
     for total, dtype in ((top // per, narrow), (top // per + 1, wide)):
         g = complete_digraph(n, total)
         assert g.total_arc_weight == total
-        table = _prefix_table(g, n, objective)
+        table = prefix_table(g, n, objective)
         assert table.vals.dtype == (np.int16 if objective == "dpw" else dtype)
         assert_matches_seed(g, n, objective)
         if objective in CAPPED:
@@ -276,7 +274,7 @@ def test_table_bytes_bound_the_traced_peak(objective, n, cap, top):
     for _ in range(2):
         tracemalloc.start()
         try:
-            _prefix_table(g, cap, objective)
+            prefix_table(g, cap, objective)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
