@@ -297,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", help="instance file")
     _add_mode_flags(p)
     p.add_argument("--oracle", action="store_true",
-                   help="also run the brute-force oracle (n <= 9)")
+                   help="also run the brute-force oracle (byte-guarded: n <= 11)")
     p.set_defaults(func=lambda ns: cmd_solve(ns))
 
     p = sub.add_parser("gen", help="generate a seeded random instance")

@@ -84,17 +84,14 @@ class Digraph:
             if u < v:
                 yield u, v, w
 
-    def fill_weights(self, *targets, unit: bool = False) -> None:
+    def fill_weights(self, w, unit: bool = False) -> None:
         """Set w[u, v] to the weight of each arc u -> v, or to 1 when unit,
-        in each target w, n x n arrays or views of one dtype, by one
-        fancy-index store each. The weights take the targets' dtype before
-        any store: a Python int past 2**63 must not turn them float64."""
+        in w, an n x n array or view, by one fancy-index store. The weights
+        take w's dtype before the store: a Python int past 2**63 must not
+        turn them float64."""
         if self.arc_items:
             u, v, wt = zip(*self.arc_items)
-            u, v = np.array(u), np.array(v)
-            wt = 1 if unit else np.array(wt, dtype=targets[0].dtype)
-            for w in targets:
-                w[u, v] = wt
+            w[np.array(u), np.array(v)] = 1 if unit else np.array(wt, dtype=w.dtype)
 
     @property
     def total_arc_weight(self) -> int:
@@ -143,7 +140,9 @@ class Ordering:
             if not (0 <= v < len(seq)) or pos[v]:
                 raise ValueError("sequence must list each vertex exactly once")
             pos[v] = i + 1
-        return cls(pos)
+        ordering = cls.__new__(cls)   # checked above: __init__ would check again
+        ordering.pos, ordering.seq = tuple(pos), seq
+        return ordering
 
     def __len__(self) -> int:
         return len(self.pos)

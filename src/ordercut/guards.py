@@ -1,8 +1,8 @@
 """Desk-scale size guards.
 
 Every exponential entry point raises SizeGuardError instead of silently
-degrading, on one guard per resource: the subset DPs and the cut search on
-the bytes they allocate, the permutation oracle on its n! count.
+degrading, on one rule: the subset DPs, the cut search and the permutation
+oracle each check the bytes they will allocate against TABLE_BYTE_GUARD.
 ORDERCUT_GUARD_OVERRIDE=1 lifts these soft guards (a warning goes to stderr
 once); the mask-encoding hard cap of 32 vertices stays in force regardless.
 
@@ -21,8 +21,7 @@ import sys
 import numpy as np
 
 SUBSET_HARD_CAP = 32          # bitmask universe; never lifted
-TABLE_BYTE_GUARD = 1 << 30    # subset tables, cut pair and rank tables; full int16 to n=28, int32 to 27
-ORACLE_GUARD = 9              # perm_opt: n! enumeration
+TABLE_BYTE_GUARD = 1 << 30    # subset tables (int16 to n=28), cut pair and rank tables, oracle leaves (to n=11)
 
 OVERRIDE_ENV = "ORDERCUT_GUARD_OVERRIDE"
 _warned = False

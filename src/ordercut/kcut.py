@@ -77,7 +77,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import accumulate, pairwise
 
 import numpy as np
@@ -99,8 +99,6 @@ _TABLE_CELLS = 4           # most weight -> index table entries per matrix cell
 _TABLE_MIN_CELLS = 1 << 12  # below: searchsorted beats the table's set-up
 _SLACK = 2.0 ** -48        # relative float error a key bound may hide
 _UNDERFLOW = 2.0 ** -1060  # absolute error of three underflowed scaled keys
-
-_bases: dict = {}          # (a, b): _Base, least recently used first
 
 
 @dataclass(frozen=True)
@@ -380,12 +378,11 @@ def _pair_ranks(keys: list[int]) -> np.ndarray:
     sums = sums[order]
     fresh = np.empty(len(sums), dtype=bool)   # the dense rank grows here
     fresh[0] = True
-    fresh[1:] = sums[1:] - sums[:-1] > sums[1:] * 2.0 ** -48 + 2.0 ** -1060
+    fresh[1:] = sums[1:] - sums[:-1] > sums[1:] * _SLACK + _UNDERFLOW
     starts = np.flatnonzero(fresh)
     ends = np.append(starts[1:], len(sums))
-    for lo, hi in zip(starts.tolist(), ends.tolist()):
-        if hi - lo < 2:
-            continue
+    runs = ends - starts > 1   # a run of one is in order
+    for lo, hi in zip(starts[runs].tolist(), ends[runs].tolist()):
         run = order[lo:hi]
         exact = [keys[a] + keys[b] for a, b in zip(i[run].tolist(), j[run].tolist())]
         by_sum = sorted(range(hi - lo), key=exact.__getitem__)
@@ -435,10 +432,7 @@ class _Rounding:
             if top >= goal:
                 break
             top = -(-top * top >> 64)
-        self.base = _bases.pop((self.a, self.b), None) or _Base(self.a, self.b)
-        _bases[self.a, self.b] = self.base   # now the most recently used
-        if len(_bases) > _BASES:
-            del _bases[next(iter(_bases))]   # the least recently used
+        self.base = _Base(self.a, self.b)
         self.limits = self.base.limits(smax) if self.low <= smax and top >= goal else [0]
         # the largest exponent a stored weight rounds to; past _RANK_SPAN
         # keys (wide), the keys are only the exponents in use, call by call
@@ -548,6 +542,7 @@ class _Rounding:
         return np.maximum.reduceat(split[k1, k2, k3], self.matrices.layout.first[:-1]).tolist()
 
 
+@lru_cache(maxsize=_BASES)
 class _Base:
     """The thresholds floor(a^e / b^e) of one base a/b = 1+eps/3 as far as a
     call has needed them, the powers (a^e, b^e) of the first _RANK_SPAN of

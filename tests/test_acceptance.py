@@ -20,7 +20,7 @@ from ordercut import (EVALUATORS, Digraph, Ordering, backward_weight,
                       dkmc_exact, dkmc_weighted_approx,
                       dpw_2approx, dpw_exact, fas_balanced_approx, fas_exact,
                       fas_scheme, fas_table, gamma_for_target, gen_random,
-                      guards, kcut, ola_directed_approx, ola_exact,
+                      kcut, ola_directed_approx, ola_exact,
                       ola_undirected_approx, perm_opt, serialize_graph,
                       solve_pw_alpha, tripartition)
 from ordercut.balanced import _gamma_lhs
@@ -40,19 +40,18 @@ def announce(name, budget_s, started, detail):
     assert ok, line
 
 
-def test_exact_dps_match_oracle(monkeypatch):
+def test_exact_dps_match_oracle():
     started = time.perf_counter()
     graphs = [gen_random(4 + i % 5, (0.2, 0.5, 0.8)[i % 3],
                          weight_range=(1, 1) if i % 2 == 0 else (1, 1000),
                          seed=1000 + i) for i in range(200)]
     # n = 9 directed and undirected, unit and 1..1000 weights; and one
-    # n = 10 graph, past the oracle's guard
+    # n = 10 graph
     graphs += [gen_random(9, 0.4, weight_range=wr, seed=1200 + s,
                           undirected=undirected)
                for s, (wr, undirected)
                in enumerate(product(((1, 1), (1, 1000)), (False, True)))]
     graphs.append(gen_random(10, 0.4, weight_range=(1, 1000), seed=1210))
-    monkeypatch.setattr(guards, "ORACLE_GUARD", 10)
     for i, g in enumerate(graphs):
         for obj in EXACT:
             rep = EXACT[obj](g)

@@ -302,7 +302,7 @@ def test_ola_alpha_domain():
 
 @pytest.mark.parametrize("n", [12, 15, 18])
 def test_factors_against_exact_dp(n):
-    # past the oracle's n <= 9 the optimum comes from the exact subset DPs
+    # past the oracle's n <= 11 the optimum comes from the exact subset DPs
     half, third = Fraction(1, 2), Fraction(1, 3)
     exact = {"fas": fas_exact, "cutwidth": cutwidth_exact, "ola": ola_exact,
              "dpw": dpw_exact}

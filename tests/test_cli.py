@@ -318,12 +318,12 @@ def test_jobs_clamped_to_tasks_and_cpus(capsys, tmp_path, monkeypatch):
 
 def test_suite_reports_bad_instances_and_keeps_going(capsys, tmp_path,
                                                     monkeypatch):
-    # n = 10 is over the oracle's guard: verify reports it and still writes
-    # the other rows; bench (no oracle) solves it
+    # n = 12 is over the oracle's byte guard: verify reports it and still
+    # writes the other rows; bench (no oracle) solves it
     monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
     from ordercut import gen_random
     corp = make_corpus(tmp_path, [gen_random(8, 0.3, seed=1),
-                                  gen_random(10, 0.3, seed=2)])
+                                  gen_random(12, 0.3, seed=2)])
     base = ("verify", corp, "--obj", "cutwidth", "--mode", "2approx",
             "--factor", "2", "--no-timing")
     code1, out1, err1 = run(capsys, *base, "--jobs", "1")
@@ -332,7 +332,7 @@ def test_suite_reports_bad_instances_and_keeps_going(capsys, tmp_path,
     assert out1 == out2 and err1 == err2
     rows = out1.splitlines()[1:]
     assert len(rows) == 1 and rows[0].startswith("inst0.g,cutwidth,2approx,")
-    assert "error: inst1.g: size guard: oracle vertex count" in err1
+    assert "error: inst1.g: size guard: oracle leaf bytes" in err1
     assert "verify: 2 instance(s), 1 error(s), 0 violation(s)" in err1
     code, out, _ = run(capsys, "bench", corp, "--obj", "cutwidth",
                        "--mode", "2approx", "--no-timing")

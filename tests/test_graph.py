@@ -345,12 +345,13 @@ def test_exports_resolve_once():
 
 
 def test_fill_weights_stores_every_arc_in_every_target():
-    # weights of any size, into an array and a transposed view at once;
+    # weights of any size, into an array, a view and a transposed view;
     # unit stores 1 per arc; entries without an arc keep their value
     g = Digraph(4, [(0, 1), (2, 1), (3, 0)], {(0, 1): 5, (2, 1): 2 ** 70, (3, 0): 0})
     w = np.full((4, 4), -1, dtype=object)
     pair = np.zeros((4, 2, 4), dtype=object)
-    g.fill_weights(w, pair[:, 0], pair[:, 1].T)
+    for target in (w, pair[:, 0], pair[:, 1].T):
+        g.fill_weights(target)
     want = {(0, 1): 5, (2, 1): 2 ** 70, (3, 0): 0}
     assert w.tolist() == [[want.get((u, v), -1) for v in range(4)] for u in range(4)]
     assert pair[:, 0].tolist() == [[want.get((u, v), 0) for v in range(4)] for u in range(4)]

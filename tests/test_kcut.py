@@ -779,12 +779,12 @@ def test_long_eps_is_shortened():
         assert exact[k].value <= got[k].value <= (1 + eps) * exact[k].value
 
 
-def test_kept_rank_table_grows_and_serves_smaller_grids(monkeypatch):
+def test_kept_rank_table_grows_and_serves_smaller_grids():
     # one table per base: built for one graph's keys, grown for a larger
     # smax, then read by the first graph through its leading rows and
     # columns; each split's triangle search equals the one over the ranks
     # of the keys it uses alone
-    monkeypatch.setattr(kcut, "_bases", {})
+    kcut._Base.cache_clear()
     eps, parts = Fraction(1, 2), tripartition(10)
 
     def rounding(weights):
@@ -797,7 +797,8 @@ def test_kept_rank_table_grows_and_serves_smaller_grids(monkeypatch):
     grown = rounding((1, 1000)).ranks
     assert len(grown) > len(built)
     again = rounding((1, 9))
-    assert again.ranks is grown and list(kcut._bases) == [(7, 6)]
+    assert again.ranks is grown and again.base is kcut._Base(7, 6)
+    assert kcut._Base.cache_info().currsize == 1
     index, values = again.grid
     size = len(values)
     lead = np.unique(grown[:size, :size], return_inverse=True)[1].reshape(size, size)
@@ -814,13 +815,22 @@ def test_kept_rank_table_grows_and_serves_smaller_grids(monkeypatch):
                                                     kcut._scaled(keys.tolist())[1])))
 
 
-def test_rank_tables_are_kept_for_the_bases_used_last(monkeypatch):
-    monkeypatch.setattr(kcut, "_bases", {})
+def test_rank_tables_are_kept_for_the_bases_used_last():
+    # eps = 1/den has the base (3 den + 1) / (3 den); the searches of the
+    # last _BASES bases are served their kept object, earlier ones a new one
+    kcut._Base.cache_clear()
     g = gen_random(9, 0.4, weight_range=(1, 9), seed=2)
-    for den in range(1, kcut._BASES + 3):
+    dens = range(1, kcut._BASES + 3)
+    used = []
+    for den in dens:
         cut_profile(g, [4], Fraction(1, den))
-    kept = [(3 * den + 1, 3 * den) for den in range(3, kcut._BASES + 3)]
-    assert list(kcut._bases) == kept
+        used.append(kcut._Base(3 * den + 1, 3 * den))   # the one the search used
+    info = kcut._Base.cache_info()   # one base made per search, then read back
+    assert (info.misses, info.currsize) == (len(dens), kcut._BASES)
+    for den, base in zip(dens[2:], used[2:]):
+        assert kcut._Base(3 * den + 1, 3 * den) is base
+    for den, base in zip(dens[:2], used[:2]):
+        assert kcut._Base(3 * den + 1, 3 * den) is not base
 
 
 @pytest.mark.parametrize("keys", [

@@ -1,13 +1,15 @@
 """Brute-force permutation oracle."""
 
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 from ordercut import (EVALUATORS, Digraph, Ordering, SizeGuardError,
-                      gen_random, perm_opt)
+                      cutwidth_exact, dpw_exact, fas_exact, gen_random,
+                      guards, ola_exact, oracle, perm_opt)
 
 
 def naive_opt(g, objective):
@@ -63,7 +65,6 @@ def test_leaf_layout(objective):
     # the cached ranks number the leaves 0..n!-1, and the leaf scores in
     # rank order are the evaluator's over permutations() in order: sums
     # (fas) and maxima (cutwidth) on weighted graphs
-    from ordercut import guards, oracle
     for n in range(8):
         g = gen_random(n, 0.6, weight_range=(1, 9), seed=600 + n)
         levels, ranks = oracle._position_matrix(n)
@@ -81,7 +82,6 @@ def test_leaf_layout(objective):
 
 def test_int64_object_boundary(monkeypatch):
     # a 3-cycle of total weight t scores in int64 while 2 * 3 * t < 2**62
-    from ordercut import oracle
     seen = []
 
     def cost_table(g, objective, dtype):
@@ -105,7 +105,6 @@ def test_int64_object_boundary(monkeypatch):
 def test_narrow_scores_at_each_switch(monkeypatch):
     # a 3-cycle of total weight t scores in the narrowest of int16/int32
     # that holds 2 * 3 * t
-    from ordercut import oracle
     seen = []
 
     def cost_table(g, objective, dtype):
@@ -154,9 +153,70 @@ def test_rejects_unknown_objective():
 
 def test_size_guard(monkeypatch):
     monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
-    g = Digraph(10, [(0, 1)])
+    g = Digraph(12, [(0, 1)])
     with pytest.raises(SizeGuardError):
         perm_opt(g, "fas")
+
+
+def checked_bytes(monkeypatch) -> list:
+    """The byte counts handed to guards.check from now on."""
+    seen = []
+    check = guards.check
+
+    def spy(actual, limit, what):
+        seen.append(actual)
+        check(actual, limit, what)
+    monkeypatch.setattr(guards, "check", spy)
+    return seen
+
+
+def test_byte_guard_refuses_before_allocating(monkeypatch):
+    # n = 12 (4.0 GiB modelled) and n = 11 with Python-int scores (3.5 GiB)
+    monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
+    for g in (gen_random(12, 0.4, seed=1),
+              gen_random(11, 0.4, weight_range=(1, 10 ** 18), seed=1)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardError, match="oracle leaf bytes"):
+                perm_opt(g, "fas")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("weights", [(1, 1), (1, 1000)])
+@pytest.mark.parametrize("objective", ["fas", "cutwidth"])
+def test_peak_is_within_the_checked_bytes(monkeypatch, objective, weights):
+    # at n = 10, int16 and int32 scores, summed and maxed; the cache is
+    # emptied so that the ranks, kept afterwards, are built in the call
+    g = gen_random(10, 0.4, weight_range=weights, seed=3)
+    checked = checked_bytes(monkeypatch)
+    oracle._position_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        perm_opt(g, objective)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(checked) == 1
+    assert peak <= checked[0] <= 1.6 * peak
+
+
+EXACT = {"fas": fas_exact, "ola": ola_exact, "cutwidth": cutwidth_exact,
+         "dpw": dpw_exact}
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_matches_exact_dps_past_nine(n):
+    # the sizes the byte guard admits past 9, with unit and 1..1000 weights
+    try:
+        for weights in ((1, 1), (1, 1000)):
+            g = gen_random(n, 0.4, weight_range=weights, seed=20 + n)
+            for objective, exact in EXACT.items():
+                assert perm_opt(g, objective).opt == exact(g).value, (weights, objective)
+    finally:
+        oracle._position_matrix.cache_clear()   # 160 MB of ranks at n = 11
 
 
 def loop_cost_table(g, objective, dtype):
@@ -186,7 +246,6 @@ SCORE_DTYPES = (np.int16, np.int32, np.int64, object)
 
 @pytest.mark.parametrize("objective", sorted(EVALUATORS))
 def test_cost_table_matches_per_arc_loop(objective):
-    from ordercut import guards, oracle
     for n in range(10):
         for undirected in (False, True):
             for seed, top in enumerate((1, 5, 1000, 10 ** 8, 10 ** 17)):
