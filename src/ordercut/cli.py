@@ -27,7 +27,7 @@ from fractions import Fraction
 from .balanced import (cutwidth_balanced_approx, dpw_2approx, fas_balanced_approx,
                        fas_scheme, ola_directed_approx, ola_undirected_approx)
 from .graph import OBJECTIVES, Digraph, gen_random
-from .guards import SizeGuardError, check_universe
+from .guards import SizeGuardError, check_universe, value_bound
 from .instance_io import ParseError, parse_graph, serialize_graph
 from .oracle import perm_opt
 from .subset_dp import cutwidth_exact, dpw_exact, fas_exact, ola_exact
@@ -43,11 +43,26 @@ class UsageError(Exception):
     pass
 
 
+def _past(x: int, limit: int) -> bool:
+    """Whether x >= 0 has more than limit digits (0: no limit); x below
+    8**limit is not, and skips building 10**limit."""
+    return bool(limit) and x.bit_length() > 3 * limit and x >= 10 ** limit
+
+
 def _frac(text: str, what: str) -> Fraction:
+    """text as a Fraction whose exponent, numerator and denominator each
+    stay within sys.get_int_max_str_digits() digits (0: no limit)."""
+    limit = sys.get_int_max_str_digits()
     try:
-        return Fraction(text)
+        _, e, exp = text.lower().rpartition("e")
+        if limit and e and abs(int(exp)) > limit:
+            raise UsageError(f"{what} has an exponent past {limit}, got {text!r}")
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"{what} must be a rational number, got {text!r}")
+    if _past(max(abs(value.numerator), value.denominator), limit):
+        raise UsageError(f"{what} has a term of more than {limit} digits")
+    return value
 
 
 def _params(ns: argparse.Namespace) -> tuple:
@@ -148,7 +163,10 @@ def _load(path: str) -> Digraph:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                          f"{exc.start})")
-    return parse_graph(text)
+    g, limit = parse_graph(text), sys.get_int_max_str_digits()
+    if _past(value_bound(g, "ola"), limit):   # no output field holds more
+        raise ParseError(f"{path}: n * total arc weight has more than {limit} digits")
+    return g
 
 
 def _corpus(path: str) -> list[tuple[str, str]]:

@@ -6,11 +6,11 @@ oracle each check the bytes they will allocate against TABLE_BYTE_GUARD.
 ORDERCUT_GUARD_OVERRIDE=1 lifts these soft guards (a warning goes to stderr
 once); the mask-encoding hard cap of 32 vertices stays in force regardless.
 
-Every exponential array takes its width from int_dtype(bound), where bound
-covers every value and partial sum; byte models count an object entry as
-its 8-byte pointer plus the int it points to. Graphs solved as one batch
-share a key, and a batch holds as many as its byte model admits (batches,
-batch_views).
+Every exponential array takes its width from int_dtype(bound), bound covering
+every value and partial sum (value_bound for subset tables and oracle scores).
+An object entry is an 8-byte pointer, plus a Python int only in arrays whose
+operation makes one (entry_bytes). Graphs solved as one batch share a key,
+and a batch holds as many as its byte model admits (batches, batch_views).
 """
 
 from __future__ import annotations
@@ -60,6 +60,15 @@ def check_universe(n: int) -> None:
             f"vertex count {n} exceeds the subset-mask hard cap {SUBSET_HARD_CAP}")
 
 
+def value_bound(g, objective: str) -> int:
+    """The largest value of objective on g, of any partial sum (fas, ola) or
+    running maximum (cutwidth, dpw) of its non-negative costs, each at most
+    W = g.total_arc_weight (n for dpw): fas W, ola n*W, cutwidth W, dpw n."""
+    if objective == "dpw":       # dpw counts arcs and ignores weights
+        return g.n
+    return g.total_arc_weight * (g.n if objective == "ola" else 1)
+
+
 def int_dtype(bound: int):
     """The narrowest of int16/int32/int64 holding every value of magnitude
     at most bound, and Python ints (object) from 2**62 up."""
@@ -88,7 +97,8 @@ def batch_views(a, count: int) -> list:
     return [a[..., i] for i in range(count)] if count > 1 else [a]
 
 
-def entry_bytes(dtype, bound: int) -> int:
+def entry_bytes(dtype, bound: int | None = None) -> int:
     """Bytes per array entry of dtype; an object entry adds a Python int
-    about as large as bound."""
-    return 8 + sys.getsizeof(bound) if dtype is object else np.dtype(dtype).itemsize
+    about as large as bound, if given (where the array's operation makes one)."""
+    made = 0 if bound is None else sys.getsizeof(bound)
+    return 8 + made if dtype is object else np.dtype(dtype).itemsize

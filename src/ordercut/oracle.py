@@ -21,14 +21,14 @@ cost[(S - v)*n + v]. The last vertex costs nothing, so level n - 1 holds all
 n! orderings. The same loop, adding digits, ranks the leaves; the witness is
 the least rank among the ties, the lexicographically least optimal sequence.
 The cache holds each level's row and cost indices and the n! ranks in
-guards.int_dtype(n!): 1.5 MB at n = 9, 160 MB at n = 11. Scores take
-guards.int_dtype(2 * n * total arc weight): the narrowest of int16/int32/int64
-holding it, and Python ints (object) from 2**62 up.
+guards.int_dtype(n!): 1.5 MB at n = 9, 160 MB at n = 11. Costs and scores
+take guards.int_dtype(guards.value_bound(g, objective)) (the guards doc).
 
 Before anything is built, the bytes held at the peak are checked against
 guards.TABLE_BYTE_GUARD: per leaf, the scores of the level built and of the
-level it reads, the kept rank and a tie-mask byte; then the cost table. That
-admits n = 11 with int16 or int32 scores and refuses n = 12.
+level it reads, the kept rank and a tie-mask byte; then the cost table. Object
+scores hold a Python int for fas and ola, a pointer for cutwidth and dpw.
+That admits n = 11 but for fas and ola Python-int scores, and refuses n = 12.
 """
 
 from __future__ import annotations
@@ -122,15 +122,15 @@ def perm_opt(g: Digraph, objective: str) -> OracleResult:
     """Exact optimum over all n! orderings, guarded on the bytes it holds."""
     if objective not in EVALUATORS:
         raise ValueError(f"unknown objective {objective!r}")
-    n, bound = g.n, 2 * g.n * g.total_arc_weight
+    n, bound, combine = g.n, guards.value_bound(g, objective), _COMBINE[objective]
     dtype, leaves = guards.int_dtype(bound), math.factorial(n)
-    score = guards.entry_bytes(dtype, bound)
+    cost = guards.entry_bytes(dtype, bound)
+    score = cost if combine is np.add else guards.entry_bytes(dtype)
     rank = guards.entry_bytes(guards.int_dtype(leaves), leaves)   # the kept rank
-    guards.check(leaves * (2 * score + rank + 1) + (n << n) * score,
+    guards.check(leaves * (2 * score + rank + 1) + (n << n) * cost,
                  guards.TABLE_BYTE_GUARD, "oracle leaf bytes")
     levels, ranks = _position_matrix(n)
-    values = _leaves(levels, _cost_table(g, objective, dtype),
-                     _COMBINE[objective], dtype)
+    values = _leaves(levels, _cost_table(g, objective, dtype), combine, dtype)
     opt = int(values.min())
     tied = values == opt
     count = int(np.count_nonzero(tied))

@@ -43,10 +43,9 @@ on the top bit of S, boundary as the subset sums of +1 at each {v} and -1 at
 each {v} plus its in-neighbors. A capped dpw table counts boundary(S) per
 chunk instead.
 
-Every candidate lies from -bound to 2 * bound, where bound is the largest
-possible entry, so values take guards.int_dtype(2 * bound): the narrowest
-of int16/int32/int64 holding them, and Python ints (object) once twice the
-bound reaches 2**62.
+Every candidate lies from -bound to 2 * bound, where bound is
+guards.value_bound, the largest possible entry, so values take
+guards.int_dtype(2 * bound) (the guards doc).
 
 The tables of graphs with one vertex count share their rows and chunks, so
 _prefix_tables fills those whose values share a dtype in one loop, their
@@ -220,7 +219,7 @@ def _table_bytes(n: int, cap: int, bound: int, objective: str) -> tuple[int, int
     entries = _layer_start(n, cap + 1)
     dtype = guards.int_dtype(2 * bound)
     value = guards.entry_bytes(dtype, bound)
-    item = 8 if dtype is object else value
+    item = guards.entry_bytes(dtype)
     fas = objective == "fas"
     b, high, top, rows = _chunks(n, cap)
     widest = math.comb(high, min(top, high // 2))
@@ -313,13 +312,6 @@ def _boundary_terms(g: Digraph, term: np.ndarray) -> None:
         view[:, 1] += view[:, 0]
 
 
-def _bound(g: Digraph, objective: str) -> int:
-    """The largest possible entry of g's table (the module doc)."""
-    if objective == "dpw":       # dpw counts arcs and ignores weights
-        return g.n
-    return g.total_arc_weight * (g.n if objective == "ola" else 1)
-
-
 def _prefix_tables(graphs, cap: int, objective: str) -> list[SubsetTable]:
     """The tables of graphs with one vertex count, capped at size cap.
     Graphs whose values share a dtype are filled as one batch, as
@@ -329,7 +321,7 @@ def _prefix_tables(graphs, cap: int, objective: str) -> list[SubsetTable]:
     n = graphs[0].n
     if cap != n and objective not in ("fas", "dpw"):
         raise ValueError(f"capped tables are built for fas and dpw, not {objective}")
-    bounds = [_bound(g, objective) for g in graphs]
+    bounds = [guards.value_bound(g, objective) for g in graphs]
     for bound in bounds:
         _check_size(n, cap, bound, objective)
     b, high, top, rows = _chunks(n, cap)

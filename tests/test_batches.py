@@ -191,7 +191,7 @@ def test_batch_over_the_byte_guard_is_split(monkeypatch):
     graphs = [gen_random(8, 0.4, seed=s) for s in range(6)]
     tables = subset_dp._prefix_tables(graphs, 8, "ola")
     profiles = kcut._cut_profiles(graphs, range(9), None, [None] * 6)
-    each, shared = subset_dp._table_bytes(8, 8, subset_dp._bound(graphs[0], "ola"),
+    each, shared = subset_dp._table_bytes(8, 8, guards.value_bound(graphs[0], "ola"),
                                           "ola")
     pair = kcut._pair_bytes(kcut.tripartition(8), 2 * max(
         g.total_arc_weight for g in graphs), 9)

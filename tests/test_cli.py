@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -594,6 +595,55 @@ def test_guard_exits_4(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "solve", str(p), "--obj", "fas",
                        "--mode", "exact", "--oracle")
     assert code == 4 and "size guard" in err
+
+
+# exponents past the interpreter's digit limit (4,300 by default) are
+# refused before Fraction expands them; 1e-4300's denominator, of 4,301
+# digits, after it
+@pytest.mark.parametrize("flag,value", [
+    ("--eps", "1e-5000"), ("--eps", "1e-10000000"), ("--eps", "1e-100000000"),
+    ("--eps", "1e1000000000"), ("--eps", "1e-4300"), ("--alpha", "1e-4400"),
+    ("--factor", "1e-5000")])
+def test_rational_past_the_digit_limit_exits_2(capsys, cycle_file, flag, value):
+    obj = "ola" if flag == "--alpha" else "fas"
+    cmd, mode = ("verify", "exact") if flag == "--factor" else ("solve", "2approx")
+    start = time.perf_counter()
+    code, out, err = run(capsys, cmd, cycle_file, "--obj", obj, "--mode", mode,
+                         flag, value)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.startswith(f"error: {flag} ")
+    assert "Traceback" not in err
+
+
+def test_rational_within_the_digit_limit(capsys, cycle_file):
+    # a denominator of 4,300 digits prints in the mode label; with the
+    # limit lifted (0), so does one of 5,001
+    code, out, _ = run(capsys, "solve", cycle_file, "--obj", "fas",
+                       "--mode", "2approx", "--eps", "1e-4299", "--no-timing")
+    assert code == 0 and json.loads(out)["mode"] == f"2approx(eps=1/{10 ** 4299})"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, _ = run(capsys, "solve", cycle_file, "--obj", "fas",
+                           "--mode", "2approx", "--eps", "1e-5000", "--no-timing")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+
+
+def test_weights_past_the_digit_limit_exit_3(capsys, tmp_path):
+    # 4,299-digit weights parse, but n * total arc weight, the largest value
+    # an output field can hold, has more digits than the interpreter prints
+    w = 10 ** 4299 - 1
+    arcs = [(u, v) for u in range(12) for v in range(12) if u != v]
+    p = tmp_path / "wide.g"
+    p.write_text(serialize_graph(Digraph(12, arcs, dict.fromkeys(arcs, w))))
+    for obj in ("fas", "cutwidth", "ola", "dpw"):
+        code, out, err = run(capsys, "solve", str(p), "--obj", obj,
+                             "--mode", "2approx")
+        assert code == 3 and out == ""
+        assert err == (f"parse error: {p}: n * total arc weight has more "
+                       "than 4300 digits\n")
 
 
 def test_unknown_mode_token_exits_2(capsys, cycle_file):

@@ -268,7 +268,7 @@ def test_table_bytes_bound_the_traced_peak(objective, n, cap, top):
     # low-mask pattern, which the first build of its b caches; a second
     # build measures the table alone
     g = gen_random(n, 0.3, weight_range=(1, top), seed=1)
-    each, shared = subset_dp._table_bytes(n, cap, subset_dp._bound(g, objective),
+    each, shared = subset_dp._table_bytes(n, cap, guards.value_bound(g, objective),
                                           objective)
     peaks = []
     for _ in range(2):
