@@ -21,6 +21,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from .balanced import (cutwidth_balanced_approx, dpw_2approx, fas_balanced_appro
                        fas_scheme, ola_directed_approx, ola_undirected_approx)
 from .graph import OBJECTIVES, Digraph, gen_random
 from .guards import SizeGuardError, check_universe, value_bound
-from .instance_io import ParseError, parse_graph, serialize_graph
+from .instance_io import ParseError, _shown, parse_graph, serialize_graph
 from .oracle import perm_opt
 from .subset_dp import cutwidth_exact, dpw_exact, fas_exact, ola_exact
 
@@ -50,16 +51,19 @@ def _past(x: int, limit: int) -> bool:
 
 
 def _frac(text: str, what: str) -> Fraction:
-    """text as a Fraction whose exponent, numerator and denominator each
-    stay within sys.get_int_max_str_digits() digits (0: no limit)."""
+    """text as a Fraction whose exponent, digit runs, numerator and denominator
+    each stay within sys.get_int_max_str_digits() digits (0: no limit)."""
     limit = sys.get_int_max_str_digits()
+    if limit and any(sum(map(str.isdecimal, run)) > limit
+                     for run in re.split("[./eE]", text)):
+        raise UsageError(f"{what} has a term of more than {limit} digits")
     try:
         _, e, exp = text.lower().rpartition("e")
         if limit and e and abs(int(exp)) > limit:
-            raise UsageError(f"{what} has an exponent past {limit}, got {text!r}")
+            raise UsageError(f"{what} has an exponent past {limit}, got {_shown(text)}")
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"{what} must be a rational number, got {text!r}")
+        raise UsageError(f"{what} must be a rational number, got {_shown(text)}")
     if _past(max(abs(value.numerator), value.denominator), limit):
         raise UsageError(f"{what} has a term of more than {limit} digits")
     return value
@@ -72,11 +76,11 @@ def _params(ns: argparse.Namespace) -> tuple:
     if ns.eps is not None:
         eps = _frac(ns.eps, "--eps")
         if eps <= 0:
-            raise UsageError(f"--eps must be positive, got {ns.eps!r}")
+            raise UsageError(f"--eps must be positive, got {_shown(ns.eps)}")
     if ns.alpha is not None:
         alpha = _frac(ns.alpha, "--alpha")
         if not 0 < alpha < 1:
-            raise UsageError(f"--alpha must lie in (0, 1), got {ns.alpha!r}")
+            raise UsageError(f"--alpha must lie in (0, 1), got {_shown(ns.alpha)}")
     return eps, alpha, ns.weighted
 
 

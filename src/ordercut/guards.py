@@ -2,7 +2,8 @@
 
 Every exponential entry point raises SizeGuardError instead of silently
 degrading, on one rule: the subset DPs, the cut search and the permutation
-oracle each check the bytes they will allocate against TABLE_BYTE_GUARD.
+oracle each check the bytes they will allocate against TABLE_BYTE_GUARD,
+which only this module reads, through check and (for batch sizes) fits.
 ORDERCUT_GUARD_OVERRIDE=1 lifts these soft guards (a warning goes to stderr
 once); the mask-encoding hard cap of 32 vertices stays in force regardless.
 
@@ -42,15 +43,18 @@ def _overridden() -> bool:
     return True
 
 
-def check(actual: int, limit: int, what: str) -> None:
-    """Raise SizeGuardError when actual > limit and the override is not set."""
-    if actual <= limit:
-        return
-    if _overridden():
+def check(actual: int, what: str) -> None:
+    """Raise SizeGuardError when actual > TABLE_BYTE_GUARD, unless overridden."""
+    if actual <= TABLE_BYTE_GUARD or _overridden():
         return
     raise SizeGuardError(
-        f"{what}: {actual} exceeds the desk-scale guard {limit} "
+        f"{what}: {actual} exceeds the desk-scale guard {TABLE_BYTE_GUARD} "
         f"(set {OVERRIDE_ENV}=1 to override)")
+
+
+def fits(each: int, shared: int = 0) -> int:
+    """How many items of each bytes fit the guard beside shared ones, override or not."""
+    return (TABLE_BYTE_GUARD - shared) // each
 
 
 def check_universe(n: int) -> None:

@@ -11,6 +11,8 @@ comments, arcs sorted by (u, v), so parse(serialize(g)) == g.
 
 from __future__ import annotations
 
+import sys
+
 from . import guards
 from .graph import Digraph
 
@@ -19,16 +21,22 @@ class ParseError(ValueError):
     """Malformed instance text; the message identifies the defect."""
 
 
+def _shown(text: str) -> str:
+    """text quoted for a message, cut after its first 60 characters."""
+    return repr(text[:60]) + ("..." if len(text) > 60 else "")
+
+
 def _int(token: str, what: str, lineno: int) -> int:
-    """ASCII digits with an optional leading '-' (int() alone would also
-    take '1_0', '+1' and non-ASCII digits such as full-width ones)."""
+    """At most sys.get_int_max_str_digits() ASCII digits with an optional leading
+    '-' (int() alone would also take '1_0', '+1' and full-width digits)."""
     digits = token.removeprefix("-")
     try:
         if digits.isascii() and digits.isdigit():
             return int(token)
     except ValueError:      # more digits than int() converts
-        pass
-    raise ParseError(f"line {lineno}: {what} is not an integer: {token!r}")
+        raise ParseError(f"line {lineno}: {what} is not an integer of at most "
+                         f"{sys.get_int_max_str_digits()} digits (it has {len(digits)})")
+    raise ParseError(f"line {lineno}: {what} is not an integer: {_shown(token)}")
 
 
 def parse_graph(text: str) -> Digraph:
@@ -50,7 +58,7 @@ def parse_graph(text: str) -> Digraph:
             if len(tokens) not in (4, 5) or (len(tokens) == 5 and tokens[4] != "w"):
                 raise ParseError(f"line {lineno}: malformed header")
             if tokens[1] not in ("dg", "ug"):
-                raise ParseError(f"line {lineno}: unknown graph mode {tokens[1]!r}")
+                raise ParseError(f"line {lineno}: unknown graph mode {_shown(tokens[1])}")
             undirected = tokens[1] == "ug"
             weighted = len(tokens) == 5
             n = _int(tokens[2], "vertex count", lineno)
@@ -83,7 +91,7 @@ def parse_graph(text: str) -> Digraph:
                     raise ParseError(f"line {lineno}: negative weight on arc {u} -> {v}")
             weights[key] = w
         else:
-            raise ParseError(f"line {lineno}: unknown line type {tokens[0]!r}")
+            raise ParseError(f"line {lineno}: unknown line type {_shown(tokens[0])}")
     if header is None:
         raise ParseError("missing header line")
     if len(weights) != m:

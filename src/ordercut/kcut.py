@@ -221,7 +221,7 @@ class _PairMatrices:
         dtype = guards.int_dtype(bound)
         # guard the bytes first, with the search's bounds for count ks
         self.nbytes = len(graphs) * _pair_bytes(parts, bound, count)
-        guards.check(self.nbytes, guards.TABLE_BYTE_GUARD, "cut pair matrix bytes")
+        guards.check(self.nbytes, "cut pair matrix bytes")
         self.layout = lay = _Layout(tuple(map(len, parts)))
         self.parts, self.rows, self.bits = parts, lay.rows, lay.bits
         n, (s0, s1, s2), (r0, r1, _) = graphs[0].n, map(len, parts), map(len, lay.bits)
@@ -479,8 +479,7 @@ class _Rounding:
         in use. Each matrix is keyed in its memory order, and the index
         matrices, table and keying temporaries are guarded before they are
         built (nbytes)."""
-        guards.check(self.nbytes, guards.TABLE_BYTE_GUARD,
-                     "cut pair matrix and key index bytes")
+        guards.check(self.nbytes, "cut pair matrix and key index bytes")
         limits, mats = self.limits, self.matrices.mats
         last = len(limits) - 1   # also the index of weights past the last limit
         if self.table:   # weight w at the least i with limits[i] >= w
@@ -523,7 +522,6 @@ class _Rounding:
             held = None   # to be rebuilt larger
         guards.check(self.nbytes + (_RANK_BYTES * len(keys) ** 2 if held is None
                                     else held.nbytes),
-                     guards.TABLE_BYTE_GUARD,
                      "cut pair matrix, key index and rank table bytes")
         if self.wide:
             return _pair_ranks(keys.tolist())
@@ -676,14 +674,12 @@ def _cut_profiles(graphs, ks, eps, counters) -> list[dict[int, CutSolution]]:
     parts = tripartition(n)
     bounds = [2 * g.total_arc_weight for g in graphs]
     for bound in bounds:
-        guards.check(_pair_bytes(parts, bound, len(ks)), guards.TABLE_BYTE_GUARD,
-                     "cut pair matrix bytes")
+        guards.check(_pair_bytes(parts, bound, len(ks)), "cut pair matrix bytes")
 
     def room(batch) -> int:
         if eps is not None:
             return 1
-        return guards.TABLE_BYTE_GUARD // _pair_bytes(
-            parts, max(bounds[i] for i in batch), len(ks))
+        return guards.fits(_pair_bytes(parts, max(bounds[i] for i in batch), len(ks)))
 
     profiles = [None] * len(graphs)
     for batch in guards.batches([guards.int_dtype(b) is object for b in bounds], room):

@@ -24,8 +24,8 @@ The cache holds each level's row and cost indices and the n! ranks in
 guards.int_dtype(n!): 1.5 MB at n = 9, 160 MB at n = 11. Costs and scores
 take guards.int_dtype(guards.value_bound(g, objective)) (the guards doc).
 
-Before anything is built, the bytes held at the peak are checked against
-guards.TABLE_BYTE_GUARD: per leaf, the scores of the level built and of the
+Before anything is built, the bytes held at the peak are checked by
+guards.check: per leaf, the scores of the level built and of the
 level it reads, the kept rank and a tie-mask byte; then the cost table. Object
 scores hold a Python int for fas and ola, a pointer for cutwidth and dpw.
 That admits n = 11 but for fas and ola Python-int scores, and refuses n = 12.
@@ -128,7 +128,7 @@ def perm_opt(g: Digraph, objective: str) -> OracleResult:
     score = cost if combine is np.add else guards.entry_bytes(dtype)
     rank = guards.entry_bytes(guards.int_dtype(leaves), leaves)   # the kept rank
     guards.check(leaves * (2 * score + rank + 1) + (n << n) * cost,
-                 guards.TABLE_BYTE_GUARD, "oracle leaf bytes")
+                 "oracle leaf bytes")
     levels, ranks = _position_matrix(n)
     values = _leaves(levels, _cost_table(g, objective, dtype), combine, dtype)
     opt = int(values.min())

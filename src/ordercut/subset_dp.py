@@ -79,7 +79,7 @@ _SMALL_BYTES = 1 << 15    # a build's small arrays and numpy's buffers
 class SubsetTable:
     """Filled DP table: the value array vals, laid out as in the module doc,
     and for fas the weight matrix w (w[u, v] the weight of arc u -> v);
-    value_of, last_of and order_of read them by bitmask or vertex subset."""
+    value_of and order_of read them by bitmask or vertex subset."""
 
     n: int
     size_cap: int
@@ -104,19 +104,9 @@ class SubsetTable:
         """The value of a bitmask or vertex subset."""
         return int(self.vals[self._position(_mask(subset))])
 
-    def last_of(self, subset) -> int:
-        """The last vertex of a table-optimal placement of a nonempty subset
-        S: the first v in S, ascending, minimising f(S-v), plus for fas the
-        weight of arcs from v into S-v."""
-        mask = _mask(subset)
-        if not mask:
-            raise ValueError("the empty set has no last vertex")
-        self._position(mask)
-        return self._last(mask, self._into(mask))
-
     def order_of(self, subset) -> tuple[int, ...]:
-        """Vertices of the subset in table-optimal placement order: its
-        last_of, preceded by the order of the rest."""
+        """Vertices of the subset in table-optimal placement order: its last
+        vertex (_last), preceded by the order of the rest."""
         mask = _mask(subset)
         self._position(mask)
         into = self._into(mask)
@@ -138,7 +128,8 @@ class SubsetTable:
             axis=1).tolist()
 
     def _last(self, mask: int, into: list[int] | None) -> int:
-        """last_of a nonempty mask in the table, given _into(mask)."""
+        """The last vertex of a table-optimal placement of a nonempty mask S:
+        the first v in S minimising f(S-v), plus for fas into[v] = w(v -> S-v)."""
         full = self.layers is None
         item = self.vals.item
         best = last = None
@@ -249,9 +240,7 @@ def _check_size(n: int, cap: int, bound: int, objective: str) -> int:
     guards.check_universe(n)
     if not 0 <= cap <= n:
         raise ValueError(f"size cap {cap} outside 0..{n}")
-    guards.check(sum(_table_bytes(n, cap, bound, objective)),
-                 guards.TABLE_BYTE_GUARD,
-                 "subset table bytes")
+    guards.check(sum(_table_bytes(n, cap, bound, objective)), "subset table bytes")
     return _layer_start(n, cap + 1)
 
 
@@ -330,8 +319,7 @@ def _prefix_tables(graphs, cap: int, objective: str) -> list[SubsetTable]:
     def room(batch) -> int:
         each, shared = _table_bytes(n, cap, max(bounds[i] for i in batch),
                                     objective)
-        return min((rows << b) // width,
-                   (guards.TABLE_BYTE_GUARD - shared) // each)
+        return min((rows << b) // width, guards.fits(each, shared))
 
     tables = [None] * len(graphs)
     for batch in guards.batches([guards.int_dtype(2 * b) for b in bounds], room):

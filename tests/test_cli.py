@@ -597,13 +597,17 @@ def test_guard_exits_4(capsys, tmp_path, monkeypatch):
     assert code == 4 and "size guard" in err
 
 
-# exponents past the interpreter's digit limit (4,300 by default) are
-# refused before Fraction expands them; 1e-4300's denominator, of 4,301
-# digits, after it
+# exponents and digit runs past the interpreter's digit limit (4,300 by
+# default) are refused before Fraction expands them; 1e-4300's denominator,
+# of 4,301 digits, after it. No message echoes an over-long value whole.
 @pytest.mark.parametrize("flag,value", [
     ("--eps", "1e-5000"), ("--eps", "1e-10000000"), ("--eps", "1e-100000000"),
     ("--eps", "1e1000000000"), ("--eps", "1e-4300"), ("--alpha", "1e-4400"),
-    ("--factor", "1e-5000")])
+    ("--factor", "1e-5000"),
+    pytest.param("--eps", "0." + "0" * 4999 + "1", id="--eps-5001-digit-decimal"),
+    pytest.param("--eps", "1/" + "7" * 5000, id="--eps-5000-digit-denominator"),
+    pytest.param("--eps", "9" * 4401, id="--eps-4401-digit-integer"),
+    pytest.param("--eps", "x" * 10000, id="--eps-10000-characters")])
 def test_rational_past_the_digit_limit_exits_2(capsys, cycle_file, flag, value):
     obj = "ola" if flag == "--alpha" else "fas"
     cmd, mode = ("verify", "exact") if flag == "--factor" else ("solve", "2approx")
@@ -612,7 +616,9 @@ def test_rational_past_the_digit_limit_exits_2(capsys, cycle_file, flag, value):
                          flag, value)
     assert time.perf_counter() - start < 1
     assert code == 2 and out == "" and err.startswith(f"error: {flag} ")
-    assert "Traceback" not in err
+    assert "Traceback" not in err and len(err.encode()) < 200
+    if value.replace(".", "").replace("/", "").isdigit():   # an over-long number
+        assert f"more than {sys.get_int_max_str_digits()} digits" in err
 
 
 def test_rational_within_the_digit_limit(capsys, cycle_file):

@@ -273,6 +273,10 @@ def test_roundtrip_undirected(g):
     ("p dg +3 0\n", "not an integer"),
     ("p dg 2 1 w\na 1 2 1_000\n", "not an integer"),
     ("p dg 2 1 w\na 1 2 " + "9" * 5000 + "\n", "not an integer"),
+    pytest.param("p dg " + "9" * 5000 + " 0\n", "not an integer of at most",
+                 id="5000-digit vertex count"),
+    pytest.param("p dg 2 1\n" + "z" * 10000 + " 1 2\n", "unknown line type",
+                 id="10000-character line type"),
     ("p dg 2 1\na 1 3\n", "out of range"),
     ("p dg 2 1\na 1 1\n", "self-loop"),
     ("p dg 2 2\na 1 2\na 1 2\n", "duplicate arc"),
@@ -284,8 +288,9 @@ def test_roundtrip_undirected(g):
     ("p dg 3 2\na 1 2\n", "count mismatch"),
 ])
 def test_parse_diagnostics(text, fragment):
-    with pytest.raises(ParseError, match=fragment):
+    with pytest.raises(ParseError, match=fragment) as exc:
         parse_graph(text)
+    assert len(str(exc.value)) < 200   # an over-long token is cut, not echoed
 
 
 def test_parse_rejects_vertex_count_above_hard_cap(monkeypatch):

@@ -183,9 +183,9 @@ def checked_bytes(monkeypatch) -> list:
     seen = []
     check = guards.check
 
-    def spy(actual, limit, what):
+    def spy(actual, what):
         seen.append(actual)
-        check(actual, limit, what)
+        check(actual, what)
     monkeypatch.setattr(guards, "check", spy)
     return seen
 

@@ -201,3 +201,23 @@ def test_guard_override_env(monkeypatch, capsys):
     assert err.count("warning: ORDERCUT_GUARD_OVERRIDE=1 lifts") == 1
     with pytest.raises(SizeGuardError):
         guards.check_universe(33)   # the hard cap stays
+
+
+def test_check_and_fits_read_the_byte_guard(monkeypatch, capsys):
+    # check compares against TABLE_BYTE_GUARD, which the override lifts with
+    # one warning; fits divides what is left of it and ignores the override
+    monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
+    monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", 100)
+    guards.check(100, "x")
+    with pytest.raises(SizeGuardError) as exc:
+        guards.check(101, "x")
+    assert str(exc.value) == ("x: 101 exceeds the desk-scale guard 100 "
+                              "(set ORDERCUT_GUARD_OVERRIDE=1 to override)")
+    assert (guards.fits(30), guards.fits(30, 20)) == (3, 2)
+    monkeypatch.setenv("ORDERCUT_GUARD_OVERRIDE", "1")
+    monkeypatch.setattr(guards, "_warned", False)
+    capsys.readouterr()
+    guards.check(101, "x")
+    guards.check(101, "x")
+    assert capsys.readouterr().err.count("warning: ORDERCUT_GUARD_OVERRIDE=1") == 1
+    assert (guards.fits(30), guards.fits(30, 20)) == (3, 2)

@@ -227,7 +227,7 @@ def test_out_of_table_masks_raise():
     for table, missing in ((full, 32), (full, -1), (capped, 7), (capped, 64),
                            (capped, (0, 1, 2)), (repeat, (2, 2)),
                            (capped, (1, 1))):
-        for read in (table.value_of, table.last_of, table.order_of):
+        for read in (table.value_of, table.order_of):
             with pytest.raises(ValueError):
                 read(missing)
     assert capped.order_of((0, 2)) == (2, 0) and capped.order_of(0) == ()
