@@ -18,12 +18,13 @@ capped, by position in layers of ascending masks, built from one another
 without enumerating 2^n; capped tables are built for fas and dpw only.
 
 One loop fills every table, a chunk of rows at a time. A row holds the
-masks S = H * 2^b + L of one high mask H, L over the low b bits: b =
-min(n, _LOW_BITS) in a full table, whose rows are contiguous, and b = 0 in a
-capped one, whose rows are its masks. Rows are filled by the size of H, and
-only the members of S are read:
+masks S = H * 2^b + L of one high mask H, L over the low b bits: b up to
+_LOW_BITS in a full table, whose rows are contiguous, by a rule of n alone
+(_chunks), and b = 0 in a capped one, whose rows are its masks. Rows are
+filled by the size of H, and only the members of S are read:
 - a high member v: f(S-v) for every L at once is the whole row H-v (a capped
-  table finds it in the previous layer by searchsorted);
+  table finds it in the previous layer by searchsorted), their least taken
+  into a contiguous array, then copied into the chunk once;
 - a low member u: one cached pattern per b lists L-u, a size of L at a time,
   laid out so the minimum runs over the members. The chunk is transposed,
   low masks by rows, so these gathers read whole runs of rows too.
@@ -69,7 +70,7 @@ from . import guards
 from .graph import Digraph
 from .report import Counters, SolveReport, finish
 
-_LOW_BITS = 12            # B: a full table's row holds 2^min(n, B) masks
+_LOW_BITS = 12            # B: a full table's row holds at most 2^B masks
 _CHUNK_MASKS = 1 << 16    # masks per chunk of a full table's rows
 _CHUNK_ROWS = 1 << 12     # masks per chunk of a capped table, one a row
 _SMALL_BYTES = 1 << 15    # a build's small arrays and numpy's buffers
@@ -192,11 +193,14 @@ def _next_layer(layer: np.ndarray, members: np.ndarray, size: int,
 def _chunks(n: int, cap: int) -> tuple[int, int, int, int]:
     """How a table is filled: (b, high, top, rows), the low bits of a row's
     masks, the bits of its high mask, the largest high mask size and the
-    rows of a chunk. A full table's row holds the 2^b masks of one high mask,
-    b = min(n, _LOW_BITS); a capped table's holds one mask, b = 0."""
+    rows of a chunk. A full table's row holds the 2^b masks of one high mask:
+    b = min(n, _LOW_BITS) in a table smaller than a chunk, else n - 8 (half a
+    chunk's bits) up to _LOW_BITS, which widens the chunks at n = 16-19; a
+    capped table's holds one mask, b = 0."""
     if cap < n:
         return 0, n, cap, _CHUNK_ROWS
-    b = min(n, _LOW_BITS)
+    b = min(n if 1 << n < _CHUNK_MASKS else n - _CHUNK_MASKS.bit_length() // 2,
+            _LOW_BITS)
     return b, n - b, n - b, max(1, _CHUNK_MASKS >> b)
 
 
@@ -219,9 +223,10 @@ def _table_bytes(n: int, cap: int, bound: int, objective: str) -> tuple[int, int
     cand = value if fas else item            # a candidate: fas adds weights
     low = max((size + 1) * math.comb(b, size) for size in range(b + 1))
     picks = (b << b - 1) + (1 << b) if b else 0   # a row's low candidates
-    # a chunk's arrays: candidates of its high members (and fas's addends),
-    # the chunk, its terms and copies, then two layers' low candidates
-    temps = (top * chunk * cand + 4 * chunk * value + (top * chunk * item if fas else 0)
+    # a chunk's arrays: candidates of its high members, their least (and fas's
+    # addends), the chunk, its terms and copies, two layers' low candidates
+    temps = ((top + 1) * chunk * cand + 4 * chunk * value
+             + (top * chunk * item if fas else 0)
              + 2 * (low + math.comb(b, b // 2)) * cols * cand
              + (4 * top + n) * cols * 8)
     each = (1 << n if cap == n else entries) * value + temps
@@ -443,7 +448,8 @@ def _fill(graphs, cap: int, objective: str, bound: int) -> list[SubsetTable]:
                     cand += into[k + b, np.arange(cols)][:, :, None]
                     if b:
                         cand += to_low.take(k + b, axis=0)
-                np.minimum.reduce(cand, out=out.swapaxes(0, 1))
+                # contiguous first: numpy reduces into a transposed view slower
+                out[:] = np.minimum.reduce(cand).swapaxes(0, 1)
                 if objective == "fas" and b:
                     # the chunk holds f(S) - w(L -> H), so a low member u
                     # adds only w(u -> L-u); w(L -> H) is added back below

@@ -69,9 +69,9 @@ def spy(monkeypatch, module, name) -> list:
 def test_batches_keep_blocks_within_chunk_rows(monkeypatch):
     # capped at 6 of 12 vertices, the widest layer has 924 masks: four
     # tables fill a chunk of 4096. In full tables of 16 vertices, the widest
-    # high layer has 6 rows of 4096 masks: two tables fill a chunk of 2^16
+    # high layer has 70 rows of 256 masks: three tables fill a chunk of 2^16
     sizes = spy(monkeypatch, subset_dp, "_fill")
-    for n, cap, batches in ((12, 6, [4, 4, 1]), (16, 16, [2, 2, 2, 2, 1])):
+    for n, cap, batches in ((12, 6, [4, 4, 1]), (16, 16, [3, 3, 3])):
         graphs = [gen_random(n, 0.3, seed=s) for s in range(9)]
         tables = subset_dp._prefix_tables(graphs, cap, "fas")
         assert sizes == batches
@@ -233,7 +233,7 @@ def test_member_over_the_byte_guard_is_refused_as_alone(monkeypatch, tmp_path,
     monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
     monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", 1 << 20)
     g = gen_random(18, 0.3, seed=37)
-    message = f"subset table bytes: 2553286 exceeds the desk-scale guard {1 << 20}"
+    message = f"subset table bytes: 2170034 exceeds the desk-scale guard {1 << 20}"
     with pytest.raises(SizeGuardError) as err:
         fas_scheme(g, Fraction(1, 2))
     assert str(err.value).startswith(message)

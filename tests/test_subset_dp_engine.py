@@ -122,6 +122,79 @@ def test_split_table_matches_seed_dp(objective):
     assert_matches_seed(g, 15, objective)
 
 
+def recurrence_values(vals, g, objective):
+    """Every mask's value by seed_table's recurrence, read from vals at the
+    mask's subsets S-v, over all 2^n masks at once. A full table's values
+    are the seed DP's exactly when they equal this, by induction on |S|;
+    the seed DP itself takes seconds at n >= 16."""
+    n = g.n
+    masks = np.arange(1 << n)
+    f = np.asarray(vals, dtype=np.int64)
+    inside = [(masks >> v & 1).astype(bool) for v in range(n)]
+    best = np.full(1 << n, np.iinfo(np.int64).max)
+    for v in range(n):
+        cand = f[masks ^ 1 << v]
+        if objective == "fas":        # + w(v -> S-v)
+            for u, x, w in g.arc_items:
+                if u == v:
+                    cand = cand + w * inside[x]
+        np.minimum(best, cand, out=best, where=inside[v])
+    best[0] = 0
+    term = np.zeros(1 << n, dtype=np.int64)
+    if objective == "dpw":            # boundary(S)
+        for v in range(n):
+            outside = np.zeros(1 << n, dtype=bool)
+            for u, _ in g.in_pairs[v]:
+                outside |= ~inside[u]
+            term += inside[v] & outside
+    else:                             # crossing(S)
+        for u, v, w in g.arc_items:
+            term += w * (inside[v] & ~inside[u])
+    if objective == "ola":
+        best += term
+    elif objective != "fas":
+        np.maximum(best, term, out=best)
+    return best
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_recurrence_values_are_the_seed_dp(objective):
+    g = gen_random(9, 0.4, weight_range=(1, 1000), seed=9)
+    ref = seed_table(g, 9, objective)
+    vals = np.array([ref[mask][0] for mask in range(1 << 9)])
+    assert recurrence_values(vals, g, objective).tolist() == vals.tolist()
+    vals[300] += 1                    # one wrong entry shows
+    assert recurrence_values(vals, g, objective).tolist() != vals.tolist()
+
+
+# the sizes whose full tables have rows below min(n, _LOW_BITS) masks
+LOWERED = [n for n in range(33) if subset_dp._chunks(n, n)[0] != min(n, 12)]
+
+
+def test_row_split_keeps_within_its_cap_and_a_chunk():
+    for n in range(33):
+        b, high, top, rows = subset_dp._chunks(n, n)
+        assert b <= min(n, subset_dp._LOW_BITS) and high == top == n - b
+        assert rows << b <= subset_dp._CHUNK_MASKS
+    assert LOWERED == [16, 17, 18, 19]
+
+
+@pytest.mark.parametrize("top", [1, 1000])
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("n", LOWERED)
+def test_lowered_row_split_matches_seed_dp(n, objective, top):
+    # alone and as a batch of two sharing a dtype, each table is the seed DP's
+    g, h = (gen_random(n, 0.3, weight_range=(1, top), seed=s) for s in (n, n + 1))
+    bounds = [guards.value_bound(x, objective) for x in (g, h)]
+    assert guards.int_dtype(2 * bounds[0]) == guards.int_dtype(2 * bounds[1])
+    alone = prefix_table(g, n, objective)
+    batch = subset_dp._fill([g, h], n, objective, max(bounds))
+    assert batch[0].vals.tolist() == alone.vals.tolist()
+    for x, table in ((g, alone), (h, batch[1])):
+        assert (recurrence_values(table.vals, x, objective).tolist()
+                == table.vals.tolist())
+
+
 @pytest.mark.parametrize("n", [13, 14])
 def test_fas_table_in_two_row_groups_matches_seed_dp(n):
     # n = 13 and 14 gather a capped table's fas weights from two groups of
@@ -259,10 +332,10 @@ def test_byte_guard(monkeypatch):
     ("fas", 12, 12, 10 ** 18), ("ola", 12, 12, 1), ("ola", 16, 16, 10 ** 6),
     ("ola", 14, 14, 10 ** 18), ("dpw", 14, 7, 1), ("dpw", 16, 8, 1),
     ("ola", 17, 17, 1), ("cutwidth", 17, 17, 10 ** 6), ("fas", 18, 18, 10 ** 6),
-    ("dpw", 18, 18, 1)])
+    ("dpw", 18, 18, 1), ("fas", 19, 19, 1000)])
 def test_table_bytes_bound_the_traced_peak(objective, n, cap, top):
     # int16, int32 and Python-int values, one row of every mask and rows of
-    # 2^12 masks: the byte model the guard reads is at least the memory a
+    # 2^8 to 2^12 masks: the byte model the guard reads is at least the memory a
     # build allocates at its peak, and a table's own share of it at most
     # 2.5 times that peak. The share the batch has in common includes the
     # low-mask pattern, which the first build of its b caches; a second
