@@ -23,7 +23,7 @@ _LOW_BITS in a full table, whose rows are contiguous, by a rule of n alone
 (_chunks), and b = 0 in a capped one, whose rows are its masks. Rows are
 filled by the size of H, and only the members of S are read:
 - a high member v: f(S-v) for every L at once is the whole row H-v (a capped
-  table finds it in the previous layer by searchsorted), their least taken
+  table's layers give its position in the one below), their least taken
   into a contiguous array, then copied into the chunk once;
 - a low member u: one cached pattern per b lists L-u, a size of L at a time,
   laid out so the minimum runs over the members. The chunk is transposed,
@@ -74,6 +74,7 @@ _LOW_BITS = 12            # B: a full table's row holds at most 2^B masks
 _CHUNK_MASKS = 1 << 16    # masks per chunk of a full table's rows
 _CHUNK_ROWS = 1 << 12     # masks per chunk of a capped table, one a row
 _SMALL_BYTES = 1 << 15    # a build's small arrays and numpy's buffers
+_BINOMIAL = np.array([[math.comb(t, k) for t in range(33)] for k in range(33)])  # k, t
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,9 +173,9 @@ def _layer_start(n: int, size: int) -> int:
 def _next_layer(layer: np.ndarray, members: np.ndarray, size: int,
                 n: int) -> tuple[np.ndarray, np.ndarray]:
     """The size-(size+1) masks of n bits, ascending, and their members as a
-    (size+1, count) int8 array of bit positions, from the ascending
-    size-`size` ones and theirs: those with top bit t are the size-`size`
-    masks below 2^t plus bit t."""
+    (size+1, count) int8 array of bit positions, ascending, from the
+    ascending size-`size` ones and theirs: those with top bit t are the
+    size-`size` masks below 2^t plus bit t, which _positions reads back."""
     if not size:                 # the singletons
         return 1 << np.arange(n), np.arange(n, dtype=np.int8)[None]
     counts = [math.comb(t, size) for t in range(size, n)]
@@ -186,31 +187,43 @@ def _next_layer(layer: np.ndarray, members: np.ndarray, size: int,
     bits = np.empty((size + 1, len(out)), dtype=np.int8)
     np.concatenate([members[:, :below] for below in counts], axis=1,
                    out=bits[:size])
-    bits[size] = np.repeat(np.arange(size, n), counts)
+    bits[size] = np.repeat(np.arange(size, n, dtype=np.int8), counts)
     return out, bits
+
+
+def _positions(members: np.ndarray, prev: np.ndarray, lo: int = 0) -> np.ndarray:
+    """Where S-v lies in the size-s layer, int32, per member v of the
+    size-(s+1) masks S with these members, from lo; prev: the size-s masks'.
+    With top bit t, S-t is at i = index - C(t, s+1), S-v at C(t, s) + prev[:, i]."""
+    size, t = len(prev), members[-1]
+    out = np.empty((size + 1, len(t)), dtype=np.int32)
+    out[size] = np.arange(lo, lo + len(t)) - _BINOMIAL[size + 1].take(t)
+    prev.take(out[size], axis=1, out=out[:size])
+    out[:size] += _BINOMIAL[size].take(t)
+    return out
 
 
 def _chunks(n: int, cap: int) -> tuple[int, int, int, int]:
     """How a table is filled: (b, high, top, rows), the low bits of a row's
     masks, the bits of its high mask, the largest high mask size and the
     rows of a chunk. A full table's row holds the 2^b masks of one high mask:
-    b = min(n, _LOW_BITS) in a table smaller than a chunk, else n - 8 (half a
-    chunk's bits) up to _LOW_BITS, which widens the chunks at n = 16-19; a
-    capped table's holds one mask, b = 0."""
+    b = min(n, _LOW_BITS) in a table smaller than half a chunk, else n - 8
+    (half a chunk's bits) up to _LOW_BITS, which widens the chunks at
+    n = 15-19; a capped table's holds one mask, b = 0."""
     if cap < n:
         return 0, n, cap, _CHUNK_ROWS
-    b = min(n if 1 << n < _CHUNK_MASKS else n - _CHUNK_MASKS.bit_length() // 2,
+    b = min(n if 2 << n < _CHUNK_MASKS else n - _CHUNK_MASKS.bit_length() // 2,
             _LOW_BITS)
     return b, n - b, n - b, max(1, _CHUNK_MASKS >> b)
 
 
 def _table_bytes(n: int, cap: int, bound: int, objective: str) -> tuple[int, int]:
     """The bytes a table and its build allocate: those each table of a batch
-    adds, and those the batch shares: its layers and their members, and the
-    low masks' pattern, which the first build of its b caches (0.6 MB at
-    b = 12). When values are objects, an entry counts a Python int of its
-    own only in the arrays that compute one: the values, sums of weights
-    and fas's candidates; the others hold pointers."""
+    adds, and those the batch shares: its layers, members and positions, and
+    the high layers and low masks' pattern, which the first build of its
+    split caches (1.6 MB at n = 28). When values are objects, an entry
+    counts a Python int of its own only in the arrays that compute one: the
+    values, sums of weights and fas's candidates; the others hold pointers."""
     entries = _layer_start(n, cap + 1)
     dtype = guards.int_dtype(2 * bound)
     value = guards.entry_bytes(dtype, bound)
@@ -230,13 +243,17 @@ def _table_bytes(n: int, cap: int, bound: int, objective: str) -> tuple[int, int
              + 2 * (low + math.comb(b, b // 2)) * cols * cand
              + (4 * top + n) * cols * 8)
     each = (1 << n if cap == n else entries) * value + temps
-    if fas:          # weights, row sums, low sums and their terms
+    if fas:          # weights, row sums (_row_sums' groups), low sums, terms
+        groups = max(1, -(-high // 12))
         each += ((n * n + picks) * item
-                 + ((n << min(high, 12)) + (n << b)) * value)
+                 + ((n * groups << -(-high // groups)) + (n << b)) * value)
     elif objective != "dpw":
         each += n * n * item
-    shared = ((8 * entries if cap < n else 0) + (8 + 2 * top) * widest
-              + 10 * ((1 << b) + 2 * picks) + _SMALL_BYTES)
+    # capped: layers, two layers' members, int32 positions; full: high layers
+    pos = pairwise([0] + [4 * s * math.comb(n, s) for s in range(top)])
+    layers = (8 * entries + (8 + 2 * top) * widest + max(map(sum, pos), default=0)
+              if cap < n else ((16 + high) << high) // 2)
+    shared = layers + 10 * ((1 << b) + 2 * picks) + _SMALL_BYTES
     return each, shared
 
 
@@ -345,15 +362,22 @@ def _rows(a: np.ndarray) -> np.ndarray:
 
 
 @cache
+def _high_layers(high: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The layers of `high` bits, a size at a time, as _next_layer builds them."""
+    layers = [(np.zeros(1, dtype=np.int64), np.zeros((0, 1), dtype=np.int8))]
+    for size in range(high):
+        layers.append(_next_layer(*layers[-1], size, high))
+    return tuple(layers)
+
+
+@cache
 def _low_layers(b: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The nonempty masks of b bits a size l = 1..b at a time: the size-l
     masks L, ascending, a (l+1, count) array of L-u at each member u, then L
     itself, and at the same places the positions u * 2^b + L of the fas
     terms w(u -> L-u) in an (n, 2^b) table, then 0, where w(0 -> {}) is."""
-    at, bits = np.zeros(1, dtype=np.int64), np.zeros((0, 1), dtype=np.int8)
     layers = []
-    for size in range(b):
-        at, bits = _next_layer(at, bits, size, b)
+    for at, bits in _high_layers(b)[1:]:
         u = bits.astype(np.int64)
         layers.append((at, np.concatenate([at - (1 << u), at[None]]),
                        np.concatenate([u << b | at, np.zeros((1, len(at)), np.int64)])))
@@ -405,16 +429,17 @@ def _fill(graphs, cap: int, objective: str, bound: int) -> list[SubsetTable]:
         closed = np.array([_closed_masks(g) for g in graphs], dtype=np.int64).T
         closed = closed.reshape((n, 1) + batch)
         by_row = (slice(None),) + (None,) * len(batch)   # rows against a batch
-    layer, members = np.zeros(1, dtype=np.int64), np.zeros((0, 1), dtype=np.int8)
+    (layer, members), pos = _high_layers(0)[0], np.zeros((0, 1), dtype=np.int32)
     layers = [layer]             # kept by capped tables
     start = 0
     for size in range(top + 1):
         if size:
-            prev_layer = layer
-            layer, members = _next_layer(layer, members, size - 1, high)
-            prev_start, start = start, start + len(prev_layer)
-            if not full:
-                layers.append(layer)
+            prev_start, start = start, start + len(layer)
+            layer, members = (_high_layers(high)[size] if full else
+                              _next_layer(layer, members, size - 1, high))
+            layers.append(layer)
+            if not full and size < top:   # the top layer's chunks find their own
+                pos = _positions(members, pos)
         for lo in range(0, len(layer), rows_per):
             rows = layer[lo:lo + rows_per]
             cols = len(rows)
@@ -427,16 +452,16 @@ def _fill(graphs, cap: int, objective: str, bound: int) -> list[SubsetTable]:
             # contiguous rows is a view of them
             in_place = cols == 1 or not full
             if in_place:
-                pos = rows[0] if full else start + lo
-                out = grid[pos:pos + cols].swapaxes(0, 1)
+                i = rows[0] if full else start + lo
+                out = grid[i:i + cols].swapaxes(0, 1)
             else:
                 out = np.empty((1 << b, cols) + batch, dtype=dtype)
             if size:
                 # the high members v of each row H: rows H-v, read whole
                 k = members[:, lo:lo + rows_per].astype(np.int64)
-                prev = rows - (1 << k)
-                if not full:
-                    prev = prev_start + np.searchsorted(prev_layer, prev)
+                prev = (rows - (1 << k) if full else np.add(  # capped: positions
+                    pos[:, lo:lo + rows_per] if size < top else _positions(k, pos, lo),
+                    prev_start, dtype=np.int64))
                 cand = grid.take(prev, axis=0)
                 if objective == "fas":
                     # w(v -> S-v) = w(v -> H-v) + w(v -> L)

@@ -233,7 +233,7 @@ def test_member_over_the_byte_guard_is_refused_as_alone(monkeypatch, tmp_path,
     monkeypatch.delenv("ORDERCUT_GUARD_OVERRIDE", raising=False)
     monkeypatch.setattr(guards, "TABLE_BYTE_GUARD", 1 << 20)
     g = gen_random(18, 0.3, seed=37)
-    message = f"subset table bytes: 2170034 exceeds the desk-scale guard {1 << 20}"
+    message = f"subset table bytes: 2171426 exceeds the desk-scale guard {1 << 20}"
     with pytest.raises(SizeGuardError) as err:
         fas_scheme(g, Fraction(1, 2))
     assert str(err.value).startswith(message)

@@ -115,10 +115,10 @@ def test_fas_row_sums_take_the_fewest_even_groups(n, widths):
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_split_table_matches_seed_dp(objective):
-    # n = 15 splits each mask at the production _LOW_BITS = 12: rows of
-    # 4096 masks under high masks of 3 bits, chunks of several rows
+    # n = 15 splits each mask at the production rule: rows of 128 masks
+    # under high masks of 8 bits, chunks of several rows
     g = gen_random(15, 0.3, weight_range=(1, 9), seed=15)
-    assert subset_dp._chunks(15, 15) == (12, 3, 3, 16)
+    assert subset_dp._chunks(15, 15) == (7, 8, 8, 512)
     assert_matches_seed(g, 15, objective)
 
 
@@ -176,7 +176,7 @@ def test_row_split_keeps_within_its_cap_and_a_chunk():
         b, high, top, rows = subset_dp._chunks(n, n)
         assert b <= min(n, subset_dp._LOW_BITS) and high == top == n - b
         assert rows << b <= subset_dp._CHUNK_MASKS
-    assert LOWERED == [16, 17, 18, 19]
+    assert LOWERED == [15, 16, 17, 18, 19]
 
 
 @pytest.mark.parametrize("top", [1, 1000])
@@ -193,6 +193,74 @@ def test_lowered_row_split_matches_seed_dp(n, objective, top):
     for x, table in ((g, alone), (h, batch[1])):
         assert (recurrence_values(table.vals, x, objective).tolist()
                 == table.vals.tolist())
+
+
+EMPTY_LAYER = (np.zeros(1, dtype=np.int64), np.zeros((0, 1), dtype=np.int8))
+
+
+def test_positions_find_each_mask_less_a_member():
+    # for every layer of n <= 14 bits, the positions of S-v in the layer
+    # below, whole and a chunk at a time, are those searchsorted finds
+    for n in range(15):
+        layer, members = EMPTY_LAYER
+        pos = np.zeros((0, 1), dtype=np.int32)
+        for size in range(n):
+            below, below_pos = layer, pos
+            layer, members = subset_dp._next_layer(layer, members, size, n)
+            less = layer - (1 << members.astype(np.int64))
+            want = np.searchsorted(below, less)
+            assert (below[want] == less).all()
+            pos = subset_dp._positions(members, below_pos)
+            assert pos.dtype == np.int32 and pos.tolist() == want.tolist()
+            for lo in range(0, len(layer), 97):
+                chunk = members[:, lo:lo + 97]
+                assert (subset_dp._positions(chunk, below_pos, lo).tolist()
+                        == want[:, lo:lo + 97].tolist())
+
+
+def test_high_layers_are_built_once_per_split(monkeypatch):
+    # the cached layers are those _next_layer builds a size at a time: the
+    # masks of each size, ascending, and their members, ascending
+    for high in range(11):
+        layer, members = EMPTY_LAYER
+        for size, (masks, bits) in enumerate(subset_dp._high_layers(high)):
+            if size:
+                layer, members = subset_dp._next_layer(layer, members, size - 1, high)
+            assert masks.tolist() == layer.tolist() == [
+                m for m in range(1 << high) if m.bit_count() == size]
+            assert bits.tolist() == members.tolist()
+            assert bits.T.tolist() == [[v for v in range(high) if m >> v & 1]
+                                       for m in masks.tolist()]
+    # a second full table of the same split builds no layer
+    built = []
+    real = subset_dp._next_layer
+    monkeypatch.setattr(subset_dp, "_next_layer",
+                        lambda *args: built.append(args[2:]) or real(*args))
+    subset_dp._high_layers.cache_clear()
+    subset_dp._low_layers.cache_clear()
+    b, high, _, _ = subset_dp._chunks(17, 17)
+    g, h = (gen_random(17, 0.3, seed=s) for s in (1, 2))
+    first = prefix_table(g, 17, "ola")
+    assert sorted(built) == sorted([(s, high) for s in range(high)]
+                                   + [(s, b) for s in range(b)])
+    built.clear()
+    prefix_table(h, 17, "ola")
+    assert built == [] and subset_dp._high_layers.cache_info().hits >= high
+    assert recurrence_values(first.vals, g, "ola").tolist() == first.vals.tolist()
+
+
+@pytest.mark.parametrize("objective,top", [("fas", 1), ("fas", 1000), ("dpw", 1)])
+@pytest.mark.parametrize("n", [16, 17, 18, 19, 20])
+def test_capped_tables_match_the_full_table(n, objective, top):
+    # every entry of a table capped at 1..6 is the full table's at its mask
+    g = gen_random(n, 0.3, weight_range=(1, top), seed=n)
+    full = prefix_table(g, n, objective).vals
+    for cap in range(1, 7):
+        table = prefix_table(g, cap, objective)
+        assert len(table.layers) == cap + 1
+        for size in range(cap + 1):
+            masks, vals = table.layer(size)
+            assert vals.tolist() == full[masks].tolist()
 
 
 @pytest.mark.parametrize("n", [13, 14])
@@ -332,7 +400,8 @@ def test_byte_guard(monkeypatch):
     ("fas", 12, 12, 10 ** 18), ("ola", 12, 12, 1), ("ola", 16, 16, 10 ** 6),
     ("ola", 14, 14, 10 ** 18), ("dpw", 14, 7, 1), ("dpw", 16, 8, 1),
     ("ola", 17, 17, 1), ("cutwidth", 17, 17, 10 ** 6), ("fas", 18, 18, 10 ** 6),
-    ("dpw", 18, 18, 1), ("fas", 19, 19, 1000)])
+    ("dpw", 18, 18, 1), ("fas", 19, 19, 1000), ("dpw", 20, 4, 1),
+    ("fas", 18, 1, 1), ("dpw", 24, 5, 1)])
 def test_table_bytes_bound_the_traced_peak(objective, n, cap, top):
     # int16, int32 and Python-int values, one row of every mask and rows of
     # 2^8 to 2^12 masks: the byte model the guard reads is at least the memory a
